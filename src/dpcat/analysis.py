@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,16 +68,13 @@ def expected_error(spec, params: PrivacyParams | None = None, *,
                    budget_enum: int = DEFAULT_ENUM_BUDGET) -> ErrorProfile:
     """Worst-case expected hamming error of a mechanism spec.
 
-    Hamming-utility specs use the closed form n / (1 + e^k/m); product specs
-    use n * max_d (1 - P(X_d = d)); other utilities take the exhaustive
-    expectation over the enumerated space.
+    Product-kind specs (hamming, L1 and product) use their parent matrix,
+    n * max_a P(row a is released as another category); utility tables take
+    the exhaustive expectation over the enumerated space.
     """
     m, n = spec.space.m, spec.n
-    if isinstance(spec, ExponentialSpec) and isinstance(spec.utility,
-                                                        HammingUtility):
-        err = n / (1 + math.exp(spec.utility.k) / m)
-    elif isinstance(spec, ProductSpec):
-        err = n * float(np.max(1.0 - np.diag(spec.matrix.values)))
+    if spec.product is not None:
+        err = matrix_expected_error(spec.product.matrix, n)
     else:
         size = check_enum_budget(spec.space, n, budget_enum)
         digits = digit_matrix(spec.space, n, budget_enum)
@@ -105,9 +101,7 @@ def p_from_k(k: float, m: int) -> float:
         raise ParameterRangeError("m must be >= 1")
     if math.isnan(k) or k < 0:
         raise ParameterRangeError(f"k must be >= 0, got {k}")
-    if math.isinf(k):
-        return 0.0
-    return 1.0 / (math.exp(k) + m)
+    return float(HammingUtility(k).parent_matrix(m).values[0, 1])
 
 
 def k_from_p(p: float, m: int) -> float:
@@ -153,16 +147,12 @@ def optimal_mechanism(params: PrivacyParams, m: int, *,
 
 
 def exponential_to_product(spec: ExponentialSpec) -> ProductSpec:
-    """Equivalent product spec for a hamming-utility exponential spec."""
-    if not isinstance(spec.utility, HammingUtility):
+    """Equivalent symmetric product spec for a hamming-utility exponential
+    spec: the product of its parent."""
+    if spec.kind != "hamming":
         raise ParameterRangeError(
-            "only hamming-utility specs have a product equivalent")
-    e_k = spec.utility.e_k
-    if e_k is not None:
-        p = Fraction(1) / (e_k + spec.space.m)
-    else:
-        p = p_from_k(spec.utility.k, spec.space.m)
-    return ProductSpec(spec.space, spec.n, symmetric_matrix(spec.space.m, p))
+            "only hamming-utility specs have a symmetric product equivalent")
+    return ProductSpec(spec.space, spec.n, spec.product.matrix)
 
 
 def product_to_exponential(spec: ProductSpec) -> ExponentialSpec:
@@ -180,8 +170,13 @@ def product_to_exponential(spec: ProductSpec) -> ExponentialSpec:
 
 
 def matrix_expected_error(matrix: SolutionMatrix, n: int) -> float:
-    """Worst-case expected error of the product mechanism a matrix defines."""
-    return n * float(np.max(1.0 - np.diag(matrix.values)))
+    """Worst-case expected error of the product mechanism a matrix defines.
+
+    Sums each row's off-diagonal entries rather than taking 1 - diagonal,
+    which cancels when the flip probabilities are tiny.
+    """
+    off = np.where(np.eye(matrix.size, dtype=bool), 0.0, matrix.values)
+    return n * float(off.sum(axis=1).max())
 
 
 def _subset_mask_table(size: int) -> np.ndarray:

@@ -45,7 +45,6 @@ from .mechanisms import (
     ExponentialSpec,
     HammingUtility,
     NegL1Utility,
-    ProductSpec,
     sample,
 )
 from .specfile import load_spec_file, save_spec_file
@@ -70,10 +69,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget-subsets", type=int,
                         default=DEFAULT_SUBSET_BUDGET, metavar="N",
                         help="max set size whose subsets may be enumerated")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism across neighbor pairs")
     parser.add_argument("--exact", action="store_true",
-                        help="exact rational arithmetic (hamming/product specs)")
+                        help="exact rational arithmetic (all but utility tables)")
 
 
 def _privacy_args(parser: argparse.ArgumentParser) -> None:
@@ -89,39 +86,27 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _with_n(spec, n: int):
-    """Rebind a spec to the row count of the data being sanitised."""
-    if spec.n == n:
-        return spec
-    if isinstance(spec, ProductSpec):
-        return ProductSpec(spec.space, n, spec.matrix)
-    if isinstance(spec.utility, (HammingUtility, NegL1Utility)):
-        return ExponentialSpec(spec.space, n, spec.utility)
-    raise DataFormatError(
-        f"spec was written for n={spec.n} but the data has {n} rows, and "
-        f"table utilities cannot be rescaled")
-
-
 def cmd_verify(args) -> int:
     spec = load_spec_file(args.spec, exact=args.exact)
     params = PrivacyParams(args.epsilon, args.delta)
     method = args.method
     if method == "auto":
-        method = "matrix" if isinstance(spec, ProductSpec) else "reduced"
+        method = "matrix" if spec.product is not None else "reduced"
     if method == "matrix":
-        if not isinstance(spec, ProductSpec):
-            raise DataFormatError("--method matrix needs a product spec")
-        report = verify_matrix(spec.matrix, params, space=spec.space,
+        if spec.product is None:
+            raise DataFormatError("--method matrix needs a product-kind spec, "
+                                  "not a utility table")
+        report = verify_matrix(spec.product.matrix, params, space=spec.space,
                                budget_subsets=args.budget_subsets,
                                exact=args.exact)
     elif method == "reduced":
         report = verify_reduced(spec, params, budget_enum=args.budget_enum,
                                 budget_subsets=args.budget_subsets,
-                                threads=args.threads, exact=args.exact)
+                                exact=args.exact)
     else:
         report = verify_bruteforce(spec, params,
                                    budget_subsets=args.budget_subsets,
-                                   threads=args.threads, exact=args.exact)
+                                   exact=args.exact)
     payload = report.to_json_dict()
     if args.format == "table":
         payload["binding_pair"] = json.dumps(payload["binding_pair"])
@@ -133,7 +118,8 @@ def cmd_verify(args) -> int:
 def cmd_sanitize(args) -> int:
     spec = load_spec_file(args.spec, exact=False)
     data = load_database_csv(args.data, spec.space, column=args.column)
-    spec = _with_n(spec, data.n)
+    if spec.n != data.n:
+        spec = spec.with_n(data.n)
     rng = np.random.default_rng(args.seed)
     sanitized = sample(spec, data, rng, budget=args.budget_enum)
     lines = "".join(f"{label}\n" for label in sanitized.labels(spec.space))
@@ -163,7 +149,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     spec = load_spec_file(args.spec, exact=args.exact)
-    if isinstance(spec, ProductSpec):
+    if spec.kind == "product":
         converted = product_to_exponential(spec)
         k = converted.utility.k
         p = spec.matrix.symmetric_p()
@@ -245,8 +231,7 @@ def cmd_bench(args) -> int:
                 start = time.perf_counter()
                 reduced = verify_reduced(spec, params,
                                          budget_enum=args.budget_enum,
-                                         budget_subsets=args.budget_subsets,
-                                         threads=args.threads)
+                                         budget_subsets=args.budget_subsets)
                 row["time_reduced_s"] = time.perf_counter() - start
                 row["checks_reduced"] = str(reduced.checks_performed)
                 row["verdict"] = reduced.verdict
@@ -257,8 +242,7 @@ def cmd_bench(args) -> int:
             if space_size(space, n) <= args.budget_subsets:
                 start = time.perf_counter()
                 brute = verify_bruteforce(spec, params,
-                                          budget_subsets=args.budget_subsets,
-                                          threads=args.threads)
+                                          budget_subsets=args.budget_subsets)
                 row["time_bruteforce_s"] = time.perf_counter() - start
                 row["agree"] = brute.verdict == reduced.verdict
                 row["speedup"] = (row["time_bruteforce_s"]

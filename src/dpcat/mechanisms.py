@@ -3,9 +3,14 @@
 Two families are provided.  The exponential mechanism assigns each candidate
 output database a probability proportional to e^u for a utility function u;
 the product mechanism sanitises row by row through a single row-stochastic
-matrix (the parent mechanism).  With the hamming utility u = -k*h the two
-families coincide under e^k = 1/p - m, which is what lets the hamming path
-scale to arbitrary row counts without enumerating the space.
+matrix (the parent mechanism).  The hamming and negative-L1 utilities are
+sums over rows, so e^u/Z factorises row by row: the n-row exponential
+mechanism is the product mechanism whose parent is
+M[a, b] = e^{u1(a, b)} / sum_c e^{u1(a, c)} for the one-row utility u1.
+Such specs carry that ProductSpec as ``product`` and scale to any row count;
+only explicit utility tables are enumerated.  For the hamming utility
+u1 = -k * [a != b] the parent is k-ary randomized response with flip
+probability p = 1/(e^k + m).
 
 All probability arithmetic runs in log space and is exponentiated at the
 end; e^{-k*h} underflows quickly otherwise.  Specs are immutable after
@@ -56,6 +61,12 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(hi + np.log(np.sum(np.exp(values - hi))))
 
 
+def _log_normalise(u: np.ndarray) -> np.ndarray:
+    """u minus the log-sum-exp of each row: every row exponentiates to a
+    distribution."""
+    return u - np.logaddexp.reduce(u, axis=1, keepdims=True)
+
+
 class HammingUtility:
     """u(d, d') = -k * hamming(d, d'), k >= 0.
 
@@ -93,6 +104,28 @@ class HammingUtility:
             return 0.0 if h == 0 else -math.inf
         return -self.k * h
 
+    def row_utility(self, m: int) -> np.ndarray:
+        """u1(a, b) = -k * [a != b] over one row's m + 1 categories."""
+        u = np.full((m + 1, m + 1), -self.k)
+        np.fill_diagonal(u, 0.0)
+        return u
+
+    def parent_matrix(self, m: int) -> "SolutionMatrix":
+        """k-ary randomized response: keep a value with probability
+        e^k/(e^k + m), release each other category with p = 1/(e^k + m).
+
+        The float entries are exactly those of ``symmetric_matrix(m, p)``;
+        the exact entries come from :meth:`exact_e_k`.
+        """
+        e_k = self.exact_e_k()
+        if e_k is None:                 # k = inf: the identity
+            p, p_q = 0.0, Fraction(0)
+        else:
+            p, p_q = 1.0 / (math.exp(self.k) + m), 1 / (e_k + m)
+        fracs = [[1 - m * p_q if i == j else p_q for j in range(m + 1)]
+                 for i in range(m + 1)]
+        return SolutionMatrix(symmetric_matrix(m, p).values, fractions=fracs)
+
 
 class NegL1Utility:
     """u(d, d') = -sum_i |d_i - d'_i| over the numeric category indices."""
@@ -103,6 +136,15 @@ class NegL1Utility:
         if d.n != d_prime.n:
             raise IncompleteUtilityError("databases differ in length")
         return -float(sum(abs(a - b) for a, b in zip(d.rows, d_prime.rows)))
+
+    def row_utility(self, m: int) -> np.ndarray:
+        """u1(a, b) = -|a - b| over one row's category indices."""
+        idx = np.arange(m + 1, dtype=np.float64)
+        return -np.abs(idx[:, None] - idx[None, :])
+
+    def parent_matrix(self, m: int) -> "SolutionMatrix":
+        """M[a, b] = e^{-|a - b|} / sum_c e^{-|a - c|}."""
+        return SolutionMatrix(np.exp(_log_normalise(self.row_utility(m))))
 
 
 class TableUtility:
@@ -149,18 +191,45 @@ class TableUtility:
                                  database_index(self.space, d_prime)])
 
 
-class ExponentialSpec:
+class _Spec:
+    """Category space, row count and the canonical digit table."""
+
+    def __init__(self, space: CategorySpace, n: int):
+        if n < 1:
+            raise ParameterRangeError("row count must be at least 1")
+        self.space = space
+        self.n = n
+        self.state_count = space_size(space, n)
+        self._digits: np.ndarray | None = None
+        self._log_rows: dict[int, np.ndarray] = {}
+
+    def _digit_table(self, budget: int) -> np.ndarray:
+        """(size, n) row values of every database, in canonical order.
+
+        The budget is checked on every call, so a table cached under a large
+        budget never answers a call made with a smaller one.
+        """
+        if self.state_count > budget:
+            check_enum_budget(self.space, self.n, budget)   # raises
+        if self._digits is None:
+            self._digits = digit_matrix(self.space, self.n, budget)
+        return self._digits
+
+
+class ExponentialSpec(_Spec):
     """Exponential mechanism: P(X_d = d') = C * e^{u(d, d')} with C chosen
     per input database so the distribution sums to one.
 
-    The stored/reported normalisation constant is the *prefactor* C (the
-    reciprocal of the sum of e^u), so the probability is always
+    A separable utility (hamming, negative L1) makes the spec the product
+    of its one-row parent; that ProductSpec is ``product`` and computes
+    every probability.  Utility tables have ``product = None`` and are
+    enumerated.  The reported normalisation constant is the *prefactor* C
+    (the reciprocal of the sum of e^u), so the probability is always
     ``exp_norm_constant(spec, d) * e^{u(d, d')}``.
     """
 
     def __init__(self, space: CategorySpace, n: int, utility):
-        if n < 1:
-            raise ParameterRangeError("row count must be at least 1")
+        super().__init__(space, n)
         if isinstance(utility, TableUtility):
             if utility.space is not space and utility.space != space:
                 raise IncompleteUtilityError(
@@ -168,78 +237,59 @@ class ExponentialSpec:
             if utility.n != n:
                 raise IncompleteUtilityError(
                     f"utility table was built for n={utility.n}, spec has n={n}")
-        self.space = space
-        self.n = n
+            self.product = None
+        else:
+            self.product = ProductSpec(space, n,
+                                       utility.parent_matrix(space.m),
+                                       utility.row_utility(space.m))
         self.utility = utility
-        self._digits: np.ndarray | None = None
-        self._u_rows: dict[int, np.ndarray] = {}
-        self._log_rows: dict[int, np.ndarray] = {}
 
     @property
     def kind(self) -> str:
         return self.utility.kind
 
     @property
-    def state_count(self) -> int:
-        return space_size(self.space, self.n)
-
-    @property
     def fixed_normalizer(self) -> bool:
         """True when the prefactor is provably the same for every input."""
-        if isinstance(self.utility, HammingUtility):
-            return True
-        if isinstance(self.utility, TableUtility):
+        if self.product is None:
             return self.utility.assert_fixed_c
-        return False
+        return self.product.fixed_normalizer
 
     @property
     def supports_exact(self) -> bool:
-        return isinstance(self.utility, HammingUtility)
+        return self.product is not None
 
     def _digit_table(self, budget: int) -> np.ndarray:
-        if self._digits is None:
-            self._digits = digit_matrix(self.space, self.n, budget)
-        return self._digits
+        if self.product is not None:
+            return self.product._digit_table(budget)
+        return super()._digit_table(budget)
 
-    def utility_row(self, index: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        """u(d_index, .) over the whole space in canonical order."""
-        row = self._u_rows.get(index)
-        if row is not None:
-            return row
-        digits = self._digit_table(budget)
-        mine = digits[index]
-        if isinstance(self.utility, HammingUtility):
-            h = np.count_nonzero(digits != mine, axis=1).astype(np.float64)
-            if math.isinf(self.utility.k):
-                row = np.where(h == 0, 0.0, -np.inf)
-            else:
-                row = -self.utility.k * h
-        elif isinstance(self.utility, NegL1Utility):
-            row = -np.abs(digits - mine).sum(axis=1).astype(np.float64)
-        else:
-            row = self.utility.values[index].astype(np.float64)
-        self._u_rows[index] = row
-        return row
+    def with_n(self, n: int) -> "ExponentialSpec":
+        """The same mechanism over n rows."""
+        if self.product is None:
+            raise DataFormatError(
+                f"a utility table is fixed to its n={self.n} rows and "
+                f"cannot be rescaled to {n}")
+        return ExponentialSpec(self.space, n, self.utility)
 
     def log_prefactor(self, index: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> float:
-        if isinstance(self.utility, HammingUtility):
-            k = self.utility.k
-            if math.isinf(k):
-                return 0.0
-            # closed form: C = (1 + m * e^{-k}) ** -n, no enumeration needed
-            return -self.n * math.log1p(self.space.m * math.exp(-k))
-        return -_logsumexp(self.utility_row(index, budget))
+        if self.product is not None:
+            # u(d, d) = 0, so C(d) = P(X_d = d) = prod_i M[d_i, d_i]
+            rows = database_from_index(self.space, self.n, index).rows
+            return float(sum(self.product.log_weights[r, r] for r in rows))
+        check_enum_budget(self.space, self.n, budget)
+        return -_logsumexp(self.utility.values[index])
 
     def log_pmf_row(self, index: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        if self.product is not None:
+            return self.product.log_pmf_row(index, budget)
+        check_enum_budget(self.space, self.n, budget)
         row = self._log_rows.get(index)
-        if row is not None:
-            return row
-        u = self.utility_row(index, budget)
-        row = u - _logsumexp(u)
-        self._log_rows[index] = row
+        if row is None:
+            u = self.utility.values[index]
+            row = self._log_rows[index] = u - _logsumexp(u)
         return row
 
     def pmf_row(self, index: int,
@@ -248,33 +298,19 @@ class ExponentialSpec:
 
     def pmf(self, d: Database, d_prime: Database,
             budget: int = DEFAULT_ENUM_BUDGET) -> float:
-        validate_database(self.space, d)
-        validate_database(self.space, d_prime)
-        if isinstance(self.utility, HammingUtility):
-            u = self.utility.value(d, d_prime)
-            if u == -math.inf:
-                return 0.0
-            return math.exp(self.log_prefactor(0) + u)
-        index = database_index(self.space, d)
-        check_enum_budget(self.space, self.n, budget)
-        return float(self.pmf_row(index, budget)[database_index(self.space,
-                                                                d_prime)])
+        if self.product is not None:
+            return self.product.pmf(d, d_prime)
+        return float(self.pmf_row(database_index(self.space, d), budget)
+                     [database_index(self.space, d_prime)])
 
     def exact_pmf_row(self, index: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> list[Fraction]:
-        """Exact probabilities for the hamming utility (e^k as a rational)."""
-        if not self.supports_exact:
+        """Exact probabilities from the parent's exact entries."""
+        if self.product is None:
             raise ExactModeError(
-                f"exact arithmetic is only available for the hamming "
-                f"utility, not {self.kind!r}")
-        digits = self._digit_table(budget)
-        mine = digits[index]
-        hs = np.count_nonzero(digits != mine, axis=1)
-        e_k = self.utility.exact_e_k()
-        if e_k is None:  # k = inf: identity mechanism
-            return [Fraction(1) if h == 0 else Fraction(0) for h in hs]
-        denom = (e_k + self.space.m) ** self.n
-        return [Fraction(e_k ** int(self.n - h), denom) for h in hs]
+                f"exact arithmetic is not available for {self.kind!r} "
+                f"utilities")
+        return self.product.exact_pmf_row(index, budget)
 
 
 class SolutionMatrix:
@@ -355,59 +391,62 @@ class SolutionMatrix:
                 "entries": [[float(x) for x in row] for row in self.values]}
 
 
-class ProductSpec:
+class ProductSpec(_Spec):
     """Row-independent sanitisation driven by one parent matrix.
 
     The probability of releasing d' for input d is the product over rows of
     matrix[d_i, d'_i]; rows are sanitised independently and identically.
+    Each log pmf row is the outer sum of the per-row log weights, cached
+    once per input.  The weights are log(matrix), or, for the parent of a
+    separable exponential spec, its one-row utility ``row_utility`` minus
+    each row's log normaliser, which keeps utility gaps exact.
     """
 
-    def __init__(self, space: CategorySpace, n: int, matrix: SolutionMatrix):
+    kind = "product"
+    supports_exact = True
+
+    def __init__(self, space: CategorySpace, n: int, matrix: SolutionMatrix,
+                 row_utility: np.ndarray | None = None):
         if matrix.size != space.size:
             raise DataFormatError(
                 f"matrix is {matrix.size}x{matrix.size} but the space has "
                 f"{space.size} categories")
-        if n < 1:
-            raise ParameterRangeError("row count must be at least 1")
-        self.space = space
-        self.n = n
+        super().__init__(space, n)
         self.matrix = matrix
-        self._rows: dict[int, np.ndarray] = {}
-        self._digits: np.ndarray | None = None
-
-    kind = "product"
+        if row_utility is None:
+            with np.errstate(divide="ignore"):
+                row_utility = log_weights = np.log(matrix.values)
+        else:
+            log_weights = _log_normalise(row_utility)
+        self.row_utility = row_utility
+        self.log_weights = log_weights
 
     @property
-    def state_count(self) -> int:
-        return space_size(self.space, self.n)
+    def product(self) -> "ProductSpec":
+        return self
 
     @property
     def fixed_normalizer(self) -> bool:
         return self.matrix.is_symmetric()
 
-    supports_exact = True
-
-    def _digit_table(self, budget: int) -> np.ndarray:
-        if self._digits is None:
-            self._digits = digit_matrix(self.space, self.n, budget)
-        return self._digits
-
-    def pmf_row(self, index: int,
-                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        row = self._rows.get(index)
-        if row is not None:
-            return row
-        digits = self._digit_table(budget)[index]
-        out = np.ones(1)
-        for v in digits:
-            out = np.kron(out, self.matrix.values[v])
-        self._rows[index] = out
-        return out
+    def with_n(self, n: int) -> "ProductSpec":
+        """The same mechanism over n rows."""
+        return ProductSpec(self.space, n, self.matrix)
 
     def log_pmf_row(self, index: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.pmf_row(index, budget))
+        digits = self._digit_table(budget)
+        row = self._log_rows.get(index)
+        if row is None:
+            row = np.zeros(1)
+            for v in digits[index]:
+                row = np.add.outer(row, self.log_weights[v]).ravel()
+            self._log_rows[index] = row
+        return row
+
+    def pmf_row(self, index: int,
+                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+        return np.exp(self.log_pmf_row(index, budget))
 
     def pmf(self, d: Database, d_prime: Database,
             budget: int = DEFAULT_ENUM_BUDGET) -> float:
@@ -441,14 +480,10 @@ def exp_norm_constant(spec: ExponentialSpec, d: Database,
     """The normalisation prefactor C for input d, so that the probability
     of each output d' is exactly C * e^{u(d, d')}.
 
-    For the hamming utility this is the closed form (1 + m/e^k)^{-n} and is
-    the same constant for every d; general utilities fall back to an
-    exhaustive log-sum-exp over the space.
+    For separable utilities C(d) = prod_i M[d_i, d_i] over the parent, with
+    no enumeration (for hamming, (1 + m/e^k)^{-n} for every d); utility
+    tables take a log-sum-exp over their row.
     """
-    validate_database(spec.space, d)
-    if isinstance(spec.utility, HammingUtility):
-        return math.exp(spec.log_prefactor(0))
-    check_enum_budget(spec.space, spec.n, budget)
     return math.exp(spec.log_prefactor(database_index(spec.space, d), budget))
 
 
@@ -504,22 +539,16 @@ def sample(spec, d: Database, rng: np.random.Generator,
            budget: int = DEFAULT_ENUM_BUDGET) -> Database:
     """Draw one sanitised database.  Deterministic given the generator state.
 
-    Product specs (and hamming exponential specs, via their equivalent flip
-    probability p = 1/(e^k + m)) sample row by row and scale to any n.
-    Other utilities enumerate the output distribution, so they are limited
-    to spaces within the enumeration budget.
+    Product-kind specs (every spec but a utility table) sample row by row
+    through their parent and scale to any n.  Utility tables enumerate the
+    output distribution, so they are limited to spaces within the
+    enumeration budget.
     """
     validate_database(spec.space, d)
     if d.n != spec.n:
         raise DataFormatError(f"spec expects {spec.n} rows, database has {d.n}")
-    if isinstance(spec, ProductSpec):
-        return _rowwise_sample(spec.matrix, d, rng)
-    if isinstance(spec.utility, HammingUtility):
-        k = spec.utility.k
-        p = 0.0 if math.isinf(k) else 1.0 / (math.exp(k) + spec.space.m)
-        return _rowwise_sample(make_symmetric_product(spec.space, spec.n, p)
-                               .matrix, d, rng)
-    check_enum_budget(spec.space, spec.n, budget)
+    if spec.product is not None:
+        return _rowwise_sample(spec.product.matrix, d, rng)
     row = spec.pmf_row(database_index(spec.space, d), budget)
     cum = np.cumsum(row)
     idx = int(np.searchsorted(cum, rng.random(), side="right"))

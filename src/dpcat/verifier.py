@@ -11,10 +11,12 @@ workload using sufficient sets: per pair, only the set S of outputs strictly
 more likely under d than under d' can matter.  Three reductions apply, from
 strongest to weakest:
 
-* hamming-utility and symmetric-matrix mechanisms have a single utility-gap
-  level on S, so one check of S itself per pair settles every subset;
-* mechanisms with a provably constant normaliser and delta = 0 need one
-  check per utility-gap level set (the cells partitioning S);
+* mechanisms with a symmetric parent matrix (symmetric products, and the
+  hamming exponential mechanism, which is the product of its one-row
+  parent) have a single utility-gap level on S, so one check of S itself
+  per pair settles every subset;
+* utility tables with a provably constant normaliser and delta = 0 need
+  one check per utility-gap level set (the cells partitioning S);
 * any other mechanism needs every nonempty subset of S, which is still far
   smaller than the full subset lattice.
 
@@ -29,7 +31,6 @@ uses strict comparisons with no tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ from .errors import (
     ExactModeError,
     ParameterRangeError,
 )
-from .mechanisms import ExponentialSpec, HammingUtility, ProductSpec, SolutionMatrix
+from .mechanisms import ProductSpec, SolutionMatrix
 
 #: Slack added to every margin comparison to absorb float rounding.
 TOLERANCE = 1e-12
@@ -185,18 +186,12 @@ class VerificationReport:
 
 def _routing(spec) -> str:
     """Which reduction the theory licenses for this spec."""
-    if isinstance(spec, ExponentialSpec):
-        if isinstance(spec.utility, HammingUtility):
-            return "single-set"
-        if spec.fixed_normalizer:
-            return "fixed-c"
-        return "general"
-    if isinstance(spec, ProductSpec):
-        return "single-set" if spec.matrix.is_symmetric() else "general"
-    raise TypeError(f"not a mechanism spec: {type(spec).__name__}")
+    if spec.product is not None:
+        return "single-set" if spec.product.matrix.is_symmetric() else "general"
+    return "fixed-c" if spec.fixed_normalizer else "general"
 
 
-def _validate_fixed_normalizer(spec: ExponentialSpec, budget: int) -> None:
+def _validate_fixed_normalizer(spec, budget: int) -> None:
     """Recompute every log-normaliser and reject a false fixed-C claim."""
     logs = [-spec.log_prefactor(i, budget) for i in range(spec.state_count)]
     spread = max(logs) - min(logs)
@@ -242,20 +237,15 @@ def _members_exact(pa: list[Fraction], pb: list[Fraction]) -> list[int]:
 def _alpha_values(spec, ia: int, ib: int, members: np.ndarray,
                   budget: int) -> np.ndarray:
     """Utility gaps u(d, .) - u(d', .) on the members of S."""
-    if isinstance(spec, ExponentialSpec):
-        if isinstance(spec.utility, HammingUtility):
-            return np.full(len(members), spec.utility.k)
-        ua = spec.utility_row(ia, budget)
-        ub = spec.utility_row(ib, budget)
-        return ua[members] - ub[members]
-    # symmetric product: a single level, the log ratio of the dominant to
-    # the dominated entry (members sit on whichever side is more likely)
-    p = spec.matrix.symmetric_p()
-    diag = float(spec.matrix.values[0, 0])
-    hi, lo = max(diag, p), min(diag, p)
-    if lo == 0.0:
-        return np.full(len(members), math.inf)
-    return np.full(len(members), math.log(hi) - math.log(lo))
+    if spec.product is None:
+        u = spec.utility.values
+        return u[ia, members] - u[ib, members]
+    # product kind: the gap is the one-row utility gap at the differing row
+    digits = spec._digit_table(budget)
+    row = int(np.flatnonzero(digits[ia] != digits[ib])[0])
+    u1 = spec.product.row_utility
+    x = digits[members, row]
+    return u1[digits[ia, row], x] - u1[digits[ib, row], x]
 
 
 def _partition_cells(alphas: np.ndarray, members: np.ndarray):
@@ -423,29 +413,17 @@ def _trivial_report(spec, params, method: str, tolerance: float,
         tolerance=0.0 if exact else tolerance, exact=exact, trivial=True)
 
 
-def _run_pairs(spec, pair_fn, threads: int):
-    """Apply pair_fn to every ordered neighbor pair, optionally in a pool.
-
-    Results come back in enumeration order either way, so the report's
-    min-margin reduction is deterministic regardless of scheduling.
-    """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(pair_fn, list(_iter_index_pairs(spec))))
-    return map(pair_fn, _iter_index_pairs(spec))
-
-
 def verify_reduced(spec, params: PrivacyParams, *,
                    budget_enum: int = DEFAULT_ENUM_BUDGET,
                    budget_subsets: int = DEFAULT_SUBSET_BUDGET,
-                   threads: int = 1,
                    tolerance: float = TOLERANCE,
                    exact: bool = False) -> VerificationReport:
     """Decide privacy using the strongest reduction the spec admits.
 
-    Routing: hamming / symmetric-matrix specs check S itself per pair (one
-    check, any delta); fixed-normaliser specs with delta = 0 check each
-    utility-gap cell; everything else checks every nonempty subset of S.
+    Routing: product-kind specs with a symmetric parent check S itself per
+    pair (one check, any delta); fixed-normaliser tables with delta = 0
+    check each utility-gap cell; everything else checks every nonempty
+    subset of S.
     """
     route = _routing(spec)
     if route == "fixed-c":
@@ -525,14 +503,14 @@ def verify_reduced(spec, params: PrivacyParams, *,
         return margin, (ia, ib, row, witness), checks
 
     acc = _Accumulator()
-    for margin, binding, checks in _run_pairs(spec, handle, threads):
+    for margin, binding, checks in map(handle,
+                                       _iter_index_pairs(spec, budget_enum)):
         acc.add(margin, binding, checks)
     return _build_report(spec, params, acc, method, tolerance, exact)
 
 
 def verify_bruteforce(spec, params: PrivacyParams, *,
                       budget_subsets: int = DEFAULT_SUBSET_BUDGET,
-                      threads: int = 1,
                       tolerance: float = TOLERANCE,
                       exact: bool = False) -> VerificationReport:
     """Ground-truth oracle: check every nonempty proper subset of the space
@@ -569,7 +547,7 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
         return margin, (ia, ib, row, witness), checks
 
     acc = _Accumulator()
-    for margin, binding, checks in _run_pairs(spec, handle, threads):
+    for margin, binding, checks in map(handle, _iter_index_pairs(spec)):
         acc.add(margin, binding, checks)
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)
 

@@ -78,6 +78,19 @@ class TestExpectedError:
         spec = make_symmetric_product(space3, 2, 0.0)
         assert expected_error(spec).expected_error == 0.0
 
+    def test_tiny_flip_probability_does_not_cancel(self):
+        # 1 - (1 - m*p) loses most digits of m*p once p is near 1e-13
+        m, n, p = 2, 3, 1e-13
+        spec = make_symmetric_product(make_space(m), n, p)
+        assert expected_error(spec).expected_error == pytest.approx(
+            n * m * p, rel=1e-12, abs=0)
+
+    def test_hamming_large_k_matches_closed_form(self):
+        m, n, k = 2, 4, 30.0
+        spec = ExponentialSpec(make_space(m), n, HammingUtility(k))
+        assert expected_error(spec).expected_error == pytest.approx(
+            n / (1 + math.exp(k) / m), rel=1e-12, abs=0)
+
     def test_general_spec_exhaustive_route(self, l1_spec):
         profile = expected_error(l1_spec)
         assert profile.expected_error == pytest.approx(

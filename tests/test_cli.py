@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dpcat import NegL1Utility, PrivacyParams, verify_matrix
 from dpcat.cli import main
 
 
@@ -35,7 +36,8 @@ def run(capsys, *argv):
 class TestVerify:
     def test_l1_report_fields(self, workdir, capsys):
         code, out, _ = run(capsys, "verify", "--spec", workdir / "l1.spec",
-                           "--epsilon", math.log(2), "--delta", "0")
+                           "--epsilon", math.log(2), "--delta", "0",
+                           "--method", "reduced")
         report = json.loads(out)
         assert code == 1
         assert report["verdict"] == "not-private"
@@ -44,6 +46,32 @@ class TestVerify:
         assert report["checks_naive"] == "18360"
         assert report["binding_pair"] is not None
         assert report["margin"] < 0
+
+    def test_l1_auto_decides_through_the_parent(self, workdir, capsys):
+        code, out, _ = run(capsys, "verify", "--spec", workdir / "l1.spec",
+                           "--epsilon", math.log(2), "--delta", "0")
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "not-private"
+        # the one-row parent: 6 ordered category pairs x 6 proper subsets
+        assert report["method"] == "brute-force"
+        assert report["checks_performed"] == "36"
+
+    @pytest.mark.parametrize("eps,delta", [(0.5, 0.0), (2.5, 0.0),
+                                           (1.0, 0.3)])
+    def test_l1_auto_scales_past_the_subset_budget(self, workdir, capsys,
+                                                   eps, delta):
+        # m=2, n=4: sufficient sets of 27 outputs exceed the subset budget,
+        # but the verdict is the one-row parent's for every n
+        spec = workdir / "l1_n4.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = cats.txt\nn = 4\n")
+        code, out, _ = run(capsys, "verify", "--spec", spec,
+                           "--epsilon", eps, "--delta", delta)
+        parent = verify_matrix(NegL1Utility().parent_matrix(2),
+                               PrivacyParams(eps, delta))
+        assert code == (0 if parent.private else 1)
+        assert json.loads(out)["verdict"] == parent.verdict
 
     def test_hamming_at_the_boundary_passes(self, workdir, capsys):
         code, out, _ = run(capsys, "verify", "--spec", workdir / "ham.spec",
@@ -75,12 +103,6 @@ class TestVerify:
         assert code == 0
         assert report["exact"] is True
         assert report["tolerance"] == 0.0
-
-    def test_threads_flag(self, workdir, capsys):
-        code, out, _ = run(capsys, "verify", "--spec", workdir / "l1.spec",
-                           "--epsilon", "0.2", "--delta", "0",
-                           "--threads", "3")
-        assert code == 1
 
     def test_parse_failure_exit_2(self, workdir, capsys):
         bad = workdir / "bad.spec"
@@ -170,6 +192,17 @@ class TestSanitize:
                            "--seed", "9", "--column", "hobby")
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_l1_sanitizes_long_files(self, workdir, capsys, tmp_path):
+        # 1,000 rows: 3^1000 states, sampled row by row through the parent
+        data = tmp_path / "long.csv"
+        rows = np.random.default_rng(5).integers(0, 3, 1000)
+        data.write_text("".join(f"{r}\n" for r in rows))
+        code, out, _ = run(capsys, "sanitize", "--spec", workdir / "l1.spec",
+                           "--data", data, "--seed", "8")
+        assert code == 0
+        labels = out.splitlines()
+        assert len(labels) == 1000 and set(labels) <= {"0", "1", "2"}
 
     def test_flip_rate_statistics(self, workdir, capsys, tmp_path):
         n = 100_000

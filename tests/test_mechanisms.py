@@ -205,6 +205,82 @@ class TestEquivalence:
                                            rtol=0)
 
 
+class TestParentMatrix:
+    """Separable exponential specs are the product of their one-row parent."""
+
+    @staticmethod
+    def kron_rows(matrix, digits):
+        out = np.ones(1)
+        for v in digits:
+            out = np.kron(out, matrix.values[v])
+        return out
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("utility", [HammingUtility(0.8), NegL1Utility()],
+                             ids=["hamming", "l1"])
+    def test_pmf_rows_are_kron_of_parent_rows(self, m, n, utility):
+        space = make_space(m)
+        spec = ExponentialSpec(space, n, utility)
+        parent = utility.parent_matrix(m)
+        for i in range((m + 1) ** n):
+            d = database_from_index(space, n, i)
+            np.testing.assert_allclose(spec.pmf_row(i),
+                                       self.kron_rows(parent, d.rows),
+                                       atol=1e-15, rtol=0)
+
+    @pytest.mark.parametrize("m,k", [(1, 0.0), (2, 0.7), (4, 3.1), (3, 30.0)])
+    def test_hamming_parent_is_symmetric_matrix(self, m, k):
+        parent = HammingUtility(k).parent_matrix(m)
+        expect = symmetric_matrix(m, 1 / (math.exp(k) + m))
+        assert np.array_equal(parent.values, expect.values)
+        e_k = Fraction(math.exp(k))
+        assert parent.fractions()[0][0] == e_k / (e_k + m)
+        assert parent.fractions()[1][0] == 1 / (e_k + m)
+
+    def test_l1_parent_rows(self):
+        parent = NegL1Utility().parent_matrix(2)
+        w = np.exp(-np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        np.testing.assert_allclose(parent.values,
+                                   w / w.sum(axis=1, keepdims=True),
+                                   atol=1e-15, rtol=0)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2)])
+    def test_exact_hamming_rows(self, m, n):
+        space = make_space(m)
+        utility = HammingUtility.from_e_k(Fraction(7, 3))
+        spec = ExponentialSpec(space, n, utility)
+        e_k = Fraction(7, 3)
+        for i in range((m + 1) ** n):
+            d = database_from_index(space, n, i)
+            expect = [e_k ** (n - hamming_distance(d, x)) / (e_k + m) ** n
+                      for x in enumerate_databases(space, n)]
+            assert spec.exact_pmf_row(i) == expect
+
+    def test_hamming_sample_is_symmetric_product_draw(self):
+        m, n, k = 3, 500, 1.3
+        space = make_space(m)
+        d = Database(tuple(np.random.default_rng(1).integers(0, m + 1, n)))
+        espec = ExponentialSpec(space, n, HammingUtility(k))
+        pspec = make_symmetric_product(space, n, 1 / (math.exp(k) + m))
+        assert sample(espec, d, np.random.default_rng(42)) \
+            == sample(pspec, d, np.random.default_rng(42))
+
+    @pytest.mark.parametrize("make", [
+        lambda s: ExponentialSpec(s, 4, HammingUtility(1.0)),
+        lambda s: ExponentialSpec(s, 4, NegL1Utility()),
+        lambda s: make_symmetric_product(s, 4, 0.1),
+    ], ids=["hamming", "l1", "product"])
+    def test_budget_checked_on_every_row_call(self, space3, make):
+        spec = make(space3)                  # 81 states
+        spec.pmf_row(0)                      # builds and caches the table
+        with pytest.raises(EnumerationBudgetError):
+            spec.pmf_row(1, budget=4)
+        with pytest.raises(EnumerationBudgetError):
+            spec.pmf_row(0, budget=4)
+        with pytest.raises(EnumerationBudgetError):
+            spec.exact_pmf_row(0, budget=4)
+
+
 class TestSolutionMatrix:
     def test_row_sum_validation(self):
         with pytest.raises(DataFormatError, match="row 1"):

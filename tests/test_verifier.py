@@ -212,15 +212,6 @@ class TestVerifyReduced:
             verify_reduced(l1_spec, PrivacyParams(1.0, 0.0),
                            budget_subsets=5)
 
-    def test_threads_agree_with_serial(self, l1_spec):
-        params = PrivacyParams(0.3, 0.01)
-        serial = verify_reduced(l1_spec, params)
-        threaded = verify_reduced(l1_spec, params, threads=3)
-        assert serial.verdict == threaded.verdict
-        assert serial.checks_performed == threaded.checks_performed
-        assert serial.margin == threaded.margin
-        assert serial.binding_pair == threaded.binding_pair
-
 
 class TestVerifyBruteforce:
     def test_uniform_binary_private_everywhere(self):
