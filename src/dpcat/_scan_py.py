@@ -12,6 +12,8 @@ memory at O(2^_SPLIT_BITS) while still accounting for every subset exactly.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 BACKEND_NAME = "python"
@@ -19,12 +21,29 @@ BACKEND_NAME = "python"
 _SPLIT_BITS = 16
 
 
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[mask] = sum of values[i] over the set bits of mask."""
-    sums = np.zeros(1)
+_buffers = threading.local()
+
+
+def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two float64 scratch tables, each at least ``size`` long.
+
+    They are kept between calls: freshly allocated 512 KB arrays are
+    returned to the system and faulted in again on every scan.
+    """
+    pair = getattr(_buffers, "pair", None)
+    if pair is None or pair[0].shape[0] < size:
+        pair = _buffers.pair = (np.empty(size), np.empty(size))
+    return pair[0][:size], pair[1][:size]
+
+
+def _subset_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[mask] = sum of values[i] over the set bits of mask, in place."""
+    out[0] = 0.0
+    width = 1
     for v in values:
-        sums = np.concatenate([sums, sums + v])
-    return sums
+        np.add(out[:width], v, out=out[width:2 * width])
+        width *= 2
+    return out
 
 
 def subset_scan(p_a, p_b, e_eps: float, delta: float,
@@ -43,23 +62,25 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
 
     low = min(k, _SPLIT_BITS)
     high = k - low
-    ca = _subset_sums(p_a[:low])
-    cb = _subset_sums(p_b[:low])
-    c = e_eps * cb - ca
+    ca, c = _tables(1 << low)
+    _subset_sums(p_a[:low], ca)
+    _subset_sums(p_b[:low], c)
+    np.multiply(c, e_eps, out=c)
+    np.subtract(c, ca, out=c)           # c = e_eps * cb - ca
     full_high = (1 << high) - 1
 
-    # Minima of the low-half offsets under each exclusion that can apply.
+    # Minima of the low-half offsets under each exclusion, computed on
+    # first use: the empty low set is excluded with h = 0, the full one
+    # with h = full_high unless the full set counts.
+    minima = {}
+
     def _argmin(lo, hi):
-        j = int(np.argmin(c[lo:hi])) + lo
-        return j, float(c[j])
+        if (lo, hi) not in minima:
+            j = int(np.argmin(c[lo:hi])) + lo
+            minima[lo, hi] = j, float(c[j])
+        return minima[lo, hi]
 
-    variants = {
-        "all": _argmin(0, c.shape[0]),
-        "no_empty": _argmin(1, c.shape[0]),
-        "no_full": _argmin(0, c.shape[0] - 1) if c.shape[0] > 1 else None,
-        "no_empty_no_full": _argmin(1, c.shape[0] - 1) if c.shape[0] > 2 else None,
-    }
-
+    size = c.shape[0]
     best = np.inf
     best_mask = 0
     for h in range(full_high + 1):
@@ -68,19 +89,11 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
             if h >> bit & 1:
                 sa += p_a[low + bit]
                 sb += p_b[low + bit]
-        exclude_empty = h == 0
-        exclude_full = not include_full and h == full_high
-        if exclude_empty and exclude_full:
-            key = "no_empty_no_full"
-        elif exclude_empty:
-            key = "no_empty"
-        elif exclude_full:
-            key = "no_full"
-        else:
-            key = "all"
-        if variants[key] is None:
+        lo = 1 if h == 0 else 0
+        hi = size - 1 if not include_full and h == full_high else size
+        if hi <= lo:
             continue
-        j, cmin = variants[key]
+        j, cmin = _argmin(lo, hi)
         margin = delta + (e_eps * sb - sa) + cmin
         if margin < best:
             best = margin

@@ -14,7 +14,11 @@ strongest to weakest:
 * mechanisms with a symmetric parent matrix (symmetric products, and the
   hamming exponential mechanism, which is the product of its one-row
   parent) have a single utility-gap level on S, so one check of S itself
-  per pair settles every subset;
+  per pair settles every subset.  For a product mechanism and neighbours
+  differing in row i, S is the cylinder {x : x_i in S1(d_i, d'_i)} with S1
+  from the one-row parent, so P_d(S) = A[d_i, d'_i] * prod_{j != i} r(d_j)
+  with A summing the parent's row d_i over S1 and r the parent's row sums.
+  Each pair's check therefore costs O(1) and builds no pmf row;
 * utility tables with a provably constant normaliser and delta = 0 need
   one check per utility-gap level set (the cells partitioning S);
 * any other mechanism needs every nonempty subset of S, which is still far
@@ -374,6 +378,105 @@ class _Accumulator:
             self.binding = binding
 
 
+def _single_set_float(spec, params: PrivacyParams,
+                      budget: int) -> _Accumulator:
+    """The single-set route over the cylinder identity, in floats.
+
+    For neighbours differing in row i, with u = d_i and v = d'_i, the
+    sufficient set is the cylinder {x : x_i in S1(u, v)} and
+    P_d(S) = A[u, v] * R, P_d'(S) = B[u, v] * R, where A and B sum the
+    parent weights of rows u and v over S1 and R is the product of the
+    other rows' weight sums.  Every pair costs O(1) and no pmf row is built
+    except the binding pair's two, for its set.
+    """
+    digits = spec._digit_table(budget)
+    size, n = digits.shape
+    w_log = spec.product.log_weights
+    with np.errstate(invalid="ignore"):
+        member = (w_log[:, None, :] - w_log[None, :, :]) > TIE_BAND  # [u, v, c]
+    weights = np.exp(w_log)
+    mass_a = np.where(member, weights[:, None, :], 0.0).sum(axis=2)
+    mass_b = np.where(member, weights[None, :, :], 0.0).sum(axis=2)
+    nonempty = member.any(axis=2)
+    row_sums = weights.sum(axis=1)
+    e_eps = math.exp(params.epsilon)
+
+    best = np.full(size, np.inf)
+    best_row = np.zeros(size, dtype=np.int64)
+    best_v = np.zeros(size, dtype=np.int64)
+    all_d = np.arange(size)
+    checks = 0
+    for i in range(n):
+        rest = np.ones(size)
+        for j in range(n):
+            if j != i:
+                rest *= row_sums[digits[:, j]]
+        rest = rest[:, None]
+        u = digits[:, i]
+        margins = e_eps * (mass_b[u] * rest) + params.delta - mass_a[u] * rest
+        valid = nonempty[u]
+        checks += int(np.count_nonzero(valid))
+        margins[~valid] = np.inf
+        v = np.argmin(margins, axis=1)
+        worst = margins[all_d, v]
+        better = worst < best      # strict: the first row keeps a tie
+        best[better] = worst[better]
+        best_row[better] = i
+        best_v[better] = v[better]
+
+    acc = _Accumulator()
+    if checks == 0:
+        return acc
+    ia = int(np.argmin(best))
+    row = int(best_row[ia])
+    place = spec.space.size ** (n - 1 - row)
+    ib = ia + (int(best_v[ia]) - int(digits[ia, row])) * place
+    acc.add(float(best[ia]),
+            (ia, ib, row, _members_float(spec, ia, ib, budget)), checks)
+    return acc
+
+
+def _single_set_exact(spec, params: PrivacyParams,
+                      budget: int) -> _Accumulator:
+    """The cylinder identity of :func:`_single_set_float` in rationals."""
+    fracs = spec.product.matrix.fractions()
+    k = len(fracs)
+    e_eps, delta = params.exact_pair()
+    support = [[[c for c in range(k) if fracs[u][c] > fracs[v][c]]
+                for v in range(k)] for u in range(k)]
+    mass_a = [[sum(fracs[u][c] for c in support[u][v]) for v in range(k)]
+              for u in range(k)]
+    mass_b = [[sum(fracs[v][c] for c in support[u][v]) for v in range(k)]
+              for u in range(k)]
+    row_sums = [sum(row) for row in fracs]
+    digits = spec._digit_table(budget).tolist()
+    n = spec.n
+    places = [k ** (n - 1 - i) for i in range(n)]
+
+    acc = _Accumulator()
+    best = binding = None
+    for ia, row_vals in enumerate(digits):
+        for i, u in enumerate(row_vals):
+            rest = Fraction(1)
+            for j, x in enumerate(row_vals):
+                if j != i:
+                    rest *= row_sums[x]
+            for v in range(k):
+                if not support[u][v]:       # empty when v == u
+                    continue
+                acc.checks += 1
+                margin = (e_eps * (mass_b[u][v] * rest) + delta
+                          - mass_a[u][v] * rest)
+                if best is None or margin < best:
+                    best, binding = margin, (ia, ia + (v - u) * places[i], i)
+    if binding is not None:
+        ia, ib, row = binding
+        members = _members_exact(spec.exact_pmf_row(ia, budget),
+                                 spec.exact_pmf_row(ib, budget))
+        acc.add(best, (ia, ib, row, members), 0)
+    return acc
+
+
 def _build_report(spec, params, acc: _Accumulator, method: str,
                   tolerance: float, exact: bool) -> VerificationReport:
     if exact:
@@ -421,7 +524,8 @@ def verify_reduced(spec, params: PrivacyParams, *,
     """Decide privacy using the strongest reduction the spec admits.
 
     Routing: product-kind specs with a symmetric parent check S itself per
-    pair (one check, any delta); fixed-normaliser tables with delta = 0
+    pair (one check, any delta, taken from the parent through the cylinder
+    identity with no pmf rows); fixed-normaliser tables with delta = 0
     check each utility-gap cell; everything else checks every nonempty
     subset of S.
     """
@@ -440,6 +544,12 @@ def verify_reduced(spec, params: PrivacyParams, *,
         raise ExactModeError(
             f"exact mode is not available for {spec.kind!r} specs")
 
+    if route == "single-set":
+        single_set = _single_set_exact if exact else _single_set_float
+        return _build_report(spec, params,
+                             single_set(spec, params, budget_enum),
+                             method, tolerance, exact)
+
     e_eps_f = math.exp(params.epsilon)
     if exact:
         e_eps_q, delta_q = params.exact_pair()
@@ -452,11 +562,6 @@ def verify_reduced(spec, params: PrivacyParams, *,
             members = _members_exact(pa, pb)
             if not members:
                 return None, None, 0
-            if route == "single-set":
-                margin = (e_eps_q * sum(pb[i] for i in members) + delta_q
-                          - sum(pa[i] for i in members))
-                return margin, (ia, ib, row, members), 1
-            # general route, exact
             if len(members) > budget_subsets:
                 raise EnumerationBudgetError(
                     f"sufficient set holds {len(members)} databases; "
@@ -473,10 +578,6 @@ def verify_reduced(spec, params: PrivacyParams, *,
         members = _members_float(spec, ia, ib, budget_enum)
         if members.size == 0:
             return None, None, 0
-        if route == "single-set":
-            margin = (e_eps_f * float(pb[members].sum()) + params.delta
-                      - float(pa[members].sum()))
-            return margin, (ia, ib, row, members), 1
         if route == "fixed-c" and params.delta == 0:
             alphas = _alpha_values(spec, ia, ib, members, budget_enum)
             best = math.inf

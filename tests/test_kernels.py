@@ -107,3 +107,29 @@ def test_wide_scan_accuracy(backend):
     terms = e_eps * p_b - p_a
     analytic = terms[terms < 0].sum()
     assert margin == pytest.approx(analytic, abs=5e-14)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("k", [16, 17])
+@pytest.mark.parametrize("include_full", [False, True])
+def test_all_negative_terms_across_the_split(backend, k, include_full):
+    # every term e^eps * p_b - p_a is negative, so the minimum takes the
+    # full set, or, when the full set is excluded, all but the largest term;
+    # k = 17 puts one element in the high half of the split scan
+    impl = kernels.get_backend(backend)
+    rng = np.random.default_rng(11)
+    p_a = _random_probs(rng, k)
+    p_b = 0.1 * _random_probs(rng, k) * p_a
+    e_eps, delta = 1.5, 0.02
+    terms = e_eps * p_b - p_a
+    assert np.all(terms < 0)
+    margin, mask, checks = impl.subset_scan(p_a, p_b, e_eps, delta,
+                                            include_full)
+    expect = delta + math.fsum(terms)
+    if not include_full:
+        expect -= terms.max()
+    assert checks == 2 ** k - (1 if include_full else 2)
+    assert margin == pytest.approx(expect, abs=1e-13)
+    idx = [i for i in range(k) if mask >> i & 1]
+    direct = e_eps * math.fsum(p_b[idx]) + delta - math.fsum(p_a[idx])
+    assert direct == pytest.approx(margin, abs=1e-13)

@@ -213,6 +213,115 @@ class TestVerifyReduced:
                            budget_subsets=5)
 
 
+FACTORISED_SHAPES = [(1, 3), (2, 3), (3, 2)]
+
+
+def csv_style_parent(m, p):
+    """A symmetric parent as read from a text file: every row sums to
+    1 - 5e-10, inside the row-sum tolerance."""
+    return SolutionMatrix(symmetric_matrix(m, p).values * (1 - 5e-10))
+
+
+def factorised_specs(m, n):
+    """Specs that take the single-set route of ``verify_reduced``."""
+    space = make_space(m)
+    return {
+        "hamming": ExponentialSpec(space, n, HammingUtility(1.3)),
+        "hamming-inf": ExponentialSpec(space, n, HammingUtility(math.inf)),
+        "csv-parent": ProductSpec(space, n, csv_style_parent(m, 0.3 / (m + 1))),
+    }
+
+
+def hockey_stick_margin(spec, params):
+    """Worst margin over every ordered pair and every nonempty proper
+    output set, from naive pmf tables: per pair the minimum takes every
+    negative term e^eps * p_b(x) - p_a(x) (or the single smallest term when
+    none is negative, or all but the largest when all are)."""
+    size, n = spec.space.size, spec.n
+    table = _oracles.product_pmf_table(spec.product.matrix.values.tolist(), n)
+    dbs = _oracles.all_dbs(size, n)
+    e_eps = math.exp(params.epsilon)
+    worst = math.inf
+    for d, dp in _oracles.ordered_neighbor_pairs(size, n):
+        terms = sorted(e_eps * table[dp][x] - table[d][x] for x in dbs)
+        negative = [t for t in terms if t < 0]
+        if not negative:
+            best = terms[0]
+        elif len(negative) == len(terms):
+            best = sum(terms[:-1])
+        else:
+            best = sum(negative)
+        worst = min(worst, params.delta + best)
+    return worst
+
+
+def nonempty_sufficient_sets(spec):
+    return sum(1 for pair in enumerate_neighbor_pairs(spec.space, spec.n)
+               if len(sufficient_set(spec, pair).members))
+
+
+class TestFactorisedRoute:
+    """The single-set route decides every pair from the parent alone."""
+
+    PARAMS = PrivacyParams(0.2, 0.01)       # none of the specs is private
+
+    @pytest.mark.parametrize("m,n", FACTORISED_SHAPES)
+    @pytest.mark.parametrize("name", ["hamming", "hamming-inf", "csv-parent"])
+    def test_margin_matches_the_oracles(self, m, n, name):
+        spec = factorised_specs(m, n)[name]
+        report = verify_reduced(spec, self.PARAMS)
+        assert report.method == "sufficient-set"
+        assert not report.private
+        if spec.state_count <= 16:
+            reference = verify_bruteforce(spec, self.PARAMS).margin
+        else:                   # 2^27 subsets per pair: use the closed form
+            reference = hockey_stick_margin(spec, self.PARAMS)
+        assert report.margin == pytest.approx(reference, abs=1e-12)
+        at_binding = dp_holds_on_set(spec, report.binding_pair,
+                                     report.binding_set, self.PARAMS)
+        assert report.margin == pytest.approx(at_binding.margin, abs=1e-13)
+        assert report.checks_performed == nonempty_sufficient_sets(spec)
+
+    @pytest.mark.parametrize("m,n", FACTORISED_SHAPES)
+    def test_uniform_parent_has_no_checks(self, m, n):
+        spec = make_symmetric_product(make_space(m), n, 1 / (m + 1))
+        report = verify_reduced(spec, self.PARAMS)
+        assert report.private
+        assert report.checks_performed == 0 == nonempty_sufficient_sets(spec)
+        assert math.isinf(report.margin) and report.binding_pair is None
+
+    @pytest.mark.parametrize("m,n", FACTORISED_SHAPES)
+    @pytest.mark.parametrize("name", ["hamming", "hamming-inf", "csv-parent"])
+    def test_exact_matches_a_naive_pair_loop(self, m, n, name):
+        spec = factorised_specs(m, n)[name]
+        e_eps, delta = self.PARAMS.exact_pair()
+        index = {d: i for i, d in
+                 enumerate(_oracles.all_dbs(spec.space.size, n))}
+        best = binding = None
+        checks = 0
+        for d, dp in _oracles.ordered_neighbor_pairs(spec.space.size, n):
+            pa = spec.exact_pmf_row(index[d])
+            pb = spec.exact_pmf_row(index[dp])
+            members = [x for x in range(len(pa)) if pa[x] > pb[x]]
+            if not members:
+                continue
+            checks += 1
+            margin = (e_eps * sum(pb[x] for x in members) + delta
+                      - sum(pa[x] for x in members))
+            if best is None or margin < best:
+                best, binding = margin, (d, dp, tuple(members))
+        report = verify_reduced(spec, self.PARAMS, exact=True)
+        assert report.margin == float(best)
+        assert (report.binding_pair.d.rows, report.binding_pair.d_prime.rows,
+                report.binding_set.indices) == binding
+        assert report.checks_performed == checks
+
+    def test_row_cache_stays_bounded(self):
+        spec = ExponentialSpec(make_space(2), 7, HammingUtility(1.0))
+        verify_reduced(spec, PrivacyParams(0.5, 0.0))
+        assert len(spec.product._log_rows) <= 2
+
+
 class TestVerifyBruteforce:
     def test_uniform_binary_private_everywhere(self):
         spec = make_symmetric_product(make_space(1), 1, 0.5)
