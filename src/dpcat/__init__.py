@@ -37,6 +37,7 @@ from .core import (
     load_category_space,
     load_database_csv,
     naive_check_count,
+    naive_check_count_text,
     neighbor_pair_count,
     space_size,
 )

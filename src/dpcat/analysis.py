@@ -179,29 +179,45 @@ def matrix_expected_error(matrix: SolutionMatrix, n: int) -> float:
     return n * float(off.sum(axis=1).max())
 
 
-def _subset_mask_table(size: int) -> np.ndarray:
-    """(2^size, size) 0/1 table of all subsets of the category set."""
-    masks = np.arange(1 << size)[:, None]
-    return ((masks >> np.arange(size)) & 1).astype(np.float64)
+#: Matrices per pass of batch_matrix_margins.  Keeps its (s, s, chunk)
+#: running arrays in cache: unchunked, 20,000-matrix batches at m = 1-4 ran
+#: 2-3x slower on a 2-vCPU x86-64 VM.
+_MARGIN_CHUNK = 2048
 
 
 def batch_matrix_margins(mats: np.ndarray, params: PrivacyParams) -> np.ndarray:
     """Worst privacy margin of each parent matrix in a (B, s, s) batch.
 
-    Evaluates e^eps * P_j(A) + delta - P_i(A) for every ordered category
-    pair (i, j) and every nonempty proper subset A, vectorised; equals the
-    margin verify_matrix reports for general matrices (up to rounding).
+    The minimum of e^eps * P_j(A) + delta - P_i(A) over ordered category
+    pairs i != j and nonempty proper subsets A; equals the margin
+    verify_matrix reports for general matrices (up to rounding).  With
+    terms t_x = e^eps * M[j, x] - M[i, x], the minimising A holds the
+    negative terms (the hockey-stick witness): the margin is delta plus
+    their sum, the smallest term if none is negative, and the sum minus
+    the largest if all are.  O(s^3) per matrix, batch innermost.
     """
     mats = np.asarray(mats, dtype=np.float64)
     size = mats.shape[-1]
-    table = _subset_mask_table(size)[1:-1]          # drop empty and full
-    psub = mats @ table.T                           # (B, s, subsets)
     e_eps = math.exp(params.epsilon)
-    margins = (e_eps * psub[:, None, :, :] + params.delta
-               - psub[:, :, None, :])               # (B, i, j, subsets)
     eye = np.eye(size, dtype=bool)
-    margins[:, eye] = np.inf                        # ignore i == j
-    return margins.min(axis=(1, 2, 3))
+    out = np.empty(mats.shape[0])
+    for start in range(0, mats.shape[0], _MARGIN_CHUNK):
+        chunk = mats[start:start + _MARGIN_CHUNK]
+        cols = np.ascontiguousarray(chunk.transpose(2, 1, 0))  # [x, i, b]
+        shape = (size, size, chunk.shape[0])                   # [i, j, b]
+        neg = np.zeros(shape)
+        lo = np.full(shape, np.inf)
+        hi = np.full(shape, -np.inf)
+        for col in cols:
+            terms = e_eps * col[None, :, :] - col[:, None, :]
+            neg += np.minimum(terms, 0.0)
+            np.minimum(lo, terms, out=lo)
+            np.maximum(hi, terms, out=hi)
+        margins = np.where(hi < 0, neg - hi, np.where(lo >= 0, lo, neg))
+        margins += params.delta
+        margins[eye] = np.inf                                  # ignore i == j
+        out[start:start + _MARGIN_CHUNK] = margins.min(axis=(0, 1))
+    return out
 
 
 def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,

@@ -3,7 +3,8 @@
 Subcommands: verify, sanitize, analyze, convert, optimal, bench.  All
 output is deterministic given the inputs and the seed (bench wall-clock
 fields excepted).  Exit codes: 0 success / private, 1 not private,
-2 input error, 3 enumeration budget exceeded.
+2 input error, 3 enumeration budget exceeded, 4 internal error (the
+traceback goes to stderr), so 0 and 1 always mean a decided verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     CategorySpace,
     load_category_space,
     load_database_csv,
-    naive_check_count,
+    naive_check_count_text,
     space_size,
 )
 from .errors import (
@@ -59,6 +60,7 @@ EXIT_PRIVATE = 0
 EXIT_NOT_PRIVATE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -122,7 +124,9 @@ def cmd_sanitize(args) -> int:
         spec = spec.with_n(data.n)
     rng = np.random.default_rng(args.seed)
     sanitized = sample(spec, data, rng, budget=args.budget_enum)
-    lines = "".join(f"{label}\n" for label in sanitized.labels(spec.space))
+    label_lines = np.array([f"{label}\n" for label in spec.space.labels],
+                           dtype=object)
+    lines = "".join(label_lines[sanitized.array].tolist())
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(lines)
@@ -224,7 +228,7 @@ def cmd_bench(args) -> int:
                 "epsilon": params.epsilon,
                 "delta": params.delta,
                 "kernel": kernels.BACKEND,
-                "checks_naive": str(naive_check_count(space, n)),
+                "checks_naive": naive_check_count_text(space, n),
             }
             try:
                 spec = _bench_spec(space, n, args.mechanism, args.k)
@@ -335,6 +339,10 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET_ERROR
+    except Exception:
+        import traceback    # only on the failure path: no import-time cost
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -65,9 +65,37 @@ class Database:
         if len(self.rows) < 1:
             raise DataFormatError("a database needs at least one row")
 
+    @classmethod
+    def from_array(cls, values) -> "Database":
+        """Database over a 1-D integer array, which it keeps as ``array``.
+
+        ``rows`` comes from one ``tolist()`` call instead of ``int()`` per
+        row; equality and hashing are those of the tuple constructor.
+        """
+        array = np.array(values, dtype=np.int64)
+        if array.ndim != 1:
+            raise DataFormatError("database rows must form a 1-D array")
+        if array.size < 1:
+            raise DataFormatError("a database needs at least one row")
+        array.setflags(write=False)
+        d = cls.__new__(cls)
+        object.__setattr__(d, "rows", tuple(array.tolist()))
+        object.__setattr__(d, "_array", array)
+        return d
+
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The rows as a read-only integer array, built once and kept."""
+        array = self.__dict__.get("_array")
+        if array is None:
+            array = np.asarray(self.rows)
+            array.setflags(write=False)
+            object.__setattr__(self, "_array", array)
+        return array
 
     def labels(self, space: CategorySpace) -> tuple[str, ...]:
         return tuple(space.labels[r] for r in self.rows)
@@ -135,10 +163,12 @@ class DatabaseSet:
 
 
 def validate_database(space: CategorySpace, d: Database) -> None:
-    for i, r in enumerate(d.rows):
-        if not 0 <= r <= space.m:
-            raise DataFormatError(
-                f"row {i} holds index {r}, outside 0..{space.m}")
+    rows = d.array
+    bad = np.flatnonzero((rows < 0) | (rows > space.m))
+    if bad.size:
+        i = int(bad[0])
+        raise DataFormatError(
+            f"row {i} holds index {d.rows[i]}, outside 0..{space.m}")
 
 
 def hamming_distance(d: Database, d_prime: Database) -> int:
@@ -227,6 +257,28 @@ def naive_check_count(space: CategorySpace, n: int) -> int:
     return neighbor_pair_count(space, n) * (2 ** size - 2)
 
 
+#: Counts with more decimal digits than this print in product form.  Python
+#: refuses ``str()`` on ints beyond 4,300 digits, and it is slow well before.
+COUNT_DIGIT_CAP = 4000
+
+
+def naive_check_count_text(space: CategorySpace, n: int) -> str:
+    """:func:`naive_check_count` as exact text of bounded length.
+
+    Up to ``COUNT_DIGIT_CAP`` digits this is the decimal string.  Above it,
+    the product the count is defined by, pairs*(2^size-2), without ever
+    converting the big int: ``"354294*(2^19683-2)"`` for three categories
+    and nine rows.
+    """
+    count = naive_check_count(space, n)
+    # 2^(3 * cap) = 8^cap < 10^cap: most counts pass without the big power
+    if (count.bit_length() <= 3 * COUNT_DIGIT_CAP
+            or count < 10 ** COUNT_DIGIT_CAP):
+        return str(count)
+    return (f"{neighbor_pair_count(space, n)}"
+            f"*(2^{space_size(space, n)}-2)")
+
+
 def digit_matrix(space: CategorySpace, n: int,
                  budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """(size, n) array of row values for every database, in canonical order."""
@@ -254,8 +306,8 @@ def load_database_csv(path, space: CategorySpace,
 
     Without ``column`` the file is headerless and the first column is used;
     with ``column`` the first row is a header and that column is selected.
+    Labels are looked up in a dict and collected into one int64 array.
     """
-    rows: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         col = 0
@@ -270,16 +322,27 @@ def load_database_csv(path, space: CategorySpace,
                 raise DataFormatError(
                     f"{path}: no column named {column!r} in header {header}"
                     ) from None
-        for lineno, record in enumerate(reader, start=2 if column else 1):
-            if not record:
-                continue
-            label = record[col].strip()
-            try:
-                rows.append(space.index_of(label))
-            except DataFormatError:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: unknown category label {label!r}"
-                    ) from None
-    if not rows:
+        lookup = {label: i for i, label in enumerate(space.labels)}
+        records = enumerate(reader, start=2 if column else 1)
+        rows = np.fromiter(
+            _label_indices(records, lookup, col, path, column),
+            dtype=np.int64)
+    if not rows.size:
         raise DataFormatError(f"{path}: no data rows found")
-    return Database(tuple(rows))
+    return Database.from_array(rows)
+
+
+def _label_indices(records, lookup: dict, col: int, path, column):
+    for lineno, record in records:
+        if not record:
+            continue
+        try:
+            yield lookup[record[col].strip()]
+        except IndexError:
+            raise DataFormatError(
+                f"{path}: row {lineno}: no value in column {column!r}"
+                ) from None
+        except KeyError:
+            raise DataFormatError(
+                f"{path}: row {lineno}: unknown category label "
+                f"{record[col].strip()!r}") from None

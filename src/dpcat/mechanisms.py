@@ -526,13 +526,15 @@ def make_symmetric_product(space: CategorySpace, n: int, p) -> ProductSpec:
 def _rowwise_sample(matrix: SolutionMatrix, d: Database,
                     rng: np.random.Generator) -> Database:
     # One uniform draw per row, in row order; row value v maps to the
-    # smallest j with u < cumsum(matrix[v])[j].
-    vals = np.asarray(d.rows)
+    # smallest j with u < cumsum(matrix[v])[j], i.e. the count of j with
+    # u >= cumsum(matrix[v])[j], accumulated one output category at a time.
+    vals = d.array
     u = rng.random(d.n)
-    cum = np.cumsum(matrix.values[vals], axis=1)
-    out = np.sum(u[:, None] >= cum, axis=1)
+    out = np.zeros(d.n, dtype=np.int64)
+    for col in np.cumsum(matrix.values, axis=1).T:
+        out += u >= col[vals]
     np.clip(out, 0, matrix.size - 1, out=out)
-    return Database(tuple(int(x) for x in out))
+    return Database.from_array(out)
 
 
 def sample(spec, d: Database, rng: np.random.Generator,

@@ -51,6 +51,7 @@ from .core import (
     database_from_index,
     database_index,
     naive_check_count,
+    naive_check_count_text,
     space_size,
 )
 from .errors import (
@@ -183,7 +184,8 @@ class VerificationReport:
             "binding_pair": pair,
             "binding_set": members,
             "checks_performed": str(self.checks_performed),
-            "checks_naive": str(self.checks_naive),
+            # checks_naive is naive_check_count(space, n) on every report
+            "checks_naive": naive_check_count_text(self.space, self.n),
             "tolerance": self.tolerance,
         }
 

@@ -82,3 +82,14 @@ def bruteforce_verdict(pmf_table, size, n, e_eps, delta, tol=1e-12):
                                         include_full=False)
         worst = min(worst, margin)
     return worst >= -tol, worst
+
+
+def matrix_margin_literal(matrix, e_eps, delta):
+    """Worst margin of a parent matrix: every ordered pair of distinct rows
+    over every nonempty proper subset of the categories, via itertools."""
+    best = math.inf
+    for i, j in itertools.permutations(range(len(matrix)), 2):
+        margin, _ = subset_scan_literal(matrix[i], matrix[j], e_eps, delta,
+                                        include_full=False)
+        best = min(best, margin)
+    return best

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dpcat import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
+    TOLERANCE,
     Database,
     ExponentialSpec,
     HammingUtility,
@@ -246,6 +247,49 @@ class TestFeasibleSampling:
         for values, margin in zip(mats, margins):
             report = verify_matrix(SolutionMatrix(values), params)
             assert report.margin == pytest.approx(float(margin), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, math.log(2), 3.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_batch_margins_match_subset_enumeration(self, m, eps, delta):
+        size = m + 1
+        rng = np.random.default_rng(100 * m + 7)
+        base = rng.dirichlet(np.ones(size))
+        zeros = rng.dirichlet(np.ones(size), size=size)
+        zeros[:, 0] = 0.0
+        zeros[0, 1:] = 0.0
+        zeros[0, 0] = 1.0
+        zeros /= zeros.sum(axis=1, keepdims=True)
+        # rows summing to 1 +- 1e-10: at eps = 0 every term of the ordered
+        # pair (row 0, row 1) is negative
+        skewed = np.tile(base, (size, 1))
+        skewed[0] *= 1 + 1e-10
+        skewed[1] *= 1 - 1e-10
+        mats = np.concatenate([
+            rng.dirichlet(np.ones(size), size=(40, size)),
+            rng.dirichlet(np.full(size, 0.2), size=(20, size)),
+            np.tile(base, (size, 1))[None],         # identical rows
+            zeros[None],
+            np.eye(size)[None],
+            skewed[None],
+        ])
+        params = PrivacyParams(eps, delta)
+        margins = batch_matrix_margins(mats, params)
+        assert margins.shape == (mats.shape[0],)
+        for values, margin in zip(mats, margins):
+            expected = _oracles.matrix_margin_literal(
+                values.tolist(), math.exp(eps), delta)
+            assert abs(float(margin) - expected) <= 1e-15
+            assert (margin >= -TOLERANCE) == (expected >= -TOLERANCE)
+
+    def test_batch_margins_span_several_chunks(self, rng):
+        params = PrivacyParams(1.0, 0.05)
+        mats = rng.dirichlet(np.ones(3), size=(5000, 3))
+        whole = batch_matrix_margins(mats, params)
+        parts = np.concatenate([batch_matrix_margins(mats[i:i + 999], params)
+                                for i in range(0, 5000, 999)])
+        assert np.array_equal(whole, parts)
+        assert batch_matrix_margins(mats[:0], params).shape == (0,)
 
     def test_no_sampled_matrix_beats_optimal(self, rng):
         # small-scale version of the optimality search

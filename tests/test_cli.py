@@ -151,6 +151,32 @@ class TestVerify:
         assert code == 1
 
 
+    def test_huge_naive_count_prints_in_product_form(self, workdir, capsys):
+        # 3^9 states: the naive count has 5,926 digits, past Python's
+        # int-to-str limit; it prints as pairs * (2^size - 2)
+        spec = workdir / "ham_n9.spec"
+        spec.write_text("type = exponential\nutility = hamming\nk = 0.5\n"
+                        "categories = cats.txt\nn = 9\n")
+        code, out, _ = run(capsys, "verify", "--spec", spec,
+                           "--epsilon", "0.5", "--method", "reduced")
+        assert code in (0, 1)
+        report = json.loads(out)
+        assert report["checks_naive"] == "354294*(2^19683-2)"
+        assert report["checks_performed"] == "354294"
+
+    def test_internal_error_exits_4(self, workdir, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected failure")
+        monkeypatch.setattr("dpcat.cli.verify_reduced", broken)
+        code, out, err = run(capsys, "verify", "--spec",
+                             workdir / "l1.spec", "--epsilon", "1",
+                             "--method", "reduced")
+        assert code == 4
+        assert out == ""
+        assert "Traceback" in err
+        assert "RuntimeError: injected failure" in err
+
+
 class TestSanitize:
     def test_byte_identical_reruns(self, workdir, capsys):
         args = ("sanitize", "--spec", workdir / "hobby.spec",
@@ -192,6 +218,17 @@ class TestSanitize:
                            "--seed", "9", "--column", "hobby")
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_short_row_is_an_input_error(self, workdir, capsys):
+        data = workdir / "short.csv"
+        data.write_text("id,hobby\n1,Sports\n2\n")
+        code, out, err = run(capsys, "sanitize", "--spec",
+                             workdir / "hobby.spec", "--data", data,
+                             "--seed", "9", "--column", "hobby")
+        assert code == 2
+        assert out == ""
+        assert "row 3" in err and "'hobby'" in err
+        assert "Traceback" not in err
 
     def test_l1_sanitizes_long_files(self, workdir, capsys, tmp_path):
         # 1,000 rows: 3^1000 states, sampled row by row through the parent
@@ -331,3 +368,11 @@ class TestBench:
         assert by_mn[(2, 2)]["time_bruteforce_s"] is None
         assert by_mn[(2, 2)]["brute_skipped"] is True
         assert by_mn[(1, 2)]["agree"] is True
+
+    def test_huge_naive_count_prints_in_product_form(self, capsys):
+        code, out, _ = run(capsys, "bench", "--epsilon", "0.5",
+                           "--m-list", "1", "--n-list", "14")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["checks_naive"] == "229376*(2^16384-2)"
+        assert row["checks_reduced"] == "229376"

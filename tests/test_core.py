@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,10 @@ from dpcat import (
     load_category_space,
     load_database_csv,
     naive_check_count,
+    naive_check_count_text,
     neighbor_pair_count,
 )
+from dpcat.core import COUNT_DIGIT_CAP
 from conftest import make_space
 
 import _oracles
@@ -134,6 +137,70 @@ class TestNaiveCheckCount:
             == 5 * 2 * 243 * (2 ** 243 - 2)
 
 
+    def test_text_is_decimal_up_to_the_cap(self):
+        # every count of up to COUNT_DIGIT_CAP digits prints in decimal,
+        # byte-identical to str(); the larger ones as pairs*(2^size-2)
+        decimal = product = 0
+        for m in range(1, 5):
+            for n in range(1, 9):
+                space = make_space(m)
+                count = naive_check_count(space, n)
+                text = naive_check_count_text(space, n)
+                if count < 10 ** COUNT_DIGIT_CAP:
+                    assert text == str(count)
+                    decimal += 1
+                else:
+                    pairs, power = text.split("*(2^")
+                    size = power.removesuffix("-2)")
+                    assert int(pairs) * (2 ** int(size) - 2) == count
+                    assert len(text) < 40
+                    product += 1
+        assert decimal and product
+
+    def test_cap_stays_inside_the_int_to_str_limit(self):
+        assert COUNT_DIGIT_CAP <= 4300
+        assert naive_check_count_text(make_space(2), 9) \
+            == "354294*(2^19683-2)"
+
+
+class TestDatabaseArray:
+    def test_from_array_equals_the_tuple_constructor(self):
+        d = Database.from_array(np.array([2, 0, 1]))
+        e = Database((2, 0, 1))
+        assert d == e and hash(d) == hash(e) and repr(d) == repr(e)
+        assert type(d.rows) is tuple
+        assert all(type(r) is int for r in d.rows)
+        assert d.n == 3
+
+    def test_array_matches_rows_and_is_read_only(self):
+        for d in (Database((1, 0, 2)), Database.from_array([1, 0, 2])):
+            assert d.array.tolist() == [1, 0, 2]
+            assert d.array is d.array
+            with pytest.raises(ValueError):
+                d.array[0] = 2
+
+    def test_from_array_copies_its_input(self):
+        values = np.array([0, 1])
+        d = Database.from_array(values)
+        values[0] = 1
+        assert d.rows == (0, 1) and d.array.tolist() == [0, 1]
+
+    def test_from_array_rejects_empty_and_2d(self):
+        with pytest.raises(DataFormatError, match="at least one row"):
+            Database.from_array(np.array([], dtype=np.int64))
+        with pytest.raises(DataFormatError):
+            Database.from_array(np.zeros((2, 2), dtype=np.int64))
+
+    def test_out_of_range_rows_name_the_first_row(self, space3):
+        with pytest.raises(DataFormatError,
+                           match=r"^row 1 holds index 3, outside 0\.\.2$"):
+            database_index(space3, Database((0, 3, -1)))
+        with pytest.raises(DataFormatError, match="row 0 holds index -1"):
+            database_index(space3, Database.from_array([-1, 0]))
+        with pytest.raises(DataFormatError, match=f"index {2 ** 70},"):
+            database_index(space3, Database((2 ** 70,)))
+
+
 class TestTypes:
     def test_space_validation(self):
         with pytest.raises(DataFormatError):
@@ -186,6 +253,21 @@ class TestLoaders:
         path.write_text("red\nmagenta\n")
         with pytest.raises(DataFormatError, match="row 2.*magenta"):
             load_database_csv(path, space)
+
+    def test_short_row_names_row_and_column(self, tmp_path):
+        space = CategorySpace(("red", "green"))
+        path = tmp_path / "data.csv"
+        path.write_text("id,colour\n1,red\n2\n")
+        with pytest.raises(DataFormatError, match="row 3.*'colour'"):
+            load_database_csv(path, space, column="colour")
+
+    def test_csv_quoting_blank_lines_and_array(self, tmp_path):
+        space = CategorySpace(("red, dark", "green"))
+        path = tmp_path / "data.csv"
+        path.write_text('id,colour\n1,"red, dark"\n\n2, green \n')
+        d = load_database_csv(path, space, column="colour")
+        assert d.rows == (0, 1)
+        assert d.array.dtype == np.int64 and d.array.tolist() == [0, 1]
 
     def test_missing_column_rejected(self, tmp_path):
         space = CategorySpace(("red", "green"))

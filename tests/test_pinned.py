@@ -1,0 +1,181 @@
+"""Outputs and call contracts pinned across rewrites of the sanitize and
+matrix-screening paths.
+
+The sha256 digests were computed with the row-tuple sanitize path and the
+subset-lattice batch margins.  A rewrite of either must reproduce them
+byte for byte: the same uniforms, the same inverse-CDF rule, the same
+labels, and the same feasibility verdicts.
+"""
+
+import csv
+import hashlib
+import io
+import math
+
+import numpy as np
+import pytest
+
+import dpcat.analysis
+import dpcat.cli
+from dpcat import PrivacyParams, sample_feasible_matrices
+from dpcat.cli import main
+
+
+def _write_csv(path, records):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(records)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    rng = np.random.default_rng(2024)
+
+    # hamming, 4 categories, 100k headerless rows
+    pets = ("cat", "dog", "fish", "bird")
+    (root / "pets.txt").write_text("\n".join(pets) + "\n")
+    rows = rng.integers(0, 4, 100_000)
+    (root / "pets.csv").write_text("".join(f"{pets[r]}\n" for r in rows))
+    (root / "hamming.spec").write_text(
+        "type = exponential\nutility = hamming\nk = 0.9\n"
+        "categories = pets.txt\nn = 1\n")
+
+    # product with an asymmetric parent, read from a header column whose
+    # labels need csv quoting
+    colours = ("red, dark", "green", "blue")
+    (root / "colours.txt").write_text("\n".join(colours) + "\n")
+    (root / "parent.csv").write_text(
+        "0.7,0.2,0.1\n0.05,0.9,0.05\n0.3,0.3,0.4\n")
+    rows = rng.integers(0, 3, 20_000)
+    _write_csv(root / "colours.csv",
+               [("id", "colour", "note")]
+               + [(i, colours[r], "x") for i, r in enumerate(rows)])
+    (root / "product.spec").write_text(
+        "type = product\nmatrix = parent.csv\n"
+        "categories = colours.txt\nn = 1\n")
+
+    # L1 on numeric categories
+    (root / "cats.txt").write_text("0\n1\n2\n")
+    rows = rng.integers(0, 3, 5_000)
+    (root / "numbers.csv").write_text("".join(f"{r}\n" for r in rows))
+    (root / "l1.spec").write_text(
+        "type = exponential\nutility = l1\ncategories = cats.txt\nn = 1\n")
+
+    # an explicit utility table over 2 categories and 3 rows
+    (root / "yesno.txt").write_text("no\nyes\n")
+    table = rng.uniform(-3.0, 0.0, (8, 8))
+    (root / "table.csv").write_text(
+        "".join(",".join(repr(float(x)) for x in row) + "\n"
+                for row in table))
+    (root / "yesno.csv").write_text("yes\nno\nyes\n")
+    (root / "table.spec").write_text(
+        "type = exponential\nutility = table\ntable = table.csv\n"
+        "categories = yesno.txt\nn = 3\n")
+    return root
+
+
+SANITIZE_DIGESTS = {
+    ("hamming.spec", "pets.csv", None, 11):
+        "f9512f1afc14ff66ccc9aa7899cc1373f96ae9a2802b5368a03a1c96cf3aa97b",
+    ("hamming.spec", "pets.csv", None, 7411):
+        "65e3bc12c27c992adf8e4be6c82dc76c7b2195f1365037788309d01db8c37f0f",
+    ("product.spec", "colours.csv", "colour", 11):
+        "eb8342b201a153772d7992873050a40a92c6d7f157e617d31b217c0f3abec77d",
+    ("product.spec", "colours.csv", "colour", 7411):
+        "8a98a6f694ee54f0d43abde4df753e6e1621f09772a98c72a1e5d950b5a2ddce",
+    ("l1.spec", "numbers.csv", None, 11):
+        "82247c13f389a6c648431d99c3336a3a2a82e206eff31ac925b2378e47b5f3c8",
+    ("l1.spec", "numbers.csv", None, 7411):
+        "26255fb30c0ce4414275b59b8d3165c1c35daa8a6c43ddeff3090a5ea8bab196",
+    ("table.spec", "yesno.csv", None, 11):
+        "b708f87fb857aeb2f3c0c5c69db2df34edea9d7b760ea97b199f714ab832edfe",
+    ("table.spec", "yesno.csv", None, 7411):
+        "110a14d9b46455d763c24cd704e231189e4f2906f507f50d32f4533c045297ed",
+}
+
+
+@pytest.mark.parametrize("key", list(SANITIZE_DIGESTS),
+                         ids=lambda k: f"{k[0]}-seed{k[3]}")
+def test_sanitize_output_is_pinned(golden_dir, tmp_path, key):
+    spec, data, column, seed = key
+    out = tmp_path / "out.csv"
+    argv = ["sanitize", "--spec", str(golden_dir / spec),
+            "--data", str(golden_dir / data), "--seed", str(seed),
+            "--output", str(out)]
+    if column is not None:
+        argv += ["--column", column]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SANITIZE_DIGESTS[key]
+
+
+#: The (epsilon, delta, m) points of acceptance criterion 6.
+CRITERION6_POINTS = (
+    (math.log(2), 0.0, 1), (1.0, 0.0, 1), (1.0, 0.0, 2),
+    (math.log(4), 0.0, 2), (1.0, 0.1, 2), (2.0, 0.0, 3),
+    (math.log(4), 0.1, 3), (3.0, 0.0, 4),
+)
+
+
+def test_feasible_matrices_are_pinned():
+    rng = np.random.default_rng(60606)
+    h = hashlib.sha256()
+    for eps, delta, m in CRITERION6_POINTS:
+        mats = sample_feasible_matrices(m, PrivacyParams(eps, delta), 1_000,
+                                        rng, batch=5_000, max_batches=200)
+        h.update(repr(mats.shape).encode())
+        h.update(np.ascontiguousarray(mats, dtype="<f8").tobytes())
+    assert h.hexdigest() == (
+        "75eaacc377ff816142e3c47e969e9d7918c9cfcdf221e6f3a1f67b3dc990cf7f")
+
+
+class _Counting:
+    """Wraps a function, recording each call's arguments and result."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, *args, **kwargs):
+        result = self.fn(*args, **kwargs)
+        self.calls.append((args, result))
+        return result
+
+
+class _CountingRng:
+    """A generator whose dirichlet draws (one per batch) are counted."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def dirichlet(self, *args, **kwargs):
+        self.batches += 1
+        return self.rng.dirichlet(*args, **kwargs)
+
+
+def test_traced_entry_points_are_called_through_their_modules(
+        golden_dir, tmp_path, monkeypatch):
+    # The benchmark's tracer wraps these module attributes; a refactor that
+    # stops calling through them would silently drop its spans and counts.
+    load = _Counting(dpcat.cli.load_database_csv)
+    draw = _Counting(dpcat.cli.sample)
+    margins = _Counting(dpcat.analysis.batch_matrix_margins)
+    monkeypatch.setattr(dpcat.cli, "load_database_csv", load)
+    monkeypatch.setattr(dpcat.cli, "sample", draw)
+    monkeypatch.setattr(dpcat.analysis, "batch_matrix_margins", margins)
+
+    assert main(["sanitize", "--spec", str(golden_dir / "l1.spec"),
+                 "--data", str(golden_dir / "numbers.csv"), "--seed", "3",
+                 "--output", str(tmp_path / "out.csv")]) == 0
+    assert len(load.calls) == 1 and len(draw.calls) == 1
+    assert draw.calls[0][0][1].n == 5_000
+
+    rng = _CountingRng(5)
+    mats = sample_feasible_matrices(2, PrivacyParams(1.0, 0.0), 500, rng,
+                                    batch=1_000)
+    assert mats.shape == (500, 3, 3)
+    assert rng.batches >= 2
+    assert len(margins.calls) == rng.batches
+    assert all(result.shape == (1_000,) for _, result in margins.calls)
