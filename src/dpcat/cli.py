@@ -5,11 +5,14 @@ output is deterministic given the inputs and the seed (bench wall-clock
 fields excepted).  Exit codes: 0 success / private, 1 not private,
 2 input error, 3 enumeration budget exceeded, 4 internal error (the
 traceback goes to stderr), so 0 and 1 always mean a decided verdict.
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,16 +66,25 @@ EXIT_BUDGET_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, *,
+                 exact: bool = False, budget_enum: bool = False,
+                 budget_subsets: bool = False) -> None:
+    """``--format`` plus whichever shared options the subcommand reads."""
     parser.add_argument("--format", choices=("json", "table"), default="json",
                         help="output format (default json)")
-    parser.add_argument("--budget-enum", type=int, default=DEFAULT_ENUM_BUDGET,
-                        metavar="N", help="max database-space size to enumerate")
-    parser.add_argument("--budget-subsets", type=int,
-                        default=DEFAULT_SUBSET_BUDGET, metavar="N",
-                        help="max set size whose subsets may be enumerated")
-    parser.add_argument("--exact", action="store_true",
-                        help="exact rational arithmetic (all but utility tables)")
+    if budget_enum:
+        parser.add_argument("--budget-enum", type=int,
+                            default=DEFAULT_ENUM_BUDGET, metavar="N",
+                            help="max database-space size to enumerate")
+    if budget_subsets:
+        parser.add_argument("--budget-subsets", type=int,
+                            default=DEFAULT_SUBSET_BUDGET, metavar="N",
+                            help="max set size whose subsets may be "
+                                 "enumerated")
+    if exact:
+        parser.add_argument("--exact", action="store_true",
+                            help="exact rational arithmetic (all but utility "
+                                 "tables)")
 
 
 def _privacy_args(parser: argparse.ArgumentParser) -> None:
@@ -265,7 +277,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dpcat argument parser, built on first use and reused after.
+
+    Parsing keeps no state between calls, so one parser serves every
+    ``main`` call in a process.  It names each subcommand's handler only
+    through ``command``; ``main`` looks ``cmd_<command>`` up at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="dpcat",
         description="Differentially private sanitisation of categorical "
@@ -277,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _privacy_args(p)
     p.add_argument("--method", choices=("auto", "reduced", "brute", "matrix"),
                    default="auto")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _add_options(p, exact=True, budget_enum=True, budget_subsets=True)
 
     p = sub.add_parser("sanitize", help="sanitise a data file")
     p.add_argument("--spec", required=True)
@@ -287,51 +305,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="header column to read (implies a header row)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sanitize)
+    _add_options(p, budget_enum=True)
 
     p = sub.add_parser("analyze", help="expected error and bounds")
     p.add_argument("--spec", required=True)
     _privacy_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
+    _add_options(p, budget_enum=True)
 
     p = sub.add_parser("convert", help="map between hamming and product form")
     p.add_argument("--spec", required=True)
     p.add_argument("--output", default=None, help="write the converted spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_convert)
+    _add_options(p, exact=True)
 
     p = sub.add_parser("optimal", help="error-optimal solution matrix")
     _privacy_args(p)
     p.add_argument("--categories", default=None)
     p.add_argument("--spec", default=None)
     p.add_argument("--output", default=None, help="write the matrix as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_optimal)
+    _add_options(p, exact=True)
 
     p = sub.add_parser("bench", help="workload comparison across (m, n)")
     _privacy_args(p)
     p.add_argument("--mechanism", choices=("hamming", "l1"), default="hamming")
     p.add_argument("--k", type=float, default=1.0,
                    help="hamming privacy weight (default 1.0)")
+    # tuple defaults: the parser, and with it each default, outlives a call
     p.add_argument("--m-list", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[1, 2], metavar="M1,M2,...")
+                   default=(1, 2), metavar="M1,M2,...")
     p.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[1, 2], metavar="N1,N2,...")
+                   default=(1, 2), metavar="N1,N2,...")
     p.add_argument("--seed", type=int, default=None, help="unused; accepted "
                    "for interface uniformity")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
+    _add_options(p, budget_enum=True, budget_subsets=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (DataFormatError, ParameterRangeError, IncompleteUtilityError,
             LengthMismatchError, ExactModeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -279,15 +279,21 @@ def naive_check_count_text(space: CategorySpace, n: int) -> str:
             f"*(2^{space_size(space, n)}-2)")
 
 
+def index_digits(space: CategorySpace, n: int, indices) -> np.ndarray:
+    """(len(indices), n) array of the row values of the databases at
+    these enumeration indices."""
+    idx = np.asarray(indices, dtype=np.int64)
+    out = np.empty((idx.shape[0], n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        idx, out[:, i] = np.divmod(idx, space.size)
+    return out
+
+
 def digit_matrix(space: CategorySpace, n: int,
                  budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """(size, n) array of row values for every database, in canonical order."""
     size = check_enum_budget(space, n, budget)
-    out = np.empty((size, n), dtype=np.int64)
-    idx = np.arange(size)
-    for i in range(n - 1, -1, -1):
-        idx, out[:, i] = np.divmod(idx, space.size)
-    return out
+    return index_digits(space, n, np.arange(size))
 
 
 def load_category_space(path) -> CategorySpace:

@@ -50,6 +50,7 @@ from .core import (
     NeighborPair,
     database_from_index,
     database_index,
+    index_digits,
     naive_check_count,
     naive_check_count_text,
     space_size,
@@ -171,8 +172,7 @@ class VerificationReport:
             }
         members = None
         if self.binding_set is not None:
-            members = [list(d.labels(self.space))
-                       for d in self.binding_set.databases()]
+            members = _render_set(self.binding_set)
         return {
             "verdict": self.verdict,
             "method": self.method,
@@ -188,6 +188,29 @@ class VerificationReport:
             "checks_naive": naive_check_count_text(self.space, self.n),
             "tolerance": self.tolerance,
         }
+
+
+def _render_set(dbset: DatabaseSet):
+    """JSON form of a set of databases, built from its indices.
+
+    A one-row cylinder {x : x_i in C} prints as
+    ``{"row": i, "categories": [labels of C], "size": len(set)}``, with i
+    the lowest such row (the only one unless the set is the whole space).
+    Any other set is the list of its members' label lists, in index order.
+    Every nonempty set is a cylinder at n = 1.
+    """
+    space, n = dbset.space, dbset.n
+    digits = index_digits(space, n, dbset.indices)
+    labels = np.array(space.labels, dtype=object)
+    if len(dbset):
+        others = space.size ** (n - 1)
+        for row in range(n):
+            values = np.flatnonzero(np.bincount(digits[:, row],
+                                                minlength=space.size))
+            if values.size * others == len(dbset):
+                return {"row": row, "categories": labels[values].tolist(),
+                        "size": len(dbset)}
+    return labels[digits].tolist()
 
 
 def _routing(spec) -> str:
@@ -446,10 +469,10 @@ def _single_set_exact(spec, params: PrivacyParams,
     e_eps, delta = params.exact_pair()
     support = [[[c for c in range(k) if fracs[u][c] > fracs[v][c]]
                 for v in range(k)] for u in range(k)]
-    mass_a = [[sum(fracs[u][c] for c in support[u][v]) for v in range(k)]
-              for u in range(k)]
-    mass_b = [[sum(fracs[v][c] for c in support[u][v]) for v in range(k)]
-              for u in range(k)]
+    # margin = e^eps * B * R + delta - A * R = delta + (e^eps * B - A) * R
+    gap = [[e_eps * sum(fracs[v][c] for c in support[u][v])
+            - sum(fracs[u][c] for c in support[u][v]) for v in range(k)]
+           for u in range(k)]
     row_sums = [sum(row) for row in fracs]
     digits = spec._digit_table(budget).tolist()
     n = spec.n
@@ -467,8 +490,7 @@ def _single_set_exact(spec, params: PrivacyParams,
                 if not support[u][v]:       # empty when v == u
                     continue
                 acc.checks += 1
-                margin = (e_eps * (mass_b[u][v] * rest) + delta
-                          - mass_a[u][v] * rest)
+                margin = delta + gap[u][v] * rest
                 if best is None or margin < best:
                     best, binding = margin, (ia, ia + (v - u) * places[i], i)
     if binding is not None:

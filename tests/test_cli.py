@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpcat import NegL1Utility, PrivacyParams, verify_matrix
+import dpcat.cli
+from dpcat import NegL1Utility, PrivacyParams, verify_matrix, verify_reduced
 from dpcat.cli import main
+from dpcat.specfile import load_spec_file
+
+SRC = str(Path(dpcat.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -31,6 +39,23 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*args):
+    """Run python with ``args`` in a new process that imports this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def expand_cylinder(cylinder, space, n):
+    """Indices of {x : x_row in categories}, in enumeration order."""
+    digits = np.indices((space.size,) * n).reshape(n, -1).T
+    wanted = [space.index_of(label) for label in cylinder["categories"]]
+    return tuple(np.flatnonzero(np.isin(digits[:, cylinder["row"]],
+                                        wanted)).tolist())
 
 
 class TestVerify:
@@ -163,6 +188,35 @@ class TestVerify:
         report = json.loads(out)
         assert report["checks_naive"] == "354294*(2^19683-2)"
         assert report["checks_performed"] == "354294"
+        # the binding set, 3^8 * |S1| databases, prints as one cylinder
+        assert set(report["binding_set"]) == {"row", "categories", "size"}
+        assert len(out) < 2048
+
+    def test_cylinder_binding_set_expands_to_the_report_set(self, workdir,
+                                                           capsys):
+        spec = workdir / "ham_n5.spec"
+        spec.write_text("type = exponential\nutility = hamming\nk = 0.5\n"
+                        "categories = cats.txt\nn = 5\n")
+        code, out, _ = run(capsys, "verify", "--spec", spec,
+                           "--epsilon", "0.3", "--method", "reduced")
+        assert code == 1
+        cylinder = json.loads(out)["binding_set"]
+        loaded = load_spec_file(spec)
+        report = verify_reduced(loaded, PrivacyParams(0.3, 0.0))
+        assert cylinder["size"] == len(report.binding_set) == 81
+        assert (expand_cylinder(cylinder, loaded.space, 5)
+                == report.binding_set.indices)
+
+    def test_table_format_prints_the_cylinder_as_one_json_string(
+            self, workdir, capsys):
+        code, out, _ = run(capsys, "verify", "--spec", workdir / "ham.spec",
+                           "--epsilon", "0.3", "--method", "reduced",
+                           "--format", "table")
+        assert code == 1
+        (line,) = [x for x in out.splitlines()
+                   if x.startswith("binding_set: ")]
+        cylinder = json.loads(line[len("binding_set: "):])
+        assert cylinder == {"row": 0, "categories": ["0"], "size": 3}
 
     def test_internal_error_exits_4(self, workdir, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -175,6 +229,98 @@ class TestVerify:
         assert out == ""
         assert "Traceback" in err
         assert "RuntimeError: injected failure" in err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; calls share nothing."""
+
+    VERIFY = ("verify", "--spec", "ham.spec", "--epsilon", "0.3",
+              "--method", "reduced")
+
+    def argv(self, workdir, *extra):
+        return [workdir / a if a.endswith(".spec") else a
+                for a in self.VERIFY + extra]
+
+    def fresh_output(self, workdir):
+        done = run_fresh("-m", "dpcat.cli", *self.argv(workdir))
+        assert done.returncode == 1, done.stderr
+        return done.stdout
+
+    def test_table_call_leaves_no_state(self, workdir, capsys):
+        run(capsys, *self.argv(workdir, "--format", "table"))
+        code, out, _ = run(capsys, *self.argv(workdir))
+        assert code == 1
+        assert out == self.fresh_output(workdir)
+
+    def test_parse_failure_leaves_no_state(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in self.argv(workdir, "--exact", "--format",
+                                            "yaml")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *self.argv(workdir))
+        assert code == 1
+        assert out == self.fresh_output(workdir)
+
+    def test_command_is_looked_up_at_call_time(self, workdir, capsys,
+                                               monkeypatch):
+        run(capsys, *self.argv(workdir))
+        seen = []
+        monkeypatch.setattr(dpcat.cli, "cmd_verify",
+                            lambda args: seen.append(args.spec) or 0)
+        code, out, _ = run(capsys, *self.argv(workdir))
+        assert code == 0 and out == ""
+        assert seen == [str(workdir / "ham.spec")]
+
+    def test_parser_is_built_on_first_call_only(self):
+        probe = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import dpcat.cli\n"
+            "counts = [len(built)]\n"
+            "argv = ['bench', '--epsilon', '1', '--m-list', '1', "
+            "'--n-list', '1']\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert dpcat.cli.main(argv) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n")
+        done = run_fresh("-c", probe)
+        assert done.returncode == 0, done.stderr
+        first, second, third = json.loads(done.stdout)
+        assert first == 0          # importing the CLI builds nothing
+        assert second > 0 and third == second
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--spec", "ham.spec", "--epsilon", "1", "--exact"),
+        ("analyze", "--spec", "ham.spec", "--epsilon", "1",
+         "--budget-subsets", "4"),
+        ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
+         "--seed", "1", "--exact"),
+        ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
+         "--seed", "1", "--budget-subsets", "4"),
+        ("convert", "--spec", "ham.spec", "--budget-enum", "9"),
+        ("convert", "--spec", "ham.spec", "--budget-subsets", "4"),
+        ("optimal", "--categories", "cats.txt", "--epsilon", "1",
+         "--budget-enum", "9"),
+        ("optimal", "--categories", "cats.txt", "--epsilon", "1",
+         "--budget-subsets", "4"),
+    ], ids=lambda argv: argv[0] + next(
+        a for a in argv if a in ("--exact", "--budget-enum",
+                                 "--budget-subsets")))
+    def test_options_a_subcommand_does_not_read_are_rejected(
+            self, workdir, capsys, argv):
+        argv = [str(workdir / a) if a.endswith((".spec", ".csv", ".txt"))
+                else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSanitize:

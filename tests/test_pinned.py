@@ -172,6 +172,20 @@ def test_traced_entry_points_are_called_through_their_modules(
     assert len(load.calls) == 1 and len(draw.calls) == 1
     assert draw.calls[0][0][1].n == 5_000
 
+    # main() has now built its parser; wrappers installed after that must
+    # still be the functions it calls
+    spec_loads = _Counting(dpcat.cli.load_spec_file)
+    monkeypatch.setattr(dpcat.cli, "load_spec_file", spec_loads)
+    for method, name in (("reduced", "verify_reduced"),
+                         ("brute", "verify_bruteforce"),
+                         ("matrix", "verify_matrix")):
+        verify = _Counting(getattr(dpcat.cli, name))
+        monkeypatch.setattr(dpcat.cli, name, verify)
+        assert main(["verify", "--spec", str(golden_dir / "hamming.spec"),
+                     "--epsilon", "1", "--method", method]) == 0
+        assert len(verify.calls) == 1, name
+    assert len(spec_loads.calls) == 3
+
     rng = _CountingRng(5)
     mats = sample_feasible_matrices(2, PrivacyParams(1.0, 0.0), 500, rng,
                                     batch=1_000)

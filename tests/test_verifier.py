@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -374,6 +375,30 @@ class TestVerifyBruteforce:
         payload = report.to_json_dict()
         assert payload["checks_naive"] == "18360"
         assert isinstance(payload["checks_performed"], str)
+
+
+class TestBindingSetJson:
+    @pytest.mark.parametrize("seed", [6, 9])
+    def test_non_cylinder_set_lists_every_member(self, seed):
+        space = make_space(1)
+        table = np.random.default_rng(seed).uniform(-3.0, 0.0, (4, 4))
+        spec = ExponentialSpec(space, 2, TableUtility(space, 2, table))
+        report = verify_bruteforce(spec, PrivacyParams(0.5, 0.0))
+        assert len(report.binding_set) == 2       # not {x : x_i in C}
+        members = [list(d.labels(space))
+                   for d in report.binding_set.databases()]
+        assert (json.dumps(report.to_json_dict()["binding_set"], indent=2)
+                == json.dumps(members, indent=2))
+
+    def test_every_nonempty_set_is_a_cylinder_at_one_row(self):
+        space = make_space(3)
+        report = verify_matrix(symmetric_matrix(3, 0.1),
+                               PrivacyParams(1.0, 0.0), space=space)
+        for idx in [(0,), (1, 3), (0, 1, 2)]:
+            report.binding_set = DatabaseSet(space, 1, idx)
+            assert report.to_json_dict()["binding_set"] == {
+                "row": 0, "categories": [str(i) for i in idx],
+                "size": len(idx)}
 
 
 class TestClosedForms:
