@@ -186,15 +186,14 @@ _MARGIN_CHUNK = 2048
 
 
 def batch_matrix_margins(mats: np.ndarray, params: PrivacyParams) -> np.ndarray:
-    """Worst privacy margin of each parent matrix in a (B, s, s) batch.
+    """Canonical privacy margin of each parent matrix in a (B, s, s) batch.
 
     The minimum of e^eps * P_j(A) + delta - P_i(A) over ordered category
-    pairs i != j and nonempty proper subsets A; equals the margin
-    verify_matrix reports for general matrices (up to rounding).  With
-    terms t_x = e^eps * M[j, x] - M[i, x], the minimising A holds the
-    negative terms (the hockey-stick witness): the margin is delta plus
-    their sum, the smallest term if none is negative, and the sum minus
-    the largest if all are.  O(s^3) per matrix, batch innermost.
+    pairs i != j and every output set A, the empty set included; equals the
+    margin verify_matrix reports (up to rounding).  With terms
+    t_x = e^eps * M[j, x] - M[i, x], the minimising A holds the negative
+    terms (the hockey-stick witness), so the margin is delta plus their
+    sum.  O(s^3) per matrix, batch innermost.
     """
     mats = np.asarray(mats, dtype=np.float64)
     size = mats.shape[-1]
@@ -204,16 +203,10 @@ def batch_matrix_margins(mats: np.ndarray, params: PrivacyParams) -> np.ndarray:
     for start in range(0, mats.shape[0], _MARGIN_CHUNK):
         chunk = mats[start:start + _MARGIN_CHUNK]
         cols = np.ascontiguousarray(chunk.transpose(2, 1, 0))  # [x, i, b]
-        shape = (size, size, chunk.shape[0])                   # [i, j, b]
-        neg = np.zeros(shape)
-        lo = np.full(shape, np.inf)
-        hi = np.full(shape, -np.inf)
+        margins = np.zeros((size, size, chunk.shape[0]))       # [i, j, b]
         for col in cols:
-            terms = e_eps * col[None, :, :] - col[:, None, :]
-            neg += np.minimum(terms, 0.0)
-            np.minimum(lo, terms, out=lo)
-            np.maximum(hi, terms, out=hi)
-        margins = np.where(hi < 0, neg - hi, np.where(lo >= 0, lo, neg))
+            margins += np.minimum(e_eps * col[None, :, :] - col[:, None, :],
+                                  0.0)
         margins += params.delta
         margins[eye] = np.inf                                  # ignore i == j
         out[start:start + _MARGIN_CHUNK] = margins.min(axis=(0, 1))

@@ -5,24 +5,29 @@ neighbor pair (d, d') and every output set A,
 
     P(X_d in A) <= e^eps * P(X_d' in A) + delta.
 
-``verify_bruteforce`` checks that inequality on every nonempty proper subset
-of the space and is the ground-truth oracle.  ``verify_reduced`` cuts the
-workload using sufficient sets: per pair, only the set S of outputs strictly
-more likely under d than under d' can matter.  Three reductions apply, from
-strongest to weakest:
+Every report carries the canonical margin: the minimum of
+e^eps * P(X_d' in A) + delta - P(X_d in A) over every pair and every
+output set A, the empty set included.  It is at most delta, and when no
+set goes below delta the report has no binding pair or set.
 
-* mechanisms with a symmetric parent matrix (symmetric products, and the
-  hamming exponential mechanism, which is the product of its one-row
-  parent) have a single utility-gap level on S, so one check of S itself
-  per pair settles every subset.  For a product mechanism and neighbours
-  differing in row i, S is the cylinder {x : x_i in S1(d_i, d'_i)} with S1
-  from the one-row parent, so P_d(S) = A[d_i, d'_i] * prod_{j != i} r(d_j)
-  with A summing the parent's row d_i over S1 and r the parent's row sums.
-  Each pair's check therefore costs O(1) and builds no pmf row;
-* utility tables with a provably constant normaliser and delta = 0 need
-  one check per utility-gap level set (the cells partitioning S);
-* any other mechanism needs every nonempty subset of S, which is still far
-  smaller than the full subset lattice.
+``verify_bruteforce`` checks the inequality on every nonempty proper subset
+of the space and is the ground-truth oracle.  ``verify_reduced`` uses
+sufficient sets: per pair, only the set S of outputs strictly more likely
+under d than under d' can matter.
+
+* Product mechanisms (hamming, L1, symmetric and general parent matrices)
+  are decided from their one-row parent.  For neighbours differing in row
+  i, P_d(x) / P_d'(x) depends on x_i alone, so the worst output set is a
+  cylinder {x : x_i in A1(d_i, d'_i)} over the parent (Barthe and Olmedo's
+  hockey-stick divergence) and S is the cylinder over S1(d_i, d'_i).  No
+  pmf row or digit table is built, and the paper's check count (one check
+  of S per pair for a symmetric parent, every nonempty subset of S
+  otherwise) is computed from the sizes of S1.
+* Utility tables with a provably constant normaliser and delta = 0 need
+  one check per utility-gap level set (the cells partitioning S); the pair
+  binds on the union of the cells that go below delta.
+* Any other utility table needs every nonempty subset of S, which is still
+  far smaller than the full subset lattice.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
@@ -35,6 +40,8 @@ uses strict comparisons with no tolerance.
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,12 +55,12 @@ from .core import (
     Database,
     DatabaseSet,
     NeighborPair,
+    check_enum_budget,
     database_from_index,
     database_index,
     index_digits,
     naive_check_count,
     naive_check_count_text,
-    space_size,
 )
 from .errors import (
     DataFormatError,
@@ -61,7 +68,7 @@ from .errors import (
     ExactModeError,
     ParameterRangeError,
 )
-from .mechanisms import ProductSpec, SolutionMatrix
+from .mechanisms import SYMMETRY_TOL, ProductSpec, SolutionMatrix
 
 #: Slack added to every margin comparison to absorb float rounding.
 TOLERANCE = 1e-12
@@ -69,10 +76,14 @@ TOLERANCE = 1e-12
 #: Log-probability gaps inside this band are ties, excluded from S.
 TIE_BAND = 1e-12
 
+#: Largest epsilon whose e^epsilon is a finite float.
+_MAX_EPSILON = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """The privacy budget (epsilon >= 0, 0 <= delta <= 1).
+    """The privacy budget (0 <= epsilon <= log of the largest float,
+    0 <= delta <= 1).
 
     delta = 1 is the trivial regime: every mechanism qualifies.  For exact
     verification the pair (e^epsilon, delta) may be pinned as rationals;
@@ -87,6 +98,10 @@ class PrivacyParams:
     def __post_init__(self):
         if math.isnan(self.epsilon) or self.epsilon < 0:
             raise ParameterRangeError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.epsilon > _MAX_EPSILON:
+            raise ParameterRangeError(
+                f"epsilon must be at most {_MAX_EPSILON!r}, where e^epsilon "
+                f"is still a finite float, got {self.epsilon}")
         if math.isnan(self.delta) or not 0 <= self.delta <= 1:
             raise ParameterRangeError(
                 f"delta must lie in [0, 1], got {self.delta}")
@@ -147,7 +162,7 @@ class VerificationReport:
     method: str                        # closed-form | sufficient-set | partition | brute-force
     epsilon: float
     delta: float
-    margin: float                      # min over performed checks; inf if none
+    margin: float                      # canonical: <= delta; inf if trivial
     binding_pair: NeighborPair | None
     binding_set: DatabaseSet | None
     checks_performed: int
@@ -213,13 +228,6 @@ def _render_set(dbset: DatabaseSet):
     return labels[digits].tolist()
 
 
-def _routing(spec) -> str:
-    """Which reduction the theory licenses for this spec."""
-    if spec.product is not None:
-        return "single-set" if spec.product.matrix.is_symmetric() else "general"
-    return "fixed-c" if spec.fixed_normalizer else "general"
-
-
 def _validate_fixed_normalizer(spec, budget: int) -> None:
     """Recompute every log-normaliser and reject a false fixed-C claim."""
     logs = [-spec.log_prefactor(i, budget) for i in range(spec.state_count)]
@@ -235,7 +243,7 @@ def _iter_index_pairs(spec, budget: int = DEFAULT_ENUM_BUDGET):
     space, n = spec.space, spec.n
     digits = spec._digit_table(budget)
     places = [space.size ** (n - 1 - i) for i in range(n)]
-    for a in range(space_size(space, n)):
+    for a in range(spec.state_count):
         row_vals = digits[a]
         for i in range(n):
             va = int(row_vals[i])
@@ -305,11 +313,11 @@ def sufficient_set(spec, pair: NeighborPair, *,
         members = _members_float(spec, ia, ib, budget_enum)
     member_set = DatabaseSet(spec.space, spec.n,
                              tuple(int(i) for i in members))
-    route = _routing(spec)
-    if route == "fixed-c":
-        _validate_fixed_normalizer(spec, budget_enum)
-    if route == "general":
+    # a symmetric parent or a fixed-C table: one normaliser for every input
+    if not spec.fixed_normalizer:
         return SufficientSet(pair, member_set)
+    if spec.product is None:
+        _validate_fixed_normalizer(spec, budget_enum)
     alphas = _alpha_values(spec, ia, ib, members, budget_enum)
     cells = _partition_cells(alphas, members)
     return SufficientSet(
@@ -381,11 +389,16 @@ def _exact_subset_scan(pa, pb, e_eps: Fraction, delta: Fraction,
 
 
 class _Accumulator:
-    """Merge per-pair results into a report, keeping the worst margin."""
+    """Merge per-pair results into a report, keeping the worst margin.
 
-    def __init__(self):
-        self.margin = math.inf
-        self.exact_margin: Fraction | None = None
+    It starts at the empty output set, whose margin is delta and which has
+    no binding pair: a pair binds only by going below delta.
+    """
+
+    def __init__(self, params: PrivacyParams, exact: bool):
+        self.margin = float(params.delta)
+        self.exact_margin: Fraction | None = (params.exact_pair()[1]
+                                              if exact else None)
         self.binding = None           # (ia, ib, row, member_indices)
         self.checks = 0
 
@@ -394,117 +407,115 @@ class _Accumulator:
         if margin is None:
             return
         current = self.exact_margin if self.exact_margin is not None else self.margin
-        if self.binding is None or margin < current:
+        if margin < current:
             if isinstance(margin, Fraction):
                 self.exact_margin = margin
-                self.margin = float(margin)
-            else:
-                self.margin = float(margin)
+            self.margin = float(margin)
             self.binding = binding
 
 
-def _single_set_float(spec, params: PrivacyParams,
-                      budget: int) -> _Accumulator:
-    """The single-set route over the cylinder identity, in floats.
+def _parent_route(spec, params: PrivacyParams, budget_enum: int,
+                  budget_subsets: int, exact: bool) -> _Accumulator:
+    """Decide a product spec from its (m+1) x (m+1) parent M.
 
-    For neighbours differing in row i, with u = d_i and v = d'_i, the
-    sufficient set is the cylinder {x : x_i in S1(u, v)} and
-    P_d(S) = A[u, v] * R, P_d'(S) = B[u, v] * R, where A and B sum the
-    parent weights of rows u and v over S1 and R is the product of the
-    other rows' weight sums.  Every pair costs O(1) and no pmf row is built
-    except the binding pair's two, for its set.
+    For neighbours differing in row i, with u = d_i and v = d'_i,
+    P_d(x) / P_d'(x) = M[u, x_i] / M[v, x_i].  The worst output set is the
+    cylinder {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]},
+    with margin e^eps * B * R + delta - A * R: A and B sum rows u and v of
+    M over A1, and R = prod_{j != i} r(d_j) over the parent's row sums r,
+    largest when every other row sits at a largest row sum.  The paper's
+    sufficient set is the cylinder over S1 = {c : M[u, c] > M[v, c]}, of
+    |S1| * (m+1)^(n-1) databases when M has no zero entry; each pair takes
+    one check of it for a symmetric parent and one per nonempty subset
+    otherwise.
     """
-    digits = spec._digit_table(budget)
-    size, n = digits.shape
-    w_log = spec.product.log_weights
-    with np.errstate(invalid="ignore"):
-        member = (w_log[:, None, :] - w_log[None, :, :]) > TIE_BAND  # [u, v, c]
-    weights = np.exp(w_log)
-    mass_a = np.where(member, weights[:, None, :], 0.0).sum(axis=2)
-    mass_b = np.where(member, weights[None, :, :], 0.0).sum(axis=2)
-    nonempty = member.any(axis=2)
-    row_sums = weights.sum(axis=1)
-    e_eps = math.exp(params.epsilon)
+    check_enum_budget(spec.space, spec.n, budget_enum)
+    product = spec.product
+    k, n = spec.space.size, spec.n
+    if exact:
+        weights = product.matrix.fractions()
+        e_eps, delta = params.exact_pair()
+        support = [[[weights[u][c] > weights[v][c] for c in range(k)]
+                    for v in range(k)] for u in range(k)]
+        worst = [[[weights[u][c] > e_eps * weights[v][c] for c in range(k)]
+                  for v in range(k)] for u in range(k)]
+        row_sums = [sum(row) for row in weights]
+        released = [sum(1 for x in row if x > 0) for row in weights]
+    else:
+        log_w = product.log_weights
+        with np.errstate(invalid="ignore"):
+            gap = log_w[:, None, :] - log_w[None, :, :]     # [u, v, c]
+        support = (gap > TIE_BAND).tolist()          # NaN gaps: both zero
+        worst = (gap > params.epsilon + TIE_BAND).tolist()
+        exp_w = np.exp(log_w)
+        weights, row_sums = exp_w.tolist(), exp_w.sum(axis=1).tolist()
+        released = np.isfinite(log_w).sum(axis=1).tolist()
+        e_eps, delta = math.exp(params.epsilon), params.delta
+    r_max = max(row_sums)
+    rest = math.prod([r_max] * (n - 1))
 
-    best = np.full(size, np.inf)
-    best_row = np.zeros(size, dtype=np.int64)
-    best_v = np.zeros(size, dtype=np.int64)
-    all_d = np.arange(size)
+    # Outputs impossible under both inputs are not in S, so S holds
+    # |S1| * prod_{j != i} z(d_j) databases, with z(a) the number of
+    # categories row a of M releases: spread maps each value of that
+    # product to the number of other-row assignments giving it.
+    spread = Counter({1: 1})
+    for _ in range(n - 1):
+        step = Counter()
+        for product_z, count in spread.items():
+            for z in released:
+                step[product_z * z] += count
+        spread = step
+    symmetric = product.matrix.is_symmetric()
     checks = 0
-    for i in range(n):
-        rest = np.ones(size)
-        for j in range(n):
-            if j != i:
-                rest *= row_sums[digits[:, j]]
-        rest = rest[:, None]
-        u = digits[:, i]
-        margins = e_eps * (mass_b[u] * rest) + params.delta - mass_a[u] * rest
-        valid = nonempty[u]
-        checks += int(np.count_nonzero(valid))
-        margins[~valid] = np.inf
-        v = np.argmin(margins, axis=1)
-        worst = margins[all_d, v]
-        better = worst < best      # strict: the first row keeps a tie
-        best[better] = worst[better]
-        best_row[better] = i
-        best_v[better] = v[better]
+    best, binding = delta, None
+    for u in range(k):
+        for v in range(k):
+            s1 = sum(support[u][v])
+            if not s1:
+                continue                    # A1 lies inside S1
+            if symmetric:
+                checks += k ** (n - 1)      # one check of S per pair
+            else:
+                size = s1 * max(spread)
+                if size > budget_subsets:
+                    raise EnumerationBudgetError(
+                        f"sufficient set holds {size} databases; enumerating "
+                        f"its subsets exceeds the budget of {budget_subsets}",
+                        size)
+                checks += sum(count * (2 ** (s1 * product_z) - 1)
+                              for product_z, count in spread.items())
+            cells = [c for c in range(k) if worst[u][v][c]]
+            if cells:
+                a = sum(weights[u][c] for c in cells)
+                b = sum(weights[v][c] for c in cells)
+                margin = e_eps * (b * rest) + delta - a * rest
+                if margin < best:
+                    best, binding = margin, (u, v, cells)
 
-    acc = _Accumulator()
-    if checks == 0:
-        return acc
-    ia = int(np.argmin(best))
-    row = int(best_row[ia])
-    place = spec.space.size ** (n - 1 - row)
-    ib = ia + (int(best_v[ia]) - int(digits[ia, row])) * place
-    acc.add(float(best[ia]),
-            (ia, ib, row, _members_float(spec, ia, ib, budget)), checks)
-    return acc
-
-
-def _single_set_exact(spec, params: PrivacyParams,
-                      budget: int) -> _Accumulator:
-    """The cylinder identity of :func:`_single_set_float` in rationals."""
-    fracs = spec.product.matrix.fractions()
-    k = len(fracs)
-    e_eps, delta = params.exact_pair()
-    support = [[[c for c in range(k) if fracs[u][c] > fracs[v][c]]
-                for v in range(k)] for u in range(k)]
-    # margin = e^eps * B * R + delta - A * R = delta + (e^eps * B - A) * R
-    gap = [[e_eps * sum(fracs[v][c] for c in support[u][v])
-            - sum(fracs[u][c] for c in support[u][v]) for v in range(k)]
-           for u in range(k)]
-    row_sums = [sum(row) for row in fracs]
-    digits = spec._digit_table(budget).tolist()
-    n = spec.n
-    places = [k ** (n - 1 - i) for i in range(n)]
-
-    acc = _Accumulator()
-    best = binding = None
-    for ia, row_vals in enumerate(digits):
-        for i, u in enumerate(row_vals):
-            rest = Fraction(1)
-            for j, x in enumerate(row_vals):
-                if j != i:
-                    rest *= row_sums[x]
-            for v in range(k):
-                if not support[u][v]:       # empty when v == u
-                    continue
-                acc.checks += 1
-                margin = delta + gap[u][v] * rest
-                if best is None or margin < best:
-                    best, binding = margin, (ia, ia + (v - u) * places[i], i)
+    acc = _Accumulator(params, exact)
+    acc.checks = n * checks
     if binding is not None:
-        ia, ib, row = binding
-        members = _members_exact(spec.exact_pmf_row(ia, budget),
-                                 spec.exact_pmf_row(ib, budget))
-        acc.add(best, (ia, ib, row, members), 0)
+        # the first canonical pair: other rows at the lowest category with
+        # the largest row sum, and u in the first row unless that puts a
+        # larger digit ahead of them
+        u, v, cells = binding
+        low = row_sums.index(r_max)
+        row = 0 if u <= low else n - 1
+        d = [low] * n
+        d[row] = u
+        ia = database_index(spec.space, Database(tuple(d)))
+        place = k ** (n - 1 - row)
+        members = (np.arange(k ** row)[:, None, None] * (k * place)
+                   + np.array(cells)[None, :, None] * place
+                   + np.arange(place)[None, None, :]).ravel()
+        acc.add(best, (ia, ia + (v - u) * place, row, members), 0)
     return acc
 
 
 def _build_report(spec, params, acc: _Accumulator, method: str,
                   tolerance: float, exact: bool) -> VerificationReport:
     if exact:
-        ok = acc.exact_margin is None or acc.exact_margin >= 0
+        ok = acc.exact_margin >= 0
     else:
         ok = acc.margin >= -tolerance
     pair = bset = None
@@ -547,87 +558,64 @@ def verify_reduced(spec, params: PrivacyParams, *,
                    exact: bool = False) -> VerificationReport:
     """Decide privacy using the strongest reduction the spec admits.
 
-    Routing: product-kind specs with a symmetric parent check S itself per
-    pair (one check, any delta, taken from the parent through the cylinder
-    identity with no pmf rows); fixed-normaliser tables with delta = 0
-    check each utility-gap cell; everything else checks every nonempty
-    subset of S.
+    Routing: product-kind specs are decided from their parent matrix (see
+    :func:`_parent_route`); fixed-normaliser tables with delta = 0 check
+    each utility-gap cell; other tables check every nonempty subset of S.
+    ``budget_enum`` caps the state count and ``budget_subsets`` the size of
+    a sufficient set whose subsets are counted or walked.
     """
-    route = _routing(spec)
-    if route == "fixed-c":
+    partition = False
+    if spec.product is None and spec.fixed_normalizer:
         _validate_fixed_normalizer(spec, budget_enum)
-    if route == "single-set":
-        method = "sufficient-set"
-    elif route == "fixed-c" and params.delta == 0:
-        method = "partition"
-    else:
-        method = "sufficient-set"
+        partition = params.delta == 0
+    method = "partition" if partition else "sufficient-set"
     if params.trivial:
         return _trivial_report(spec, params, method, tolerance, exact)
     if exact and not spec.supports_exact:
         raise ExactModeError(
             f"exact mode is not available for {spec.kind!r} specs")
-
-    if route == "single-set":
-        single_set = _single_set_exact if exact else _single_set_float
+    if spec.product is not None:
         return _build_report(spec, params,
-                             single_set(spec, params, budget_enum),
+                             _parent_route(spec, params, budget_enum,
+                                           budget_subsets, exact),
                              method, tolerance, exact)
 
-    e_eps_f = math.exp(params.epsilon)
-    if exact:
-        e_eps_q, delta_q = params.exact_pair()
+    e_eps = math.exp(params.epsilon)
 
     def handle(pair_idx):
         ia, ib, row = pair_idx
-        if exact:
-            pa = spec.exact_pmf_row(ia, budget_enum)
-            pb = spec.exact_pmf_row(ib, budget_enum)
-            members = _members_exact(pa, pb)
-            if not members:
-                return None, None, 0
-            if len(members) > budget_subsets:
-                raise EnumerationBudgetError(
-                    f"sufficient set holds {len(members)} databases; "
-                    f"enumerating its subsets exceeds the budget of "
-                    f"{budget_subsets}", len(members))
-            margin, mask, checks = _exact_subset_scan(
-                [pa[i] for i in members], [pb[i] for i in members],
-                e_eps_q, delta_q, include_full=True)
-            witness = [members[i] for i in range(len(members)) if mask >> i & 1]
-            return margin, (ia, ib, row, witness), checks
-
         pa = spec.pmf_row(ia, budget_enum)
         pb = spec.pmf_row(ib, budget_enum)
         members = _members_float(spec, ia, ib, budget_enum)
         if members.size == 0:
             return None, None, 0
-        if route == "fixed-c" and params.delta == 0:
-            alphas = _alpha_values(spec, ia, ib, members, budget_enum)
-            best = math.inf
-            best_cell = members
-            checks = 0
-            for _, cell in _partition_cells(alphas, members):
-                margin = (e_eps_f * float(pb[cell].sum()) + params.delta
-                          - float(pa[cell].sum()))
+        if partition:
+            # fixed C: each cell has one likelihood ratio, so the pair
+            # binds on the union of the cells whose margin term is negative
+            margin, below, checks = params.delta, [], 0
+            for _, cell in _partition_cells(
+                    _alpha_values(spec, ia, ib, members, budget_enum),
+                    members):
                 checks += 1
-                if margin < best:
-                    best = margin
-                    best_cell = cell
-            return best, (ia, ib, row, best_cell), checks
-        # general: every nonempty subset of S
+                term = e_eps * float(pb[cell].sum()) - float(pa[cell].sum())
+                if term < 0:
+                    margin += term
+                    below.append(cell)
+            if not below:
+                return None, None, checks
+            return margin, (ia, ib, row, np.sort(np.concatenate(below))), checks
         if len(members) > budget_subsets:
             raise EnumerationBudgetError(
                 f"sufficient set holds {len(members)} databases; enumerating "
                 f"its subsets exceeds the budget of {budget_subsets}",
                 len(members))
         margin, mask, checks = kernels.subset_scan(
-            pa[members], pb[members], e_eps_f, params.delta,
+            pa[members], pb[members], e_eps, params.delta,
             include_full=True)
         witness = members[[i for i in range(len(members)) if mask >> i & 1]]
         return margin, (ia, ib, row, witness), checks
 
-    acc = _Accumulator()
+    acc = _Accumulator(params, exact)
     for margin, binding, checks in map(handle,
                                        _iter_index_pairs(spec, budget_enum)):
         acc.add(margin, binding, checks)
@@ -671,7 +659,7 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
         witness = [i for i in range(size) if mask >> i & 1]
         return margin, (ia, ib, row, witness), checks
 
-    acc = _Accumulator()
+    acc = _Accumulator(params, exact)
     for margin, binding, checks in map(handle, _iter_index_pairs(spec)):
         acc.add(margin, binding, checks)
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)
@@ -733,9 +721,10 @@ def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
     """Decide privacy of a parent matrix; the verdict carries over to the
     product mechanism it generates for every row count.
 
-    Symmetric matrices short-circuit through the closed form; general
-    matrices get the one-row brute force: all ordered category pairs over
-    all nonempty proper subsets of the category set.
+    Symmetric matrices with a dominant diagonal short-circuit through the
+    closed form; every other matrix gets the one-row brute force: all
+    ordered category pairs over all nonempty proper subsets of the
+    category set.
     """
     if space is None:
         space = CategorySpace(tuple(str(i) for i in range(matrix.size)))
@@ -746,31 +735,22 @@ def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
     parent = ProductSpec(space, 1, matrix)
 
     p = matrix.symmetric_p()
-    if p is not None and not params.trivial:
-        # Closed form: private iff p >= (1 - delta)/(e^eps + m), which is the
-        # margin of the singleton {category 0} for the ordered pair (0, 1).
+    if (p is not None and p <= 1 / matrix.size + SYMMETRY_TOL
+            and not params.trivial):
+        # Closed form: private iff p >= (1 - delta)/(e^eps + m).  With the
+        # diagonal dominant, every ordered pair's worst set is the input's
+        # own category, so the pair (0, 1) on {category 0} carries the margin.
         if exact:
             fracs = matrix.fractions()
             e_eps, delta = params.exact_pair()
             margin = e_eps * fracs[1][0] + delta - fracs[0][0]
-            margin_val = float(margin)
-            ok = margin >= 0
         else:
-            margin_val = (math.exp(params.epsilon) * float(matrix.values[1, 0])
-                          + params.delta - float(matrix.values[0, 0]))
-            ok = margin_val >= -tolerance
-        binding_pair = NeighborPair(Database((0,)), Database((1,)), 0)
-        return VerificationReport(
-            verdict="private" if ok else "not-private",
-            method="closed-form",
-            epsilon=params.epsilon, delta=params.delta,
-            margin=margin_val,
-            binding_pair=binding_pair,
-            binding_set=DatabaseSet(space, 1, (0,)),
-            checks_performed=1,
-            checks_naive=naive_check_count(space, 1),
-            space=space, n=1,
-            tolerance=0.0 if exact else tolerance, exact=exact)
+            margin = (math.exp(params.epsilon) * float(matrix.values[1, 0])
+                      + params.delta - float(matrix.values[0, 0]))
+        acc = _Accumulator(params, exact)
+        acc.add(margin, (0, 1, 0, (0,)), 1)
+        return _build_report(parent, params, acc, "closed-form", tolerance,
+                             exact)
 
     report = verify_bruteforce(parent, params, budget_subsets=budget_subsets,
                                tolerance=tolerance, exact=exact)

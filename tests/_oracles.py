@@ -72,24 +72,38 @@ def subset_scan_literal(p_a, p_b, e_eps, delta, include_full):
 
 
 def bruteforce_verdict(pmf_table, size, n, e_eps, delta, tol=1e-12):
-    """Worst margin over every pair and every nonempty proper subset."""
+    """Canonical margin by literal enumeration: delta (the empty set) or
+    less, over every pair and every nonempty subset."""
     dbs = all_dbs(size, n)
-    worst = math.inf
+    worst = delta
     for d, dp in ordered_neighbor_pairs(size, n):
         pa = [pmf_table[d][x] for x in dbs]
         pb = [pmf_table[dp][x] for x in dbs]
         margin, _ = subset_scan_literal(pa, pb, e_eps, delta,
-                                        include_full=False)
+                                        include_full=True)
         worst = min(worst, margin)
     return worst >= -tol, worst
 
 
+def canonical_margin(pmf_table, size, n, e_eps, delta):
+    """delta minus the largest hockey-stick divergence
+    sum_x max(0, p_d(x) - e^eps * p_d'(x)) over ordered neighbour pairs:
+    the minimum margin over every pair and every output set."""
+    dbs = all_dbs(size, n)
+    worst = 0.0
+    for d, dp in ordered_neighbor_pairs(size, n):
+        worst = max(worst, sum(max(0.0, pmf_table[d][x]
+                                   - e_eps * pmf_table[dp][x]) for x in dbs))
+    return delta - worst
+
+
 def matrix_margin_literal(matrix, e_eps, delta):
-    """Worst margin of a parent matrix: every ordered pair of distinct rows
-    over every nonempty proper subset of the categories, via itertools."""
-    best = math.inf
+    """Canonical margin of a parent matrix: delta (the empty set) or less,
+    over every ordered pair of distinct rows and every nonempty subset of
+    the categories, via itertools."""
+    best = delta
     for i, j in itertools.permutations(range(len(matrix)), 2):
         margin, _ = subset_scan_literal(matrix[i], matrix[j], e_eps, delta,
-                                        include_full=False)
+                                        include_full=True)
         best = min(best, margin)
     return best

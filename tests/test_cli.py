@@ -176,14 +176,25 @@ class TestVerify:
         assert code == 1
 
 
+    def test_l1_three_rows_reduced_count(self, workdir, capsys):
+        # sets of 9 and 18 databases: 3 * 9 * (4 * (2^9 - 1) + 2 * (2^18 - 1))
+        spec = workdir / "l1_n3.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = cats.txt\nn = 3\n")
+        code, out, _ = run(capsys, "verify", "--spec", spec, "--epsilon", "1",
+                           "--delta", "0", "--method", "reduced")
+        assert code == 1
+        assert json.loads(out)["checks_performed"] == "14210910"
+
     def test_huge_naive_count_prints_in_product_form(self, workdir, capsys):
         # 3^9 states: the naive count has 5,926 digits, past Python's
-        # int-to-str limit; it prints as pairs * (2^size - 2)
+        # int-to-str limit; it prints as pairs * (2^size - 2).  eps < k,
+        # so a nonempty set binds.
         spec = workdir / "ham_n9.spec"
         spec.write_text("type = exponential\nutility = hamming\nk = 0.5\n"
                         "categories = cats.txt\nn = 9\n")
         code, out, _ = run(capsys, "verify", "--spec", spec,
-                           "--epsilon", "0.5", "--method", "reduced")
+                           "--epsilon", "0.4", "--method", "reduced")
         assert code in (0, 1)
         report = json.loads(out)
         assert report["checks_naive"] == "354294*(2^19683-2)"
@@ -229,6 +240,34 @@ class TestVerify:
         assert out == ""
         assert "Traceback" in err
         assert "RuntimeError: injected failure" in err
+
+
+class TestEpsilonRange:
+    """e^epsilon must be a finite float; larger values are input errors."""
+
+    @staticmethod
+    def argv(workdir, command):
+        if command == "optimal":
+            return ["optimal", "--categories", workdir / "cats.txt"]
+        if command == "verify":
+            return ["verify", "--spec", workdir / "ham.spec",
+                    "--method", "reduced"]
+        return [command, "--spec", workdir / "ham.spec"]
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "optimal"])
+    @pytest.mark.parametrize("eps", ["710", "800", "inf"])
+    def test_overflowing_epsilon_exits_2(self, workdir, capsys, command, eps):
+        code, out, err = run(capsys, *self.argv(workdir, command),
+                             "--epsilon", eps)
+        assert code == 2 and out == ""
+        assert err.startswith("error: epsilon must be at most")
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "optimal"])
+    def test_largest_whole_epsilon_answers(self, workdir, capsys, command):
+        code, out, _ = run(capsys, *self.argv(workdir, command),
+                           "--epsilon", "709")
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 709.0
 
 
 class TestParserReuse:

@@ -13,6 +13,7 @@ from dpcat import (
     EnumerationBudgetError,
     ExponentialSpec,
     HammingUtility,
+    NegL1Utility,
     NeighborPair,
     ParameterRangeError,
     PrivacyParams,
@@ -178,7 +179,8 @@ class TestVerifyReduced:
         report = verify_reduced(spec, PrivacyParams(0.0, 0.0))
         assert report.private
         assert report.checks_performed == 0
-        assert math.isinf(report.margin)
+        # only the empty set binds: margin delta, no binding pair
+        assert report.margin == 0.0 and report.binding_pair is None
 
     def test_partition_method_for_fixed_c_tables(self, space3, rng):
         spec = ExponentialSpec(space3, 2, fixed_c_table(rng, space3, 2))
@@ -208,6 +210,18 @@ class TestVerifyReduced:
         assert report.private and report.trivial
         assert report.checks_performed == 0
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_count_leaves_out_outputs_impossible_under_both(self, space3,
+                                                             exact):
+        # row 0 never releases category 2, so no S holds an output whose
+        # other row is 2 while that row's input is 0
+        spec = ProductSpec(space3, 2, SolutionMatrix(np.array(
+            [[0.5, 0.5, 0.0], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])))
+        walked = sum(2 ** len(sufficient_set(spec, pair, exact=exact).members)
+                     - 1 for pair in enumerate_neighbor_pairs(space3, 2))
+        report = verify_reduced(spec, PrivacyParams(0.5, 0.0), exact=exact)
+        assert report.checks_performed == walked == 700
+
     def test_general_budget_error_names_set_size(self, l1_spec):
         with pytest.raises(EnumerationBudgetError, match="6"):
             verify_reduced(l1_spec, PrivacyParams(1.0, 0.0),
@@ -224,7 +238,7 @@ def csv_style_parent(m, p):
 
 
 def factorised_specs(m, n):
-    """Specs that take the single-set route of ``verify_reduced``."""
+    """Product specs with a symmetric parent: one check of S per pair."""
     space = make_space(m)
     return {
         "hamming": ExponentialSpec(space, n, HammingUtility(1.3)),
@@ -233,27 +247,22 @@ def factorised_specs(m, n):
     }
 
 
-def hockey_stick_margin(spec, params):
-    """Worst margin over every ordered pair and every nonempty proper
-    output set, from naive pmf tables: per pair the minimum takes every
-    negative term e^eps * p_b(x) - p_a(x) (or the single smallest term when
-    none is negative, or all but the largest when all are)."""
+def naive_table(spec):
+    """{d: {x: P(X_d = x)}} by direct products or normalisation."""
     size, n = spec.space.size, spec.n
-    table = _oracles.product_pmf_table(spec.product.matrix.values.tolist(), n)
-    dbs = _oracles.all_dbs(size, n)
-    e_eps = math.exp(params.epsilon)
-    worst = math.inf
-    for d, dp in _oracles.ordered_neighbor_pairs(size, n):
-        terms = sorted(e_eps * table[dp][x] - table[d][x] for x in dbs)
-        negative = [t for t in terms if t < 0]
-        if not negative:
-            best = terms[0]
-        elif len(negative) == len(terms):
-            best = sum(terms[:-1])
-        else:
-            best = sum(negative)
-        worst = min(worst, params.delta + best)
-    return worst
+    if spec.product is not None:
+        return _oracles.product_pmf_table(
+            spec.product.matrix.values.tolist(), n)
+    index = {d: i for i, d in enumerate(_oracles.all_dbs(size, n))}
+    values = spec.utility.values
+    return _oracles.pmf_table_from_utility(
+        size, n, lambda a, b: float(values[index[a], index[b]]))
+
+
+def oracle_margin(spec, params):
+    return _oracles.canonical_margin(naive_table(spec), spec.space.size,
+                                     spec.n, math.exp(params.epsilon),
+                                     params.delta)
 
 
 def nonempty_sufficient_sets(spec):
@@ -262,7 +271,7 @@ def nonempty_sufficient_sets(spec):
 
 
 class TestFactorisedRoute:
-    """The single-set route decides every pair from the parent alone."""
+    """The product route decides every pair from the parent alone."""
 
     PARAMS = PrivacyParams(0.2, 0.01)       # none of the specs is private
 
@@ -276,7 +285,7 @@ class TestFactorisedRoute:
         if spec.state_count <= 16:
             reference = verify_bruteforce(spec, self.PARAMS).margin
         else:                   # 2^27 subsets per pair: use the closed form
-            reference = hockey_stick_margin(spec, self.PARAMS)
+            reference = oracle_margin(spec, self.PARAMS)
         assert report.margin == pytest.approx(reference, abs=1e-12)
         at_binding = dp_holds_on_set(spec, report.binding_pair,
                                      report.binding_set, self.PARAMS)
@@ -289,7 +298,8 @@ class TestFactorisedRoute:
         report = verify_reduced(spec, self.PARAMS)
         assert report.private
         assert report.checks_performed == 0 == nonempty_sufficient_sets(spec)
-        assert math.isinf(report.margin) and report.binding_pair is None
+        assert report.margin == self.PARAMS.delta
+        assert report.binding_pair is None and report.binding_set is None
 
     @pytest.mark.parametrize("m,n", FACTORISED_SHAPES)
     @pytest.mark.parametrize("name", ["hamming", "hamming-inf", "csv-parent"])
@@ -298,29 +308,68 @@ class TestFactorisedRoute:
         e_eps, delta = self.PARAMS.exact_pair()
         index = {d: i for i, d in
                  enumerate(_oracles.all_dbs(spec.space.size, n))}
-        best = binding = None
+        best, binding = delta, None
         checks = 0
         for d, dp in _oracles.ordered_neighbor_pairs(spec.space.size, n):
             pa = spec.exact_pmf_row(index[d])
             pb = spec.exact_pmf_row(index[dp])
-            members = [x for x in range(len(pa)) if pa[x] > pb[x]]
-            if not members:
-                continue
-            checks += 1
-            margin = (e_eps * sum(pb[x] for x in members) + delta
-                      - sum(pa[x] for x in members))
-            if best is None or margin < best:
-                best, binding = margin, (d, dp, tuple(members))
+            checks += any(x > y for x, y in zip(pa, pb))
+            worst = [x for x in range(len(pa)) if pa[x] > e_eps * pb[x]]
+            margin = (e_eps * sum(pb[x] for x in worst) + delta
+                      - sum(pa[x] for x in worst))
+            if margin < best:
+                best, binding = margin, (d, dp, worst)
         report = verify_reduced(spec, self.PARAMS, exact=True)
         assert report.margin == float(best)
-        assert (report.binding_pair.d.rows, report.binding_pair.d_prime.rows,
-                report.binding_set.indices) == binding
+        d, dp, worst = binding
+        assert (report.binding_pair.d.rows,
+                report.binding_pair.d_prime.rows) == (d, dp)
+        # the reported cylinder adds only outputs impossible under d
+        pa = spec.exact_pmf_row(index[d])
+        assert [x for x in report.binding_set.indices if pa[x] > 0] == worst
+        at_binding = dp_holds_on_set(spec, report.binding_pair,
+                                     report.binding_set, self.PARAMS,
+                                     exact=True)
+        assert at_binding.margin == float(best)
         assert report.checks_performed == checks
 
     def test_row_cache_stays_bounded(self):
         spec = ExponentialSpec(make_space(2), 7, HammingUtility(1.0))
         verify_reduced(spec, PrivacyParams(0.5, 0.0))
-        assert len(spec.product._log_rows) <= 2
+        assert spec.product._log_rows == {} and spec.product._digits is None
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_builds_no_row_and_walks_no_subset(self, monkeypatch, exact):
+        import dpcat.kernels
+        import dpcat.mechanisms as mech
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        targets = [(cls, name) for cls in (mech._Spec, mech.ExponentialSpec,
+                                           mech.ProductSpec)
+                   for name in ("_digit_table", "log_pmf_row", "pmf_row",
+                                "exact_pmf_row") if name in vars(cls)]
+        for cls, name in targets:
+            monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+        monkeypatch.setattr(dpcat.kernels, "subset_scan",
+                            counting("subset_scan",
+                                     dpcat.kernels.subset_scan))
+        space = make_space(2)
+        specs = [ExponentialSpec(space, 3, HammingUtility(1.0)),
+                 ExponentialSpec(space, 2, NegL1Utility()),
+                 make_symmetric_product(space, 3, 0.1),
+                 ProductSpec(space, 2, random_stochastic(
+                     np.random.default_rng(5), 3))]
+        for spec in specs:
+            report = verify_reduced(spec, PrivacyParams(0.3, 0.0),
+                                    exact=exact)
+            assert not report.private
+        assert calls == []
 
 
 class TestVerifyBruteforce:
@@ -341,6 +390,8 @@ class TestVerifyBruteforce:
             report = verify_bruteforce(spec, PrivacyParams(eps, delta))
             assert report.private == ok
             assert report.margin == pytest.approx(worst, abs=1e-13)
+            assert worst == pytest.approx(_oracles.canonical_margin(
+                table, 3, 1, math.exp(eps), delta), abs=1e-13)
 
     def test_agrees_with_reduced_on_l1(self, l1_spec):
         for eps in (0.0, 0.5, 1.0, 2.0):
@@ -350,8 +401,7 @@ class TestVerifyBruteforce:
                 rr = verify_reduced(l1_spec, params)
                 assert rb.verdict == rr.verdict
                 assert rb.checks_performed == 18360
-                if not rb.private:
-                    assert rb.margin == pytest.approx(rr.margin, abs=1e-12)
+                assert rb.margin == pytest.approx(rr.margin, abs=1e-12)
 
     def test_hamming_tight_condition(self, space3):
         # delta = 0: private exactly when k <= eps
@@ -375,6 +425,84 @@ class TestVerifyBruteforce:
         payload = report.to_json_dict()
         assert payload["checks_naive"] == "18360"
         assert isinstance(payload["checks_performed"], str)
+
+
+def random_spec(rng, kind):
+    """A spec like acceptance criterion 7's fuzz corpus draws."""
+    sizes = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)]
+    m, n = sizes[int(rng.integers(0, len(sizes)))]
+    space = make_space(m)
+    if kind == "table":
+        size = (m + 1) ** n
+        table = rng.uniform(-3.0, 0.0, (size, size))
+        return ExponentialSpec(space, n, TableUtility(space, n, table))
+    if kind == "symmetric":
+        return make_symmetric_product(space, n,
+                                      float(rng.uniform(0.0, 1.0)) / (m + 1))
+    return ProductSpec(space, n, random_stochastic(rng, m + 1))
+
+
+EPS_GRID = [0.0, 0.1, math.log(2), 1.0, math.log(4), 3.0]
+DELTA_GRID = [0.0, 0.01, 0.1, 0.5]
+
+
+class TestCanonicalMargin:
+    """Every path reports the minimum margin over every output set, the
+    empty set included, and binds only below delta."""
+
+    @staticmethod
+    def assert_canonical(spec, report, params, expected):
+        assert report.margin == pytest.approx(expected, abs=1e-12)
+        assert (report.binding_pair is None) == (report.margin == params.delta)
+        assert (report.binding_set is None) == (report.binding_pair is None)
+        if report.binding_pair is not None:
+            at_binding = dp_holds_on_set(spec, report.binding_pair,
+                                         report.binding_set, params)
+            assert at_binding.margin == pytest.approx(report.margin,
+                                                      abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["table", "symmetric", "asymmetric"])
+    def test_every_path_matches_the_divergence(self, kind):
+        rng = np.random.default_rng(7007)
+        for _ in range(15):
+            spec = random_spec(rng, kind)
+            table = naive_table(spec)
+            for eps in EPS_GRID:
+                for delta in DELTA_GRID:
+                    params = PrivacyParams(eps, delta)
+                    expected = _oracles.canonical_margin(
+                        table, spec.space.size, spec.n, math.exp(eps), delta)
+                    reduced = verify_reduced(spec, params)
+                    brute = verify_bruteforce(spec, params)
+                    assert reduced.verdict == brute.verdict
+                    reports = [reduced, brute]
+                    if spec.product is not None and spec.n == 1:
+                        reports.append(verify_matrix(
+                            spec.product.matrix, params, space=spec.space))
+                    for report in reports:
+                        self.assert_canonical(spec, report, params, expected)
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (1, 3)])
+    def test_partition_route_sums_the_cells_below_delta(self, m, n):
+        # circulant tables, u(i, j) a function of (j - i) mod size, have one
+        # normaliser; a pair's worst set is a union of utility-gap cells
+        rng = np.random.default_rng(40 + 10 * m + n)
+        space = make_space(m)
+        idx = np.arange(space.size ** n)
+        for _ in range(5):
+            c = rng.uniform(-3.0, 0.0, idx.size)
+            spec = ExponentialSpec(space, n, TableUtility(
+                space, n, c[(idx[None, :] - idx[:, None]) % idx.size],
+                assert_fixed_c=True))
+            for eps in EPS_GRID:
+                params = PrivacyParams(eps, 0.0)
+                reduced = verify_reduced(spec, params)
+                brute = verify_bruteforce(spec, params)
+                assert reduced.method == "partition"
+                assert reduced.verdict == brute.verdict
+                assert reduced.margin == pytest.approx(brute.margin,
+                                                       abs=1e-12)
+                self.assert_canonical(spec, reduced, params, brute.margin)
 
 
 class TestBindingSetJson:
@@ -491,6 +619,19 @@ class TestVerifyMatrix:
                 spec = ProductSpec(space, n, matrix)
                 assert verify_bruteforce(spec, params).verdict \
                     == parent_report.verdict, (matrix.values, params)
+
+    def test_off_diagonal_dominant_symmetric_matrix(self):
+        # the closed form's worst set, the input's own category, is the
+        # wrong one here: each row puts more mass on every other category
+        matrix = SolutionMatrix(np.array(
+            [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]))
+        spec = ProductSpec(make_space(2), 1, matrix)
+        for eps in (0.0, 0.5, math.log(2), 1.0):
+            params = PrivacyParams(eps, 0.0)
+            report = verify_matrix(matrix, params)
+            brute = verify_bruteforce(spec, params)
+            assert report.verdict == brute.verdict
+            assert report.margin == pytest.approx(brute.margin, abs=1e-12)
 
     def test_checks_counts(self):
         matrix = SolutionMatrix(np.array([[0.7, 0.2, 0.1],
