@@ -249,16 +249,21 @@ def cmd_bench(args) -> int:
                                          budget_enum=args.budget_enum,
                                          budget_subsets=args.budget_subsets)
                 row["time_reduced_s"] = time.perf_counter() - start
-                row["checks_reduced"] = str(reduced.checks_performed)
+                row["checks_reduced"] = reduced.checks_text
                 row["verdict"] = reduced.verdict
             except EnumerationBudgetError as exc:
                 row.update(skipped=True, reason=str(exc))
                 rows.append(row)
                 continue
+            brute = None
             if space_size(space, n) <= args.budget_subsets:
                 start = time.perf_counter()
-                brute = verify_bruteforce(spec, params,
-                                          budget_subsets=args.budget_subsets)
+                try:
+                    brute = verify_bruteforce(
+                        spec, params, budget_subsets=args.budget_subsets)
+                except EnumerationBudgetError as exc:
+                    row["brute_reason"] = str(exc)
+            if brute is not None:
                 row["time_bruteforce_s"] = time.perf_counter() - start
                 row["agree"] = brute.verdict == reduced.verdict
                 row["speedup"] = (row["time_bruteforce_s"]

@@ -262,21 +262,28 @@ def naive_check_count(space: CategorySpace, n: int) -> int:
 COUNT_DIGIT_CAP = 4000
 
 
-def naive_check_count_text(space: CategorySpace, n: int) -> str:
-    """:func:`naive_check_count` as exact text of bounded length.
+def count_text(count: int, form: str | None) -> str:
+    """``count`` as exact text of bounded length.
 
-    Up to ``COUNT_DIGIT_CAP`` digits this is the decimal string.  Above it,
-    the product the count is defined by, pairs*(2^size-2), without ever
-    converting the big int: ``"354294*(2^19683-2)"`` for three categories
-    and nine rows.
+    Up to ``COUNT_DIGIT_CAP`` digits, or when there is no ``form``, this is
+    the decimal string.  Above it, ``form``: the expression the count is
+    defined by, without ever converting the big int.
     """
-    count = naive_check_count(space, n)
     # 2^(3 * cap) = 8^cap < 10^cap: most counts pass without the big power
-    if (count.bit_length() <= 3 * COUNT_DIGIT_CAP
+    if (form is None or count.bit_length() <= 3 * COUNT_DIGIT_CAP
             or count < 10 ** COUNT_DIGIT_CAP):
         return str(count)
-    return (f"{neighbor_pair_count(space, n)}"
-            f"*(2^{space_size(space, n)}-2)")
+    return form
+
+
+def naive_check_count_text(space: CategorySpace, n: int) -> str:
+    """:func:`naive_check_count` as exact text of bounded length: above
+    ``COUNT_DIGIT_CAP`` digits the product pairs*(2^size-2) it is defined
+    by, ``"354294*(2^19683-2)"`` for three categories and nine rows.
+    """
+    return count_text(naive_check_count(space, n),
+                      f"{neighbor_pair_count(space, n)}"
+                      f"*(2^{space_size(space, n)}-2)")
 
 
 def index_digits(space: CategorySpace, n: int, indices) -> np.ndarray:

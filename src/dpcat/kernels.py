@@ -2,49 +2,60 @@
 
 Evaluates the privacy margin  e^eps * P_b(A) + delta - P_a(A)  for every
 subset A of a small element set and returns the minimum.  The brute-force
-oracle and the general route on utility tables use it.  Subset sums are
-built by doubling (each sum is a balanced tree of adds, so rounding error
-stays near machine precision instead of growing linearly in 2^k).
+oracle and the general route on utility tables use it.
 
-For k > _SPLIT_BITS the subset lattice is factored into low/high halves:
-the low-half margin offsets are shared by every high-half mask, which keeps
-memory at O(2^_SPLIT_BITS) while still accounting for every subset exactly.
+The margin is delta plus a sum over the members of A of the terms
+t = e^eps * p_b - p_a, so the subset lattice factors into two halves (a
+meet-in-the-middle split, Horowitz and Sahni 1974): every subset is a low
+mask over the first ceil(k/2) elements joined to a high mask over the rest,
+and its margin is delta + high[h] + low[l].  The best subset for each high
+mask joins it to the smallest low sum, so one pass over the high table
+finds the minimum; only the two excluded corners (the empty set, and the
+full set unless it counts) need the low minimum again over a shortened
+range.  Time and memory per scan are O(2^(k/2)), and every subset is still
+accounted for exactly.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import EnumerationBudgetError
+
 BACKEND: str = "python"
 
-_SPLIT_BITS = 16
+#: Widest element set scanned: its half tables hold 2^20 float64 entries
+#: (8 MiB) each, so a raised subset budget fails before it allocates.
+MAX_WIDTH = 40
+
+#: Subset sums of up to this many values come from one cached 0/1 table.
+_TABLE_BITS = 8
 
 
-_buffers = threading.local()
+@lru_cache(maxsize=_TABLE_BITS + 1)
+def _bit_table(k: int) -> np.ndarray:
+    """(2^k, k) float64 table whose row ``mask`` holds the bits of mask,
+    shared by every caller and so read-only."""
+    masks = np.arange(1 << k)
+    table = (masks[:, None] >> np.arange(k) & 1).astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
-def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two float64 scratch tables, each at least ``size`` long.
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """out[mask] = sum of values[i] over the set bits of mask.
 
-    They are kept between calls: freshly allocated 512 KB arrays are
-    returned to the system and faulted in again on every scan.
+    Up to ``_TABLE_BITS`` values this is one product with a cached bit
+    table; wider sets are the outer sum of their two halves' tables.
     """
-    pair = getattr(_buffers, "pair", None)
-    if pair is None or pair[0].shape[0] < size:
-        pair = _buffers.pair = (np.empty(size), np.empty(size))
-    return pair[0][:size], pair[1][:size]
-
-
-def _subset_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[mask] = sum of values[i] over the set bits of mask, in place."""
-    out[0] = 0.0
-    width = 1
-    for v in values:
-        np.add(out[:width], v, out=out[width:2 * width])
-        width *= 2
-    return out
+    k = values.shape[0]
+    if k <= _TABLE_BITS:
+        return _bit_table(k) @ values
+    low = (k + 1) // 2
+    return (_subset_sums(values[low:])[:, None]
+            + _subset_sums(values[:low])).ravel()
 
 
 def subset_scan(p_a, p_b, e_eps: float, delta: float,
@@ -54,7 +65,7 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
     Scans every nonempty subset A of the elements (the full set too when
     ``include_full``), evaluating  e_eps * P_b(A) + delta - P_a(A), and
     returns ``(min_margin, witness_mask, n_checks)``.  Ties keep the first
-    witness in scan order.
+    witness in integer mask order.
     """
     p_a = np.ascontiguousarray(p_a, dtype=np.float64)
     p_b = np.ascontiguousarray(p_b, dtype=np.float64)
@@ -62,46 +73,31 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
     k = p_a.shape[0]
     if p_b.shape[0] != k:
         raise ValueError("probability vectors differ in length")
+    if k > MAX_WIDTH:
+        raise EnumerationBudgetError(
+            f"scanning the subsets of {k} elements exceeds the kernel's "
+            f"limit of {MAX_WIDTH}", k)
     n_checks = (1 << k) - 1 - (0 if include_full else 1)
     if n_checks <= 0:
         return float("inf"), 0, max(n_checks, 0)
 
-    low = min(k, _SPLIT_BITS)
-    high = k - low
-    ca, c = _tables(1 << low)
-    _subset_sums(p_a[:low], ca)
-    _subset_sums(p_b[:low], c)
-    np.multiply(c, e_eps, out=c)
-    np.subtract(c, ca, out=c)           # c = e_eps * cb - ca
-    full_high = (1 << high) - 1
-
-    # Minima of the low-half offsets under each exclusion, computed on
-    # first use: the empty low set is excluded with h = 0, the full one
-    # with h = full_high unless the full set counts.
-    minima = {}
-
-    def _argmin(lo, hi):
-        if (lo, hi) not in minima:
-            j = int(np.argmin(c[lo:hi])) + lo
-            minima[lo, hi] = j, float(c[j])
-        return minima[lo, hi]
-
-    size = c.shape[0]
-    best = np.inf
-    best_mask = 0
-    for h in range(full_high + 1):
-        sa = sb = 0.0
-        for bit in range(high):
-            if h >> bit & 1:
-                sa += p_a[low + bit]
-                sb += p_b[low + bit]
+    terms = e_eps * p_b - p_a
+    half = (k + 1) // 2
+    low = _subset_sums(terms[:half])
+    high = _subset_sums(terms[half:])
+    j = int(np.argmin(low))
+    best = high + low[j]                # best[h]: mask (h << half) | j
+    # The corners drop the empty low set from h = 0 and, unless the full
+    # set counts, the full low set from the top h; k >= 2 here unless
+    # include_full, so the two corners are distinct rows.
+    top = high.shape[0] - 1
+    corners = {}
+    for h in {0, top}:
         lo = 1 if h == 0 else 0
-        hi = size - 1 if not include_full and h == full_high else size
-        if hi <= lo:
-            continue
-        j, cmin = _argmin(lo, hi)
-        margin = delta + (e_eps * sb - sa) + cmin
-        if margin < best:
-            best = margin
-            best_mask = (h << low) | j
-    return float(best), int(best_mask), n_checks
+        hi = low.shape[0] - (h == top and not include_full)
+        if not lo <= j < hi:
+            corners[h] = int(np.argmin(low[lo:hi])) + lo
+            best[h] = high[h] + low[corners[h]]
+    h = int(np.argmin(best))
+    return (float(delta + best[h]), (h << half) | corners.get(h, j),
+            n_checks)

@@ -11,7 +11,11 @@ output set A, the empty set included.  It is at most delta, and when no
 set goes below delta the report has no binding pair or set.
 
 ``verify_bruteforce`` checks the inequality on every nonempty proper subset
-of the space and is the ground-truth oracle.  ``verify_reduced`` uses
+of the space and is the ground-truth oracle.  Its subset scan
+(:func:`dpcat.kernels.subset_scan`, one call per pair) splits the space
+into balanced halves and meets in the middle, so a pair over k states
+costs O(2^(k/2)) time and memory while every subset is still accounted
+for.  ``verify_reduced`` uses
 sufficient sets: per pair, only the set S of outputs strictly more likely
 under d than under d' can matter.
 
@@ -56,6 +60,7 @@ from .core import (
     DatabaseSet,
     NeighborPair,
     check_enum_budget,
+    count_text,
     database_from_index,
     database_index,
     index_digits,
@@ -172,6 +177,13 @@ class VerificationReport:
     tolerance: float = TOLERANCE
     exact: bool = False
     trivial: bool = False
+    checks_form: str | None = None     # checks_performed as an expression
+
+    @property
+    def checks_text(self) -> str:
+        """``checks_performed`` as exact text of bounded length: the
+        decimal, or ``checks_form`` above ``COUNT_DIGIT_CAP`` digits."""
+        return count_text(self.checks_performed, self.checks_form)
 
     @property
     def private(self) -> bool:
@@ -198,7 +210,7 @@ class VerificationReport:
             "margin": None if math.isinf(self.margin) else self.margin,
             "binding_pair": pair,
             "binding_set": members,
-            "checks_performed": str(self.checks_performed),
+            "checks_performed": self.checks_text,
             # checks_naive is naive_check_count(space, n) on every report
             "checks_naive": naive_check_count_text(self.space, self.n),
             "tolerance": self.tolerance,
@@ -401,6 +413,7 @@ class _Accumulator:
                                               if exact else None)
         self.binding = None           # (ia, ib, row, member_indices)
         self.checks = 0
+        self.checks_form: str | None = None
 
     def add(self, margin, binding, checks: int) -> None:
         self.checks += checks
@@ -467,6 +480,7 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
         spread = step
     symmetric = product.matrix.is_symmetric()
     checks = 0
+    terms = Counter()           # exponent e -> pairs scanning 2^e - 1 subsets
     best, binding = delta, None
     for u in range(k):
         for v in range(k):
@@ -482,8 +496,8 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                         f"sufficient set holds {size} databases; enumerating "
                         f"its subsets exceeds the budget of {budget_subsets}",
                         size)
-                checks += sum(count * (2 ** (s1 * product_z) - 1)
-                              for product_z, count in spread.items())
+                for product_z, count in spread.items():
+                    terms[s1 * product_z] += count
             cells = [c for c in range(k) if worst[u][v][c]]
             if cells:
                 a = sum(weights[u][c] for c in cells)
@@ -493,7 +507,15 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                     best, binding = margin, (u, v, cells)
 
     acc = _Accumulator(params, exact)
-    acc.checks = n * checks
+    acc.checks = n * (checks + sum(count * (2 ** e - 1)
+                                   for e, count in terms.items()))
+    if terms:
+        # past COUNT_DIGIT_CAP digits the count prints as these terms; a
+        # symmetric parent's n*pairs*(m+1)^(n-1) would reach the cap only
+        # where the naive count, over 2^((m+1)^n), cannot be computed
+        sums = "+".join(f"{count}*(2^{e}-1)"
+                        for e, count in sorted(terms.items()))
+        acc.checks_form = f"{n}*({sums})"
     if binding is not None:
         # the first canonical pair: other rows at the lowest category with
         # the largest row sum, and u in the first row unless that puts a
@@ -533,6 +555,7 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
         binding_set=bset,
         checks_performed=acc.checks,
         checks_naive=naive_check_count(spec.space, spec.n),
+        checks_form=acc.checks_form,
         space=spec.space,
         n=spec.n,
         tolerance=0.0 if exact else tolerance,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,13 @@ def run_fresh(*args):
         filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def evaluate_count(text):
+    """The int an exact count text stands for: a decimal or a product form
+    such as ``"10*(3*(2^9-1)+2*(2^18-1))"``."""
+    assert re.fullmatch(r"[0-9*+()^-]+", text)
+    return eval(text.replace("^", "**"), {"__builtins__": {}})
 
 
 def expand_cylinder(cylinder, space, n):
@@ -202,6 +210,31 @@ class TestVerify:
         # the binding set, 3^8 * |S1| databases, prints as one cylinder
         assert set(report["binding_set"]) == {"row", "categories", "size"}
         assert len(out) < 2048
+
+    def test_huge_reduced_count_prints_from_its_terms(self, workdir,
+                                                      capsys):
+        # L1 m=2 n=10 under a raised subset budget: checks_performed has
+        # 11,856 digits and prints as n*(c1*(2^e1-1)+...); bench's brute
+        # force at 3^10 states is past the kernel's width and is skipped
+        spec = workdir / "l1_n10.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = cats.txt\nn = 10\n")
+        budget = ("--budget-subsets", "100000")
+        report = verify_reduced(load_spec_file(spec), PrivacyParams(1.0, 0.0),
+                                budget_subsets=100_000)
+        code, out, _ = run(capsys, "verify", "--spec", spec, "--epsilon", "1",
+                           "--method", "reduced", *budget)
+        assert code in (0, 1)
+        text = json.loads(out)["checks_performed"]
+        assert text == "10*(78732*(2^19683-1)+39366*(2^39366-1))"
+        assert evaluate_count(text) == report.checks_performed
+        code, out, _ = run(capsys, "bench", "--mechanism", "l1",
+                           "--m-list", "2", "--n-list", "10",
+                           "--epsilon", "1", *budget)
+        assert code in (0, 1)
+        (row,) = json.loads(out)
+        assert evaluate_count(row["checks_reduced"]) == report.checks_performed
+        assert row["brute_skipped"] and "40" in row["brute_reason"]
 
     def test_cylinder_binding_set_expands_to_the_report_set(self, workdir,
                                                            capsys):

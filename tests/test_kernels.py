@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpcat import kernels
+from dpcat.errors import EnumerationBudgetError
 
 import _oracles
 
@@ -56,11 +57,82 @@ def test_zero_probabilities():
     assert margin == pytest.approx(expect, abs=1e-15)
 
 
-def test_wide_scan_accuracy():
-    # 2^18 subsets: accumulated rounding must stay far below the verifier's
-    # 1e-12 margin tolerance
+def _first_minimum_units(a_units, b_units, delta_units, include_full):
+    """(margin, mask) of the first minimising mask in integer order, in
+    units of 1/64 with e^eps = 2, by literal integer enumeration."""
+    k = len(a_units)
+    terms = [2 * b - a for a, b in zip(a_units, b_units)]
+    best = None
+    for mask in range(1, 1 << k):
+        if mask == (1 << k) - 1 and not include_full:
+            continue
+        margin = delta_units + sum(t for i, t in enumerate(terms)
+                                   if mask >> i & 1)
+        if best is None or margin < best[0]:
+            best = (margin, mask)
+    return best
+
+
+def _dyadic_case(rng, k, kind):
+    """Integer numerators over 64 of p_a and p_b for one term pattern."""
+    a = rng.integers(0, 9, k)
+    if kind == "negative":           # 2 * b < a: every term below zero
+        a = np.maximum(a, 1)
+        b = rng.integers(0, (a + 1) // 2)
+    elif kind == "positive":         # 2 * b > a: every term above zero
+        b = a // 2 + rng.integers(1, 4, k)
+    elif kind == "zeros":            # terms 0 or 1/64, some entries zero
+        b = rng.integers(0, 5, k)
+        a = 2 * b - rng.integers(0, 2, k) * (b > 0)
+    else:
+        b = rng.integers(0, 9, k)
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["mixed", "negative", "positive", "zeros"])
+@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_dyadic_ties_and_corners(k, include_full, kind):
+    # multiples of 1/64 with e^eps = 2: every subset sum is exact in float,
+    # so the margin and the first minimising mask must match exactly
+    if k == 1 and not include_full:
+        return
+    rng = np.random.default_rng(k)
+    a, b = _dyadic_case(rng, k, kind)
+    delta_units = 1
+    margin, mask, checks = kernels.subset_scan(a / 64, b / 64, 2.0,
+                                               delta_units / 64,
+                                               include_full)
+    expect, expect_mask = _first_minimum_units(a.tolist(), b.tolist(),
+                                               delta_units, include_full)
+    assert checks == 2 ** k - (1 if include_full else 2)
+    assert margin == expect / 64
+    assert mask == expect_mask
+
+
+@pytest.mark.parametrize("include_full", [False, True])
+def test_both_excluded_corners_bind(include_full):
+    # all terms positive: the best set is the smallest single element, not
+    # the empty set; all negative: the full set, or all but the largest
+    # term (element 0) when the full set is excluded
+    for k in (2, 3, 8, 9):
+        a = np.arange(1, k + 1, dtype=float) / 64
+        margin, mask, _ = kernels.subset_scan(a, a, 2.0, 0.0, include_full)
+        assert (margin, mask) == (1 / 64, 1)
+        margin, mask, _ = kernels.subset_scan(a, np.zeros(k), 2.0, 0.0,
+                                              include_full)
+        full = (1 << k) - 1
+        if include_full:
+            assert (margin, mask) == (-a.sum(), full)
+        else:
+            assert (margin, mask) == (-a[1:].sum(), full - 1)
+
+
+@pytest.mark.parametrize("k", [18, 24, 28])
+def test_wide_scan_accuracy(k):
+    # up to 2^28 subsets: accumulated rounding must stay far below the
+    # verifier's 1e-12 margin tolerance
     rng = np.random.default_rng(3)
-    k = 18
     p_a = _random_probs(rng, k)
     p_b = _random_probs(rng, k)
     e_eps = 1.25
@@ -72,16 +144,16 @@ def test_wide_scan_accuracy():
     assert margin == pytest.approx(exact, abs=5e-14)
     # analytic minimum: sum of the negative per-element terms
     terms = e_eps * p_b - p_a
-    analytic = terms[terms < 0].sum()
+    analytic = math.fsum(terms[terms < 0])
     assert margin == pytest.approx(analytic, abs=5e-14)
 
 
-@pytest.mark.parametrize("k", [16, 17])
+@pytest.mark.parametrize("k", [2, 3, 15, 16, 24, 25])
 @pytest.mark.parametrize("include_full", [False, True])
 def test_all_negative_terms_across_the_split(k, include_full):
     # every term e^eps * p_b - p_a is negative, so the minimum takes the
     # full set, or, when the full set is excluded, all but the largest term;
-    # k = 17 puts one element in the high half of the split scan
+    # odd k gives the low half one element more than the high half
     rng = np.random.default_rng(11)
     p_a = _random_probs(rng, k)
     p_b = 0.1 * _random_probs(rng, k) * p_a
@@ -98,3 +170,10 @@ def test_all_negative_terms_across_the_split(k, include_full):
     idx = [i for i in range(k) if mask >> i & 1]
     direct = e_eps * math.fsum(p_b[idx]) + delta - math.fsum(p_a[idx])
     assert direct == pytest.approx(margin, abs=1e-13)
+
+
+def test_width_limit_fails_before_allocating():
+    k = kernels.MAX_WIDTH + 1
+    with pytest.raises(EnumerationBudgetError) as info:
+        kernels.subset_scan(np.zeros(k), np.zeros(k), 1.0, 0.0)
+    assert info.value.count == k

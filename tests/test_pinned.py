@@ -17,8 +17,10 @@ import pytest
 
 import dpcat.analysis
 import dpcat.cli
+import dpcat.kernels
 from dpcat import PrivacyParams, sample_feasible_matrices
 from dpcat.cli import main
+from dpcat.specfile import load_spec_file
 
 
 def _write_csv(path, records):
@@ -185,6 +187,19 @@ def test_traced_entry_points_are_called_through_their_modules(
                      "--epsilon", "1", "--method", method]) == 0
         assert len(verify.calls) == 1, name
     assert len(spec_loads.calls) == 3
+
+    # brute force scans each ordered pair once through the kernel module,
+    # pmf rows first: the tracer reads the scan width from args[0]
+    scans = _Counting(dpcat.kernels.subset_scan)
+    monkeypatch.setattr(dpcat.kernels, "subset_scan", scans)
+    assert main(["verify", "--spec", str(golden_dir / "hamming.spec"),
+                 "--epsilon", "1", "--method", "brute"]) == 0
+    spec = load_spec_file(golden_dir / "hamming.spec")
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    assert len(scans.calls) == len(pairs)
+    for (args, _), (a, b) in zip(scans.calls, pairs):
+        np.testing.assert_array_equal(args[0], spec.pmf_row(a))
+        np.testing.assert_array_equal(args[1], spec.pmf_row(b))
 
     rng = _CountingRng(5)
     mats = sample_feasible_matrices(2, PrivacyParams(1.0, 0.0), 500, rng,
