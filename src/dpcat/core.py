@@ -10,6 +10,7 @@ base-``(m + 1)`` lexicographic with row 0 as the most significant digit.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -303,10 +304,39 @@ def digit_matrix(space: CategorySpace, n: int,
     return index_digits(space, n, np.arange(size))
 
 
+def _read_bytes(path) -> bytes:
+    """The bytes of an input file.  A directory is a DataFormatError naming
+    it; a missing file raises FileNotFoundError, an input error as well."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except IsADirectoryError:
+        raise DataFormatError(f"{path}: is a directory, not a file") from None
+
+
+def _utf8(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 input file, line ends untranslated.  Anything
+    else is a DataFormatError naming the path and the first bad byte."""
+    return _utf8(_read_bytes(path), path)
+
+
+def read_csv(path):
+    """``csv.reader`` over the records of a UTF-8 input file."""
+    return csv.reader(io.StringIO(read_text(path), newline=""))
+
+
 def load_category_space(path) -> CategorySpace:
     """Read a category space from a text file, one label per line."""
-    with open(path, encoding="utf-8") as fh:
-        labels = [line.strip() for line in fh]
+    labels = [line.strip() for line in io.StringIO(read_text(path),
+                                                   newline=None)]
     labels = [lab for lab in labels if lab]
     if not labels:
         raise DataFormatError(f"{path}: no category labels found")
@@ -318,31 +348,58 @@ def load_database_csv(path, space: CategorySpace,
     """Read a database from a CSV of category labels.
 
     Without ``column`` the file is headerless and the first column is used;
-    with ``column`` the first row is a header and that column is selected.
-    Labels are looked up in a dict and collected into one int64 array.
+    with ``column`` the first record is a header and that column is
+    selected.  Fields are stripped and blank lines skipped.  A file with no
+    ``"`` byte has one record per line, so it is parsed as one byte array:
+    each selected field is compared, byte for byte, with every label, and
+    only fields that match none are decoded, stripped and looked up.  A
+    file that quotes goes through ``csv.reader``.  Either way the labels
+    become one int64 array of category indices.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        col = 0
-        if column is not None:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: empty data file") from None
-            try:
-                col = header.index(column)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: no column named {column!r} in header {header}"
-                    ) from None
-        lookup = {label: i for i, label in enumerate(space.labels)}
-        records = enumerate(reader, start=2 if column else 1)
-        rows = np.fromiter(
-            _label_indices(records, lookup, col, path, column),
-            dtype=np.int64)
+    data = _read_bytes(path)
+    text = _utf8(data, path)    # both paths reject a file that is not UTF-8
+    if b'"' in data:
+        rows = _csv_label_indices(text, space, column, path)
+    else:
+        rows = _array_label_indices(data, space, column, path)
     if not rows.size:
         raise DataFormatError(f"{path}: no data rows found")
     return Database.from_array(rows)
+
+
+def _column_index(header: list[str], column: str, path) -> int:
+    try:
+        return header.index(column)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}: no column named {column!r} in header {header}"
+            ) from None
+
+
+def _short_row(path, lineno: int, column) -> DataFormatError:
+    return DataFormatError(
+        f"{path}: row {lineno}: no value in column {column!r}")
+
+
+def _unknown_label(path, lineno: int, label: str) -> DataFormatError:
+    return DataFormatError(
+        f"{path}: row {lineno}: unknown category label {label!r}")
+
+
+def _csv_label_indices(text: str, space: CategorySpace, column,
+                       path) -> np.ndarray:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    col = 0
+    if column is not None:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty data file") from None
+        col = _column_index(header, column, path)
+    lookup = {label: i for i, label in enumerate(space.labels)}
+    records = enumerate(reader, start=1 if column is None else 2)
+    return np.fromiter(_label_indices(records, lookup, col, path, column),
+                       dtype=np.int64)
 
 
 def _label_indices(records, lookup: dict, col: int, path, column):
@@ -352,10 +409,71 @@ def _label_indices(records, lookup: dict, col: int, path, column):
         try:
             yield lookup[record[col].strip()]
         except IndexError:
-            raise DataFormatError(
-                f"{path}: row {lineno}: no value in column {column!r}"
-                ) from None
+            raise _short_row(path, lineno, column) from None
         except KeyError:
-            raise DataFormatError(
-                f"{path}: row {lineno}: unknown category label "
-                f"{record[col].strip()!r}") from None
+            raise _unknown_label(path, lineno, record[col].strip()) from None
+
+
+def _array_label_indices(data: bytes, space: CategorySpace, column,
+                         path) -> np.ndarray:
+    """Label indices of a quote-free CSV, in which each line is a record."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    u = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(u == ord("\n"))
+    if u.size and u[-1] != ord("\n"):
+        ends = np.append(ends, u.size)
+    starts = np.concatenate(([0], ends + 1))[:ends.size]
+    col = 0
+    if column is not None:
+        if not ends.size:
+            raise DataFormatError(f"{path}: empty data file")
+        first = data[:ends[0]].decode("utf-8")
+        col = _column_index(first.split(",") if first else [], column, path)
+        starts, ends = starts[1:], ends[1:]
+
+    # field col of a line lies between its col-th and (col+1)-th comma;
+    # the sentinel past the end closes lines with fewer commas
+    commas = np.append(np.flatnonzero(u == ord(",")), u.size)
+    first_comma = np.searchsorted(commas, starts)
+    hi = np.minimum(commas.take(first_comma + col, mode="clip"), ends)
+    nonblank = ends > starts
+    if col:
+        before = commas.take(first_comma + col - 1, mode="clip")
+        has_field, lo = before < ends, before + 1
+    else:
+        has_field, lo = nonblank, starts
+    lengths = np.where(has_field, hi - lo, -1)
+
+    rows = np.full(ends.size, -1, dtype=np.int64)
+    by_length: dict[int, list[tuple[int, bytes]]] = {}
+    for i, label in enumerate(space.labels):
+        if label == label.strip():      # fields are stripped before lookup
+            encoded = label.encode("utf-8")
+            by_length.setdefault(len(encoded), []).append((i, encoded))
+    for size, group in by_length.items():
+        sel = np.flatnonzero(lengths == size)
+        at = lo[sel]
+        fields = np.empty((size, sel.size), dtype=np.uint8)  # byte j: row j
+        for j in range(size):
+            fields[j] = u[at + j]
+        found = np.zeros(sel.size, dtype=np.int64)    # 1 + index, 0: none
+        for i, encoded in group:
+            label = np.frombuffer(encoded, dtype=np.uint8)[:, None]
+            found += (i + 1) * (fields == label).all(axis=0)
+        rows[sel] = found - 1
+
+    # padded fields, unknown labels and short rows: row by row, as csv does
+    unmatched = np.flatnonzero(nonblank & (rows < 0))
+    if unmatched.size:
+        lookup = {label: i for i, label in enumerate(space.labels)}
+        offset = 1 if column is None else 2
+        for r in unmatched.tolist():
+            if not has_field[r]:
+                raise _short_row(path, r + offset, column)
+            field = data[lo[r]:hi[r]].decode("utf-8").strip()
+            try:
+                rows[r] = lookup[field]
+            except KeyError:
+                raise _unknown_label(path, r + offset, field) from None
+    return rows[nonblank]

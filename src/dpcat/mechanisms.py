@@ -21,6 +21,7 @@ threads; sampling needs a caller-owned random generator.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .core import (
     database_index,
     digit_matrix,
     hamming_distance,
+    read_csv,
     space_size,
     validate_database,
 )
@@ -199,9 +201,14 @@ class _Spec:
             raise ParameterRangeError("row count must be at least 1")
         self.space = space
         self.n = n
-        self.state_count = space_size(space, n)
         self._digits: np.ndarray | None = None
         self._log_rows: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def state_count(self) -> int:
+        """(m + 1) ** n, computed on first use: sampling never needs it,
+        and at millions of rows the big int alone takes seconds."""
+        return space_size(self.space, self.n)
 
     def _digit_table(self, budget: int) -> np.ndarray:
         """(size, n) row values of every database, in canonical order.
@@ -367,16 +374,15 @@ class SolutionMatrix:
     @classmethod
     def from_csv(cls, path, exact: bool = False) -> "SolutionMatrix":
         rows, fracs = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for record in csv.reader(fh):
-                if not record:
-                    continue
-                try:
-                    rows.append([float(x) for x in record])
-                    if exact:
-                        fracs.append([Fraction(x.strip()) for x in record])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DataFormatError(f"{path}: bad matrix entry: {exc}")
+        for record in read_csv(path):
+            if not record:
+                continue
+            try:
+                rows.append([float(x) for x in record])
+                if exact:
+                    fracs.append([Fraction(x.strip()) for x in record])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DataFormatError(f"{path}: bad matrix entry: {exc}")
         if not rows:
             raise DataFormatError(f"{path}: empty matrix file")
         return cls(np.asarray(rows), fractions=fracs if exact else None)

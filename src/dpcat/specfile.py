@@ -17,13 +17,12 @@ directory.  ``k = inf`` is the no-noise endpoint.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import load_category_space, space_size
+from .core import load_category_space, read_csv, read_text, space_size
 from .errors import DataFormatError
 from .mechanisms import (
     ExponentialSpec,
@@ -77,13 +76,12 @@ def _parse_float(value: str, key: str, origin) -> float:
 
 def load_table_csv(path, size: int) -> np.ndarray:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
-            if record:
-                try:
-                    rows.append([float(x) for x in record])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: bad table entry: {exc}")
+    for record in read_csv(path):
+        if record:
+            try:
+                rows.append([float(x) for x in record])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: bad table entry: {exc}")
     table = np.asarray(rows, dtype=np.float64)
     if table.shape != (size, size):
         raise DataFormatError(
@@ -99,7 +97,7 @@ def load_spec_file(path, *, exact: bool = False):
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise DataFormatError(f"cannot read spec file: {exc}") from None
     kv = parse_kv(text, origin=str(path))

@@ -5,6 +5,7 @@ itertools over subsets.  None of it shares code with the package paths it
 checks.
 """
 
+import csv
 import itertools
 import math
 
@@ -107,3 +108,38 @@ def matrix_margin_literal(matrix, e_eps, delta):
                                         include_full=True)
         best = min(best, margin)
     return best
+
+
+def load_csv_labels_literal(path, labels, column=None):
+    """Category indices of a data CSV by the row-by-row ``csv.reader``
+    loop: (indices, None), or (None, the DataFormatError text)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lineno = 0
+        if column is not None:
+            header = next(reader, None)
+            if header is None:
+                return None, f"{path}: empty data file"
+            if column not in header:
+                return None, (f"{path}: no column named {column!r} "
+                              f"in header {header}")
+            col = header.index(column)
+            lineno = 1
+        else:
+            col = 0
+        out = []
+        for record in reader:
+            lineno += 1
+            if not record:
+                continue
+            if col >= len(record):
+                return None, (f"{path}: row {lineno}: no value in column "
+                              f"{column!r}")
+            value = record[col].strip()
+            if value not in labels:
+                return None, (f"{path}: row {lineno}: unknown category "
+                              f"label {value!r}")
+            out.append(labels.index(value))
+    if not out:
+        return None, f"{path}: no data rows found"
+    return out, None

@@ -275,6 +275,57 @@ class TestVerify:
         assert "RuntimeError: injected failure" in err
 
 
+class TestUnreadableInputs:
+    """An input file that is not UTF-8 text, or a directory in its place,
+    is an input error (exit 2) naming the path, not an internal error."""
+
+    #: each kind of input file: the argv that reads it, and its name
+    CASES = {
+        "data": (("sanitize", "--spec", "hobby.spec", "--data", "bad.csv",
+                  "--seed", "1"), "bad.csv"),
+        "categories": (("analyze", "--spec", "cats.spec", "--epsilon", "1"),
+                       "bad.txt"),
+        "spec": (("verify", "--spec", "bad.spec", "--epsilon", "1"),
+                 "bad.spec"),
+        "matrix": (("verify", "--spec", "matrix.spec", "--epsilon", "1"),
+                   "bad.csv"),
+        "table": (("verify", "--spec", "table.spec", "--epsilon", "1"),
+                  "bad.csv"),
+    }
+
+    def run_case(self, capsys, workdir, kind, make_bad):
+        (workdir / "cats.spec").write_text(
+            "type = product\np = 0.1\ncategories = bad.txt\nn = 2\n")
+        (workdir / "matrix.spec").write_text(
+            "type = product\nmatrix = bad.csv\ncategories = cats.txt\n"
+            "n = 1\n")
+        (workdir / "table.spec").write_text(
+            "type = exponential\nutility = table\ntable = bad.csv\n"
+            "categories = cats.txt\nn = 1\n")
+        argv, name = self.CASES[kind]
+        make_bad(workdir / name)
+        code, out, err = run(capsys, *(workdir / a if "." in a else a
+                                       for a in argv))
+        assert (code, out) == (2, "")
+        return workdir / name, err
+
+    @pytest.mark.parametrize("quote", ["", '"Sports"\n'])
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_invalid_utf8_exits_2(self, workdir, capsys, kind, quote):
+        bad = f"Sports\n{quote}".encode()
+        path, err = self.run_case(
+            capsys, workdir, kind,
+            lambda path: path.write_bytes(bad + b"\xff\xfe\n"))
+        assert err == f"error: {path}: not valid UTF-8 at byte {len(bad)}\n"
+
+    @pytest.mark.parametrize("kind", ["data", "categories", "spec"])
+    def test_directory_exits_2(self, workdir, capsys, kind):
+        path, err = self.run_case(capsys, workdir, kind,
+                                  lambda path: path.mkdir())
+        assert str(path) in err and "directory" in err
+        assert "Traceback" not in err
+
+
 class TestEpsilonRange:
     """e^epsilon must be a finite float; larger values are input errors."""
 

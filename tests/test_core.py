@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from dpcat import (
     naive_check_count_text,
     neighbor_pair_count,
 )
+import dpcat.core
 from dpcat.core import COUNT_DIGIT_CAP
 from conftest import make_space
 
@@ -275,3 +278,128 @@ class TestLoaders:
         path.write_text("id,colour\n1,red\n")
         with pytest.raises(DataFormatError, match="shade"):
             load_database_csv(path, space, column="shade")
+
+
+#: (file text, labels, column) for the differential loader test
+LOADER_CASES = [
+    ("c0\r\nc1\r\nc2\r\n", ("c0", "c1", "c2"), None),
+    ("c0\rc1\rc2", ("c0", "c1", "c2"), None),
+    ("c0\nc1", ("c0", "c1"), None),
+    ("c0\r\r\nc1\n\r", ("c0", "c1"), None),
+    ("c0\n\n\nc1\n\n", ("c0", "c1"), None),
+    ("c0\n  \nc1\n", ("c0", "c1"), None),
+    ("c0\n \t\n", ("c0", "", "c1"), None),
+    (" c0 ,x\n\tc1\t\nc1  \n", ("c0", "c1"), None),
+    ("c0\x00\nc1\n", ("c0", "c1"), None),
+    ("c0,\x00\n\x00\n", ("c0", "\x00"), None),
+    ("grün\ncafé\n grün\n", ("café", "grün"), None),
+    ("日本\n日\n", ("日", "日本"), None),
+    ("c2\n c0\n", (" c0", "c1 ", "c2"), None),
+    ("c1\nc1 \n", (" c0", "c1 ", "c1"), None),
+    ("c0,x,y\nc1\n,c0\n", ("c0", "c1"), None),
+    (",\n", ("", "c1"), None),
+    ("id,colour\n1,c0\n2\n", ("c0", "c1"), "colour"),
+    ("id,colour,note\n1,c0,x\n2,c1\n,,\n", ("c0", "c1"), "colour"),
+    ("id,colour,note\n1,c0,x\n,,\n", ("c0", "c1", ""), "note"),
+    ("id,colour\r\n1,c1\r\n\r\n2, c0 \r\n", ("c0", "c1"), "colour"),
+    ("c0\nc9\n", ("c0", "c1"), None),
+    ("id,colour\n", ("c0", "c1"), "colour"),
+    ("id,colour", ("c0", "c1"), "colour"),
+    ("", ("c0", "c1"), None),
+    ("", ("c0", "c1"), "colour"),
+    ("\n\n", ("c0", "c1"), None),
+    ("\nc0\n", ("c0", "c1"), "colour"),
+    ("\nc0\n", ("c0", "c1"), ""),
+    (",colour\nc0,c1\nc1\n", ("c0", "c1"), ""),
+    ("id,id\n1,c0\n", ("c0", "c1"), "id"),
+    ('id,colour\n1,"red, dark"\n2,"c\n1"\n3,c1\n',
+     ("red, dark", "c\n1", "c1"), "colour"),
+    ('"c0"\r\n c1\r\n"c2\r\n', ("c0", "c1", "c2"), None),
+    ('c0\n"c0" \nc1"\n', ("c0", "c1"), None),
+]
+
+
+def _loader_cases(seed: int, count: int):
+    """Random small files: lines of 1-3 fields, mostly labels, some padded,
+    some noise, mixed line ends; one in twenty quotes."""
+    rnd = random.Random(seed)
+    pool = ("c0", "c1", "c2", "grün", "日本", "", " c0", "x y")
+    noise = ("zz", "\x00", "", " ", "c0\x00", "é")
+    for _ in range(count):
+        labels = tuple(rnd.sample(pool, rnd.randint(2, 4)))
+        column = rnd.choice((None, None, "colour", "note", ""))
+        lines = ["id,colour,note"] if column and rnd.random() < 0.8 else []
+        for _ in range(rnd.randint(0, 12)):
+            if rnd.random() < 0.1:
+                lines.append(rnd.choice(("", " ", "\t")))
+                continue
+            fields = []
+            for _ in range(rnd.randint(1, 3)):
+                field = rnd.choice(noise if rnd.random() < 0.04 else labels)
+                if rnd.random() < 0.15:
+                    field = rnd.choice((" ", "\t")) + field + " "
+                fields.append(field)
+            lines.append(",".join(fields))
+        ends = [rnd.choice(("\n", "\n", "\r\n", "\r")) for _ in lines]
+        if ends and rnd.random() < 0.3:
+            ends[-1] = ""
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if rnd.random() < 0.05:
+            text = text.replace(",", '","', 1)
+        yield text, labels, column
+
+
+@pytest.fixture
+def csv_calls(monkeypatch):
+    """Arguments of each call to the loader's csv.reader path."""
+    calls = []
+    csv_path = dpcat.core._csv_label_indices
+
+    def counting(*args):
+        calls.append(args)
+        return csv_path(*args)
+
+    monkeypatch.setattr(dpcat.core, "_csv_label_indices", counting)
+    return calls
+
+
+def _check_against_csv_reader(tmp_path, csv_calls, text, labels, column):
+    """Load ``text`` and compare with the csv.reader loop; True when both
+    read rows."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    csv_calls.clear()
+    rows, error = _oracles.load_csv_labels_literal(path, labels, column)
+    if error is None:
+        d = load_database_csv(path, CategorySpace(labels), column)
+        assert list(d.rows) == rows
+        assert d.array.dtype == np.int64
+    else:
+        with pytest.raises(DataFormatError) as exc:
+            load_database_csv(path, CategorySpace(labels), column)
+        assert str(exc.value) == error
+    # only a file that quotes is read through csv.reader
+    assert len(csv_calls) == ('"' in text)
+    return error is None
+
+
+class TestLoaderDifferential:
+    """The loader against the row-by-row csv.reader loop: equal rows, or
+    the same DataFormatError text."""
+
+    @pytest.mark.parametrize("case", LOADER_CASES)
+    def test_cases_match_csv_reader(self, tmp_path, csv_calls, case):
+        _check_against_csv_reader(tmp_path, csv_calls, *case)
+
+    def test_seeded_files_match_csv_reader(self, tmp_path, csv_calls):
+        read = [_check_against_csv_reader(tmp_path, csv_calls, *case)
+                for case in _loader_cases(20261018, 1000)]
+        assert 200 <= sum(read) <= 800     # both outcomes well covered
+
+    @pytest.mark.parametrize("quote", ["", '"c1"\n'])
+    def test_invalid_utf8_names_path_and_byte(self, tmp_path, quote):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"c0\n" + quote.encode() + b"\xff\xfe\n")
+        with pytest.raises(DataFormatError,
+                           match=f"not valid UTF-8 at byte {3 + len(quote)}"):
+            load_database_csv(path, CategorySpace(("c0", "c1")))

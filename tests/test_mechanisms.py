@@ -32,6 +32,8 @@ from dpcat import (
 from conftest import make_space
 
 import _oracles
+import dpcat.core
+import dpcat.mechanisms
 
 
 class TestExponentialPmf:
@@ -375,6 +377,29 @@ class TestSampling:
         freq = counts[(0, 1)] / 4000
         sigma = math.sqrt(prob_self * (1 - prob_self) / 4000)
         assert abs(freq - prob_self) <= 4 * sigma
+
+    def test_state_count_is_not_built_to_sample(self, monkeypatch):
+        # (m + 1) ** n is a big int that sampling never reads
+        calls = []
+        space_size = dpcat.core.space_size
+
+        def counting(space, n):
+            calls.append(n)
+            return space_size(space, n)
+
+        for module in (dpcat.core, dpcat.mechanisms):
+            monkeypatch.setattr(module, "space_size", counting)
+        space = make_space(2)
+        big = ExponentialSpec(space, 10**7, HammingUtility(1.0))
+        assert ProductSpec(space, 10**7, symmetric_matrix(2, 0.1)).n == 10**7
+        # sampled at 10^6 rows: at 10^7 the row tuples alone take 0.5 GB
+        spec = big.with_n(10**6)
+        d = Database.from_array(np.arange(10**6) % 3)
+        assert sample(spec, d, np.random.default_rng(4)).n == 10**6
+        assert calls == []
+        small = big.with_n(3)
+        assert small.state_count == small.state_count == 27
+        assert calls == [3]
 
     def test_general_utility_budget(self):
         space = make_space(3)

@@ -39,6 +39,9 @@ def golden_dir(tmp_path_factory):
     (root / "pets.txt").write_text("\n".join(pets) + "\n")
     rows = rng.integers(0, 4, 100_000)
     (root / "pets.csv").write_text("".join(f"{pets[r]}\n" for r in rows))
+    # the same rows with CRLF line ends and no final newline
+    (root / "pets_crlf.csv").write_bytes(
+        (root / "pets.csv").read_bytes().replace(b"\n", b"\r\n")[:-2])
     (root / "hamming.spec").write_text(
         "type = exponential\nutility = hamming\nk = 0.9\n"
         "categories = pets.txt\nn = 1\n")
@@ -82,6 +85,10 @@ SANITIZE_DIGESTS = {
         "f9512f1afc14ff66ccc9aa7899cc1373f96ae9a2802b5368a03a1c96cf3aa97b",
     ("hamming.spec", "pets.csv", None, 7411):
         "65e3bc12c27c992adf8e4be6c82dc76c7b2195f1365037788309d01db8c37f0f",
+    ("hamming.spec", "pets_crlf.csv", None, 11):
+        "f9512f1afc14ff66ccc9aa7899cc1373f96ae9a2802b5368a03a1c96cf3aa97b",
+    ("hamming.spec", "pets_crlf.csv", None, 7411):
+        "65e3bc12c27c992adf8e4be6c82dc76c7b2195f1365037788309d01db8c37f0f",
     ("product.spec", "colours.csv", "colour", 11):
         "eb8342b201a153772d7992873050a40a92c6d7f157e617d31b217c0f3abec77d",
     ("product.spec", "colours.csv", "colour", 7411):
@@ -98,7 +105,8 @@ SANITIZE_DIGESTS = {
 
 
 @pytest.mark.parametrize("key", list(SANITIZE_DIGESTS),
-                         ids=lambda k: f"{k[0]}-seed{k[3]}")
+                         ids=lambda k: f"{k[0]}-seed{k[3]}"
+                         + ("-crlf" if "crlf" in k[1] else ""))
 def test_sanitize_output_is_pinned(golden_dir, tmp_path, key):
     spec, data, column, seed = key
     out = tmp_path / "out.csv"
