@@ -209,9 +209,13 @@ def check_enum_budget(space: CategorySpace, n: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> int:
     size = space_size(space, n)
     if size > budget:
+        power = f"{space.size}^{n}"
+        states = count_text(size, power)
+        if states != power:
+            states = f"{states} = {power}"
         raise EnumerationBudgetError(
-            f"database space holds {size} = {space.size}^{n} states, "
-            f"over the enumeration budget of {budget}", size)
+            f"database space holds {states} states, over the enumeration "
+            f"budget of {budget}", size)
     return size
 
 
@@ -328,9 +332,23 @@ def read_text(path) -> str:
     return _utf8(_read_bytes(path), path)
 
 
+def _csv_records(text: str, path):
+    """(number, record) for each CSV record of text, numbered from 1.  A
+    record csv rejects, such as one with a field over csv's size limit, is
+    a DataFormatError naming the path and the record."""
+    number = 0
+    try:
+        for number, record in enumerate(
+                csv.reader(io.StringIO(text, newline="")), start=1):
+            yield number, record
+    except csv.Error as exc:
+        raise DataFormatError(
+            f"{path}: record {number + 1}: {exc}") from None
+
+
 def read_csv(path):
-    """``csv.reader`` over the records of a UTF-8 input file."""
-    return csv.reader(io.StringIO(read_text(path), newline=""))
+    """The records of a UTF-8 CSV input file, as lists of fields."""
+    return (record for _, record in _csv_records(read_text(path), path))
 
 
 def load_category_space(path) -> CategorySpace:
@@ -381,23 +399,29 @@ def _short_row(path, lineno: int, column) -> DataFormatError:
         f"{path}: row {lineno}: no value in column {column!r}")
 
 
+#: Longest label an error message echoes in full.
+LABEL_ECHO_LIMIT = 80
+
+
 def _unknown_label(path, lineno: int, label: str) -> DataFormatError:
+    shown = repr(label[:LABEL_ECHO_LIMIT])
+    if len(label) > LABEL_ECHO_LIMIT:
+        shown += f"... ({len(label)} characters)"
     return DataFormatError(
-        f"{path}: row {lineno}: unknown category label {label!r}")
+        f"{path}: row {lineno}: unknown category label {shown}")
 
 
 def _csv_label_indices(text: str, space: CategorySpace, column,
                        path) -> np.ndarray:
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _csv_records(text, path)
     col = 0
     if column is not None:
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise DataFormatError(f"{path}: empty data file") from None
         col = _column_index(header, column, path)
     lookup = {label: i for i, label in enumerate(space.labels)}
-    records = enumerate(reader, start=1 if column is None else 2)
     return np.fromiter(_label_indices(records, lookup, col, path, column),
                        dtype=np.int64)
 

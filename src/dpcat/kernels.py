@@ -1,8 +1,9 @@
 """The subset-scan kernel, in NumPy.
 
 Evaluates the privacy margin  e^eps * P_b(A) + delta - P_a(A)  for every
-subset A of a small element set and returns the minimum.  The brute-force
-oracle and the general route on utility tables use it.
+subset A of a small element set and returns the minimum, in float or in
+exact rational arithmetic.  Only the brute-force oracle uses it: every
+reduced route finds its worst set without enumerating subsets.
 
 The margin is delta plus a sum over the members of A of the terms
 t = e^eps * p_b - p_a, so the subset lattice factors into two halves (a
@@ -13,11 +14,13 @@ mask joins it to the smallest low sum, so one pass over the high table
 finds the minimum; only the two excluded corners (the empty set, and the
 full set unless it counts) need the low minimum again over a shortened
 range.  Time and memory per scan are O(2^(k/2)), and every subset is still
-accounted for exactly.
+accounted for exactly.  Exact scans build the same two tables over
+``Fraction`` objects.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -58,20 +61,28 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
             + _subset_sums(values[:low])).ravel()
 
 
-def subset_scan(p_a, p_b, e_eps: float, delta: float,
-                include_full: bool = False) -> tuple[float, int, int]:
+def _exact_subset_sums(values: np.ndarray) -> np.ndarray:
+    """out[mask] = sum of values[i] over the set bits of mask, as an object
+    array of Fractions: each value doubles the table."""
+    out = np.array([Fraction(0)], dtype=object)
+    for v in values:
+        out = np.concatenate((out, out + v))
+    return out
+
+
+def subset_scan(p_a, p_b, e_eps, delta,
+                include_full: bool = False) -> tuple:
     """Minimum privacy margin over subsets of an element set.
 
     Scans every nonempty subset A of the elements (the full set too when
     ``include_full``), evaluating  e_eps * P_b(A) + delta - P_a(A), and
     returns ``(min_margin, witness_mask, n_checks)``.  Ties keep the first
-    witness in integer mask order.
+    witness in integer mask order.  A ``Fraction`` e_eps makes the scan
+    exact: the probabilities and delta are taken as rationals and the
+    margin is a ``Fraction``; otherwise everything is float64.
     """
-    p_a = np.ascontiguousarray(p_a, dtype=np.float64)
-    p_b = np.ascontiguousarray(p_b, dtype=np.float64)
-    e_eps, delta = float(e_eps), float(delta)
-    k = p_a.shape[0]
-    if p_b.shape[0] != k:
+    k = len(p_a)
+    if len(p_b) != k:
         raise ValueError("probability vectors differ in length")
     if k > MAX_WIDTH:
         raise EnumerationBudgetError(
@@ -81,10 +92,20 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
     if n_checks <= 0:
         return float("inf"), 0, max(n_checks, 0)
 
-    terms = e_eps * p_b - p_a
+    exact = isinstance(e_eps, Fraction)
+    if exact:
+        delta = Fraction(delta)
+        terms = np.array([e_eps * Fraction(b) - Fraction(a)
+                          for a, b in zip(p_a, p_b)], dtype=object)
+        sums = _exact_subset_sums
+    else:
+        e_eps, delta = float(e_eps), float(delta)
+        terms = (e_eps * np.ascontiguousarray(p_b, dtype=np.float64)
+                 - np.ascontiguousarray(p_a, dtype=np.float64))
+        sums = _subset_sums
     half = (k + 1) // 2
-    low = _subset_sums(terms[:half])
-    high = _subset_sums(terms[half:])
+    low = sums(terms[:half])
+    high = sums(terms[half:])
     j = int(np.argmin(low))
     best = high + low[j]                # best[h]: mask (h << half) | j
     # The corners drop the empty low set from h = 0 and, unless the full
@@ -99,5 +120,6 @@ def subset_scan(p_a, p_b, e_eps: float, delta: float,
             corners[h] = int(np.argmin(low[lo:hi])) + lo
             best[h] = high[h] + low[corners[h]]
     h = int(np.argmin(best))
-    return (float(delta + best[h]), (h << half) | corners.get(h, j),
-            n_checks)
+    margin = delta + best[h]
+    return (margin if exact else float(margin),
+            (h << half) | corners.get(h, j), n_checks)

@@ -56,13 +56,6 @@ ROW_SUM_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    hi = np.max(values)
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.sum(np.exp(values - hi))))
-
-
 def _log_normalise(u: np.ndarray) -> np.ndarray:
     """u minus the log-sum-exp of each row: every row exponentiates to a
     distribution."""
@@ -202,7 +195,6 @@ class _Spec:
         self.space = space
         self.n = n
         self._digits: np.ndarray | None = None
-        self._log_rows: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def state_count(self) -> int:
@@ -245,6 +237,7 @@ class ExponentialSpec(_Spec):
                 raise IncompleteUtilityError(
                     f"utility table was built for n={utility.n}, spec has n={n}")
             self.product = None
+            self._log_table: tuple[np.ndarray, np.ndarray] | None = None
         else:
             self.product = ProductSpec(space, n,
                                        utility.parent_matrix(space.m),
@@ -285,19 +278,29 @@ class ExponentialSpec(_Spec):
             # u(d, d) = 0, so C(d) = P(X_d = d) = prod_i M[d_i, d_i]
             rows = database_from_index(self.space, self.n, index).rows
             return float(sum(self.product.log_weights[r, r] for r in rows))
+        return -float(self.log_pmf_table(budget)[1][index])
+
+    def log_pmf_table(self, budget: int = DEFAULT_ENUM_BUDGET
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """A utility table's log pmf and log normalisers, built once.
+
+        Row d of the (size, size) matrix holds log P(X_d = x) for every
+        output x; entry d of the vector is log sum_x e^{u(d, x)}.  Each row
+        is shifted by its maximum before it is exponentiated.
+        """
         check_enum_budget(self.space, self.n, budget)
-        return -_logsumexp(self.utility.values[index])
+        if self._log_table is None:
+            u = self.utility.values
+            hi = u.max(axis=1, keepdims=True)
+            norm = hi + np.log(np.exp(u - hi).sum(axis=1, keepdims=True))
+            self._log_table = (u - norm, norm[:, 0])
+        return self._log_table
 
     def log_pmf_row(self, index: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         if self.product is not None:
             return self.product.log_pmf_row(index, budget)
-        check_enum_budget(self.space, self.n, budget)
-        row = self._log_rows.get(index)
-        if row is None:
-            u = self.utility.values[index]
-            row = self._log_rows[index] = u - _logsumexp(u)
-        return row
+        return self.log_pmf_table(budget)[0][index]
 
     def pmf_row(self, index: int,
                 budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
@@ -419,6 +422,7 @@ class ProductSpec(_Spec):
                 f"{space.size} categories")
         super().__init__(space, n)
         self.matrix = matrix
+        self._log_rows: dict[int, np.ndarray] = {}
         if row_utility is None:
             with np.errstate(divide="ignore"):
                 row_utility = log_weights = np.log(matrix.values)

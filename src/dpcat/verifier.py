@@ -12,26 +12,27 @@ set goes below delta the report has no binding pair or set.
 
 ``verify_bruteforce`` checks the inequality on every nonempty proper subset
 of the space and is the ground-truth oracle.  Its subset scan
-(:func:`dpcat.kernels.subset_scan`, one call per pair) splits the space
-into balanced halves and meets in the middle, so a pair over k states
-costs O(2^(k/2)) time and memory while every subset is still accounted
-for.  ``verify_reduced`` uses
-sufficient sets: per pair, only the set S of outputs strictly more likely
-under d than under d' can matter.
+(:func:`dpcat.kernels.subset_scan`, one call per pair, in float or exact
+rational arithmetic) meets in the middle, so a pair over k states costs
+O(2^(k/2)) while every subset is still accounted for.  It is the only
+subset enumerator: ``verify_reduced`` takes each pair's worst output set
+directly, the hockey-stick set {x : P_d(x) > e^eps * P_d'(x)} (Barthe and
+Olmedo), and only counts the checks of the paper's sufficient set S, the
+outputs strictly more likely under d than under d'.
 
 * Product mechanisms (hamming, L1, symmetric and general parent matrices)
   are decided from their one-row parent.  For neighbours differing in row
-  i, P_d(x) / P_d'(x) depends on x_i alone, so the worst output set is a
-  cylinder {x : x_i in A1(d_i, d'_i)} over the parent (Barthe and Olmedo's
-  hockey-stick divergence) and S is the cylinder over S1(d_i, d'_i).  No
-  pmf row or digit table is built, and the paper's check count (one check
-  of S per pair for a symmetric parent, every nonempty subset of S
-  otherwise) is computed from the sizes of S1.
-* Utility tables with a provably constant normaliser and delta = 0 need
-  one check per utility-gap level set (the cells partitioning S); the pair
-  binds on the union of the cells that go below delta.
-* Any other utility table needs every nonempty subset of S, which is still
-  far smaller than the full subset lattice.
+  i, P_d(x) / P_d'(x) depends on x_i alone, so the worst set is a cylinder
+  {x : x_i in A1(d_i, d'_i)} over the parent and S is the cylinder over
+  S1(d_i, d'_i).  No pmf row or digit table is built.  ``verify_matrix``
+  decides a parent by the same route, or by the closed form when it is
+  symmetric with a dominant diagonal.
+* Utility tables are decided in one array pass over all ordered neighbour
+  pairs of the table's log-pmf matrix.
+* The paper's check count is one check of S per pair for a symmetric
+  parent; one per utility-gap level set of S for a table with a provably
+  constant normaliser at delta = 0; every nonempty subset of S otherwise.
+  It is computed from the sizes of S, never walked.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
@@ -241,46 +242,24 @@ def _render_set(dbset: DatabaseSet):
 
 
 def _validate_fixed_normalizer(spec, budget: int) -> None:
-    """Recompute every log-normaliser and reject a false fixed-C claim."""
-    logs = [-spec.log_prefactor(i, budget) for i in range(spec.state_count)]
-    spread = max(logs) - min(logs)
+    """Reject a false fixed-C claim: the table's log-normalisers must not
+    spread."""
+    spread = float(np.ptp(spec.log_pmf_table(budget)[1]))
     if spread > 1e-9:
         raise DataFormatError(
             f"utility table is marked as having a fixed normaliser, but the "
             f"log-normalisers spread over {spread:.3e}")
 
 
-def _iter_index_pairs(spec, budget: int = DEFAULT_ENUM_BUDGET):
-    """All ordered neighbor pairs as (index_d, index_d_prime, differing_row)."""
-    space, n = spec.space, spec.n
+def _neighbor_pairs(spec, budget: int = DEFAULT_ENUM_BUDGET):
+    """All ordered neighbor pairs as three index arrays (index of d, index
+    of d', differing row), in the order of ``enumerate_neighbor_pairs``:
+    by d, then by differing row, then by replacement value."""
+    k, n = spec.space.size, spec.n
     digits = spec._digit_table(budget)
-    places = [space.size ** (n - 1 - i) for i in range(n)]
-    for a in range(spec.state_count):
-        row_vals = digits[a]
-        for i in range(n):
-            va = int(row_vals[i])
-            for v in range(space.size):
-                if v != va:
-                    yield a, a + (v - va) * places[i], i
-
-
-def _pair_obj(spec, ia: int, ib: int, row: int) -> NeighborPair:
-    return NeighborPair(database_from_index(spec.space, spec.n, ia),
-                        database_from_index(spec.space, spec.n, ib), row)
-
-
-def _members_float(spec, ia: int, ib: int, budget: int) -> np.ndarray:
-    la = spec.log_pmf_row(ia, budget)
-    lb = spec.log_pmf_row(ib, budget)
-    with np.errstate(invalid="ignore"):
-        diff = la - lb
-    member = diff > TIE_BAND
-    member[np.isnan(diff)] = False   # both probabilities zero
-    return np.nonzero(member)[0]
-
-
-def _members_exact(pa: list[Fraction], pb: list[Fraction]) -> list[int]:
-    return [i for i, (x, y) in enumerate(zip(pa, pb)) if x > y]
+    ia, rows, values = np.nonzero(digits[:, :, None] != np.arange(k))
+    ib = ia + (values - digits[ia, rows]) * k ** (n - 1 - rows)
+    return ia, ib, rows
 
 
 def _alpha_values(spec, ia: int, ib: int, members: np.ndarray,
@@ -295,14 +274,6 @@ def _alpha_values(spec, ia: int, ib: int, members: np.ndarray,
     u1 = spec.product.row_utility
     x = digits[members, row]
     return u1[digits[ia, row], x] - u1[digits[ib, row], x]
-
-
-def _partition_cells(alphas: np.ndarray, members: np.ndarray):
-    """Group members by exact utility-gap value, ascending."""
-    cells = []
-    for level in sorted(set(alphas.tolist())):
-        cells.append((level, members[alphas == level]))
-    return cells
 
 
 def sufficient_set(spec, pair: NeighborPair, *,
@@ -320,24 +291,26 @@ def sufficient_set(spec, pair: NeighborPair, *,
     if exact:
         pa = spec.exact_pmf_row(ia, budget_enum)
         pb = spec.exact_pmf_row(ib, budget_enum)
-        members = np.asarray(_members_exact(pa, pb), dtype=np.int64)
+        members = np.array([x for x in range(len(pa)) if pa[x] > pb[x]],
+                           dtype=np.int64)
     else:
-        members = _members_float(spec, ia, ib, budget_enum)
-    member_set = DatabaseSet(spec.space, spec.n,
-                             tuple(int(i) for i in members))
+        with np.errstate(invalid="ignore"):     # NaN gaps: both zero
+            gap = (spec.log_pmf_row(ia, budget_enum)
+                   - spec.log_pmf_row(ib, budget_enum))
+        members = np.flatnonzero(gap > TIE_BAND)
+    member_set = DatabaseSet(spec.space, spec.n, tuple(members.tolist()))
     # a symmetric parent or a fixed-C table: one normaliser for every input
     if not spec.fixed_normalizer:
         return SufficientSet(pair, member_set)
     if spec.product is None:
         _validate_fixed_normalizer(spec, budget_enum)
     alphas = _alpha_values(spec, ia, ib, members, budget_enum)
-    cells = _partition_cells(alphas, members)
+    levels = sorted(set(alphas.tolist()))       # ascending exact gaps
     return SufficientSet(
-        pair, member_set,
-        alpha_levels=tuple(level for level, _ in cells),
+        pair, member_set, alpha_levels=tuple(levels),
         partition=tuple(DatabaseSet(spec.space, spec.n,
-                                    tuple(int(i) for i in idx))
-                        for _, idx in cells))
+                                    tuple(members[alphas == level].tolist()))
+                        for level in levels))
 
 
 def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
@@ -369,37 +342,6 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
     return SetCheckResult(margin >= -tolerance, margin)
 
 
-def _exact_subset_scan(pa, pb, e_eps: Fraction, delta: Fraction,
-                       include_full: bool):
-    """Gray-code subset walk in exact rational arithmetic."""
-    k = len(pa)
-    full = (1 << k) - 1
-    n_checks = full - (0 if include_full else 1)
-    if n_checks <= 0:
-        return None, 0, 0
-    sa = sb = Fraction(0)
-    mask = 0
-    best = None
-    best_mask = 0
-    for i in range(1, full + 1):
-        bit = (i & -i).bit_length() - 1
-        flip = 1 << bit
-        mask ^= flip
-        if mask & flip:
-            sa += pa[bit]
-            sb += pb[bit]
-        else:
-            sa -= pa[bit]
-            sb -= pb[bit]
-        if mask == full and not include_full:
-            continue
-        margin = e_eps * sb + delta - sa
-        if best is None or margin < best:
-            best = margin
-            best_mask = mask
-    return best, best_mask, n_checks
-
-
 class _Accumulator:
     """Merge per-pair results into a report, keeping the worst margin.
 
@@ -417,14 +359,20 @@ class _Accumulator:
 
     def add(self, margin, binding, checks: int) -> None:
         self.checks += checks
-        if margin is None:
-            return
         current = self.exact_margin if self.exact_margin is not None else self.margin
         if margin < current:
             if isinstance(margin, Fraction):
                 self.exact_margin = margin
             self.margin = float(margin)
             self.binding = binding
+
+
+def _subset_count(terms) -> tuple[int, str]:
+    """The nonempty subsets of ``count`` sets of ``e`` members each, summed
+    over the items ``{e: count}`` of terms, and that sum as an expression."""
+    items = sorted(terms.items())
+    return (sum(count * (2 ** e - 1) for e, count in items),
+            "+".join(f"{count}*(2^{e}-1)" for e, count in items))
 
 
 def _parent_route(spec, params: PrivacyParams, budget_enum: int,
@@ -507,14 +455,12 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                     best, binding = margin, (u, v, cells)
 
     acc = _Accumulator(params, exact)
-    acc.checks = n * (checks + sum(count * (2 ** e - 1)
-                                   for e, count in terms.items()))
+    subsets, sums = _subset_count(terms)
+    acc.checks = n * (checks + subsets)
     if terms:
         # past COUNT_DIGIT_CAP digits the count prints as these terms; a
         # symmetric parent's n*pairs*(m+1)^(n-1) would reach the cap only
         # where the naive count, over 2^((m+1)^n), cannot be computed
-        sums = "+".join(f"{count}*(2^{e}-1)"
-                        for e, count in sorted(terms.items()))
         acc.checks_form = f"{n}*({sums})"
     if binding is not None:
         # the first canonical pair: other rows at the lowest category with
@@ -534,6 +480,61 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
     return acc
 
 
+def _table_route(spec, params: PrivacyParams, partition: bool,
+                 budget_enum: int) -> _Accumulator:
+    """Decide a utility table in one array pass over its neighbour pairs.
+
+    The worst output set of a pair (d, d') is its hockey-stick set
+    W = {x : log P_d(x) - log P_d'(x) > eps}, whose margin is delta - H with
+    H = sum over W of P_d(x) - e^eps * P_d'(x).  The table binds on W of the
+    first pair, in canonical order, with the largest H, or not at all when
+    no H is positive.  The sufficient set S = {x : P_d(x) > P_d'(x)} only
+    counts the paper's checks: one per utility-gap level of S on the
+    partition route, every nonempty subset of S otherwise.  Pairs are taken
+    ``size`` at a time, so no temporary outgrows the table.
+    """
+    log_pmf = spec.log_pmf_table(budget_enum)[0]
+    utility = spec.utility.values
+    pmf = np.exp(log_pmf)
+    e_eps = math.exp(params.epsilon)
+    ia, ib, rows = _neighbor_pairs(spec, budget_enum)
+    size = log_pmf.shape[0]
+    hockey = np.empty(ia.size)
+    counts = np.empty(ia.size, dtype=np.int64)  # |S|, or its gap levels
+    for lo in range(0, ia.size, size):
+        chunk = slice(lo, lo + size)
+        a, b = ia[chunk], ib[chunk]
+        gap = log_pmf[a] - log_pmf[b]
+        support = gap > TIE_BAND
+        hockey[chunk] = np.where(gap > params.epsilon + TIE_BAND,
+                                 pmf[a] - e_eps * pmf[b], 0.0).sum(1)
+        if partition:
+            levels = np.sort(np.where(support, utility[a] - utility[b],
+                                      np.inf), axis=1)
+            first = np.isfinite(levels)      # first member of its level
+            first[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+            counts[chunk] = first.sum(1)
+        else:
+            counts[chunk] = support.sum(1)
+
+    acc = _Accumulator(params, exact=False)
+    if partition:
+        acc.checks = int(counts.sum())
+    else:
+        sizes, number = np.unique(counts[counts > 0], return_counts=True)
+        acc.checks, sums = _subset_count(dict(zip(sizes.tolist(),
+                                                  number.tolist())))
+        acc.checks_form = sums or None
+    j = int(np.argmax(hockey))
+    if hockey[j] > 0:
+        a, b = int(ia[j]), int(ib[j])
+        worst = np.flatnonzero(log_pmf[a] - log_pmf[b]
+                               > params.epsilon + TIE_BAND)
+        binding = (a, b, int(rows[j]), worst)
+        acc.add(params.delta - float(hockey[j]), binding, 0)
+    return acc
+
+
 def _build_report(spec, params, acc: _Accumulator, method: str,
                   tolerance: float, exact: bool) -> VerificationReport:
     if exact:
@@ -543,7 +544,8 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
     pair = bset = None
     if acc.binding is not None:
         ia, ib, row, members = acc.binding
-        pair = _pair_obj(spec, ia, ib, row)
+        pair = NeighborPair(database_from_index(spec.space, spec.n, ia),
+                            database_from_index(spec.space, spec.n, ib), row)
         bset = DatabaseSet(spec.space, spec.n, tuple(int(i) for i in members))
     return VerificationReport(
         verdict="private" if ok else "not-private",
@@ -582,10 +584,11 @@ def verify_reduced(spec, params: PrivacyParams, *,
     """Decide privacy using the strongest reduction the spec admits.
 
     Routing: product-kind specs are decided from their parent matrix (see
-    :func:`_parent_route`); fixed-normaliser tables with delta = 0 check
-    each utility-gap cell; other tables check every nonempty subset of S.
-    ``budget_enum`` caps the state count and ``budget_subsets`` the size of
-    a sufficient set whose subsets are counted or walked.
+    :func:`_parent_route`), utility tables in one array pass (see
+    :func:`_table_route`), which counts one check per utility-gap cell for a
+    fixed-normaliser table at delta = 0 and every nonempty subset of S
+    otherwise.  ``budget_enum`` caps the state count and ``budget_subsets``
+    the size of a product spec's sufficient set whose subsets are counted.
     """
     partition = False
     if spec.product is None and spec.fixed_normalizer:
@@ -598,50 +601,9 @@ def verify_reduced(spec, params: PrivacyParams, *,
         raise ExactModeError(
             f"exact mode is not available for {spec.kind!r} specs")
     if spec.product is not None:
-        return _build_report(spec, params,
-                             _parent_route(spec, params, budget_enum,
-                                           budget_subsets, exact),
-                             method, tolerance, exact)
-
-    e_eps = math.exp(params.epsilon)
-
-    def handle(pair_idx):
-        ia, ib, row = pair_idx
-        pa = spec.pmf_row(ia, budget_enum)
-        pb = spec.pmf_row(ib, budget_enum)
-        members = _members_float(spec, ia, ib, budget_enum)
-        if members.size == 0:
-            return None, None, 0
-        if partition:
-            # fixed C: each cell has one likelihood ratio, so the pair
-            # binds on the union of the cells whose margin term is negative
-            margin, below, checks = params.delta, [], 0
-            for _, cell in _partition_cells(
-                    _alpha_values(spec, ia, ib, members, budget_enum),
-                    members):
-                checks += 1
-                term = e_eps * float(pb[cell].sum()) - float(pa[cell].sum())
-                if term < 0:
-                    margin += term
-                    below.append(cell)
-            if not below:
-                return None, None, checks
-            return margin, (ia, ib, row, np.sort(np.concatenate(below))), checks
-        if len(members) > budget_subsets:
-            raise EnumerationBudgetError(
-                f"sufficient set holds {len(members)} databases; enumerating "
-                f"its subsets exceeds the budget of {budget_subsets}",
-                len(members))
-        margin, mask, checks = kernels.subset_scan(
-            pa[members], pb[members], e_eps, params.delta,
-            include_full=True)
-        witness = members[[i for i in range(len(members)) if mask >> i & 1]]
-        return margin, (ia, ib, row, witness), checks
-
-    acc = _Accumulator(params, exact)
-    for margin, binding, checks in map(handle,
-                                       _iter_index_pairs(spec, budget_enum)):
-        acc.add(margin, binding, checks)
+        acc = _parent_route(spec, params, budget_enum, budget_subsets, exact)
+    else:
+        acc = _table_route(spec, params, partition, budget_enum)
     return _build_report(spec, params, acc, method, tolerance, exact)
 
 
@@ -654,9 +616,10 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
     """
     size = spec.state_count
     if size > budget_subsets:
+        states = count_text(size, f"{spec.space.size}^{spec.n}")
         raise EnumerationBudgetError(
-            f"database space holds {size} states; the brute-force oracle "
-            f"enumerates 2^{size} - 2 subsets per pair, over the budget of "
+            f"database space holds {states} states; the brute-force oracle "
+            f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
             f"{budget_subsets}", size)
     if params.trivial:
         return _trivial_report(spec, params, "brute-force", tolerance, exact)
@@ -664,27 +627,15 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
         raise ExactModeError(
             f"exact mode is not available for {spec.kind!r} specs")
 
-    e_eps_f = math.exp(params.epsilon)
-    if exact:
-        e_eps_q, delta_q = params.exact_pair()
-
-    def handle(pair_idx):
-        ia, ib, row = pair_idx
-        if exact:
-            pa = spec.exact_pmf_row(ia)
-            pb = spec.exact_pmf_row(ib)
-            margin, mask, checks = _exact_subset_scan(
-                pa, pb, e_eps_q, delta_q, include_full=False)
-        else:
-            margin, mask, checks = kernels.subset_scan(
-                spec.pmf_row(ia), spec.pmf_row(ib), e_eps_f, params.delta,
-                include_full=False)
-        witness = [i for i in range(size) if mask >> i & 1]
-        return margin, (ia, ib, row, witness), checks
-
+    e_eps, delta = (params.exact_pair() if exact
+                    else (math.exp(params.epsilon), params.delta))
+    pmf_row = spec.exact_pmf_row if exact else spec.pmf_row
     acc = _Accumulator(params, exact)
-    for margin, binding, checks in map(handle, _iter_index_pairs(spec)):
-        acc.add(margin, binding, checks)
+    for ia, ib, row in zip(*(x.tolist() for x in _neighbor_pairs(spec))):
+        margin, mask, checks = kernels.subset_scan(
+            pmf_row(ia), pmf_row(ib), e_eps, delta, include_full=False)
+        witness = [i for i in range(size) if mask >> i & 1]
+        acc.add(margin, (ia, ib, row, witness), checks)
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)
 
 
@@ -745,9 +696,8 @@ def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
     product mechanism it generates for every row count.
 
     Symmetric matrices with a dominant diagonal short-circuit through the
-    closed form; every other matrix gets the one-row brute force: all
-    ordered category pairs over all nonempty proper subsets of the
-    category set.
+    closed form; every other matrix is decided as the one-row product spec
+    it generates (see :func:`_parent_route`).
     """
     if space is None:
         space = CategorySpace(tuple(str(i) for i in range(matrix.size)))
@@ -775,6 +725,5 @@ def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
         return _build_report(parent, params, acc, "closed-form", tolerance,
                              exact)
 
-    report = verify_bruteforce(parent, params, budget_subsets=budget_subsets,
-                               tolerance=tolerance, exact=exact)
-    return report
+    return verify_reduced(parent, params, budget_subsets=budget_subsets,
+                          tolerance=tolerance, exact=exact)

@@ -86,9 +86,10 @@ class TestVerify:
         report = json.loads(out)
         assert code == 1
         assert report["verdict"] == "not-private"
-        # the one-row parent: 6 ordered category pairs x 6 proper subsets
-        assert report["method"] == "brute-force"
-        assert report["checks_performed"] == "36"
+        # the one-row parent route: every nonempty subset of each ordered
+        # category pair's S1, four of one category and two of two
+        assert report["method"] == "sufficient-set"
+        assert report["checks_performed"] == "10"
 
     @pytest.mark.parametrize("eps,delta", [(0.5, 0.0), (2.5, 0.0),
                                            (1.0, 0.3)])
@@ -155,6 +156,38 @@ class TestVerify:
                            "--method", "brute")
         assert code == 3
         assert "27" in err
+
+    @pytest.mark.parametrize("method", ["reduced", "brute"])
+    def test_budget_error_past_the_int_text_limit(self, workdir, capsys,
+                                                  method):
+        # 2^100000 states: 30,103 digits, past Python's int-to-str limit,
+        # so the message gives the count as a power
+        (workdir / "two.txt").write_text("0\n1\n")
+        spec = workdir / "ham_huge.spec"
+        spec.write_text("type = exponential\nutility = hamming\nk = 0.5\n"
+                        "categories = two.txt\nn = 100000\n")
+        code, out, err = run(capsys, "verify", "--spec", spec,
+                             "--epsilon", "0.5", "--method", method)
+        assert (code, out) == (3, "")
+        assert "holds 2^100000 states" in err and len(err) < 1024
+
+    def test_exact_brute_force_over_sixteen_states(self, workdir, capsys):
+        # L1 at m=3, n=2: 96 ordered pairs, each scanning 2^16 - 2 subsets
+        # in rational arithmetic
+        (workdir / "four.txt").write_text("0\n1\n2\n3\n")
+        spec = workdir / "l1_m3.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = four.txt\nn = 2\n")
+        argv = ("verify", "--spec", spec, "--epsilon", "1", "--method",
+                "brute")
+        code, out, _ = run(capsys, *argv)
+        code_q, out_q, _ = run(capsys, *argv, "--exact")
+        report, exact = json.loads(out), json.loads(out_q)
+        assert code == code_q == 1
+        assert exact["exact"] and exact["method"] == "brute-force"
+        assert exact["checks_performed"] == report["checks_performed"] \
+            == str(96 * (2 ** 16 - 2))
+        assert exact["margin"] == pytest.approx(report["margin"], abs=1e-12)
 
     def test_table_format(self, workdir, capsys):
         code, out, _ = run(capsys, "verify", "--spec", workdir / "ham.spec",
@@ -325,6 +358,16 @@ class TestUnreadableInputs:
         assert str(path) in err and "directory" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["data", "matrix", "table"])
+    def test_field_over_the_csv_limit_exits_2(self, workdir, capsys, kind):
+        # a quoted field longer than csv's field size limit, which dpcat
+        # leaves as it is, in the second record of a file
+        first = "Sports" if kind == "data" else "0.5"
+        path, err = self.run_case(
+            capsys, workdir, kind,
+            lambda path: path.write_text(f'{first}\n"{"x" * 140_000}"\n'))
+        assert err.startswith(f"error: {path}: record 2: field larger")
+        assert len(err) < 1024
 
 class TestEpsilonRange:
     """e^epsilon must be a finite float; larger values are input errors."""
@@ -478,6 +521,18 @@ class TestSanitize:
                            "--seed", "1")
         assert code == 2
         assert "row 2" in err and "Knitting" in err
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_long_unknown_label_is_echoed_cut_short(self, workdir, capsys,
+                                                    quote):
+        data = workdir / "long.csv"
+        data.write_text(f"Sports\n{quote}{'x' * 100_000}{quote}\n")
+        code, _, err = run(capsys, "sanitize", "--spec",
+                           workdir / "hobby.spec", "--data", data,
+                           "--seed", "1")
+        assert code == 2
+        assert "row 2" in err and "(100000 characters)" in err
+        assert len(err.encode()) < 1024
 
     def test_named_column(self, workdir, capsys):
         data = workdir / "cols.csv"

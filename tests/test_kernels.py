@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_all_negative_terms_across_the_split(k, include_full):
     idx = [i for i in range(k) if mask >> i & 1]
     direct = e_eps * math.fsum(p_b[idx]) + delta - math.fsum(p_a[idx])
     assert direct == pytest.approx(margin, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "zeros"])
+@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_exact_scan_matches_literal_enumeration(k, include_full, kind):
+    # the dyadic cases as Fractions: the exact scan returns a Fraction
+    # margin equal to the literal minimum, with the first minimising mask
+    if k == 1 and not include_full:
+        return
+    a, b = _dyadic_case(np.random.default_rng(k), k, kind)
+    p_a = [Fraction(int(x), 64) for x in a]
+    p_b = [Fraction(int(x), 64) for x in b]
+    margin, mask, checks = kernels.subset_scan(p_a, p_b, Fraction(2),
+                                               Fraction(1, 64), include_full)
+    assert isinstance(margin, Fraction)
+    assert (margin, checks) == _oracles.subset_scan_literal(
+        p_a, p_b, Fraction(2), Fraction(1, 64), include_full)
+    expect, expect_mask = _first_minimum_units(a.tolist(), b.tolist(), 1,
+                                               include_full)
+    assert (margin, mask) == (Fraction(expect, 64), expect_mask)
 
 
 def test_width_limit_fails_before_allocating():

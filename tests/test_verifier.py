@@ -228,6 +228,85 @@ class TestVerifyReduced:
                            budget_subsets=5)
 
 
+TABLE_SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)]
+
+
+def circulant_table(rng, space, n):
+    """u(i, j) a function of (j - i) mod size: one normaliser for every
+    row, and utility gaps that repeat within a pair."""
+    idx = np.arange(space.size ** n)
+    c = rng.uniform(-3.0, 0.0, idx.size)
+    return TableUtility(space, n, c[(idx[None, :] - idx[:, None]) % idx.size],
+                        assert_fixed_c=True)
+
+
+class TestTableRoute:
+    """Utility tables are decided in one array pass over their pairs, and
+    the paper's check counts are computed, not walked."""
+
+    def test_builds_no_row_and_scans_no_subset(self, monkeypatch):
+        import dpcat.kernels
+        import dpcat.mechanisms as mech
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("log_pmf_row", "pmf_row"):
+            monkeypatch.setattr(mech.ExponentialSpec, name,
+                                counting(name, vars(mech.ExponentialSpec)[name]))
+        monkeypatch.setattr(dpcat.kernels, "subset_scan",
+                            counting("subset_scan",
+                                     dpcat.kernels.subset_scan))
+        rng = np.random.default_rng(8)
+        space = make_space(2)
+        specs = [ExponentialSpec(space, 2, TableUtility(
+                     space, 2, rng.uniform(-3.0, 0.0, (9, 9)))),
+                 ExponentialSpec(space, 2, circulant_table(rng, space, 2))]
+        for spec in specs:
+            for delta in (0.0, 0.1):
+                report = verify_reduced(spec, PrivacyParams(0.3, delta))
+                assert report.checks_performed > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("m,n", TABLE_SHAPES)
+    def test_checks_count_every_subset_of_each_sufficient_set(self, m, n):
+        rng = np.random.default_rng(70 + 10 * m + n)
+        space = make_space(m)
+        size = space.size ** n
+        for _ in range(3):
+            spec = ExponentialSpec(space, n, TableUtility(
+                space, n, rng.uniform(-3.0, 0.0, (size, size))))
+            walked = sum(2 ** len(sufficient_set(spec, pair).members) - 1
+                         for pair in enumerate_neighbor_pairs(space, n))
+            for delta in (0.0, 0.1):
+                report = verify_reduced(spec, PrivacyParams(0.5, delta))
+                assert report.method == "sufficient-set"
+                assert report.checks_performed == walked
+
+    @pytest.mark.parametrize("m,n", TABLE_SHAPES)
+    def test_partition_checks_count_each_gap_level(self, m, n):
+        rng = np.random.default_rng(90 + 10 * m + n)
+        space = make_space(m)
+        # a hamming table's gaps take one of three values, so cells hold
+        # many members
+        digits = np.indices((space.size,) * n).reshape(n, -1).T
+        hamming = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+        for utility in (fixed_c_table(rng, space, n),
+                        circulant_table(rng, space, n),
+                        TableUtility(space, n, -0.7 * hamming,
+                                     assert_fixed_c=True)):
+            spec = ExponentialSpec(space, n, utility)
+            cells = sum(len(sufficient_set(spec, pair).partition)
+                        for pair in enumerate_neighbor_pairs(space, n))
+            report = verify_reduced(spec, PrivacyParams(0.5, 0.0))
+            assert report.method == "partition"
+            assert report.checks_performed == cells
+
+
 FACTORISED_SHAPES = [(1, 3), (2, 3), (3, 2)]
 
 
@@ -613,7 +692,7 @@ class TestVerifyMatrix:
             params = PrivacyParams(float(rng.uniform(0, 2)),
                                    float(rng.choice([0.0, 0.1])))
             parent_report = verify_matrix(matrix, params)
-            assert parent_report.method in ("brute-force", "closed-form")
+            assert parent_report.method in ("sufficient-set", "closed-form")
             # the parent verdict transfers to every row count
             for n in (1, 2):
                 spec = ProductSpec(space, n, matrix)
@@ -638,7 +717,12 @@ class TestVerifyMatrix:
                                           [0.1, 0.8, 0.1],
                                           [0.2, 0.2, 0.6]]))
         report = verify_matrix(matrix, PrivacyParams(1.0, 0.0))
-        assert report.checks_performed == 6 * (2 ** 3 - 2)
+        # the one-row parent route: every nonempty subset of each ordered
+        # category pair's sufficient set
+        spec = ProductSpec(make_space(2), 1, matrix)
+        walked = sum(2 ** len(sufficient_set(spec, pair).members) - 1
+                     for pair in enumerate_neighbor_pairs(spec.space, 1))
+        assert report.checks_performed == walked == 8
         assert report.checks_naive == 6 * (2 ** 3 - 2)
 
 
