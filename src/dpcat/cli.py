@@ -12,6 +12,7 @@ argument parser is built on the first call and reused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -129,6 +130,33 @@ def cmd_verify(args) -> int:
     return EXIT_PRIVATE if report.private else EXIT_NOT_PRIVATE
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing the ``--output`` path, such as a directory
+    or a missing parent, is an input error naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataFormatError(
+            f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
+def _label_lines(labels, values: np.ndarray):
+    """The UTF-8 lines ``labels[v]``, each ended by a line feed, for the
+    values in order, as one buffer.  Each value takes one fixed-width item
+    of a table of the lines, padded to the longest with 0xFF, a byte UTF-8
+    never uses, which is then dropped; lines of one width need no padding,
+    and the taken array's own bytes are returned without a copy."""
+    lines = [f"{label}\n".encode("utf-8") for label in labels]
+    width = max(map(len, lines))
+    table = np.frombuffer(b"".join(line.ljust(width, b"\xff")
+                                   for line in lines), dtype=f"V{width}")
+    taken = table[values]   # np.take would copy read-only indices first
+    if all(len(line) == width for line in lines):
+        return taken.view(np.uint8).data
+    return taken.tobytes().replace(b"\xff", b"")
+
+
 def cmd_sanitize(args) -> int:
     spec = load_spec_file(args.spec, exact=False)
     data = load_database_csv(args.data, spec.space, column=args.column)
@@ -136,14 +164,12 @@ def cmd_sanitize(args) -> int:
         spec = spec.with_n(data.n)
     rng = np.random.default_rng(args.seed)
     sanitized = sample(spec, data, rng, budget=args.budget_enum)
-    label_lines = np.array([f"{label}\n" for label in spec.space.labels],
-                           dtype=object)
-    lines = "".join(label_lines[sanitized.array].tolist())
+    lines = _label_lines(spec.space.labels, sanitized.array)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with _writing(args.output), open(args.output, "wb") as fh:
             fh.write(lines)
     else:
-        sys.stdout.write(lines)
+        sys.stdout.write(str(lines, "utf-8"))
     return 0
 
 
@@ -174,8 +200,9 @@ def cmd_convert(args) -> int:
         k = spec.utility.k
         p = converted.matrix.symmetric_p()
     if args.output:
-        save_spec_file(converted, args.output,
-                       categories_path=getattr(spec, "categories_path", None))
+        with _writing(args.output):
+            save_spec_file(converted, args.output, categories_path=getattr(
+                spec, "categories_path", None))
     payload = {
         "from": spec.kind,
         "to": converted.kind,
@@ -200,7 +227,8 @@ def cmd_optimal(args) -> int:
     params = PrivacyParams(args.epsilon, args.delta)
     matrix = optimal_mechanism(params, space.m, exact=args.exact)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with _writing(args.output), \
+                open(args.output, "w", encoding="utf-8", newline="") as fh:
             matrix.to_csv(fh)
     payload = {
         "m": space.m,

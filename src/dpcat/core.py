@@ -57,7 +57,13 @@ class CategorySpace:
 
 @dataclass(frozen=True)
 class Database:
-    """A point of the product space: one category index per row."""
+    """A point of the product space: one category index per row.
+
+    ``rows`` is a tuple of ints.  A database built by ``from_array`` holds
+    only its array and builds ``rows`` on first access, so one that is
+    only sampled and written never holds a tuple.  Equality and hashing
+    are those of the tuple either way.
+    """
 
     rows: tuple[int, ...]
 
@@ -66,27 +72,37 @@ class Database:
         if len(self.rows) < 1:
             raise DataFormatError("a database needs at least one row")
 
+    def __getattr__(self, name):
+        # reached only for attributes not set yet: rows of from_array
+        array = self.__dict__.get("_array") if name == "rows" else None
+        if array is None:
+            raise AttributeError(name)
+        rows = tuple(array.tolist())
+        object.__setattr__(self, "rows", rows)
+        return rows
+
     @classmethod
     def from_array(cls, values) -> "Database":
-        """Database over a 1-D integer array, which it keeps as ``array``.
+        """Database over a copy of a 1-D integer array, kept as ``array``."""
+        return cls._over(np.array(values, dtype=np.int64))
 
-        ``rows`` comes from one ``tolist()`` call instead of ``int()`` per
-        row; equality and hashing are those of the tuple constructor.
-        """
-        array = np.array(values, dtype=np.int64)
+    @classmethod
+    def _over(cls, array: np.ndarray) -> "Database":
+        """Database over ``array`` itself, not a copy: an int64 array made
+        for it that no one else keeps."""
         if array.ndim != 1:
             raise DataFormatError("database rows must form a 1-D array")
         if array.size < 1:
             raise DataFormatError("a database needs at least one row")
         array.setflags(write=False)
         d = cls.__new__(cls)
-        object.__setattr__(d, "rows", tuple(array.tolist()))
         object.__setattr__(d, "_array", array)
         return d
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        rows = self.__dict__.get("rows")
+        return len(rows) if rows is not None else self._array.size
 
     @property
     def array(self) -> np.ndarray:
@@ -99,7 +115,7 @@ class Database:
         return array
 
     def labels(self, space: CategorySpace) -> tuple[str, ...]:
-        return tuple(space.labels[r] for r in self.rows)
+        return tuple(space.labels[r] for r in self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -165,11 +181,10 @@ class DatabaseSet:
 
 def validate_database(space: CategorySpace, d: Database) -> None:
     rows = d.array
-    bad = np.flatnonzero((rows < 0) | (rows > space.m))
-    if bad.size:
-        i = int(bad[0])
+    if rows.min() < 0 or rows.max() > space.m:
+        i = int(np.flatnonzero((rows < 0) | (rows > space.m))[0])
         raise DataFormatError(
-            f"row {i} holds index {d.rows[i]}, outside 0..{space.m}")
+            f"row {i} holds index {rows[i]}, outside 0..{space.m}")
 
 
 def hamming_distance(d: Database, d_prime: Database) -> int:
@@ -368,29 +383,31 @@ def load_database_csv(path, space: CategorySpace,
     Without ``column`` the file is headerless and the first column is used;
     with ``column`` the first record is a header and that column is
     selected.  Fields are stripped and blank lines skipped.  A file with no
-    ``"`` byte has one record per line, so it is parsed as one byte array:
-    each selected field is compared, byte for byte, with every label, and
-    only fields that match none are decoded, stripped and looked up.  A
-    file that quotes goes through ``csv.reader``.  Either way the labels
-    become one int64 array of category indices.
+    ``"`` byte has one record per line, so it is parsed as byte arrays, in
+    blocks of whole lines: each selected field is compared, byte for byte,
+    with every label, and only fields that match none are decoded, stripped
+    and looked up.  A file that quotes goes through ``csv.reader``.  Either
+    way the labels become one int64 array of category indices.
     """
     data = _read_bytes(path)
-    text = _utf8(data, path)    # both paths reject a file that is not UTF-8
     if b'"' in data:
-        rows = _csv_label_indices(text, space, column, path)
+        rows = _csv_label_indices(_utf8(data, path), space, column, path)
     else:
+        if not data.isascii():
+            _utf8(data, path)   # reject a file that is not UTF-8
         rows = _array_label_indices(data, space, column, path)
     if not rows.size:
         raise DataFormatError(f"{path}: no data rows found")
-    return Database.from_array(rows)
+    return Database._over(rows)
 
 
 def _column_index(header: list[str], column: str, path) -> int:
     try:
         return header.index(column)
     except ValueError:
+        shown = ", ".join(map(quote_field, header))
         raise DataFormatError(
-            f"{path}: no column named {column!r} in header {header}"
+            f"{path}: no column named {column!r} in header [{shown}]"
             ) from None
 
 
@@ -399,16 +416,35 @@ def _short_row(path, lineno: int, column) -> DataFormatError:
         f"{path}: row {lineno}: no value in column {column!r}")
 
 
-#: Longest label an error message echoes in full.
+#: Longest field an error message echoes in full.
 LABEL_ECHO_LIMIT = 80
 
 
+def quote_field(field: str) -> str:
+    """``repr(field)`` for an error message, cut after ``LABEL_ECHO_LIMIT``
+    characters with the full length noted."""
+    shown = repr(field[:LABEL_ECHO_LIMIT])
+    if len(field) > LABEL_ECHO_LIMIT:
+        shown += f"... ({len(field)} characters)"
+    return shown
+
+
+def parse_record(record, parse, path, what: str) -> list:
+    """``[parse(x) for x in record]``.  A field that ``parse`` rejects
+    with ValueError or ZeroDivisionError is an input error quoting it."""
+    out = []
+    try:
+        for field in record:
+            out.append(parse(field))
+    except (ValueError, ZeroDivisionError):
+        raise DataFormatError(
+            f"{path}: bad {what} entry {quote_field(field)}") from None
+    return out
+
+
 def _unknown_label(path, lineno: int, label: str) -> DataFormatError:
-    shown = repr(label[:LABEL_ECHO_LIMIT])
-    if len(label) > LABEL_ECHO_LIMIT:
-        shown += f"... ({len(label)} characters)"
     return DataFormatError(
-        f"{path}: row {lineno}: unknown category label {shown}")
+        f"{path}: row {lineno}: unknown category label {quote_field(label)}")
 
 
 def _csv_label_indices(text: str, space: CategorySpace, column,
@@ -438,66 +474,92 @@ def _label_indices(records, lookup: dict, col: int, path, column):
             raise _unknown_label(path, lineno, record[col].strip()) from None
 
 
+#: Bytes the quote-free loader parses at a time, extended to the next line
+#: end: its int64 temporaries hold one entry per line or comma of a block,
+#: so they stay bounded however long the file.
+_LOAD_BLOCK = 1 << 16
+
+
+def _line_blocks(data: bytes):
+    """``data`` in blocks of at least ``_LOAD_BLOCK`` bytes that each end
+    after a line feed (the last at the end of data), with CRLF and a lone CR
+    read as LF.  A block never splits a CRLF, as it ends on the LF."""
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _LOAD_BLOCK - 1) + 1 or len(data)
+        block = data[start:stop]
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block
+        start = stop
+
+
 def _array_label_indices(data: bytes, space: CategorySpace, column,
                          path) -> np.ndarray:
     """Label indices of a quote-free CSV, in which each line is a record."""
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    u = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(u == ord("\n"))
-    if u.size and u[-1] != ord("\n"):
-        ends = np.append(ends, u.size)
-    starts = np.concatenate(([0], ends + 1))[:ends.size]
-    col = 0
-    if column is not None:
-        if not ends.size:
-            raise DataFormatError(f"{path}: empty data file")
-        first = data[:ends[0]].decode("utf-8")
-        col = _column_index(first.split(",") if first else [], column, path)
-        starts, ends = starts[1:], ends[1:]
-
-    # field col of a line lies between its col-th and (col+1)-th comma;
-    # the sentinel past the end closes lines with fewer commas
-    commas = np.append(np.flatnonzero(u == ord(",")), u.size)
-    first_comma = np.searchsorted(commas, starts)
-    hi = np.minimum(commas.take(first_comma + col, mode="clip"), ends)
-    nonblank = ends > starts
-    if col:
-        before = commas.take(first_comma + col - 1, mode="clip")
-        has_field, lo = before < ends, before + 1
-    else:
-        has_field, lo = nonblank, starts
-    lengths = np.where(has_field, hi - lo, -1)
-
-    rows = np.full(ends.size, -1, dtype=np.int64)
-    by_length: dict[int, list[tuple[int, bytes]]] = {}
+    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, label in enumerate(space.labels):
         if label == label.strip():      # fields are stripped before lookup
-            encoded = label.encode("utf-8")
-            by_length.setdefault(len(encoded), []).append((i, encoded))
-    for size, group in by_length.items():
-        sel = np.flatnonzero(lengths == size)
-        at = lo[sel]
-        fields = np.empty((size, sel.size), dtype=np.uint8)  # byte j: row j
-        for j in range(size):
-            fields[j] = u[at + j]
-        found = np.zeros(sel.size, dtype=np.int64)    # 1 + index, 0: none
-        for i, encoded in group:
-            label = np.frombuffer(encoded, dtype=np.uint8)[:, None]
-            found += (i + 1) * (fields == label).all(axis=0)
-        rows[sel] = found - 1
+            encoded = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
+            by_length.setdefault(encoded.size, []).append((i, encoded))
+    lookup = {label: i for i, label in enumerate(space.labels)}
+    # one entry per line at most: untouched pages of the bound cost nothing
+    rows = np.empty(data.count(b"\n") + data.count(b"\r") + 1,
+                    dtype=np.int64)
+    filled = 0
+    lineno = 1                  # number of the block's first line
+    col = 0 if column is None else None     # None: header not read yet
+    for block in _line_blocks(data):
+        u = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(u == ord("\n"))
+        if u[-1] != ord("\n"):
+            ends = np.append(ends, u.size)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if col is None:
+            first = block[:ends[0]].decode("utf-8")
+            col = _column_index(first.split(",") if first else [], column,
+                                path)
+            starts, ends, lineno = starts[1:], ends[1:], lineno + 1
 
-    # padded fields, unknown labels and short rows: row by row, as csv does
-    unmatched = np.flatnonzero(nonblank & (rows < 0))
-    if unmatched.size:
-        lookup = {label: i for i, label in enumerate(space.labels)}
-        offset = 1 if column is None else 2
-        for r in unmatched.tolist():
+        nonblank = ends > starts
+        lo, hi, has_field = starts, ends, nonblank  # first of one field
+        commas = np.flatnonzero(u == ord(","))
+        if commas.size or col:
+            # field col of a line lies between its col-th and (col+1)-th
+            # comma; the sentinel past the end closes lines with fewer
+            commas = np.append(commas, u.size)
+            first_comma = np.searchsorted(commas, starts)
+            hi = np.minimum(commas.take(first_comma + col, mode="clip"), ends)
+            if col:
+                before = commas.take(first_comma + col - 1, mode="clip")
+                has_field, lo = before < ends, before + 1
+        lengths = np.where(has_field, hi - lo, -1)
+
+        found = np.full(ends.size, -1, dtype=np.int64)
+        for size, group in by_length.items():
+            sel = np.flatnonzero(lengths == size)
+            at = lo[sel]
+            fields = np.empty((size, sel.size), dtype=np.uint8)  # byte j
+            for j in range(size):
+                fields[j] = u[at + j]
+            match = np.zeros(sel.size, dtype=np.int64)  # 1 + index, 0: none
+            for i, label in group:
+                match += (i + 1) * (fields == label[:, None]).all(axis=0)
+            found[sel] = match - 1
+
+        # padded fields, unknown labels and short rows: row by row, as csv
+        for r in np.flatnonzero(nonblank & (found < 0)).tolist():
             if not has_field[r]:
-                raise _short_row(path, r + offset, column)
-            field = data[lo[r]:hi[r]].decode("utf-8").strip()
+                raise _short_row(path, lineno + r, column)
+            field = block[lo[r]:hi[r]].decode("utf-8").strip()
             try:
-                rows[r] = lookup[field]
+                found[r] = lookup[field]
             except KeyError:
-                raise _unknown_label(path, r + offset, field) from None
-    return rows[nonblank]
+                raise _unknown_label(path, lineno + r, field) from None
+        kept = found[nonblank]
+        rows[filled:filled + kept.size] = kept
+        filled += kept.size
+        lineno += ends.size
+    if col is None:
+        raise DataFormatError(f"{path}: empty data file")
+    return rows[:filled]

@@ -36,6 +36,7 @@ from .core import (
     database_index,
     digit_matrix,
     hamming_distance,
+    parse_record,
     read_csv,
     space_size,
     validate_database,
@@ -380,12 +381,10 @@ class SolutionMatrix:
         for record in read_csv(path):
             if not record:
                 continue
-            try:
-                rows.append([float(x) for x in record])
-                if exact:
-                    fracs.append([Fraction(x.strip()) for x in record])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DataFormatError(f"{path}: bad matrix entry: {exc}")
+            rows.append(parse_record(record, float, path, "matrix"))
+            if exact:
+                fracs.append(parse_record(
+                    record, lambda x: Fraction(x.strip()), path, "matrix"))
         if not rows:
             raise DataFormatError(f"{path}: empty matrix file")
         return cls(np.asarray(rows), fractions=fracs if exact else None)
@@ -533,18 +532,30 @@ def make_symmetric_product(space: CategorySpace, n: int, p) -> ProductSpec:
     return ProductSpec(space, n, symmetric_matrix(space.m, p))
 
 
+#: Rows _rowwise_sample draws at a time: its uniforms and comparison
+#: temporaries hold one block, not the whole database.
+_SAMPLE_BLOCK = 1 << 16
+
+
 def _rowwise_sample(matrix: SolutionMatrix, d: Database,
                     rng: np.random.Generator) -> Database:
-    # One uniform draw per row, in row order; row value v maps to the
-    # smallest j with u < cumsum(matrix[v])[j], i.e. the count of j with
+    # One uniform draw per row, in row order (drawn block by block: the
+    # same stream); row value v maps to the smallest j with
+    # u < cumsum(matrix[v])[j], i.e. the count of j with
     # u >= cumsum(matrix[v])[j], accumulated one output category at a time.
+    cum = np.cumsum(matrix.values, axis=1).T
     vals = d.array
-    u = rng.random(d.n)
-    out = np.zeros(d.n, dtype=np.int64)
-    for col in np.cumsum(matrix.values, axis=1).T:
-        out += u >= col[vals]
-    np.clip(out, 0, matrix.size - 1, out=out)
-    return Database.from_array(out)
+    out = np.empty(d.n, dtype=np.int64)
+    counts = np.empty(min(d.n, _SAMPLE_BLOCK), dtype=np.int32)
+    for start in range(0, d.n, _SAMPLE_BLOCK):
+        v = vals[start:start + _SAMPLE_BLOCK]
+        u = rng.random(v.size)
+        count = counts[:v.size]
+        count.fill(0)
+        for col in cum:
+            count += u >= col[v]
+        np.minimum(count, matrix.size - 1, out=out[start:start + v.size])
+    return Database._over(out)
 
 
 def sample(spec, d: Database, rng: np.random.Generator,

@@ -22,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import load_category_space, read_csv, read_text, space_size
+from .core import (
+    load_category_space,
+    parse_record,
+    read_csv,
+    read_text,
+    space_size,
+)
 from .errors import DataFormatError
 from .mechanisms import (
     ExponentialSpec,
@@ -78,10 +84,7 @@ def load_table_csv(path, size: int) -> np.ndarray:
     rows = []
     for record in read_csv(path):
         if record:
-            try:
-                rows.append([float(x) for x in record])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: bad table entry: {exc}")
+            rows.append(parse_record(record, float, path, "table"))
     table = np.asarray(rows, dtype=np.float64)
     if table.shape != (size, size):
         raise DataFormatError(

@@ -9,6 +9,8 @@ import csv
 import itertools
 import math
 
+import numpy as np
+
 
 def all_dbs(size: int, n: int):
     """All row tuples in canonical order (row 0 most significant)."""
@@ -110,6 +112,29 @@ def matrix_margin_literal(matrix, e_eps, delta):
     return best
 
 
+def batch_margins_full_square(mats, e_eps, delta):
+    """Batch margins over all s^2 ordered category pairs, the diagonal
+    masked to inf: the form batch_matrix_margins had before it formed only
+    the s(s - 1) distinct pairs, kept to pin its arithmetic bit for bit."""
+    mats = np.asarray(mats, dtype=np.float64)
+    size = mats.shape[-1]
+    cols = np.ascontiguousarray(mats.transpose(2, 1, 0))      # [x, i, b]
+    margins = np.zeros((size, size, mats.shape[0]))           # [i, j, b]
+    for col in cols:
+        margins += np.minimum(e_eps * col[None, :, :] - col[:, None, :], 0.0)
+    margins += delta
+    margins[np.eye(size, dtype=bool)] = np.inf
+    return margins.min(axis=(0, 1))
+
+
+def _echo(field):
+    """An error message's quote of a field: its first 80 characters, and
+    its length when it is longer."""
+    if len(field) <= 80:
+        return repr(field)
+    return f"{field[:80]!r}... ({len(field)} characters)"
+
+
 def load_csv_labels_literal(path, labels, column=None):
     """Category indices of a data CSV by the row-by-row ``csv.reader``
     loop: (indices, None), or (None, the DataFormatError text)."""
@@ -121,8 +146,9 @@ def load_csv_labels_literal(path, labels, column=None):
             if header is None:
                 return None, f"{path}: empty data file"
             if column not in header:
+                names = ", ".join(map(_echo, header))
                 return None, (f"{path}: no column named {column!r} "
-                              f"in header {header}")
+                              f"in header [{names}]")
             col = header.index(column)
             lineno = 1
         else:
@@ -138,7 +164,7 @@ def load_csv_labels_literal(path, labels, column=None):
             value = record[col].strip()
             if value not in labels:
                 return None, (f"{path}: row {lineno}: unknown category "
-                              f"label {value!r}")
+                              f"label {_echo(value)}")
             out.append(labels.index(value))
     if not out:
         return None, f"{path}: no data rows found"

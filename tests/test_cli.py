@@ -324,6 +324,8 @@ class TestUnreadableInputs:
                    "bad.csv"),
         "table": (("verify", "--spec", "table.spec", "--epsilon", "1"),
                   "bad.csv"),
+        "header": (("sanitize", "--spec", "hobby.spec", "--data", "bad.csv",
+                    "--seed", "1", "--column", "hobby"), "bad.csv"),
     }
 
     def run_case(self, capsys, workdir, kind, make_bad):
@@ -368,6 +370,45 @@ class TestUnreadableInputs:
             lambda path: path.write_text(f'{first}\n"{"x" * 140_000}"\n'))
         assert err.startswith(f"error: {path}: record 2: field larger")
         assert len(err) < 1024
+
+    #: each subcommand that writes --output, with the rest of its argv
+    OUTPUT_CASES = {
+        "sanitize": ("sanitize", "--spec", "hobby.spec",
+                     "--data", "hobby_data.csv", "--seed", "1"),
+        "optimal": ("optimal", "--categories", "cats.txt",
+                    "--epsilon", "1"),
+        "convert": ("convert", "--spec", "ham.spec"),
+    }
+
+    @pytest.mark.parametrize("command", list(OUTPUT_CASES))
+    @pytest.mark.parametrize("target", ["directory", "missing/out"])
+    def test_unwritable_output_exits_2(self, workdir, capsys, command,
+                                       target):
+        (workdir / "directory").mkdir()
+        argv = [workdir / a if a.endswith((".spec", ".csv", ".txt")) else a
+                for a in self.OUTPUT_CASES[command]]
+        output = workdir / target
+        code, out, err = run(capsys, *argv, "--output", output)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {output}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["matrix", "table", "header"])
+    def test_long_bad_field_is_echoed_cut_short(self, workdir, capsys, kind):
+        long = "x" * 100_000
+        argv = {
+            "matrix": ("verify", "--spec", "matrix.spec", "--epsilon", "1"),
+            "table": ("verify", "--spec", "table.spec", "--epsilon", "1"),
+            "header": ("sanitize", "--spec", "hobby.spec", "--data",
+                       "bad.csv", "--seed", "1", "--column", "hobby"),
+        }[kind]
+        text = (f"id,{long}\n1,Sports\n" if kind == "header"
+                else f"0.5,0.5\n0.5,{long}\n")
+        path, err = self.run_case(capsys, workdir, kind,
+                                  lambda path: path.write_text(text))
+        assert str(path) in err and "(100000 characters)" in err
+        assert len(err.encode()) < 1024
+
 
 class TestEpsilonRange:
     """e^epsilon must be a finite float; larger values are input errors."""
@@ -553,6 +594,45 @@ class TestSanitize:
         assert out == ""
         assert "row 3" in err and "'hobby'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("labels", [
+        ("a", "bb", "ccc"),
+        ("Sports", "Computer games", "x", "y" * 300),
+        ("grün", "日本語", "ÿ", "🙂", "z"),
+        ("", "é"),
+    ])
+    def test_label_lines_match_the_join(self, labels):
+        values = np.random.default_rng(len(labels)).integers(
+            0, len(labels), 500)
+        expected = "".join(labels[v] + "\n" for v in values.tolist())
+        assert dpcat.cli._label_lines(labels, values) \
+            == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("labels", [
+        ("a", "bb", "ccc"), ("grün", "日本語", "ÿ", "🙂")])
+    def test_output_and_stdout_hold_the_joined_labels(self, tmp_path, capsys,
+                                                      labels):
+        (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n",
+                                             encoding="utf-8")
+        spec = tmp_path / "labels.spec"
+        spec.write_text("type = product\np = 0.15\n"
+                        "categories = labels.txt\nn = 1\n")
+        rows = np.random.default_rng(3).integers(0, len(labels), 2_000)
+        data = tmp_path / "data.csv"
+        data.write_text("".join(labels[r] + "\n" for r in rows),
+                        encoding="utf-8")
+        args = ("sanitize", "--spec", spec, "--data", data, "--seed", "12")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert run(capsys, *args, "--output", tmp_path / "out.csv")[0] == 0
+
+        loaded = load_spec_file(spec)
+        d = dpcat.cli.load_database_csv(data, loaded.space)
+        drawn = dpcat.cli.sample(loaded.with_n(d.n), d,
+                                 np.random.default_rng(12))
+        expected = "".join(labels[v] + "\n" for v in drawn.rows)
+        assert out == expected
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
     def test_l1_sanitizes_long_files(self, workdir, capsys, tmp_path):
         # 1,000 rows: 3^1000 states, sampled row by row through the parent

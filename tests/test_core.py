@@ -182,6 +182,23 @@ class TestDatabaseArray:
             with pytest.raises(ValueError):
                 d.array[0] = 2
 
+    def test_from_array_builds_rows_on_first_access(self):
+        d = Database.from_array([2, 0, 1])
+        assert "rows" not in vars(d)
+        assert d.n == 3 and d.labels(CategorySpace(("a", "b", "c"))) \
+            == ("c", "a", "b")
+        assert "rows" not in vars(d)
+        assert d.rows is d.rows == (2, 0, 1)
+        assert vars(d)["rows"] == (2, 0, 1)
+
+    def test_lazy_and_tuple_databases_are_one_dict_key(self):
+        lazy, eager = Database.from_array([1, 0, 2]), Database((1, 0, 2))
+        assert hash(lazy) == hash(eager) and lazy == eager
+        assert {lazy: "x"}[eager] == "x"
+        assert {eager: "y"}[Database.from_array(np.array([1, 0, 2]))] == "y"
+        assert len({lazy, eager, Database.from_array([1, 0, 2])}) == 1
+        assert Database.from_array([1, 0]) != Database((1, 0, 2))
+
     def test_from_array_copies_its_input(self):
         values = np.array([0, 1])
         d = Database.from_array(values)
@@ -395,6 +412,38 @@ class TestLoaderDifferential:
         read = [_check_against_csv_reader(tmp_path, csv_calls, *case)
                 for case in _loader_cases(20261018, 1000)]
         assert 200 <= sum(read) <= 800     # both outcomes well covered
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_small_blocks_match_csv_reader(self, tmp_path, csv_calls,
+                                           monkeypatch, block):
+        # blocks of a line or a few: every line end is a block boundary
+        monkeypatch.setattr(dpcat.core, "_LOAD_BLOCK", block)
+        for case in LOADER_CASES:
+            _check_against_csv_reader(tmp_path, csv_calls, *case)
+        for case in _loader_cases(block, 200):
+            _check_against_csv_reader(tmp_path, csv_calls, *case)
+
+    @pytest.mark.parametrize("fault, row", [
+        ("1201,c9", "row 1202: unknown category label 'c9'"),
+        ("1201", "row 1202: no value in column 'colour'"),
+    ])
+    def test_errors_in_a_later_block_name_their_row(self, tmp_path,
+                                                    monkeypatch, fault, row):
+        monkeypatch.setattr(dpcat.core, "_LOAD_BLOCK", 64)
+        lines = ["id,colour"] + [f"{i},c{i % 2}" if i % 7 else ""
+                                 for i in range(1, 1200)]
+        path = tmp_path / "data.csv"
+        path.write_bytes(("\r\n".join(lines + ["1200,c1", fault])
+                          + "\r\n").encode())
+        space = CategorySpace(("c0", "c1"))
+        with pytest.raises(DataFormatError) as exc:
+            load_database_csv(path, space, column="colour")
+        assert str(exc.value) == f"{path}: {row}"
+        path.write_bytes(("\r\n".join(lines + ["1200,c1"])).encode())
+        rows, _ = _oracles.load_csv_labels_literal(path, space.labels,
+                                                   "colour")
+        d = load_database_csv(path, space, column="colour")
+        assert d.array.tolist() == rows and len(rows) == 1200 - 1200 // 7
 
     @pytest.mark.parametrize("quote", ["", '"c1"\n'])
     def test_invalid_utf8_names_path_and_byte(self, tmp_path, quote):

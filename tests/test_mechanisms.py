@@ -367,6 +367,22 @@ class TestSampling:
         sigma = math.sqrt(per_row * (1 - per_row) / n)
         assert abs(hamming_distance(d, out) / n - per_row) <= 3 * sigma
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_blocks_draw_one_uniform_stream(self, monkeypatch, block):
+        # the rule applied to one rng.random(n) call, the first uniform to
+        # row 0: value v becomes the count of cumulative entries <= u
+        monkeypatch.setattr(dpcat.mechanisms, "_SAMPLE_BLOCK", block)
+        matrix = SolutionMatrix([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
+                                 [0.25, 0.25, 0.5]])
+        rows = np.random.default_rng(8).integers(0, 3, 1_000)
+        spec = ProductSpec(make_space(2), rows.size, matrix)
+        u = np.random.default_rng(21).random(rows.size)
+        cum = np.cumsum(matrix.values, axis=1)
+        expected = np.minimum((u[:, None] >= cum[rows]).sum(axis=1), 2)
+        out = sample(spec, Database.from_array(rows),
+                     np.random.default_rng(21))
+        assert out.array.tolist() == expected.tolist()
+
     def test_general_utility_inverse_cdf(self, l1_spec, rng):
         counts = {}
         d = Database((0, 1))

@@ -22,6 +22,8 @@ from dpcat import PrivacyParams, sample_feasible_matrices
 from dpcat.cli import main
 from dpcat.specfile import load_spec_file
 
+import _oracles
+
 
 def _write_csv(path, records):
     buf = io.StringIO()
@@ -163,6 +165,41 @@ class _CountingRng:
     def dirichlet(self, *args, **kwargs):
         self.batches += 1
         return self.rng.dirichlet(*args, **kwargs)
+
+
+def test_batch_margins_match_the_full_square_on_the_criterion6_stream(
+        monkeypatch):
+    # every batch the pinned criterion-6 stream screens gets bit-identical
+    # margins from the s(s - 1)-pair form and the masked s^2 form
+    screen = dpcat.analysis.batch_matrix_margins
+    screened = []
+
+    def checked(mats, params):
+        margins = screen(mats, params)
+        assert np.array_equal(margins, _oracles.batch_margins_full_square(
+            mats, math.exp(params.epsilon), params.delta))
+        screened.append(mats.shape[0])
+        return margins
+
+    monkeypatch.setattr(dpcat.analysis, "batch_matrix_margins", checked)
+    rng = np.random.default_rng(60606)
+    for eps, delta, m in CRITERION6_POINTS:
+        sample_feasible_matrices(m, PrivacyParams(eps, delta), 1_000, rng,
+                                 batch=5_000, max_batches=200)
+    assert len(screened) >= len(CRITERION6_POINTS)
+
+
+def test_sanitize_never_builds_row_tuples(golden_dir, tmp_path,
+                                          monkeypatch):
+    draw = _Counting(dpcat.cli.sample)
+    monkeypatch.setattr(dpcat.cli, "sample", draw)
+    for spec, data in (("hamming.spec", "pets_crlf.csv"),
+                       ("l1.spec", "numbers.csv")):
+        assert main(["sanitize", "--spec", str(golden_dir / spec),
+                     "--data", str(golden_dir / data), "--seed", "1",
+                     "--output", str(tmp_path / "out.csv")]) == 0
+    for (_, d, _), result in draw.calls:
+        assert "rows" not in vars(d) and "rows" not in vars(result)
 
 
 def test_traced_entry_points_are_called_through_their_modules(
