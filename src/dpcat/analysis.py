@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ENUM_BUDGET, check_enum_budget, digit_matrix
+from .core import digit_matrix
 from .errors import ParameterRangeError
 from .mechanisms import (
     ExponentialSpec,
@@ -64,24 +64,23 @@ def error_bounds(params: PrivacyParams, m: int, n: int) -> tuple[float, float]:
     return lower, upper
 
 
-def expected_error(spec, params: PrivacyParams | None = None, *,
-                   budget_enum: int = DEFAULT_ENUM_BUDGET) -> ErrorProfile:
+def expected_error(spec, params: PrivacyParams | None = None) -> ErrorProfile:
     """Worst-case expected hamming error of a mechanism spec.
 
     Product-kind specs (hamming, L1 and product) use their parent matrix,
     n * max_a P(row a is released as another category); utility tables take
-    the exhaustive expectation over the enumerated space.
+    the exhaustive expectation over the space they hold in full.
     """
     m, n = spec.space.m, spec.n
     if spec.product is not None:
         err = matrix_expected_error(spec.product.matrix, n)
     else:
-        size = check_enum_budget(spec.space, n, budget_enum)
-        digits = digit_matrix(spec.space, n, budget_enum)
+        size = spec.state_count
+        digits = digit_matrix(spec.space, n, size)
         err = 0.0
         for i in range(size):
             h = np.count_nonzero(digits != digits[i], axis=1)
-            err = max(err, float(np.dot(h, spec.pmf_row(i, budget_enum))))
+            err = max(err, float(np.dot(h, spec.pmf_row(i))))
     lower = None
     if params is not None:
         lower = error_bounds(params, m, n)[0]

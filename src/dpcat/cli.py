@@ -36,7 +36,6 @@ from .core import (
     load_category_space,
     load_database_csv,
     naive_check_count_text,
-    space_size,
 )
 from .errors import (
     DataFormatError,
@@ -68,20 +67,18 @@ EXIT_INTERNAL_ERROR = 4
 
 
 def _add_options(parser: argparse.ArgumentParser, *,
-                 exact: bool = False, budget_enum: bool = False,
-                 budget_subsets: bool = False) -> None:
+                 exact: bool = False, budgets: bool = False) -> None:
     """``--format`` plus whichever shared options the subcommand reads."""
     parser.add_argument("--format", choices=("json", "table"), default="json",
                         help="output format (default json)")
-    if budget_enum:
+    if budgets:
         parser.add_argument("--budget-enum", type=int,
                             default=DEFAULT_ENUM_BUDGET, metavar="N",
                             help="max database-space size to enumerate")
-    if budget_subsets:
         parser.add_argument("--budget-subsets", type=int,
                             default=DEFAULT_SUBSET_BUDGET, metavar="N",
-                            help="max set size whose subsets may be "
-                                 "enumerated")
+                            help="max database-space size whose subsets "
+                                 "brute force may scan")
     if exact:
         parser.add_argument("--exact", action="store_true",
                             help="exact rational arithmetic (all but utility "
@@ -112,11 +109,9 @@ def cmd_verify(args) -> int:
             raise DataFormatError("--method matrix needs a product-kind spec, "
                                   "not a utility table")
         report = verify_matrix(spec.product.matrix, params, space=spec.space,
-                               budget_subsets=args.budget_subsets,
                                exact=args.exact)
     elif method == "reduced":
         report = verify_reduced(spec, params, budget_enum=args.budget_enum,
-                                budget_subsets=args.budget_subsets,
                                 exact=args.exact)
     else:
         report = verify_bruteforce(spec, params,
@@ -141,42 +136,47 @@ def _writing(path):
             f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
+#: Rows per buffer of _label_lines: the whole output is never held at once.
+_LINE_BLOCK = 1 << 16
+
+
 def _label_lines(labels, values: np.ndarray):
     """The UTF-8 lines ``labels[v]``, each ended by a line feed, for the
-    values in order, as one buffer.  Each value takes one fixed-width item
-    of a table of the lines, padded to the longest with 0xFF, a byte UTF-8
-    never uses, which is then dropped; lines of one width need no padding,
-    and the taken array's own bytes are returned without a copy."""
+    values in order, as buffers of ``_LINE_BLOCK`` whole lines.  Each value
+    takes one fixed-width item of a table of the lines, padded to the
+    longest with 0xFF, a byte UTF-8 never uses, which is then dropped."""
     lines = [f"{label}\n".encode("utf-8") for label in labels]
     width = max(map(len, lines))
     table = np.frombuffer(b"".join(line.ljust(width, b"\xff")
                                    for line in lines), dtype=f"V{width}")
-    taken = table[values]   # np.take would copy read-only indices first
-    if all(len(line) == width for line in lines):
-        return taken.view(np.uint8).data
-    return taken.tobytes().replace(b"\xff", b"")
+    for start in range(0, values.size, _LINE_BLOCK):
+        # np.take would copy read-only indices first
+        taken = table[values[start:start + _LINE_BLOCK]]
+        yield taken.tobytes().replace(b"\xff", b"")
 
 
 def cmd_sanitize(args) -> int:
+    if args.seed < 0:
+        raise ParameterRangeError(f"--seed must be >= 0, got {args.seed}")
     spec = load_spec_file(args.spec, exact=False)
     data = load_database_csv(args.data, spec.space, column=args.column)
     if spec.n != data.n:
         spec = spec.with_n(data.n)
     rng = np.random.default_rng(args.seed)
-    sanitized = sample(spec, data, rng, budget=args.budget_enum)
+    sanitized = sample(spec, data, rng)
     lines = _label_lines(spec.space.labels, sanitized.array)
     if args.output:
         with _writing(args.output), open(args.output, "wb") as fh:
-            fh.write(lines)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(str(lines, "utf-8"))
+        sys.stdout.writelines(str(chunk, "utf-8") for chunk in lines)
     return 0
 
 
 def cmd_analyze(args) -> int:
     spec = load_spec_file(args.spec, exact=False)
     params = PrivacyParams(args.epsilon, args.delta)
-    profile = expected_error(spec, params, budget_enum=args.budget_enum)
+    profile = expected_error(spec, params)
     payload = {
         "mechanism": spec.kind,
         "m": spec.space.m,
@@ -274,8 +274,7 @@ def cmd_bench(args) -> int:
                 spec = _bench_spec(space, n, args.mechanism, args.k)
                 start = time.perf_counter()
                 reduced = verify_reduced(spec, params,
-                                         budget_enum=args.budget_enum,
-                                         budget_subsets=args.budget_subsets)
+                                         budget_enum=args.budget_enum)
                 row["time_reduced_s"] = time.perf_counter() - start
                 row["checks_reduced"] = reduced.checks_text
                 row["verdict"] = reduced.verdict
@@ -283,23 +282,18 @@ def cmd_bench(args) -> int:
                 row.update(skipped=True, reason=str(exc))
                 rows.append(row)
                 continue
-            brute = None
-            if space_size(space, n) <= args.budget_subsets:
-                start = time.perf_counter()
-                try:
-                    brute = verify_bruteforce(
-                        spec, params, budget_subsets=args.budget_subsets)
-                except EnumerationBudgetError as exc:
-                    row["brute_reason"] = str(exc)
-            if brute is not None:
+            start = time.perf_counter()
+            try:
+                brute = verify_bruteforce(spec, params,
+                                          budget_subsets=args.budget_subsets)
+            except EnumerationBudgetError as exc:
+                row.update(brute_reason=str(exc), time_bruteforce_s=None,
+                           speedup=None, brute_skipped=True)
+            else:
                 row["time_bruteforce_s"] = time.perf_counter() - start
                 row["agree"] = brute.verdict == reduced.verdict
                 row["speedup"] = (row["time_bruteforce_s"]
                                   / max(row["time_reduced_s"], 1e-9))
-            else:
-                row["time_bruteforce_s"] = None
-                row["speedup"] = None
-                row["brute_skipped"] = True
             row["skipped"] = False
             rows.append(row)
     if args.format == "json":
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _privacy_args(p)
     p.add_argument("--method", choices=("auto", "reduced", "brute", "matrix"),
                    default="auto")
-    _add_options(p, exact=True, budget_enum=True, budget_subsets=True)
+    _add_options(p, exact=True, budgets=True)
 
     p = sub.add_parser("sanitize", help="sanitise a data file")
     p.add_argument("--spec", required=True)
@@ -338,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="header column to read (implies a header row)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", default=None)
-    _add_options(p, budget_enum=True)
 
     p = sub.add_parser("analyze", help="expected error and bounds")
     p.add_argument("--spec", required=True)
     _privacy_args(p)
-    _add_options(p, budget_enum=True)
+    _add_options(p)
 
     p = sub.add_parser("convert", help="map between hamming and product form")
     p.add_argument("--spec", required=True)
@@ -367,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(1, 2), metavar="M1,M2,...")
     p.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
                    default=(1, 2), metavar="N1,N2,...")
-    p.add_argument("--seed", type=int, default=None, help="unused; accepted "
-                   "for interface uniformity")
-    _add_options(p, budget_enum=True, budget_subsets=True)
+    _add_options(p, budgets=True)
 
     return parser
 

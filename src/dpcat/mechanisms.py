@@ -8,7 +8,9 @@ sums over rows, so e^u/Z factorises row by row: the n-row exponential
 mechanism is the product mechanism whose parent is
 M[a, b] = e^{u1(a, b)} / sum_c e^{u1(a, c)} for the one-row utility u1.
 Such specs carry that ProductSpec as ``product`` and scale to any row count;
-only explicit utility tables are enumerated.  For the hamming utility
+only explicit utility tables are enumerated.  A table is held in full, and
+every array derived from it (the pmf matrix, the digit table) is no larger,
+so tables take no enumeration budget.  For the hamming utility
 u1 = -k * [a != b] the parent is k-ary randomized response with flip
 probability p = 1/(e^k + m).
 
@@ -32,6 +34,7 @@ from .core import (
     CategorySpace,
     Database,
     check_enum_budget,
+    count_text,
     database_from_index,
     database_index,
     digit_matrix,
@@ -159,8 +162,9 @@ class TableUtility:
         size = space_size(space, n)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (size, size):
+            states = count_text(size, f"({space.size}^{n})")
             raise IncompleteUtilityError(
-                f"utility table must be {size}x{size} for this space, "
+                f"utility table must be {states}x{states} for this space, "
                 f"got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise IncompleteUtilityError("utility table holds non-finite entries")
@@ -273,23 +277,20 @@ class ExponentialSpec(_Spec):
                 f"cannot be rescaled to {n}")
         return ExponentialSpec(self.space, n, self.utility)
 
-    def log_prefactor(self, index: int,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> float:
+    def log_prefactor(self, index: int) -> float:
         if self.product is not None:
             # u(d, d) = 0, so C(d) = P(X_d = d) = prod_i M[d_i, d_i]
             rows = database_from_index(self.space, self.n, index).rows
             return float(sum(self.product.log_weights[r, r] for r in rows))
-        return -float(self.log_pmf_table(budget)[1][index])
+        return -float(self.log_pmf_table()[1][index])
 
-    def log_pmf_table(self, budget: int = DEFAULT_ENUM_BUDGET
-                      ) -> tuple[np.ndarray, np.ndarray]:
+    def log_pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """A utility table's log pmf and log normalisers, built once.
 
         Row d of the (size, size) matrix holds log P(X_d = x) for every
         output x; entry d of the vector is log sum_x e^{u(d, x)}.  Each row
         is shifted by its maximum before it is exponentiated.
         """
-        check_enum_budget(self.space, self.n, budget)
         if self._log_table is None:
             u = self.utility.values
             hi = u.max(axis=1, keepdims=True)
@@ -301,17 +302,16 @@ class ExponentialSpec(_Spec):
                     budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         if self.product is not None:
             return self.product.log_pmf_row(index, budget)
-        return self.log_pmf_table(budget)[0][index]
+        return self.log_pmf_table()[0][index]
 
     def pmf_row(self, index: int,
                 budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         return np.exp(self.log_pmf_row(index, budget))
 
-    def pmf(self, d: Database, d_prime: Database,
-            budget: int = DEFAULT_ENUM_BUDGET) -> float:
+    def pmf(self, d: Database, d_prime: Database) -> float:
         if self.product is not None:
             return self.product.pmf(d, d_prime)
-        return float(self.pmf_row(database_index(self.space, d), budget)
+        return float(self.pmf_row(database_index(self.space, d))
                      [database_index(self.space, d_prime)])
 
     def exact_pmf_row(self, index: int,
@@ -457,8 +457,7 @@ class ProductSpec(_Spec):
                 budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
         return np.exp(self.log_pmf_row(index, budget))
 
-    def pmf(self, d: Database, d_prime: Database,
-            budget: int = DEFAULT_ENUM_BUDGET) -> float:
+    def pmf(self, d: Database, d_prime: Database) -> float:
         validate_database(self.space, d)
         validate_database(self.space, d_prime)
         if d.n != self.n or d_prime.n != self.n:
@@ -478,14 +477,12 @@ class ProductSpec(_Spec):
         return out
 
 
-def exp_pmf(spec: ExponentialSpec, d: Database, d_prime: Database,
-            budget: int = DEFAULT_ENUM_BUDGET) -> float:
+def exp_pmf(spec: ExponentialSpec, d: Database, d_prime: Database) -> float:
     """P(X_d = d') for an exponential spec."""
-    return spec.pmf(d, d_prime, budget)
+    return spec.pmf(d, d_prime)
 
 
-def exp_norm_constant(spec: ExponentialSpec, d: Database,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> float:
+def exp_norm_constant(spec: ExponentialSpec, d: Database) -> float:
     """The normalisation prefactor C for input d, so that the probability
     of each output d' is exactly C * e^{u(d, d')}.
 
@@ -493,7 +490,7 @@ def exp_norm_constant(spec: ExponentialSpec, d: Database,
     no enumeration (for hamming, (1 + m/e^k)^{-n} for every d); utility
     tables take a log-sum-exp over their row.
     """
-    return math.exp(spec.log_prefactor(database_index(spec.space, d), budget))
+    return math.exp(spec.log_prefactor(database_index(spec.space, d)))
 
 
 def product_pmf(spec: ProductSpec, d: Database, d_prime: Database) -> float:
@@ -558,21 +555,19 @@ def _rowwise_sample(matrix: SolutionMatrix, d: Database,
     return Database._over(out)
 
 
-def sample(spec, d: Database, rng: np.random.Generator,
-           budget: int = DEFAULT_ENUM_BUDGET) -> Database:
+def sample(spec, d: Database, rng: np.random.Generator) -> Database:
     """Draw one sanitised database.  Deterministic given the generator state.
 
     Product-kind specs (every spec but a utility table) sample row by row
-    through their parent and scale to any n.  Utility tables enumerate the
-    output distribution, so they are limited to spaces within the
-    enumeration budget.
+    through their parent and scale to any n.  Utility tables draw from
+    their input's row of the pmf matrix.
     """
     validate_database(spec.space, d)
     if d.n != spec.n:
         raise DataFormatError(f"spec expects {spec.n} rows, database has {d.n}")
     if spec.product is not None:
         return _rowwise_sample(spec.product.matrix, d, rng)
-    row = spec.pmf_row(database_index(spec.space, d), budget)
+    row = spec.pmf_row(database_index(spec.space, d))
     cum = np.cumsum(row)
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     idx = min(idx, spec.state_count - 1)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    count_text,
     load_category_space,
     parse_record,
     read_csv,
@@ -80,15 +81,19 @@ def _parse_float(value: str, key: str, origin) -> float:
                               ) from None
 
 
-def load_table_csv(path, size: int) -> np.ndarray:
+def load_table_csv(path, space, n: int) -> np.ndarray:
+    """The (m+1)^n x (m+1)^n utility table a CSV file holds."""
     rows = []
     for record in read_csv(path):
         if record:
             rows.append(parse_record(record, float, path, "table"))
     table = np.asarray(rows, dtype=np.float64)
+    size = space_size(space, n)
     if table.shape != (size, size):
+        states = count_text(size, f"({space.size}^{n})")
         raise DataFormatError(
-            f"{path}: utility table must be {size}x{size}, got {table.shape}")
+            f"{path}: utility table must be {states}x{states}, "
+            f"got {table.shape}")
     return table
 
 
@@ -124,7 +129,7 @@ def load_spec_file(path, *, exact: bool = False):
             utility = NegL1Utility()
         elif utility_name == "table":
             table_path = base / _require(kv, "table", path)
-            table = load_table_csv(table_path, space_size(space, n))
+            table = load_table_csv(table_path, space, n)
             fixed = kv.get("fixed_c", "false").lower() in ("true", "1", "yes")
             utility = TableUtility(space, n, table, assert_fixed_c=fixed)
         else:

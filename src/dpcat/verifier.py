@@ -25,14 +25,16 @@ outputs strictly more likely under d than under d'.
   i, P_d(x) / P_d'(x) depends on x_i alone, so the worst set is a cylinder
   {x : x_i in A1(d_i, d'_i)} over the parent and S is the cylinder over
   S1(d_i, d'_i).  No pmf row or digit table is built.  ``verify_matrix``
-  decides a parent by the same route, or by the closed form when it is
-  symmetric with a dominant diagonal.
+  decides a parent by the same route, as the one-row spec it generates.
 * Utility tables are decided in one array pass over all ordered neighbour
   pairs of the table's log-pmf matrix.
 * The paper's check count is one check of S per pair for a symmetric
   parent; one per utility-gap level set of S for a table with a provably
   constant normaliser at delta = 0; every nonempty subset of S otherwise.
   It is computed from the sizes of S, never walked.
+* Neither route enumerates a subset, so the subset budget caps brute force
+  alone.  ``budget_enum`` caps a product spec's state count, bounding its
+  binding set and naive count; a table is bounded by its own size.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
@@ -74,7 +76,7 @@ from .errors import (
     ExactModeError,
     ParameterRangeError,
 )
-from .mechanisms import SYMMETRY_TOL, ProductSpec, SolutionMatrix
+from .mechanisms import ProductSpec, SolutionMatrix
 
 #: Slack added to every margin comparison to absorb float rounding.
 TOLERANCE = 1e-12
@@ -165,7 +167,7 @@ class VerificationReport:
     """Verdict plus the evidence trail of a verification run."""
 
     verdict: str                       # "private" | "not-private"
-    method: str                        # closed-form | sufficient-set | partition | brute-force
+    method: str                        # sufficient-set | partition | brute-force
     epsilon: float
     delta: float
     margin: float                      # canonical: <= delta; inf if trivial
@@ -241,22 +243,22 @@ def _render_set(dbset: DatabaseSet):
     return labels[digits].tolist()
 
 
-def _validate_fixed_normalizer(spec, budget: int) -> None:
+def _validate_fixed_normalizer(spec) -> None:
     """Reject a false fixed-C claim: the table's log-normalisers must not
     spread."""
-    spread = float(np.ptp(spec.log_pmf_table(budget)[1]))
+    spread = float(np.ptp(spec.log_pmf_table()[1]))
     if spread > 1e-9:
         raise DataFormatError(
             f"utility table is marked as having a fixed normaliser, but the "
             f"log-normalisers spread over {spread:.3e}")
 
 
-def _neighbor_pairs(spec, budget: int = DEFAULT_ENUM_BUDGET):
+def _neighbor_pairs(spec):
     """All ordered neighbor pairs as three index arrays (index of d, index
     of d', differing row), in the order of ``enumerate_neighbor_pairs``:
     by d, then by differing row, then by replacement value."""
     k, n = spec.space.size, spec.n
-    digits = spec._digit_table(budget)
+    digits = spec._digit_table(DEFAULT_ENUM_BUDGET)
     ia, rows, values = np.nonzero(digits[:, :, None] != np.arange(k))
     ib = ia + (values - digits[ia, rows]) * k ** (n - 1 - rows)
     return ia, ib, rows
@@ -303,7 +305,7 @@ def sufficient_set(spec, pair: NeighborPair, *,
     if not spec.fixed_normalizer:
         return SufficientSet(pair, member_set)
     if spec.product is None:
-        _validate_fixed_normalizer(spec, budget_enum)
+        _validate_fixed_normalizer(spec)
     alphas = _alpha_values(spec, ia, ib, members, budget_enum)
     levels = sorted(set(alphas.tolist()))       # ascending exact gaps
     return SufficientSet(
@@ -376,7 +378,7 @@ def _subset_count(terms) -> tuple[int, str]:
 
 
 def _parent_route(spec, params: PrivacyParams, budget_enum: int,
-                  budget_subsets: int, exact: bool) -> _Accumulator:
+                  exact: bool) -> _Accumulator:
     """Decide a product spec from its (m+1) x (m+1) parent M.
 
     For neighbours differing in row i, with u = d_i and v = d'_i,
@@ -438,12 +440,6 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
             if symmetric:
                 checks += k ** (n - 1)      # one check of S per pair
             else:
-                size = s1 * max(spread)
-                if size > budget_subsets:
-                    raise EnumerationBudgetError(
-                        f"sufficient set holds {size} databases; enumerating "
-                        f"its subsets exceeds the budget of {budget_subsets}",
-                        size)
                 for product_z, count in spread.items():
                     terms[s1 * product_z] += count
             cells = [c for c in range(k) if worst[u][v][c]]
@@ -480,8 +476,7 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
     return acc
 
 
-def _table_route(spec, params: PrivacyParams, partition: bool,
-                 budget_enum: int) -> _Accumulator:
+def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
     """Decide a utility table in one array pass over its neighbour pairs.
 
     The worst output set of a pair (d, d') is its hockey-stick set
@@ -493,11 +488,11 @@ def _table_route(spec, params: PrivacyParams, partition: bool,
     partition route, every nonempty subset of S otherwise.  Pairs are taken
     ``size`` at a time, so no temporary outgrows the table.
     """
-    log_pmf = spec.log_pmf_table(budget_enum)[0]
+    log_pmf = spec.log_pmf_table()[0]
     utility = spec.utility.values
     pmf = np.exp(log_pmf)
     e_eps = math.exp(params.epsilon)
-    ia, ib, rows = _neighbor_pairs(spec, budget_enum)
+    ia, ib, rows = _neighbor_pairs(spec)
     size = log_pmf.shape[0]
     hockey = np.empty(ia.size)
     counts = np.empty(ia.size, dtype=np.int64)  # |S|, or its gap levels
@@ -578,7 +573,6 @@ def _trivial_report(spec, params, method: str, tolerance: float,
 
 def verify_reduced(spec, params: PrivacyParams, *,
                    budget_enum: int = DEFAULT_ENUM_BUDGET,
-                   budget_subsets: int = DEFAULT_SUBSET_BUDGET,
                    tolerance: float = TOLERANCE,
                    exact: bool = False) -> VerificationReport:
     """Decide privacy using the strongest reduction the spec admits.
@@ -587,12 +581,12 @@ def verify_reduced(spec, params: PrivacyParams, *,
     :func:`_parent_route`), utility tables in one array pass (see
     :func:`_table_route`), which counts one check per utility-gap cell for a
     fixed-normaliser table at delta = 0 and every nonempty subset of S
-    otherwise.  ``budget_enum`` caps the state count and ``budget_subsets``
-    the size of a product spec's sufficient set whose subsets are counted.
+    otherwise.  ``budget_enum`` caps a product spec's state count; a table
+    is bounded by its own size.
     """
     partition = False
     if spec.product is None and spec.fixed_normalizer:
-        _validate_fixed_normalizer(spec, budget_enum)
+        _validate_fixed_normalizer(spec)
         partition = params.delta == 0
     method = "partition" if partition else "sufficient-set"
     if params.trivial:
@@ -601,9 +595,9 @@ def verify_reduced(spec, params: PrivacyParams, *,
         raise ExactModeError(
             f"exact mode is not available for {spec.kind!r} specs")
     if spec.product is not None:
-        acc = _parent_route(spec, params, budget_enum, budget_subsets, exact)
+        acc = _parent_route(spec, params, budget_enum, exact)
     else:
-        acc = _table_route(spec, params, partition, budget_enum)
+        acc = _table_route(spec, params, partition)
     return _build_report(spec, params, acc, method, tolerance, exact)
 
 
@@ -689,41 +683,16 @@ def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
 
 def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
                   space: CategorySpace | None = None,
-                  budget_subsets: int = DEFAULT_SUBSET_BUDGET,
                   tolerance: float = TOLERANCE,
                   exact: bool = False) -> VerificationReport:
-    """Decide privacy of a parent matrix; the verdict carries over to the
-    product mechanism it generates for every row count.
-
-    Symmetric matrices with a dominant diagonal short-circuit through the
-    closed form; every other matrix is decided as the one-row product spec
-    it generates (see :func:`_parent_route`).
-    """
+    """Decide privacy of a parent matrix as its one-row product spec (see
+    :func:`_parent_route`); the verdict carries over to the product
+    mechanism it generates for every row count."""
     if space is None:
         space = CategorySpace(tuple(str(i) for i in range(matrix.size)))
     elif space.size != matrix.size:
         raise DataFormatError(
             f"matrix is {matrix.size}x{matrix.size} but the space has "
             f"{space.size} categories")
-    parent = ProductSpec(space, 1, matrix)
-
-    p = matrix.symmetric_p()
-    if (p is not None and p <= 1 / matrix.size + SYMMETRY_TOL
-            and not params.trivial):
-        # Closed form: private iff p >= (1 - delta)/(e^eps + m).  With the
-        # diagonal dominant, every ordered pair's worst set is the input's
-        # own category, so the pair (0, 1) on {category 0} carries the margin.
-        if exact:
-            fracs = matrix.fractions()
-            e_eps, delta = params.exact_pair()
-            margin = e_eps * fracs[1][0] + delta - fracs[0][0]
-        else:
-            margin = (math.exp(params.epsilon) * float(matrix.values[1, 0])
-                      + params.delta - float(matrix.values[0, 0]))
-        acc = _Accumulator(params, exact)
-        acc.add(margin, (0, 1, 0, (0,)), 1)
-        return _build_report(parent, params, acc, "closed-form", tolerance,
-                             exact)
-
-    return verify_reduced(parent, params, budget_subsets=budget_subsets,
+    return verify_reduced(ProductSpec(space, 1, matrix), params,
                           tolerance=tolerance, exact=exact)

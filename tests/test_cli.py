@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import dpcat.cli
-from dpcat import NegL1Utility, PrivacyParams, verify_matrix, verify_reduced
+from dpcat import (
+    NegL1Utility,
+    PrivacyParams,
+    product_dp_condition,
+    verify_matrix,
+    verify_reduced,
+)
 from dpcat.cli import main
 from dpcat.specfile import load_spec_file
 
@@ -118,7 +124,28 @@ class TestVerify:
                            workdir / "identity.spec",
                            "--epsilon", "1", "--delta", "0")
         assert code == 1
-        assert json.loads(out)["method"] == "closed-form"
+        report = json.loads(out)
+        # the parent route decides symmetric parents too
+        assert report["method"] == "sufficient-set"
+        params = PrivacyParams(1.0, 0.0)
+        assert (report["verdict"] == "private") \
+            == product_dp_condition(0.0, params, 2).satisfied
+        # min(delta, e^eps * p + delta - (1 - m * p)) at p = 0
+        assert report["margin"] == pytest.approx(-1.0, abs=1e-15)
+
+    def test_reduced_product_spec_takes_no_subset_budget(self, workdir,
+                                                         capsys):
+        # L1 m=2 n=12: its sufficient sets hold 3^11 and 2 * 3^11 databases,
+        # past the default subset budget, which caps brute force alone
+        spec = workdir / "l1_n12.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = cats.txt\nn = 12\n")
+        code, out, _ = run(capsys, "verify", "--spec", spec, "--epsilon", "1",
+                           "--method", "reduced")
+        assert code in (0, 1)
+        report = json.loads(out)
+        assert report["method"] == "sufficient-set"
+        assert report["checks_performed"].startswith("12*(")
 
     def test_brute_method_agrees(self, workdir, capsys):
         code1, out1, _ = run(capsys, "verify", "--spec", workdir / "l1.spec",
@@ -216,6 +243,19 @@ class TestVerify:
                          "--epsilon", "0.1", "--delta", "0")
         assert code == 1
 
+    def test_table_under_a_huge_row_count_is_an_input_error(self, workdir,
+                                                            capsys):
+        # a 9x9 table against 3^200000 states: the size prints as a power
+        (workdir / "util.csv").write_text("0,0,0,0,0,0,0,0,0\n" * 9)
+        spec = workdir / "table.spec"
+        spec.write_text("type = exponential\nutility = table\n"
+                        "table = util.csv\ncategories = cats.txt\n"
+                        "n = 200000\n")
+        code, out, err = run(capsys, "verify", "--spec", spec,
+                             "--epsilon", "1")
+        assert (code, out) == (2, "")
+        assert "(3^200000)x(3^200000)" in err
+        assert len(err.encode()) < 1024
 
     def test_l1_three_rows_reduced_count(self, workdir, capsys):
         # sets of 9 and 18 databases: 3 * 9 * (4 * (2^9 - 1) + 2 * (2^18 - 1))
@@ -246,24 +286,22 @@ class TestVerify:
 
     def test_huge_reduced_count_prints_from_its_terms(self, workdir,
                                                       capsys):
-        # L1 m=2 n=10 under a raised subset budget: checks_performed has
-        # 11,856 digits and prints as n*(c1*(2^e1-1)+...); bench's brute
-        # force at 3^10 states is past the kernel's width and is skipped
+        # L1 m=2 n=10: checks_performed has 11,856 digits and prints as
+        # n*(c1*(2^e1-1)+...); bench's brute force at 3^10 states, under a
+        # raised subset budget, is past the kernel's width and is skipped
         spec = workdir / "l1_n10.spec"
         spec.write_text("type = exponential\nutility = l1\n"
                         "categories = cats.txt\nn = 10\n")
-        budget = ("--budget-subsets", "100000")
-        report = verify_reduced(load_spec_file(spec), PrivacyParams(1.0, 0.0),
-                                budget_subsets=100_000)
+        report = verify_reduced(load_spec_file(spec), PrivacyParams(1.0, 0.0))
         code, out, _ = run(capsys, "verify", "--spec", spec, "--epsilon", "1",
-                           "--method", "reduced", *budget)
+                           "--method", "reduced")
         assert code in (0, 1)
         text = json.loads(out)["checks_performed"]
         assert text == "10*(78732*(2^19683-1)+39366*(2^39366-1))"
         assert evaluate_count(text) == report.checks_performed
         code, out, _ = run(capsys, "bench", "--mechanism", "l1",
                            "--m-list", "2", "--n-list", "10",
-                           "--epsilon", "1", *budget)
+                           "--epsilon", "1", "--budget-subsets", "100000")
         assert code in (0, 1)
         (row,) = json.loads(out)
         assert evaluate_count(row["checks_reduced"]) == report.checks_performed
@@ -517,9 +555,16 @@ class TestParserReuse:
          "--budget-enum", "9"),
         ("optimal", "--categories", "cats.txt", "--epsilon", "1",
          "--budget-subsets", "4"),
-    ], ids=lambda argv: argv[0] + next(
-        a for a in argv if a in ("--exact", "--budget-enum",
-                                 "--budget-subsets")))
+        ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
+         "--seed", "1", "--budget-enum", "9"),
+        ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
+         "--seed", "1", "--format", "json"),
+        ("analyze", "--spec", "ham.spec", "--epsilon", "1",
+         "--budget-enum", "9"),
+        ("bench", "--epsilon", "1", "--seed", "1"),
+    ], ids=lambda argv: argv[0] + [   # the option under test comes last
+        a for a in argv if a in ("--exact", "--budget-enum", "--budget-subsets",
+                                 "--format", "--seed")][-1])
     def test_options_a_subcommand_does_not_read_are_rejected(
             self, workdir, capsys, argv):
         argv = [str(workdir / a) if a.endswith((".spec", ".csv", ".txt"))
@@ -528,6 +573,22 @@ class TestParserReuse:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_option_table_matches_the_parser(self):
+        readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            found = re.fullmatch(r"\| `(--[a-z-]+)[^`]*` \| ([a-z, ]+) \|",
+                                 line)
+            if found:
+                table[found[1]] = set(found[2].split(", "))
+        assert set(table) == {"--format", "--exact", "--budget-enum",
+                              "--budget-subsets"}
+        (commands,) = [action.choices for action
+                       in dpcat.cli.build_parser()._subparsers._group_actions]
+        for option, listed in table.items():
+            assert listed == {name for name, sub in commands.items()
+                              if option in sub._option_string_actions}, option
 
 
 class TestSanitize:
@@ -553,6 +614,15 @@ class TestSanitize:
                            "--seed", "5")
         assert code == 0
         assert out == (workdir / "hobby_data.csv").read_text()
+
+    def test_negative_seed_is_an_input_error(self, workdir, capsys):
+        code, out, err = run(capsys, "sanitize", "--spec",
+                             workdir / "hobby.spec", "--data",
+                             workdir / "hobby_data.csv", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err and "-1" in err
+        assert "Traceback" not in err
 
     def test_unknown_label_names_row(self, workdir, capsys):
         data = workdir / "bad_data.csv"
@@ -601,12 +671,15 @@ class TestSanitize:
         ("grün", "日本語", "ÿ", "🙂", "z"),
         ("", "é"),
     ])
-    def test_label_lines_match_the_join(self, labels):
+    def test_label_lines_match_the_join(self, labels, monkeypatch):
         values = np.random.default_rng(len(labels)).integers(
             0, len(labels), 500)
         expected = "".join(labels[v] + "\n" for v in values.tolist())
-        assert dpcat.cli._label_lines(labels, values) \
-            == expected.encode("utf-8")
+        for block in (dpcat.cli._LINE_BLOCK, 1, 3):
+            monkeypatch.setattr(dpcat.cli, "_LINE_BLOCK", block)
+            chunks = list(dpcat.cli._label_lines(labels, values))
+            assert len(chunks) == -(-500 // block)
+            assert b"".join(chunks) == expected.encode("utf-8")
 
     @pytest.mark.parametrize("labels", [
         ("a", "bb", "ccc"), ("grün", "日本語", "ÿ", "🙂")])

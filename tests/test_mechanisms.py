@@ -320,6 +320,12 @@ class TestTableUtility:
         with pytest.raises(IncompleteUtilityError):
             TableUtility(space3, 2, np.zeros((9, 8)))
 
+    def test_shape_error_under_a_huge_row_count_prints_a_power(self, space3):
+        with pytest.raises(IncompleteUtilityError,
+                           match=r"\(3\^200000\)x\(3\^200000\)") as exc:
+            TableUtility(space3, 200_000, np.zeros((9, 9)))
+        assert len(str(exc.value)) < 1024
+
     def test_missing_mapping_entries(self, space3):
         mapping = {(Database((0, 0)), Database((0, 0))): -1.0}
         with pytest.raises(IncompleteUtilityError, match="80"):
@@ -416,11 +422,3 @@ class TestSampling:
         small = big.with_n(3)
         assert small.state_count == small.state_count == 27
         assert calls == [3]
-
-    def test_general_utility_budget(self):
-        space = make_space(3)
-        table = np.zeros((16, 16))
-        spec = ExponentialSpec(space, 2, TableUtility(space, 2, table))
-        with pytest.raises(EnumerationBudgetError):
-            sample(spec, Database((0, 0)), np.random.default_rng(0),
-                   budget=9)

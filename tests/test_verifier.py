@@ -222,11 +222,6 @@ class TestVerifyReduced:
         report = verify_reduced(spec, PrivacyParams(0.5, 0.0), exact=exact)
         assert report.checks_performed == walked == 700
 
-    def test_general_budget_error_names_set_size(self, l1_spec):
-        with pytest.raises(EnumerationBudgetError, match="6"):
-            verify_reduced(l1_spec, PrivacyParams(1.0, 0.0),
-                           budget_subsets=5)
-
 
 TABLE_SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)]
 
@@ -666,14 +661,41 @@ class TestVerifyMatrix:
         assert report.margin == pytest.approx(math.exp(1.0) * 0 + 0 - 1)
 
     def test_symmetric_tracks_closed_form(self):
-        matrix = symmetric_matrix(4, 0.1)
+        # the parent route decides symmetric parents too, with the closed
+        # form's verdict and margin min(delta, e^eps*p + delta - (1 - m*p))
+        m = 4
+        matrix = symmetric_matrix(m, 0.1)
         for eps in (0.0, 1.0, math.log(6), 2.0):
             for delta in (0.0, 0.1, 0.5):
                 params = PrivacyParams(eps, delta)
                 report = verify_matrix(matrix, params)
-                assert report.method == "closed-form"
+                assert report.method == "sufficient-set"
                 assert report.private == product_dp_condition(
-                    0.1, params, 4).satisfied
+                    0.1, params, m).satisfied
+                closed = min(delta,
+                             math.exp(eps) * 0.1 + delta - (1 - m * 0.1))
+                assert report.margin == pytest.approx(closed, abs=1e-15)
+        p = Fraction(1, 10)
+        matrix = symmetric_matrix(m, p)
+        for e_eps in (Fraction(1), Fraction(6), Fraction(7)):
+            for delta in (Fraction(0), Fraction(1, 10)):
+                params = PrivacyParams.from_exact(e_eps, delta)
+                report = verify_matrix(matrix, params, exact=True)
+                assert report.method == "sufficient-set"
+                closed = min(delta, e_eps * p + delta - (1 - m * p))
+                assert report.private == (closed >= 0)
+                assert report.margin == float(closed)
+
+    def test_exact_mode_sees_a_float_diagonal_below_p(self):
+        # p = 0.2 = 1/(m+1) as floats: 1 - 4 * 0.2 rounds below 0.2, so the
+        # exact parent is off-diagonal dominant and not private at eps = 0
+        matrix = symmetric_matrix(4, 0.2)
+        spec = ProductSpec(make_space(4), 1, matrix)
+        params = PrivacyParams(0.0, 0.0)
+        report = verify_matrix(matrix, params, exact=True)
+        brute = verify_bruteforce(spec, params, exact=True)
+        assert (report.verdict, report.margin) \
+            == (brute.verdict, brute.margin) == ("not-private", -2 ** -54)
 
     def test_zero_slack_boundary_exact(self):
         e_eps, delta = Fraction(2), Fraction(1, 10)
@@ -692,7 +714,7 @@ class TestVerifyMatrix:
             params = PrivacyParams(float(rng.uniform(0, 2)),
                                    float(rng.choice([0.0, 0.1])))
             parent_report = verify_matrix(matrix, params)
-            assert parent_report.method in ("sufficient-set", "closed-form")
+            assert parent_report.method == "sufficient-set"
             # the parent verdict transfers to every row count
             for n in (1, 2):
                 spec = ProductSpec(space, n, matrix)
@@ -700,8 +722,8 @@ class TestVerifyMatrix:
                     == parent_report.verdict, (matrix.values, params)
 
     def test_off_diagonal_dominant_symmetric_matrix(self):
-        # the closed form's worst set, the input's own category, is the
-        # wrong one here: each row puts more mass on every other category
+        # the input's own category, the worst set of a dominant diagonal, is
+        # the wrong one here: each row puts more mass on every other category
         matrix = SolutionMatrix(np.array(
             [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]))
         spec = ProductSpec(make_space(2), 1, matrix)
