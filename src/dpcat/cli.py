@@ -369,6 +369,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
+        for option in ("budget_enum", "budget_subsets"):
+            if getattr(args, option, 0) < 0:
+                raise ParameterRangeError(
+                    f"--{option.replace('_', '-')} must be >= 0, got "
+                    f"{getattr(args, option)}")
         return command(args)
     except (DataFormatError, ParameterRangeError, IncompleteUtilityError,
             LengthMismatchError, ExactModeError, FileNotFoundError) as exc:

@@ -12,13 +12,15 @@ set goes below delta the report has no binding pair or set.
 
 ``verify_bruteforce`` checks the inequality on every nonempty proper subset
 of the space and is the ground-truth oracle.  Its subset scan
-(:func:`dpcat.kernels.subset_scan`, one call per pair, in float or exact
-rational arithmetic) meets in the middle, so a pair over k states costs
-O(2^(k/2)) while every subset is still accounted for.  It is the only
-subset enumerator: ``verify_reduced`` takes each pair's worst output set
-directly, the hockey-stick set {x : P_d(x) > e^eps * P_d'(x)} (Barthe and
-Olmedo), and only counts the checks of the paper's sufficient set S, the
-outputs strictly more likely under d than under d'.
+(:func:`dpcat.kernels.subset_scan`, in float or exact rational arithmetic)
+meets in the middle, so a pair over k states costs O(2^(k/2)) while every
+subset is still accounted for.  The pairs go to the kernel as the columns
+of their pmf rows, one call per chunk of pairs whose half tables hold at
+most 2^20 entries (2^8 exact), so no Python step runs per pair.  It is
+the only subset enumerator: ``verify_reduced`` takes each pair's worst
+output set directly, the hockey-stick set {x : P_d(x) > e^eps * P_d'(x)}
+(Barthe and Olmedo), and only counts the checks of the paper's sufficient
+set S, the outputs strictly more likely under d than under d'.
 
 * Product mechanisms (hamming, L1, symmetric and general parent matrices)
   are decided from their one-row parent.  For neighbours differing in row
@@ -83,6 +85,12 @@ TOLERANCE = 1e-12
 
 #: Log-probability gaps inside this band are ties, excluded from S.
 TIE_BAND = 1e-12
+
+#: Half-table entries per brute-force chunk of pairs: the 2^20 floats
+#: ``kernels.MAX_WIDTH`` allows one pair.  Exact time goes to ``Fraction``
+#: arithmetic, not calls, so exact chunks hold 2^8: one pair at 16 states.
+_SCAN_ENTRIES = 1 << 20
+_EXACT_SCAN_ENTRIES = 1 << 8
 
 #: Largest epsilon whose e^epsilon is a finite float.
 _MAX_EPSILON = math.log(sys.float_info.max)
@@ -607,10 +615,16 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
                       exact: bool = False) -> VerificationReport:
     """Ground-truth oracle: check every nonempty proper subset of the space
     for every ordered neighbor pair and record the worst margin.
+
+    A state count over the smaller of the subset budget and the kernel's
+    ``MAX_WIDTH`` is refused before any row is built.  The first pair in
+    canonical order at the smallest margin binds.
     """
     size = spec.state_count
-    if size > budget_subsets:
+    if size > min(budget_subsets, kernels.MAX_WIDTH):
         states = count_text(size, f"{spec.space.size}^{spec.n}")
+        if budget_subsets >= kernels.MAX_WIDTH:
+            raise kernels.width_error(size, states)
         raise EnumerationBudgetError(
             f"database space holds {states} states; the brute-force oracle "
             f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
@@ -624,12 +638,24 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
     e_eps, delta = (params.exact_pair() if exact
                     else (math.exp(params.epsilon), params.delta))
     pmf_row = spec.exact_pmf_row if exact else spec.pmf_row
+    dtype = object if exact else np.float64
+    pmf = np.array([pmf_row(i) for i in range(size)], dtype=dtype)
+    ia, ib, rows = _neighbor_pairs(spec)
+    chunk = max(1, (_EXACT_SCAN_ENTRIES if exact else _SCAN_ENTRIES)
+                >> (size + 1) // 2)
+    margins = np.empty(ia.size, dtype=dtype)
+    masks = np.empty(ia.size, dtype=np.int64)
+    checks = 0
+    for lo in range(0, ia.size, chunk):
+        part = slice(lo, lo + chunk)
+        margins[part], masks[part], count = kernels.subset_scan(
+            pmf[ia[part]].T, pmf[ib[part]].T, e_eps, delta)
+        checks += count
     acc = _Accumulator(params, exact)
-    for ia, ib, row in zip(*(x.tolist() for x in _neighbor_pairs(spec))):
-        margin, mask, checks = kernels.subset_scan(
-            pmf_row(ia), pmf_row(ib), e_eps, delta, include_full=False)
-        witness = [i for i in range(size) if mask >> i & 1]
-        acc.add(margin, (ia, ib, row, witness), checks)
+    p = int(np.argmin(margins))         # the first canonical pair at the min
+    witness = [i for i in range(size) if masks[p] >> i & 1]
+    acc.add(margins[p], (int(ia[p]), int(ib[p]), int(rows[p]), witness),
+            checks)
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)
 
 

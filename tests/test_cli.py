@@ -198,6 +198,22 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "holds 2^100000 states" in err and len(err) < 1024
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--method", "reduced", "--budget-enum", "-1"),
+        ("verify", "--method", "brute", "--budget-subsets", "-1"),
+        ("bench", "--budget-enum", "-1"),
+        ("bench", "--budget-subsets", "-1"),
+    ])
+    def test_negative_budget_is_an_input_error(self, workdir, capsys, argv):
+        # not a budget overrun (exit 3), and bench must not skip silently
+        command, *options = argv
+        spec = ("--spec", workdir / "ham.spec") if command == "verify" else ()
+        code, out, err = run(capsys, command, *spec, "--epsilon", "1",
+                             *options)
+        assert (code, out) == (2, "")
+        assert f"{options[-2]} must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_exact_brute_force_over_sixteen_states(self, workdir, capsys):
         # L1 at m=3, n=2: 96 ordered pairs, each scanning 2^16 - 2 subsets
         # in rational arithmetic

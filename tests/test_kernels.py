@@ -199,3 +199,49 @@ def test_width_limit_fails_before_allocating():
     with pytest.raises(EnumerationBudgetError) as info:
         kernels.subset_scan(np.zeros(k), np.zeros(k), 1.0, 0.0)
     assert info.value.count == k
+
+
+def _stacked_columns(rng, k):
+    """(k, P) p_a and p_b whose columns hold random pairs, pairs of
+    multiples of 1/64 (exact ties), pairs with zero entries, identical
+    pairs (p_a = p_b) and one pair repeated."""
+    def dyadic(shape):
+        return rng.integers(0, 5, shape) / 64
+    a = np.hstack([rng.random((k, 2)), dyadic((k, 2)),
+                   rng.random((k, 2)) * (rng.random((k, 2)) < 0.5),
+                   rng.random((k, 2))])
+    b = np.hstack([rng.random((k, 2)), dyadic((k, 2)),
+                   rng.random((k, 2)) * (rng.random((k, 2)) < 0.5),
+                   a[:, 6:]])
+    return np.hstack([a, a[:, :1]]), np.hstack([b, b[:, :1]])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("k", range(1, 25))
+def test_stacked_columns_match_one_pair_scans(k, include_full, exact):
+    # a (k, P) scan returns, per column, bit for bit the margin and mask
+    # of that column's own scan, and P times its check count
+    p_a, p_b = _stacked_columns(np.random.default_rng(k), k)
+    e_eps, delta = 2.0, 1 / 64
+    if exact:
+        # the tie, zero and identical-pair columns: wide Fraction scans are
+        # slow, and the random columns add nothing the float runs miss
+        p_a, p_b = (np.vectorize(Fraction, otypes=[object])(p[:, 2:7:2])
+                    for p in (p_a, p_b))
+        e_eps, delta = Fraction(e_eps), Fraction(delta)
+    margins, masks, checks = kernels.subset_scan(p_a, p_b, e_eps, delta,
+                                                 include_full)
+    assert margins.shape == masks.shape == (p_a.shape[1],)
+    n_checks = (1 << k) - (1 if include_full else 2)
+    assert checks == p_a.shape[1] * max(n_checks, 0)
+    for p in range(p_a.shape[1]):
+        margin, mask, one = kernels.subset_scan(p_a[:, p], p_b[:, p], e_eps,
+                                                delta, include_full)
+        assert one == max(n_checks, 0)
+        assert masks[p] == mask
+        if exact:
+            assert margins[p] == margin
+        else:
+            assert np.float64(margins[p]).tobytes() \
+                == np.float64(margin).tobytes()

@@ -18,6 +18,7 @@ import pytest
 import dpcat.analysis
 import dpcat.cli
 import dpcat.kernels
+import dpcat.verifier
 from dpcat import PrivacyParams, sample_feasible_matrices
 from dpcat.cli import main
 from dpcat.specfile import load_spec_file
@@ -233,18 +234,25 @@ def test_traced_entry_points_are_called_through_their_modules(
         assert len(verify.calls) == 1, name
     assert len(spec_loads.calls) == 3
 
-    # brute force scans each ordered pair once through the kernel module,
-    # pmf rows first: the tracer reads the scan width from args[0]
-    scans = _Counting(dpcat.kernels.subset_scan)
-    monkeypatch.setattr(dpcat.kernels, "subset_scan", scans)
-    assert main(["verify", "--spec", str(golden_dir / "hamming.spec"),
-                 "--epsilon", "1", "--method", "brute"]) == 0
+    # brute force scans the ordered pairs through the kernel module in
+    # chunks, one call each, with pair p's pmf rows in column p: the tracer
+    # reads the scan width as len(args[0]).  A pair's half tables hold
+    # 2^2 entries at 4 states, so 3 << 2 entries make chunks of 3 pairs.
     spec = load_spec_file(golden_dir / "hamming.spec")
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    assert len(scans.calls) == len(pairs)
-    for (args, _), (a, b) in zip(scans.calls, pairs):
-        np.testing.assert_array_equal(args[0], spec.pmf_row(a))
-        np.testing.assert_array_equal(args[1], spec.pmf_row(b))
+    for entries, n_calls in ((dpcat.verifier._SCAN_ENTRIES, 1), (3 << 2, 4)):
+        monkeypatch.setattr(dpcat.verifier, "_SCAN_ENTRIES", entries)
+        scans = _Counting(dpcat.kernels.subset_scan)
+        monkeypatch.setattr(dpcat.kernels, "subset_scan", scans)
+        assert main(["verify", "--spec", str(golden_dir / "hamming.spec"),
+                     "--epsilon", "1", "--method", "brute"]) == 0
+        assert len(scans.calls) == n_calls
+        assert all(len(args[0]) == spec.state_count
+                   for args, _ in scans.calls)
+        for side in (0, 1):
+            np.testing.assert_array_equal(
+                np.hstack([args[side] for args, _ in scans.calls]),
+                np.array([spec.pmf_row(pair[side]) for pair in pairs]).T)
 
     rng = _CountingRng(5)
     mats = sample_feasible_matrices(2, PrivacyParams(1.0, 0.0), 500, rng,

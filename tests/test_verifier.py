@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dpcat import verifier
 from dpcat import (
     Database,
     DatabaseSet,
@@ -489,6 +490,64 @@ class TestVerifyBruteforce:
         spec = ExponentialSpec(space3, 3, HammingUtility(1.0))
         with pytest.raises(EnumerationBudgetError, match="27"):
             verify_bruteforce(spec, PrivacyParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("budget, message", [
+        (24, "59049 states; the brute-force oracle enumerates 2^59049 - 2 "
+             "subsets per pair, over the budget of 24"),
+        (100_000, "scanning the subsets of 59049 elements exceeds the "
+                  "kernel's limit of 40"),
+    ])
+    def test_one_guard_before_any_row(self, monkeypatch, budget, message):
+        # the smaller of the subset budget and the kernel's width binds,
+        # before a digit table, pair array or pmf row is built
+        def refuse(*args):
+            raise AssertionError("built before the guard")
+        for name in ("pmf_row", "exact_pmf_row", "_digit_table"):
+            monkeypatch.setattr(ExponentialSpec, name, refuse)
+        spec = ExponentialSpec(make_space(2), 10, NegL1Utility())
+        for exact in (False, True):
+            with pytest.raises(EnumerationBudgetError) as info:
+                verify_bruteforce(spec, PrivacyParams(1.0, 0.0),
+                                  budget_subsets=budget, exact=exact)
+            assert message in str(info.value)
+            assert info.value.count == 59049
+        # a state count past the int-to-str limit is written as a power
+        huge = ExponentialSpec(make_space(1), 100_000, HammingUtility(0.5))
+        with pytest.raises(EnumerationBudgetError,
+                           match=r"subsets of 2\^100000 elements"):
+            verify_bruteforce(huge, PrivacyParams(1.0, 0.0),
+                              budget_subsets=10 ** 6)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (3, 2)])
+    def test_chunked_scan_gives_the_unchunked_report(self, monkeypatch, m, n):
+        # chunks of 1 and 3 pairs against one chunk of every pair: the same
+        # margin, binding pair and set (the first canonical pair among the
+        # mirror-image pairs that tie) and check count
+        rng = np.random.default_rng(m * 10 + n)
+        space = make_space(m)
+        size = (m + 1) ** n
+        specs = [ExponentialSpec(space, n, HammingUtility(1.3)),
+                 ProductSpec(space, n, random_stochastic(rng, m + 1)),
+                 ExponentialSpec(space, n, TableUtility(
+                     space, n, rng.uniform(-3.0, 0.0, (size, size))))]
+        half_table = 1 << (size + 1) // 2
+        for spec in specs:
+            exact_modes = (False, True) if spec.supports_exact and size <= 8 \
+                else (False,)
+            for exact in exact_modes:
+                for params in (PrivacyParams(0.5, 0.0),
+                               PrivacyParams(1.0, 0.05)):
+                    reports = []
+                    for entries in (1 << 20, half_table, 3 * half_table):
+                        monkeypatch.setattr(verifier, "_SCAN_ENTRIES",
+                                            entries)
+                        monkeypatch.setattr(verifier, "_EXACT_SCAN_ENTRIES",
+                                            entries)
+                        reports.append(verify_bruteforce(spec, params,
+                                                         exact=exact))
+                    assert reports[0] == reports[1] == reports[2]
+                    assert reports[0].binding_pair is not None \
+                        or reports[0].private
 
     def test_report_invariants(self, l1_spec):
         params = PrivacyParams(0.9, 0.0)
