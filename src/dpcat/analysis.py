@@ -160,7 +160,7 @@ def product_to_exponential(spec: ProductSpec) -> ExponentialSpec:
     if p is None:
         raise ParameterRangeError(
             "only symmetric matrices have a hamming-utility equivalent")
-    if spec.matrix._fractions is not None and p > 0:
+    if spec.matrix.has_exact_entries() and p > 0:
         p_q = spec.matrix.fractions()[0][1]
         utility = HammingUtility.from_e_k(1 / p_q - spec.space.m)
     else:

@@ -143,7 +143,14 @@ class NeighborPair:
 
 @dataclass(frozen=True)
 class DatabaseSet:
-    """A subset of the database space, held as sorted enumeration indices."""
+    """A subset of the database space, held as sorted enumeration indices.
+
+    A one-row cylinder {x : x_row in categories}, built by
+    ``from_cylinder``, holds only its row and categories and builds
+    ``indices`` on first read, as ``Database`` builds ``rows``; its length
+    comes from the cylinder.  Equality, hashing and membership are those of
+    the indices either way.
+    """
 
     space: CategorySpace
     n: int
@@ -157,10 +164,41 @@ class DatabaseSet:
                 f"set contains indices outside the space of {limit} databases")
         object.__setattr__(self, "indices", idx)
 
+    def __getattr__(self, name):
+        # reached only for attributes not set yet: indices of a cylinder
+        cylinder = self.cylinder if name == "indices" else None
+        if cylinder is None:
+            raise AttributeError(name)
+        indices = tuple(_cylinder_indices(self.space, self.n,
+                                          *cylinder).tolist())
+        object.__setattr__(self, "indices", indices)
+        return indices
+
     @classmethod
     def from_databases(cls, space: CategorySpace, n: int,
                        members) -> "DatabaseSet":
         return cls(space, n, tuple(database_index(space, d) for d in members))
+
+    @classmethod
+    def from_cylinder(cls, space: CategorySpace, n: int, row: int,
+                      categories) -> "DatabaseSet":
+        """The databases whose row ``row`` holds one of ``categories``."""
+        if not 0 <= row < n:
+            raise DataFormatError(f"row {row} outside 0..{n - 1}")
+        values = tuple(sorted(set(int(c) for c in categories)))
+        if values and not (0 <= values[0] and values[-1] < space.size):
+            raise DataFormatError(
+                f"cylinder holds categories outside 0..{space.m}")
+        out = cls.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "_cylinder", (row, values))
+        return out
+
+    @property
+    def cylinder(self) -> tuple[int, tuple[int, ...]] | None:
+        """(row, categories) of a set built by ``from_cylinder``, else None."""
+        return self.__dict__.get("_cylinder")
 
     def databases(self) -> list[Database]:
         return [database_from_index(self.space, self.n, i) for i in self.indices]
@@ -173,10 +211,23 @@ class DatabaseSet:
         return out
 
     def __len__(self) -> int:
-        return len(self.indices)
+        if self.cylinder is None:
+            return len(self.indices)
+        return len(self.cylinder[1]) * self.space.size ** (self.n - 1)
 
     def __contains__(self, d: Database) -> bool:
         return database_index(self.space, d) in set(self.indices)
+
+
+def _cylinder_indices(space: CategorySpace, n: int, row: int,
+                      categories) -> np.ndarray:
+    """Sorted enumeration indices of {x : x_row in categories}: each prefix
+    of the rows before ``row``, each category, each suffix after it."""
+    k = space.size
+    place = k ** (n - 1 - row)
+    return (np.arange(k ** row)[:, None, None] * (k * place)
+            + np.array(categories, dtype=np.int64)[None, :, None] * place
+            + np.arange(place)[None, None, :]).ravel()
 
 
 def validate_database(space: CategorySpace, d: Database) -> None:
@@ -274,7 +325,7 @@ def naive_check_count(space: CategorySpace, n: int) -> int:
     the value overflows 64 bits already for three categories and three rows.
     """
     size = space_size(space, n)
-    return neighbor_pair_count(space, n) * (2 ** size - 2)
+    return neighbor_pair_count(space, n) * ((1 << size) - 2)
 
 
 #: Counts with more decimal digits than this print in product form.  Python
@@ -302,8 +353,12 @@ def naive_check_count_text(space: CategorySpace, n: int) -> str:
     by, ``"354294*(2^19683-2)"`` for three categories and nine rows.
     """
     return count_text(naive_check_count(space, n),
-                      f"{neighbor_pair_count(space, n)}"
-                      f"*(2^{space_size(space, n)}-2)")
+                      naive_check_form(space, n))
+
+
+def naive_check_form(space: CategorySpace, n: int) -> str:
+    """The expression pairs*(2^size-2) that defines the naive count."""
+    return f"{neighbor_pair_count(space, n)}*(2^{space_size(space, n)}-2)"
 
 
 def index_digits(space: CategorySpace, n: int, indices) -> np.ndarray:

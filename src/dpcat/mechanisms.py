@@ -113,17 +113,19 @@ class HammingUtility:
         """k-ary randomized response: keep a value with probability
         e^k/(e^k + m), release each other category with p = 1/(e^k + m).
 
-        The float entries are exactly those of ``symmetric_matrix(m, p)``;
-        the exact entries come from :meth:`exact_e_k`.
+        The float entries are exactly those of ``symmetric_matrix(m, p)``
+        (p = 0 at k = inf, the identity); the exact entries come from
+        :meth:`exact_e_k` at the matrix's first ``fractions()`` call.
         """
-        e_k = self.exact_e_k()
-        if e_k is None:                 # k = inf: the identity
-            p, p_q = 0.0, Fraction(0)
-        else:
-            p, p_q = 1.0 / (math.exp(self.k) + m), 1 / (e_k + m)
-        fracs = [[1 - m * p_q if i == j else p_q for j in range(m + 1)]
-                 for i in range(m + 1)]
-        return SolutionMatrix(symmetric_matrix(m, p).values, fractions=fracs)
+        def exact_rows():
+            e_k = self.exact_e_k()
+            p_q = Fraction(0) if e_k is None else 1 / (e_k + m)
+            return [[1 - m * p_q if i == j else p_q for j in range(m + 1)]
+                    for i in range(m + 1)]
+
+        p = 0.0 if math.isinf(self.k) else 1.0 / (math.exp(self.k) + m)
+        return SolutionMatrix(symmetric_matrix(m, p).values,
+                              fractions=exact_rows)
 
 
 class NegL1Utility:
@@ -329,8 +331,10 @@ class SolutionMatrix:
 
     Entry [i, j] is the probability that category i is released as
     category j.  Exact rational entries may ride along for the rational
-    verification mode; absent that, the binary float values themselves are
-    taken as exact.
+    verification mode, as rows of rationals or a function returning them;
+    absent that, the binary float values themselves are taken as exact.
+    Either way the ``Fraction`` entries are built at the first
+    ``fractions()`` call.
     """
 
     def __init__(self, values, fractions=None):
@@ -349,19 +353,25 @@ class SolutionMatrix:
                 f"not 1 within {ROW_SUM_TOL}")
         self.values = values
         self.values.setflags(write=False)
+        self._exact = fractions
         self._fractions = None
-        if fractions is not None:
-            self._fractions = tuple(tuple(Fraction(x) for x in row)
-                                    for row in fractions)
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
+    def has_exact_entries(self) -> bool:
+        """True when exact rational entries ride along, False when
+        ``fractions()`` takes the float values as exact."""
+        return self._exact is not None
+
     def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._fractions is None:
+            rows = self.values if self._exact is None else self._exact
+            if callable(rows):
+                rows = rows()
             self._fractions = tuple(tuple(Fraction(x) for x in row)
-                                    for row in self.values)
+                                    for row in rows)
         return self._fractions
 
     def is_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:

@@ -36,14 +36,16 @@ set S, the outputs strictly more likely under d than under d'.
   It is computed from the sizes of S, never walked.
 * Neither route enumerates a subset, so the subset budget caps brute force
   alone.  ``budget_enum`` caps a product spec's state count, bounding its
-  binding set and naive count; a table is bounded by its own size.
+  naive count and the indices of its binding cylinder, which are built
+  only when read; a table is bounded by its own size.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
 utility gap and cannot tighten any margin.  The exact-rational mode redoes
-the arithmetic in ``fractions.Fraction`` (mechanism parameters are taken at
-their exact binary-float values unless exact rationals are supplied) and
-uses strict comparisons with no tolerance.
+the arithmetic exactly (mechanism parameters are taken at their exact
+binary-float values unless exact rationals are supplied) and uses strict
+comparisons with no tolerance: product parents in integers over a common
+denominator, everything else in ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .core import (
     database_index,
     index_digits,
     naive_check_count,
-    naive_check_count_text,
+    naive_check_form,
 )
 from .errors import (
     DataFormatError,
@@ -222,22 +224,30 @@ class VerificationReport:
             "binding_pair": pair,
             "binding_set": members,
             "checks_performed": self.checks_text,
-            # checks_naive is naive_check_count(space, n) on every report
-            "checks_naive": naive_check_count_text(self.space, self.n),
+            "checks_naive": count_text(self.checks_naive,
+                                       naive_check_form(self.space, self.n)),
             "tolerance": self.tolerance,
         }
 
 
 def _render_set(dbset: DatabaseSet):
-    """JSON form of a set of databases, built from its indices.
+    """JSON form of a set of databases.
 
     A one-row cylinder {x : x_i in C} prints as
     ``{"row": i, "categories": [labels of C], "size": len(set)}``, with i
     the lowest such row (the only one unless the set is the whole space).
-    Any other set is the list of its members' label lists, in index order.
-    Every nonempty set is a cylinder at n = 1.
+    A set built as a cylinder prints from its row and categories; any
+    other set is recognised from its indices, and is otherwise the list of
+    its members' label lists, in index order.  Every nonempty set is a
+    cylinder at n = 1.
     """
     space, n = dbset.space, dbset.n
+    if dbset.cylinder is not None and dbset.cylinder[1]:
+        row, values = dbset.cylinder
+        if len(values) == space.size:       # the whole space: every row fits
+            row = 0
+        return {"row": row, "categories": [space.labels[c] for c in values],
+                "size": len(dbset)}
     digits = index_digits(space, n, dbset.indices)
     labels = np.array(space.labels, dtype=object)
     if len(dbset):
@@ -363,7 +373,7 @@ class _Accumulator:
         self.margin = float(params.delta)
         self.exact_margin: Fraction | None = (params.exact_pair()[1]
                                               if exact else None)
-        self.binding = None           # (ia, ib, row, member_indices)
+        self.binding = None           # (ia, ib, row, DatabaseSet)
         self.checks = 0
         self.checks_form: str | None = None
 
@@ -398,32 +408,57 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
     sufficient set is the cylinder over S1 = {c : M[u, c] > M[v, c]}, of
     |S1| * (m+1)^(n-1) databases when M has no zero entry; each pair takes
     one check of it for a symmetric parent and one per nonempty subset
-    otherwise.
+    otherwise.  The binding set goes on the report as that cylinder, (row,
+    A1), with no index built, so the work is O(m^2) in the parent whatever
+    n is, plus the counts.
+
+    Exact mode works in integers: the entries N = D * M over their common
+    denominator D, e^eps = E_n / E_d and delta = delta_n / delta_d.  Every
+    ``>`` is a cross-multiplication, and a pair's margin times
+    D^n * E_d * delta_d is delta_d * N_max^(n-1) * (E_n * B - E_d * A) +
+    delta_n * E_d * D^n, with A and B now sums of N and N_max the largest
+    row sum of N: a positive multiple of E_n * B - E_d * A plus a constant,
+    so that key, below 0 where the margin is below delta, picks the same
+    binding pair under the same strict ``<``.  One ``Fraction``, the
+    reported margin, is built at the end.
     """
     check_enum_budget(spec.space, spec.n, budget_enum)
     product = spec.product
     k, n = spec.space.size, spec.n
     if exact:
-        weights = product.matrix.fractions()
+        fracs = product.matrix.fractions()
+        scale = math.lcm(*(x.denominator for row in fracs for x in row))
+        weights = [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in fracs]
         e_eps, delta = params.exact_pair()
+        e_num, e_den = e_eps.numerator, e_eps.denominator
         support = [[[weights[u][c] > weights[v][c] for c in range(k)]
                     for v in range(k)] for u in range(k)]
-        worst = [[[weights[u][c] > e_eps * weights[v][c] for c in range(k)]
-                  for v in range(k)] for u in range(k)]
+        worst = [[[e_den * weights[u][c] > e_num * weights[v][c]
+                   for c in range(k)] for v in range(k)] for u in range(k)]
         row_sums = [sum(row) for row in weights]
         released = [sum(1 for x in row if x > 0) for row in weights]
+        r_max = max(row_sums)
+        best = 0                    # the key of margin delta: the empty set
+
+        def pair_margin(a, b):      # the key, not the margin itself
+            return e_num * b - e_den * a
     else:
         log_w = product.log_weights
         with np.errstate(invalid="ignore"):
-            gap = log_w[:, None, :] - log_w[None, :, :]     # [u, v, c]
-        support = (gap > TIE_BAND).tolist()          # NaN gaps: both zero
-        worst = (gap > params.epsilon + TIE_BAND).tolist()
+            log_gap = log_w[:, None, :] - log_w[None, :, :]  # [u, v, c]
+        support = (log_gap > TIE_BAND).tolist()      # NaN gaps: both zero
+        worst = (log_gap > params.epsilon + TIE_BAND).tolist()
         exp_w = np.exp(log_w)
         weights, row_sums = exp_w.tolist(), exp_w.sum(axis=1).tolist()
         released = np.isfinite(log_w).sum(axis=1).tolist()
         e_eps, delta = math.exp(params.epsilon), params.delta
-    r_max = max(row_sums)
-    rest = math.prod([r_max] * (n - 1))
+        r_max = max(row_sums)
+        rest = math.prod([r_max] * (n - 1))
+        best = delta
+
+        def pair_margin(a, b):
+            return e_eps * (b * rest) + delta - a * rest
 
     # Outputs impossible under both inputs are not in S, so S holds
     # |S1| * prod_{j != i} z(d_j) databases, with z(a) the number of
@@ -439,7 +474,7 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
     symmetric = product.matrix.is_symmetric()
     checks = 0
     terms = Counter()           # exponent e -> pairs scanning 2^e - 1 subsets
-    best, binding = delta, None
+    binding = None
     for u in range(k):
         for v in range(k):
             s1 = sum(support[u][v])
@@ -452,9 +487,8 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                     terms[s1 * product_z] += count
             cells = [c for c in range(k) if worst[u][v][c]]
             if cells:
-                a = sum(weights[u][c] for c in cells)
-                b = sum(weights[v][c] for c in cells)
-                margin = e_eps * (b * rest) + delta - a * rest
+                margin = pair_margin(sum(weights[u][c] for c in cells),
+                                     sum(weights[v][c] for c in cells))
                 if margin < best:
                     best, binding = margin, (u, v, cells)
 
@@ -467,6 +501,11 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
         # where the naive count, over 2^((m+1)^n), cannot be computed
         acc.checks_form = f"{n}*({sums})"
     if binding is not None:
+        if exact:
+            d_n, d_d = delta.numerator, delta.denominator
+            best = Fraction(d_d * r_max ** (n - 1) * best
+                            + d_n * e_den * scale ** n,
+                            scale ** n * e_den * d_d)
         # the first canonical pair: other rows at the lowest category with
         # the largest row sum, and u in the first row unless that puts a
         # larger digit ahead of them
@@ -477,9 +516,7 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
         d[row] = u
         ia = database_index(spec.space, Database(tuple(d)))
         place = k ** (n - 1 - row)
-        members = (np.arange(k ** row)[:, None, None] * (k * place)
-                   + np.array(cells)[None, :, None] * place
-                   + np.arange(place)[None, None, :]).ravel()
+        members = DatabaseSet.from_cylinder(spec.space, n, row, cells)
         acc.add(best, (ia, ia + (v - u) * place, row, members), 0)
     return acc
 
@@ -533,7 +570,8 @@ def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
         a, b = int(ia[j]), int(ib[j])
         worst = np.flatnonzero(log_pmf[a] - log_pmf[b]
                                > params.epsilon + TIE_BAND)
-        binding = (a, b, int(rows[j]), worst)
+        binding = (a, b, int(rows[j]),
+                   DatabaseSet(spec.space, spec.n, tuple(worst.tolist())))
         acc.add(params.delta - float(hockey[j]), binding, 0)
     return acc
 
@@ -546,10 +584,9 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
         ok = acc.margin >= -tolerance
     pair = bset = None
     if acc.binding is not None:
-        ia, ib, row, members = acc.binding
+        ia, ib, row, bset = acc.binding
         pair = NeighborPair(database_from_index(spec.space, spec.n, ia),
                             database_from_index(spec.space, spec.n, ib), row)
-        bset = DatabaseSet(spec.space, spec.n, tuple(int(i) for i in members))
     return VerificationReport(
         verdict="private" if ok else "not-private",
         method=method,
@@ -653,7 +690,8 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
         checks += count
     acc = _Accumulator(params, exact)
     p = int(np.argmin(margins))         # the first canonical pair at the min
-    witness = [i for i in range(size) if masks[p] >> i & 1]
+    witness = DatabaseSet(spec.space, spec.n,
+                          tuple(i for i in range(size) if masks[p] >> i & 1))
     acc.add(margins[p], (int(ia[p]), int(ib[p]), int(rows[p]), witness),
             checks)
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)

@@ -169,3 +169,45 @@ def load_csv_labels_literal(path, labels, column=None):
     if not out:
         return None, f"{path}: no data rows found"
     return out, None
+
+
+def parent_route_fraction(weights, n, e_eps, delta):
+    """The exact verdict of a product spec from its parent, by the
+    ``Fraction`` loop the package's exact parent route once ran.
+
+    weights holds the parent's rows as Fractions.  For neighbours differing
+    in one row with values u and v, the worst set is the cylinder over
+    A1 = {c : M[u, c] > e^eps * M[v, c]}, with margin
+    e^eps * B * R + delta - A * R, R = r_max^(n-1).  Returns (margin, d,
+    d_prime, row, members): the canonical margin, and for the first pair in
+    (u, v) order strictly below delta the canonical binding pair (other
+    rows at the lowest category of largest row sum) and the sorted indices
+    of its cylinder; all four are None when nothing goes below delta.
+    """
+    k = len(weights)
+    row_sums = [sum(row) for row in weights]
+    r_max = max(row_sums)
+    rest = r_max ** (n - 1)
+    best, binding = delta, None
+    for u in range(k):
+        for v in range(k):
+            cells = [c for c in range(k)
+                     if weights[u][c] > e_eps * weights[v][c]]
+            if not cells:
+                continue
+            a = sum(weights[u][c] for c in cells)
+            b = sum(weights[v][c] for c in cells)
+            margin = e_eps * (b * rest) + delta - a * rest
+            if margin < best:
+                best, binding = margin, (u, v, cells)
+    if binding is None:
+        return best, None, None, None, None
+    u, v, cells = binding
+    low = row_sums.index(r_max)
+    row = 0 if u <= low else n - 1
+    d = [low] * n
+    d[row] = u
+    d_prime = list(d)
+    d_prime[row] = v
+    members = [i for i, x in enumerate(all_dbs(k, n)) if x[row] in cells]
+    return best, tuple(d), tuple(d_prime), row, members

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,10 @@ from dpcat import (
     product_dp_condition,
     verify_matrix,
     verify_reduced,
+)
+from dpcat.analysis import (
+    exponential_to_product,
+    product_to_exponential,
 )
 from dpcat.cli import main
 from dpcat.specfile import load_spec_file
@@ -337,6 +342,48 @@ class TestVerify:
         assert cylinder["size"] == len(report.binding_set) == 81
         assert (expand_cylinder(cylinder, loaded.space, 5)
                 == report.binding_set.indices)
+
+    #: sha256 of stdout, pinned before the binding set became a cylinder
+    LARGE_N_DIGESTS = {
+        ("ham20.spec", "0.3", False):
+            "84ba0ce649d93a75686f7dd2f8bba45399ae9e022e9a061cf2f63cf778a972c5",
+        ("ham20.spec", "0.3", True):
+            "28e26eae386d677fb10bd0ddddb73309b016c03e95cafae7b4b96a20e2da5345",
+        ("l1_12.spec", "0.5", False):
+            "e97cba92d67fdd1994e440c9ad87417791f331db54bfe9281002dfe5fa704071",
+        ("l1_12.spec", "0.5", True):
+            "912f55919f6c3f7e9376d10fa6c07ceef5a5400e5dbe7f3e62a4d667915308fd",
+    }
+
+    @pytest.mark.parametrize("name,epsilon,exact", list(LARGE_N_DIGESTS))
+    def test_large_n_binding_set_is_never_expanded(self, workdir, capsys,
+                                                   monkeypatch, name,
+                                                   epsilon, exact):
+        # hamming m=1 n=20 and L1 m=2 n=12: cylinders of 2^19 and 3^11
+        # databases print from (row, categories) alone
+        import dpcat.core
+        import dpcat.verifier
+        (workdir / "bits.txt").write_text("0\n1\n")
+        (workdir / "ham20.spec").write_text(
+            "type = exponential\nutility = hamming\nk = 0.5\n"
+            "categories = bits.txt\nn = 20\n")
+        (workdir / "l1_12.spec").write_text(
+            "type = exponential\nutility = l1\ncategories = cats.txt\n"
+            "n = 12\n")
+        calls = []
+        for module, attr in [(dpcat.core, "index_digits"),
+                             (dpcat.verifier, "index_digits"),
+                             (dpcat.core, "_cylinder_indices")]:
+            fn = getattr(module, attr)
+            monkeypatch.setattr(module, attr, lambda *a, fn=fn, attr=attr:
+                                calls.append(attr) or fn(*a))
+        argv = ["verify", "--spec", workdir / name, "--epsilon", epsilon,
+                "--method", "reduced"] + ["--exact"] * exact
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert calls == []
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == self.LARGE_N_DIGESTS[name, epsilon, exact])
 
     def test_table_format_prints_the_cylinder_as_one_json_string(
             self, workdir, capsys):
@@ -782,6 +829,42 @@ class TestConvert:
         assert code == 0
         assert payload["k"] == pytest.approx(0.5, abs=1e-12)
         assert "utility = hamming" in back_spec.read_text()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_hamming_product_hamming_is_pinned(self, workdir, capsys, exact):
+        # the outputs of the seed tree, with the work directory elided; the
+        # product spec holds p alone, so --exact reads no exact entries
+        steps = [("ham.spec", "prod.spec", "hamming", "product", "0.5",
+                  "type = product\np = 0.27406861906119695\n"),
+                 ("prod.spec", "back.spec", "product", "hamming",
+                  "0.5000000000000003",
+                  "type = exponential\nutility = hamming\n"
+                  "k = 0.5000000000000003\n")]
+        for source, target, kind, other, k, text in steps:
+            code, out, err = run(capsys, "convert", "--spec", workdir / source,
+                                 "--output", workdir / target,
+                                 *["--exact"] * exact)
+            assert (code, err) == (0, "")
+            assert out == (
+                f'{{\n  "from": "{kind}",\n  "to": "{other}",\n  "m": 2,\n'
+                f'  "n": 2,\n  "k": {k},\n  "p": 0.27406861906119695,\n'
+                f'  "output": "{workdir / target}"\n}}\n')
+            assert (workdir / target).read_text() == (
+                f"{text}categories = {workdir / 'cats.txt'}\nn = 2\n")
+
+    def test_exact_entries_ride_through_in_process(self, workdir):
+        # the hamming parent's exact entries are built on demand, yet they
+        # still decide the way back: e^k comes back exactly, not via p
+        spec = load_spec_file(workdir / "ham.spec")
+        product = exponential_to_product(spec)
+        assert product.matrix.has_exact_entries()
+        back = product_to_exponential(product)
+        assert back.utility.k == 0.5
+        assert back.utility.e_k == spec.utility.exact_e_k()
+        # float entries taken as exact do not count, even once built
+        floats = load_spec_file(workdir / "identity.spec").matrix
+        floats.fractions()
+        assert not floats.has_exact_entries()
 
     def test_no_noise_sentinel_round_trips(self, workdir, capsys):
         out_spec = workdir / "noise_free.spec"

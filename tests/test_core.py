@@ -241,6 +241,54 @@ class TestTypes:
         assert [d.rows for d in s.databases()] == [(0, 1), (2, 0)]
 
 
+CYLINDERS = [(1, 1, 0, (1,)), (1, 3, 1, (0,)), (2, 3, 0, (0, 2)),
+             (2, 3, 2, (1,)), (2, 2, 1, (0, 1, 2)), (3, 2, 0, (3, 1)),
+             (3, 2, 1, ()), (2, 4, 3, (2, 0))]
+
+
+class TestCylinderSet:
+    """A set built from a cylinder agrees with the set of its indices."""
+
+    @pytest.mark.parametrize("m,n,row,categories", CYLINDERS)
+    def test_agrees_with_the_set_of_its_indices(self, m, n, row, categories):
+        space = make_space(m)
+        members = [i for i, x in enumerate(_oracles.all_dbs(m + 1, n))
+                   if x[row] in categories]
+        plain = DatabaseSet(space, n, tuple(members))
+        cylinder = DatabaseSet.from_cylinder(space, n, row, categories)
+        assert cylinder.cylinder == (row, tuple(sorted(categories)))
+        assert plain.cylinder is None
+        # the length comes from the cylinder, not its indices
+        assert len(cylinder) == len(plain) == len(members)
+        assert "indices" not in vars(cylinder)
+        assert cylinder.indices == plain.indices == tuple(members)
+        for x in _oracles.all_dbs(m + 1, n):
+            assert (Database(x) in cylinder) == (Database(x) in plain)
+        assert cylinder == plain and plain == cylinder
+        assert hash(cylinder) == hash(plain)
+        assert cylinder.mask() == plain.mask()
+        assert {cylinder, plain} == {plain}
+
+    def test_indices_are_built_once(self, space3, monkeypatch):
+        calls = []
+        build = dpcat.core._cylinder_indices
+        monkeypatch.setattr(dpcat.core, "_cylinder_indices",
+                            lambda *args: calls.append(args) or build(*args))
+        cylinder = DatabaseSet.from_cylinder(space3, 3, 1, (2,))
+        assert len(cylinder) == 9 and calls == []
+        assert Database((0, 2, 1)) in cylinder
+        assert cylinder.indices is cylinder.indices
+        assert len(calls) == 1
+
+    def test_rejects_rows_and_categories_outside_the_space(self, space3):
+        with pytest.raises(DataFormatError, match="row 2 outside"):
+            DatabaseSet.from_cylinder(space3, 2, 2, (0,))
+        with pytest.raises(DataFormatError, match="categories outside"):
+            DatabaseSet.from_cylinder(space3, 2, 0, (3,))
+        with pytest.raises(DataFormatError, match="categories outside"):
+            DatabaseSet.from_cylinder(space3, 2, 0, (-1, 0))
+
+
 class TestLoaders:
     def test_category_file(self, tmp_path):
         path = tmp_path / "cats.txt"

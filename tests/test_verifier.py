@@ -662,6 +662,21 @@ class TestBindingSetJson:
                 "size": len(idx)}
 
 
+    @pytest.mark.parametrize("m,n,row,categories", [
+        (1, 3, 1, (0,)), (2, 3, 2, (2, 0)), (2, 2, 1, (0, 1, 2)),
+        (3, 1, 0, (1, 2)), (2, 3, 0, ())])
+    def test_cylinder_prints_as_its_indices_would(self, m, n, row,
+                                                  categories):
+        # the lowest row that fits: row 0 when the cylinder is the space
+        space = make_space(m)
+        cylinder = DatabaseSet.from_cylinder(space, n, row, categories)
+        plain = DatabaseSet(space, n, tuple(
+            i for i, x in enumerate(_oracles.all_dbs(m + 1, n))
+            if x[row] in categories))
+        assert (verifier._render_set(cylinder)
+                == verifier._render_set(plain))
+
+
 class TestClosedForms:
     def test_exp_condition_delta_zero(self):
         for k in (0.0, 0.5, 1.0):
@@ -844,3 +859,84 @@ class TestExactMode:
         assert report.private and report.margin == 0.0
         params = PrivacyParams.from_exact(Fraction(499, 100), Fraction(0))
         assert not verify_reduced(spec, params, exact=True).private
+
+
+def rational_parent(rng, size):
+    """A random parent with Fraction entries, about a third of them zero;
+    every row keeps a positive diagonal so it has mass to normalise."""
+    raw = rng.integers(1, 9, (size, size)) * (rng.random((size, size)) > 0.35)
+    raw[np.arange(size), np.arange(size)] += 1
+    rows = [[Fraction(int(x), int(row.sum())) for x in row] for row in raw]
+    return SolutionMatrix([[float(x) for x in row] for row in rows],
+                          fractions=rows)
+
+
+#: M[u, c] = 2 * M[v, c] on several cells, so e^eps = 2 meets exact ties
+TIED_PARENT = [[Fraction(4, 10), Fraction(2, 10), Fraction(4, 10)],
+               [Fraction(2, 10), Fraction(4, 10), Fraction(4, 10)],
+               [Fraction(1, 10), Fraction(1, 10), Fraction(8, 10)]]
+
+#: (e^eps, delta): eps = 0, delta > 0, and e^eps = 2 for TIED_PARENT
+EXACT_BUDGETS = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1, 7)),
+                 (Fraction(2), Fraction(0)), (Fraction(2), Fraction(1, 20)),
+                 (Fraction(3, 2), Fraction(1, 10)), (Fraction(7, 3),
+                                                      Fraction(0))]
+
+
+class TestIntegerParentRoute:
+    """The exact parent route in integers against the Fraction loop."""
+
+    def assert_matches_oracle(self, matrix, n, params):
+        space = make_space(matrix.size - 1)
+        spec = ProductSpec(space, n, matrix)
+        e_eps, delta = params.exact_pair()
+        margin, d, d_prime, row, members = _oracles.parent_route_fraction(
+            matrix.fractions(), n, e_eps, delta)
+        acc = verifier._parent_route(spec, params, 1 << 20, True)
+        assert acc.exact_margin == margin
+        report = verify_reduced(spec, params, exact=True)
+        assert report.private == (margin >= 0)
+        assert report.margin == float(margin)
+        if d is None:
+            assert report.binding_pair is None and report.binding_set is None
+            return
+        assert (report.binding_pair.d.rows, report.binding_pair.d_prime.rows,
+                report.binding_pair.differing_row) == (d, d_prime, row)
+        assert list(report.binding_set.indices) == members
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rational_parents(self, seed, n):
+        rng = np.random.default_rng(seed)
+        matrix = rational_parent(rng, int(rng.integers(2, 5)))
+        assert any(x == 0 for row in matrix.fractions() for x in row)
+        for e_eps, delta in EXACT_BUDGETS:
+            self.assert_matches_oracle(
+                matrix, n, PrivacyParams.from_exact(e_eps, delta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_ties_stay_out_of_the_worst_set(self, n):
+        matrix = SolutionMatrix([[float(x) for x in row]
+                                 for row in TIED_PARENT],
+                                fractions=TIED_PARENT)
+        for e_eps, delta in EXACT_BUDGETS:
+            self.assert_matches_oracle(
+                matrix, n, PrivacyParams.from_exact(e_eps, delta))
+        # at e^eps = 2 the pair (0, 2) beats the tie M[0, 1] = 2 * M[2, 1]
+        # only on cell 0; the tied cell adds nothing to the margin, -1/5,
+        # and stays out of the binding cylinder
+        tied = PrivacyParams.from_exact(Fraction(2), Fraction(0))
+        spec = ProductSpec(make_space(2), n, matrix)
+        acc = verifier._parent_route(spec, tied, 1 << 20, True)
+        assert acc.exact_margin == Fraction(-1, 5)
+        report = verify_reduced(spec, tied, exact=True)
+        assert report.binding_pair.d_prime.rows[0] == 2
+        assert report.binding_set.cylinder == (0, (0,))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_float_budgets_and_float_entries(self, n):
+        # parameters and entries taken at their exact binary-float values
+        rng = np.random.default_rng(11)
+        matrix = random_stochastic(rng, 3)
+        for eps, delta in [(0.0, 0.0), (0.0, 0.05), (0.3, 0.0), (1.1, 0.2)]:
+            self.assert_matches_oracle(matrix, n, PrivacyParams(eps, delta))
