@@ -9,8 +9,10 @@ base-``(m + 1)`` lexicographic with row 0 as the most significant digit.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -145,11 +147,13 @@ class NeighborPair:
 class DatabaseSet:
     """A subset of the database space, held as sorted enumeration indices.
 
-    A one-row cylinder {x : x_row in categories}, built by
-    ``from_cylinder``, holds only its row and categories and builds
-    ``indices`` on first read, as ``Database`` builds ``rows``; its length
-    comes from the cylinder.  Equality, hashing and membership are those of
-    the indices either way.
+    A box {x : x_j in rows[j] for every row j}, built by ``from_box``,
+    holds only its per-row categories and builds ``indices`` on first
+    read, as ``Database`` builds ``rows``; its length and membership come
+    from the box.  A one-row cylinder {x : x_row in categories}, built by
+    ``from_cylinder``, is the box that restricts that row alone and also
+    keeps its row.  Equality and hashing are those of the indices either
+    way.
     """
 
     space: CategorySpace
@@ -165,12 +169,11 @@ class DatabaseSet:
         object.__setattr__(self, "indices", idx)
 
     def __getattr__(self, name):
-        # reached only for attributes not set yet: indices of a cylinder
-        cylinder = self.cylinder if name == "indices" else None
-        if cylinder is None:
+        # reached only for attributes not set yet: indices of a box
+        box = self.box if name == "indices" else None
+        if box is None:
             raise AttributeError(name)
-        indices = tuple(_cylinder_indices(self.space, self.n,
-                                          *cylinder).tolist())
+        indices = tuple(_box_indices(self.space, box).tolist())
         object.__setattr__(self, "indices", indices)
         return indices
 
@@ -180,20 +183,40 @@ class DatabaseSet:
         return cls(space, n, tuple(database_index(space, d) for d in members))
 
     @classmethod
+    def from_box(cls, space: CategorySpace, n: int, rows) -> "DatabaseSet":
+        """The databases whose row j holds one of ``rows[j]``, for every
+        row j."""
+        if len(rows) != n:
+            raise DataFormatError(f"box has {len(rows)} rows, not {n}")
+        box = tuple(tuple(sorted(set(int(c) for c in values)))
+                    for values in rows)
+        if any(values and not (0 <= values[0] and values[-1] < space.size)
+               for values in box):
+            raise DataFormatError(
+                f"box holds categories outside 0..{space.m}")
+        out = cls.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "_box", box)
+        return out
+
+    @classmethod
     def from_cylinder(cls, space: CategorySpace, n: int, row: int,
                       categories) -> "DatabaseSet":
         """The databases whose row ``row`` holds one of ``categories``."""
         if not 0 <= row < n:
             raise DataFormatError(f"row {row} outside 0..{n - 1}")
-        values = tuple(sorted(set(int(c) for c in categories)))
-        if values and not (0 <= values[0] and values[-1] < space.size):
-            raise DataFormatError(
-                f"cylinder holds categories outside 0..{space.m}")
-        out = cls.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "_cylinder", (row, values))
+        every = range(space.size)
+        out = cls.from_box(space, n, [categories if j == row else every
+                                      for j in range(n)])
+        object.__setattr__(out, "_cylinder", (row, out.box[row]))
         return out
+
+    @property
+    def box(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per-row categories of a set built by ``from_box`` or
+        ``from_cylinder``, else None."""
+        return self.__dict__.get("_box")
 
     @property
     def cylinder(self) -> tuple[int, tuple[int, ...]] | None:
@@ -211,23 +234,29 @@ class DatabaseSet:
         return out
 
     def __len__(self) -> int:
-        if self.cylinder is None:
+        if self.box is None:
             return len(self.indices)
-        return len(self.cylinder[1]) * self.space.size ** (self.n - 1)
+        return math.prod(len(values) for values in self.box)
 
     def __contains__(self, d: Database) -> bool:
-        return database_index(self.space, d) in set(self.indices)
+        if d.n != self.n:
+            return False
+        if self.box is not None:
+            validate_database(self.space, d)
+            return all(r in values for r, values in zip(d.rows, self.box))
+        i = database_index(self.space, d)
+        at = bisect.bisect_left(self.indices, i)
+        return at < len(self.indices) and self.indices[at] == i
 
 
-def _cylinder_indices(space: CategorySpace, n: int, row: int,
-                      categories) -> np.ndarray:
-    """Sorted enumeration indices of {x : x_row in categories}: each prefix
-    of the rows before ``row``, each category, each suffix after it."""
-    k = space.size
-    place = k ** (n - 1 - row)
-    return (np.arange(k ** row)[:, None, None] * (k * place)
-            + np.array(categories, dtype=np.int64)[None, :, None] * place
-            + np.arange(place)[None, None, :]).ravel()
+def _box_indices(space: CategorySpace, box) -> np.ndarray:
+    """Sorted enumeration indices of the box {x : x_j in box[j]}: each
+    index so far, times the base, plus each category of the next row."""
+    out = np.zeros(1, dtype=np.int64)
+    for values in box:
+        out = (out[:, None] * space.size
+               + np.array(values, dtype=np.int64)[None, :]).ravel()
+    return out
 
 
 def validate_database(space: CategorySpace, d: Database) -> None:
@@ -271,18 +300,38 @@ def database_from_index(space: CategorySpace, n: int, index: int) -> Database:
     return Database(tuple(rows))
 
 
+def space_size_over(space: CategorySpace, n: int, limit) -> bool:
+    """True when (m + 1) ** n exceeds ``limit``.  A count far past the
+    limit is told from n * log2(m + 1) alone, so it is never built."""
+    if n >= 1 and (limit < 1
+                   or n * math.log2(space.size) > math.log2(limit) + 1):
+        return True
+    return space_size(space, n) > limit
+
+
+def states_text(space: CategorySpace, n: int) -> tuple[int | None, str]:
+    """(m + 1) ** n and its exact text of bounded length: the decimal, or
+    past ``COUNT_DIGIT_CAP`` digits the power, such as ``"2^100000"``.  A
+    count well past the cap is None, as no message prints it, and is never
+    built."""
+    power = f"{space.size}^{n}"
+    if n * math.log10(space.size) > COUNT_DIGIT_CAP + 1:
+        return None, power
+    size = space_size(space, n)
+    return size, count_text(size, power)
+
+
 def check_enum_budget(space: CategorySpace, n: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    size = space_size(space, n)
-    if size > budget:
-        power = f"{space.size}^{n}"
-        states = count_text(size, power)
-        if states != power:
-            states = f"{states} = {power}"
-        raise EnumerationBudgetError(
-            f"database space holds {states} states, over the enumeration "
-            f"budget of {budget}", size)
-    return size
+    if not space_size_over(space, n, budget):
+        return space_size(space, n)
+    size, states = states_text(space, n)
+    power = f"{space.size}^{n}"
+    if states != power:
+        states = f"{states} = {power}"
+    raise EnumerationBudgetError(
+        f"database space holds {states} states, over the enumeration "
+        f"budget of {budget}", size)
 
 
 def enumerate_databases(space: CategorySpace, n: int,

@@ -12,7 +12,9 @@ class LengthMismatchError(DpcatError, ValueError):
 class EnumerationBudgetError(DpcatError, ValueError):
     """An operation would enumerate more states or subsets than allowed.
 
-    The offending count is kept on ``.count`` so callers can report it.
+    The offending count is kept on ``.count`` so callers can report it; a
+    state count well past ``COUNT_DIGIT_CAP`` digits, which no message
+    prints, is never built, and ``.count`` is then None.
     """
 
     def __init__(self, message, count):

@@ -7,12 +7,15 @@ matrix (the parent mechanism).  The hamming and negative-L1 utilities are
 sums over rows, so e^u/Z factorises row by row: the n-row exponential
 mechanism is the product mechanism whose parent is
 M[a, b] = e^{u1(a, b)} / sum_c e^{u1(a, c)} for the one-row utility u1.
-Such specs carry that ProductSpec as ``product`` and scale to any row count;
-only explicit utility tables are enumerated.  A table is held in full, and
-every array derived from it (the pmf matrix, the digit table) is no larger,
-so tables take no enumeration budget.  For the hamming utility
-u1 = -k * [a != b] the parent is k-ary randomized response with flip
-probability p = 1/(e^k + m).
+Such specs carry that ProductSpec as ``product``, and the parent matrix
+answers every question the verifier and the sampler ask of them at any row
+count.  Full pmf rows over all (m + 1)^n outputs serve only the
+brute-force oracle and library callers: ``ProductSpec`` builds the rows of
+a whole index array as one block, behind one fixed guard.  A utility table
+is held in full, and every array derived from it (the pmf matrix, the
+digit table) is no larger, so tables take no enumeration budget.  For the
+hamming utility u1 = -k * [a != b] the parent is k-ary randomized response
+with flip probability p = 1/(e^k + m).
 
 All probability arithmetic runs in log space and is exponentiated at the
 end; e^{-k*h} underflows quickly otherwise.  Specs are immutable after
@@ -25,6 +28,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +43,7 @@ from .core import (
     database_index,
     digit_matrix,
     hamming_distance,
+    index_digits,
     parse_record,
     read_csv,
     space_size,
@@ -59,6 +64,14 @@ ROW_SUM_TOL = 1e-9
 #: detecting symmetric (single-parameter) matrices.
 SYMMETRY_TOL = 1e-12
 
+#: Largest exponent x whose e^x is a finite float: the bound on a finite
+#: hamming k here and on epsilon in the verifier.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+#: Most entries one block of pmf rows may hold: two rows over the 2^20
+#: states of the default enumeration budget.
+_BLOCK_ENTRIES = 2 * DEFAULT_ENUM_BUDGET
+
 
 def _log_normalise(u: np.ndarray) -> np.ndarray:
     """u minus the log-sum-exp of each row: every row exponentiates to a
@@ -70,8 +83,9 @@ class HammingUtility:
     """u(d, d') = -k * hamming(d, d'), k >= 0.
 
     ``k = inf`` is the no-noise endpoint: all probability mass stays on the
-    input database.  An exact value of e^k may be supplied for rational
-    arithmetic; otherwise the binary float ``exp(k)`` is used exactly.
+    input database.  A finite k must keep e^k a finite float.  An exact
+    value of e^k may be supplied for rational arithmetic; otherwise the
+    binary float ``exp(k)`` is used exactly.
     """
 
     kind = "hamming"
@@ -80,6 +94,10 @@ class HammingUtility:
         k = float(k)
         if math.isnan(k) or k < 0:
             raise ParameterRangeError(f"hamming utility needs k >= 0, got {k}")
+        if LOG_FLOAT_MAX < k < math.inf:
+            raise ParameterRangeError(
+                f"hamming utility needs k at most {LOG_FLOAT_MAX!r}, where "
+                f"e^k is still a finite float, or k = inf, got {k}")
         if e_k is not None and e_k < 1:
             raise ParameterRangeError("exact e^k must be >= 1")
         self.k = k
@@ -209,16 +227,11 @@ class _Spec:
         and at millions of rows the big int alone takes seconds."""
         return space_size(self.space, self.n)
 
-    def _digit_table(self, budget: int) -> np.ndarray:
-        """(size, n) row values of every database, in canonical order.
-
-        The budget is checked on every call, so a table cached under a large
-        budget never answers a call made with a smaller one.
-        """
-        if self.state_count > budget:
-            check_enum_budget(self.space, self.n, budget)   # raises
+    def _digit_table(self) -> np.ndarray:
+        """(size, n) row values of every database, in canonical order,
+        under the default enumeration budget."""
         if self._digits is None:
-            self._digits = digit_matrix(self.space, self.n, budget)
+            self._digits = digit_matrix(self.space, self.n)
         return self._digits
 
 
@@ -266,11 +279,6 @@ class ExponentialSpec(_Spec):
     def supports_exact(self) -> bool:
         return self.product is not None
 
-    def _digit_table(self, budget: int) -> np.ndarray:
-        if self.product is not None:
-            return self.product._digit_table(budget)
-        return super()._digit_table(budget)
-
     def with_n(self, n: int) -> "ExponentialSpec":
         """The same mechanism over n rows."""
         if self.product is None:
@@ -300,15 +308,27 @@ class ExponentialSpec(_Spec):
             self._log_table = (u - norm, norm[:, 0])
         return self._log_table
 
-    def log_pmf_row(self, index: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    def log_pmf_block(self, indices) -> np.ndarray:
+        """Log pmf rows of the inputs at ``indices``: the parent's block
+        (see :meth:`ProductSpec.log_pmf_block`), or rows of the table."""
         if self.product is not None:
-            return self.product.log_pmf_row(index, budget)
-        return self.log_pmf_table()[0][index]
+            return self.product.log_pmf_block(indices)
+        return self.log_pmf_table()[0][np.asarray(indices, dtype=np.int64)]
 
-    def pmf_row(self, index: int,
-                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        return np.exp(self.log_pmf_row(index, budget))
+    def exact_pmf_block(self, indices) -> np.ndarray:
+        """Exact pmf rows of the inputs at ``indices``, from the parent's
+        exact entries."""
+        if self.product is None:
+            raise ExactModeError(
+                f"exact arithmetic is not available for {self.kind!r} "
+                f"utilities")
+        return self.product.exact_pmf_block(indices)
+
+    def log_pmf_row(self, index: int) -> np.ndarray:
+        return self.log_pmf_block([index])[0]
+
+    def pmf_row(self, index: int) -> np.ndarray:
+        return np.exp(self.log_pmf_row(index))
 
     def pmf(self, d: Database, d_prime: Database) -> float:
         if self.product is not None:
@@ -316,14 +336,9 @@ class ExponentialSpec(_Spec):
         return float(self.pmf_row(database_index(self.space, d))
                      [database_index(self.space, d_prime)])
 
-    def exact_pmf_row(self, index: int,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> list[Fraction]:
+    def exact_pmf_row(self, index: int) -> list[Fraction]:
         """Exact probabilities from the parent's exact entries."""
-        if self.product is None:
-            raise ExactModeError(
-                f"exact arithmetic is not available for {self.kind!r} "
-                f"utilities")
-        return self.product.exact_pmf_row(index, budget)
+        return self.exact_pmf_block([index])[0].tolist()
 
 
 class SolutionMatrix:
@@ -345,6 +360,8 @@ class SolutionMatrix:
             raise DataFormatError("matrix needs at least two categories")
         if np.any(values < -ROW_SUM_TOL) or np.any(values > 1 + ROW_SUM_TOL):
             raise DataFormatError("matrix entries must lie in [0, 1]")
+        if not np.all(np.isfinite(values)):     # NaN passes every comparison
+            raise DataFormatError("matrix holds non-finite entries")
         sums = values.sum(axis=1)
         bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
@@ -370,8 +387,10 @@ class SolutionMatrix:
             rows = self.values if self._exact is None else self._exact
             if callable(rows):
                 rows = rows()
-            self._fractions = tuple(tuple(Fraction(x) for x in row)
-                                    for row in rows)
+            self._fractions = tuple(
+                tuple(x if isinstance(x, Fraction) else Fraction(x)
+                      for x in row)
+                for row in rows)
         return self._fractions
 
     def is_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
@@ -387,17 +406,18 @@ class SolutionMatrix:
 
     @classmethod
     def from_csv(cls, path, exact: bool = False) -> "SolutionMatrix":
-        rows, fracs = [], []
-        for record in read_csv(path):
-            if not record:
-                continue
-            rows.append(parse_record(record, float, path, "matrix"))
-            if exact:
-                fracs.append(parse_record(
-                    record, lambda x: Fraction(x.strip()), path, "matrix"))
+        """The matrix a CSV file holds.  Under ``exact`` each field is
+        parsed once, as a ``Fraction``, and the floats are taken from those
+        (an entry too large for a float becomes inf, as float() reads it).
+        """
+        parse = (lambda x: Fraction(x.strip())) if exact else float
+        rows = [parse_record(record, parse, path, "matrix")
+                for record in read_csv(path) if record]
         if not rows:
             raise DataFormatError(f"{path}: empty matrix file")
-        return cls(np.asarray(rows), fractions=fracs if exact else None)
+        if not exact:
+            return cls(np.asarray(rows))
+        return cls([[_float(x) for x in row] for row in rows], fractions=rows)
 
     def to_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -409,15 +429,24 @@ class SolutionMatrix:
                 "entries": [[float(x) for x in row] for row in self.values]}
 
 
+def _float(x: Fraction) -> float:
+    """The float nearest x, or inf with x's sign past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class ProductSpec(_Spec):
     """Row-independent sanitisation driven by one parent matrix.
 
     The probability of releasing d' for input d is the product over rows of
     matrix[d_i, d'_i]; rows are sanitised independently and identically.
-    Each log pmf row is the outer sum of the per-row log weights, cached
-    once per input.  The weights are log(matrix), or, for the parent of a
-    separable exponential spec, its one-row utility ``row_utility`` minus
-    each row's log normaliser, which keeps utility gaps exact.
+    The log weights are log(matrix), or, for the parent of a separable
+    exponential spec, its one-row utility ``row_utility`` minus each row's
+    log normaliser, which keeps utility gaps exact.  Full pmf rows come
+    from one builder, :meth:`log_pmf_block` and :meth:`exact_pmf_block`,
+    which the row methods read; nothing is cached.
     """
 
     kind = "product"
@@ -431,7 +460,6 @@ class ProductSpec(_Spec):
                 f"{space.size} categories")
         super().__init__(space, n)
         self.matrix = matrix
-        self._log_rows: dict[int, np.ndarray] = {}
         if row_utility is None:
             with np.errstate(divide="ignore"):
                 row_utility = log_weights = np.log(matrix.values)
@@ -452,20 +480,45 @@ class ProductSpec(_Spec):
         """The same mechanism over n rows."""
         return ProductSpec(self.space, n, self.matrix)
 
-    def log_pmf_row(self, index: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        digits = self._digit_table(budget)
-        row = self._log_rows.get(index)
-        if row is None:
-            row = np.zeros(1)
-            for v in digits[index]:
-                row = np.add.outer(row, self.log_weights[v]).ravel()
-            self._log_rows[index] = row
-        return row
+    def log_pmf_block(self, indices) -> np.ndarray:
+        """(len(indices), size) log pmf rows of the inputs at ``indices``:
+        the outer sum of their rows' log weights, row 0 first."""
+        return self._outer_block(indices, self.log_weights, np.add)
 
-    def pmf_row(self, index: int,
-                budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-        return np.exp(self.log_pmf_row(index, budget))
+    def exact_pmf_block(self, indices) -> np.ndarray:
+        """(len(indices), size) object array of the exact pmf rows of the
+        inputs at ``indices``: the outer product of their rows' exact
+        entries, row 0 first."""
+        return self._outer_block(
+            indices, np.array(self.matrix.fractions(), dtype=object),
+            np.multiply)
+
+    def _outer_block(self, indices, weights: np.ndarray,
+                     combine: np.ufunc) -> np.ndarray:
+        """Row p is weights[d_0] combined with weights[d_1], then with
+        weights[d_2] and so on, for the input d at indices[p]: the order
+        that one row at a time takes, so every entry is the same.  A block
+        of over ``_BLOCK_ENTRIES`` entries is refused before it is built.
+        """
+        size = check_enum_budget(self.space, self.n,
+                                 _BLOCK_ENTRIES // max(1, len(indices)))
+        indices = np.asarray(indices, dtype=np.int64)
+        bad = (indices < 0) | (indices >= size)
+        if bad.any():
+            raise DataFormatError(f"index {indices[bad][0]} outside space "
+                                  f"of {size} databases")
+        block = np.full((indices.size, 1), combine.identity,
+                        dtype=weights.dtype)
+        for column in index_digits(self.space, self.n, indices).T:
+            block = combine(block[:, :, None], weights[column][:, None, :]
+                            ).reshape(indices.size, -1)
+        return block
+
+    def log_pmf_row(self, index: int) -> np.ndarray:
+        return self.log_pmf_block([index])[0]
+
+    def pmf_row(self, index: int) -> np.ndarray:
+        return np.exp(self.log_pmf_row(index))
 
     def pmf(self, d: Database, d_prime: Database) -> float:
         validate_database(self.space, d)
@@ -477,14 +530,8 @@ class ProductSpec(_Spec):
             out *= float(self.matrix.values[a, b])
         return out
 
-    def exact_pmf_row(self, index: int,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> list[Fraction]:
-        digits = self._digit_table(budget)[index]
-        fracs = self.matrix.fractions()
-        out = [Fraction(1)]
-        for v in digits:
-            out = [x * y for x in out for y in fracs[v]]
-        return out
+    def exact_pmf_row(self, index: int) -> list[Fraction]:
+        return self.exact_pmf_block([index])[0].tolist()
 
 
 def exp_pmf(spec: ExponentialSpec, d: Database, d_prime: Database) -> float:

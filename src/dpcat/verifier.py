@@ -25,9 +25,11 @@ set S, the outputs strictly more likely under d than under d'.
 * Product mechanisms (hamming, L1, symmetric and general parent matrices)
   are decided from their one-row parent.  For neighbours differing in row
   i, P_d(x) / P_d'(x) depends on x_i alone, so the worst set is a cylinder
-  {x : x_i in A1(d_i, d'_i)} over the parent and S is the cylinder over
-  S1(d_i, d'_i).  No pmf row or digit table is built.  ``verify_matrix``
-  decides a parent by the same route, as the one-row spec it generates.
+  {x : x_i in A1(d_i, d'_i)} over the parent and S is a box over
+  S1(d_i, d'_i), which ``sufficient_set`` returns and ``dp_holds_on_set``
+  sums from the parent.  No pmf row or digit table is built.
+  ``verify_matrix`` decides a parent by the same route, as the one-row
+  spec it generates.
 * Utility tables are decided in one array pass over all ordered neighbour
   pairs of the table's log-pmf matrix.
 * The paper's check count is one check of S per pair for a symmetric
@@ -51,7 +53,6 @@ denominator, everything else in ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,9 @@ from .core import (
     index_digits,
     naive_check_count,
     naive_check_form,
+    space_size_over,
+    states_text,
+    validate_database,
 )
 from .errors import (
     DataFormatError,
@@ -80,7 +84,7 @@ from .errors import (
     ExactModeError,
     ParameterRangeError,
 )
-from .mechanisms import ProductSpec, SolutionMatrix
+from .mechanisms import LOG_FLOAT_MAX, ProductSpec, SolutionMatrix
 
 #: Slack added to every margin comparison to absorb float rounding.
 TOLERANCE = 1e-12
@@ -93,9 +97,6 @@ TIE_BAND = 1e-12
 #: arithmetic, not calls, so exact chunks hold 2^8: one pair at 16 states.
 _SCAN_ENTRIES = 1 << 20
 _EXACT_SCAN_ENTRIES = 1 << 8
-
-#: Largest epsilon whose e^epsilon is a finite float.
-_MAX_EPSILON = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ class PrivacyParams:
     def __post_init__(self):
         if math.isnan(self.epsilon) or self.epsilon < 0:
             raise ParameterRangeError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.epsilon > _MAX_EPSILON:
+        if self.epsilon > LOG_FLOAT_MAX:
             raise ParameterRangeError(
-                f"epsilon must be at most {_MAX_EPSILON!r}, where e^epsilon "
+                f"epsilon must be at most {LOG_FLOAT_MAX!r}, where e^epsilon "
                 f"is still a finite float, got {self.epsilon}")
         if math.isnan(self.delta) or not 0 <= self.delta <= 1:
             raise ParameterRangeError(
@@ -276,89 +277,129 @@ def _neighbor_pairs(spec):
     of d', differing row), in the order of ``enumerate_neighbor_pairs``:
     by d, then by differing row, then by replacement value."""
     k, n = spec.space.size, spec.n
-    digits = spec._digit_table(DEFAULT_ENUM_BUDGET)
+    digits = spec._digit_table()
     ia, rows, values = np.nonzero(digits[:, :, None] != np.arange(k))
     ib = ia + (values - digits[ia, rows]) * k ** (n - 1 - rows)
     return ia, ib, rows
 
 
-def _alpha_values(spec, ia: int, ib: int, members: np.ndarray,
-                  budget: int) -> np.ndarray:
-    """Utility gaps u(d, .) - u(d', .) on the members of S."""
-    if spec.product is None:
-        u = spec.utility.values
-        return u[ia, members] - u[ib, members]
-    # product kind: the gap is the one-row utility gap at the differing row
-    digits = spec._digit_table(budget)
-    row = int(np.flatnonzero(digits[ia] != digits[ib])[0])
-    u1 = spec.product.row_utility
-    x = digits[members, row]
-    return u1[digits[ia, row], x] - u1[digits[ib, row], x]
+def _require_exact(spec, exact: bool) -> None:
+    if exact and not spec.supports_exact:
+        raise ExactModeError(
+            f"exact mode is not available for {spec.kind!r} specs")
 
 
 def sufficient_set(spec, pair: NeighborPair, *,
-                   budget_enum: int = DEFAULT_ENUM_BUDGET,
                    exact: bool = False) -> SufficientSet:
     """Outputs strictly more likely under pair.d than under pair.d_prime.
 
     For mechanisms with a fixed normaliser the utility-gap levels and the
-    corresponding partition of S are attached as well.
+    corresponding partition of S are attached as well.  A product spec
+    answers from its parent (see :func:`_parent_cells`); a utility table
+    reads its two rows.
     """
     if pair.d.n != spec.n:
         raise DataFormatError(f"pair has {pair.d.n} rows, spec expects {spec.n}")
-    ia = database_index(spec.space, pair.d)
-    ib = database_index(spec.space, pair.d_prime)
-    if exact:
-        pa = spec.exact_pmf_row(ia, budget_enum)
-        pb = spec.exact_pmf_row(ib, budget_enum)
-        members = np.array([x for x in range(len(pa)) if pa[x] > pb[x]],
-                           dtype=np.int64)
+    _require_exact(spec, exact)
+    if spec.product is not None:
+        cells, alphas, make_set = _parent_cells(spec, pair, exact)
     else:
+        ia = database_index(spec.space, pair.d)
+        ib = database_index(spec.space, pair.d_prime)
         with np.errstate(invalid="ignore"):     # NaN gaps: both zero
-            gap = (spec.log_pmf_row(ia, budget_enum)
-                   - spec.log_pmf_row(ib, budget_enum))
-        members = np.flatnonzero(gap > TIE_BAND)
-    member_set = DatabaseSet(spec.space, spec.n, tuple(members.tolist()))
+            gap = spec.log_pmf_row(ia) - spec.log_pmf_row(ib)
+        cells = np.flatnonzero(gap > TIE_BAND)
+        u = spec.utility.values
+        alphas = u[ia, cells] - u[ib, cells]
+
+        def make_set(members):
+            return DatabaseSet(spec.space, spec.n, tuple(members.tolist()))
     # a symmetric parent or a fixed-C table: one normaliser for every input
     if not spec.fixed_normalizer:
-        return SufficientSet(pair, member_set)
+        return SufficientSet(pair, make_set(cells))
     if spec.product is None:
         _validate_fixed_normalizer(spec)
-    alphas = _alpha_values(spec, ia, ib, members, budget_enum)
     levels = sorted(set(alphas.tolist()))       # ascending exact gaps
-    return SufficientSet(
-        pair, member_set, alpha_levels=tuple(levels),
-        partition=tuple(DatabaseSet(spec.space, spec.n,
-                                    tuple(members[alphas == level].tolist()))
-                        for level in levels))
+    return SufficientSet(pair, make_set(cells), alpha_levels=tuple(levels),
+                         partition=tuple(make_set(cells[alphas == level])
+                                         for level in levels))
+
+
+def _parent_cells(spec, pair: NeighborPair, exact: bool):
+    """S of a product spec from its parent M, as S1, the one-row utility
+    gaps over S1, and the function that makes the box of a part of S1.
+
+    With neighbours differing in row i, u = d_i and v = d'_i,
+    P_d(x) > P_d'(x) exactly when M[u, x_i] > M[v, x_i] and every other
+    row's output is one that M[d_j] releases, so S is the box
+    {x : x_i in S1, x_j in supp M[d_j] for every j != i} with
+    S1 = {c : M[u, c] > M[v, c]}: decided on the log weights with the
+    ``TIE_BAND``, or on the exact entries under ``exact``.  No pmf row,
+    digit table or index is built.
+    """
+    validate_database(spec.space, pair.d)
+    validate_database(spec.space, pair.d_prime)
+    product = spec.product
+    i = pair.differing_row
+    u, v = pair.d.rows[i], pair.d_prime.rows[i]
+    if exact:
+        fracs = product.matrix.fractions()
+        s1 = np.array([c for c in range(spec.space.size)
+                       if fracs[u][c] > fracs[v][c]], dtype=np.int64)
+        released = [[c for c, x in enumerate(row) if x > 0] for row in fracs]
+    else:
+        log_w = product.log_weights
+        with np.errstate(invalid="ignore"):     # NaN gaps: both zero
+            s1 = np.flatnonzero(log_w[u] - log_w[v] > TIE_BAND)
+        released = [np.flatnonzero(np.isfinite(row)) for row in log_w]
+    rows = [released[a] for a in pair.d.rows]
+
+    def make_box(cells):
+        return DatabaseSet.from_box(spec.space, spec.n,
+                                    rows[:i] + [cells] + rows[i + 1:])
+    u1 = product.row_utility
+    return s1, u1[u, s1] - u1[v, s1], make_box
 
 
 def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
                     params: PrivacyParams, *,
-                    budget_enum: int = DEFAULT_ENUM_BUDGET,
                     tolerance: float = TOLERANCE,
                     exact: bool = False) -> SetCheckResult:
     """Check the privacy inequality for one pair on one output set.
 
     The margin is e^eps * P(X_d' in A) + delta - P(X_d in A); the inequality
-    holds when the margin clears ``-tolerance`` (0 in exact mode).
+    holds when the margin clears ``-tolerance`` (0 in exact mode).  On a
+    product spec a box A = {x : x_j in A_j} has P(X_d in A) = the product
+    over rows j of the sum of M[d_j, c] over A_j, read from the parent (in
+    ``Fraction`` under ``exact``, else over the exponentiated log weights
+    the pmf rows are built from); any other set sums two pmf rows.
     """
     if len(A) == 0:
         raise DataFormatError("output set must be nonempty")
-    ia = database_index(spec.space, pair.d)
-    ib = database_index(spec.space, pair.d_prime)
-    idx = list(A.indices)
+    _require_exact(spec, exact)
+    if A.box is not None and spec.product is not None:
+        validate_database(spec.space, pair.d)
+        validate_database(spec.space, pair.d_prime)
+        weights = (spec.product.matrix.fractions() if exact
+                   else np.exp(spec.product.log_weights).tolist())
+        pa, pb = (math.prod(sum(weights[r][c] for c in values)
+                            for r, values in zip(d.rows, A.box))
+                  for d in (pair.d, pair.d_prime))
+    else:
+        ia = database_index(spec.space, pair.d)
+        ib = database_index(spec.space, pair.d_prime)
+        idx = list(A.indices)
+        if exact:
+            row_a, row_b = spec.exact_pmf_row(ia), spec.exact_pmf_row(ib)
+            pa, pb = sum(row_a[i] for i in idx), sum(row_b[i] for i in idx)
+        else:
+            pa = float(spec.pmf_row(ia)[idx].sum())
+            pb = float(spec.pmf_row(ib)[idx].sum())
     if exact:
         e_eps, delta = params.exact_pair()
-        pa = spec.exact_pmf_row(ia, budget_enum)
-        pb = spec.exact_pmf_row(ib, budget_enum)
-        margin = (e_eps * sum(pb[i] for i in idx) + delta
-                  - sum(pa[i] for i in idx))
+        margin = e_eps * pb + delta - pa
         return SetCheckResult(margin >= 0, float(margin))
-    pa = spec.pmf_row(ia, budget_enum)
-    pb = spec.pmf_row(ib, budget_enum)
-    margin = (math.exp(params.epsilon) * float(pb[idx].sum())
-              + params.delta - float(pa[idx].sum()))
+    margin = math.exp(params.epsilon) * pb + params.delta - pa
     return SetCheckResult(margin >= -tolerance, margin)
 
 
@@ -636,9 +677,7 @@ def verify_reduced(spec, params: PrivacyParams, *,
     method = "partition" if partition else "sufficient-set"
     if params.trivial:
         return _trivial_report(spec, params, method, tolerance, exact)
-    if exact and not spec.supports_exact:
-        raise ExactModeError(
-            f"exact mode is not available for {spec.kind!r} specs")
+    _require_exact(spec, exact)
     if spec.product is not None:
         acc = _parent_route(spec, params, budget_enum, exact)
     else:
@@ -654,12 +693,13 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
     for every ordered neighbor pair and record the worst margin.
 
     A state count over the smaller of the subset budget and the kernel's
-    ``MAX_WIDTH`` is refused before any row is built.  The first pair in
-    canonical order at the smallest margin binds.
+    ``MAX_WIDTH`` is refused before any row, or the count itself where it
+    is far past that, is built.  The pmf rows of every input come from one
+    block.  The first pair in canonical order at the smallest margin binds.
     """
-    size = spec.state_count
-    if size > min(budget_subsets, kernels.MAX_WIDTH):
-        states = count_text(size, f"{spec.space.size}^{spec.n}")
+    if space_size_over(spec.space, spec.n,
+                       min(budget_subsets, kernels.MAX_WIDTH)):
+        size, states = states_text(spec.space, spec.n)
         if budget_subsets >= kernels.MAX_WIDTH:
             raise kernels.width_error(size, states)
         raise EnumerationBudgetError(
@@ -668,19 +708,18 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
             f"{budget_subsets}", size)
     if params.trivial:
         return _trivial_report(spec, params, "brute-force", tolerance, exact)
-    if exact and not spec.supports_exact:
-        raise ExactModeError(
-            f"exact mode is not available for {spec.kind!r} specs")
+    _require_exact(spec, exact)
 
+    size = spec.state_count
     e_eps, delta = (params.exact_pair() if exact
                     else (math.exp(params.epsilon), params.delta))
-    pmf_row = spec.exact_pmf_row if exact else spec.pmf_row
-    dtype = object if exact else np.float64
-    pmf = np.array([pmf_row(i) for i in range(size)], dtype=dtype)
+    states = np.arange(size)
+    pmf = (spec.exact_pmf_block(states) if exact
+           else np.exp(spec.log_pmf_block(states)))
     ia, ib, rows = _neighbor_pairs(spec)
     chunk = max(1, (_EXACT_SCAN_ENTRIES if exact else _SCAN_ENTRIES)
                 >> (size + 1) // 2)
-    margins = np.empty(ia.size, dtype=dtype)
+    margins = np.empty(ia.size, dtype=pmf.dtype)
     masks = np.empty(ia.size, dtype=np.int64)
     checks = 0
     for lo in range(0, ia.size, chunk):

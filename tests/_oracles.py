@@ -8,6 +8,7 @@ checks.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -211,3 +212,54 @@ def parent_route_fraction(weights, n, e_eps, delta):
     d_prime[row] = v
     members = [i for i, x in enumerate(all_dbs(k, n)) if x[row] in cells]
     return best, tuple(d), tuple(d_prime), row, members
+
+
+def log_pmf_row_outer(log_weights, d):
+    """Log pmf row of input d (a row tuple) of a product spec: the outer
+    sum of its rows' log weights, one row at a time, row 0 first, as the
+    package's row cache once built it."""
+    row = np.zeros(1)
+    for v in d:
+        row = np.add.outer(row, log_weights[v]).ravel()
+    return row
+
+
+def exact_pmf_row_outer(fracs, d):
+    """Exact pmf row of input d from the parent's Fraction rows, by the
+    list loop the package once ran."""
+    out = [Fraction(1)]
+    for v in d:
+        out = [x * y for x in out for y in fracs[v]]
+    return out
+
+
+def sufficient_set_from_rows(product, d, d_prime, fixed, exact,
+                             tie_band):
+    """S of a product spec's pair (d, d_prime) from two full pmf rows, as
+    the package computed it before S came from the parent.
+
+    Returns (members, alpha_levels, partition): sorted member indices, and
+    for a fixed normaliser the ascending one-row utility gaps over S with
+    one sorted index list per gap (both None otherwise).
+    """
+    if exact:
+        fracs = product.matrix.fractions()
+        pa = exact_pmf_row_outer(fracs, d)
+        pb = exact_pmf_row_outer(fracs, d_prime)
+        members = [x for x in range(len(pa)) if pa[x] > pb[x]]
+    else:
+        with np.errstate(invalid="ignore"):
+            gap = (log_pmf_row_outer(product.log_weights, d)
+                   - log_pmf_row_outer(product.log_weights, d_prime))
+        members = np.flatnonzero(gap > tie_band).tolist()
+    if not fixed:
+        return members, None, None
+    row = [i for i in range(len(d)) if d[i] != d_prime[i]][0]
+    dbs = all_dbs(product.space.size, len(d))
+    u1 = product.row_utility
+    alphas = [float(u1[d[row], dbs[x][row]] - u1[d_prime[row], dbs[x][row]])
+              for x in members]
+    levels = sorted(set(alphas))
+    partition = [[x for x, a in zip(members, alphas) if a == level]
+                 for level in levels]
+    return members, tuple(levels), partition

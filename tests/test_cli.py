@@ -373,7 +373,7 @@ class TestVerify:
         calls = []
         for module, attr in [(dpcat.core, "index_digits"),
                              (dpcat.verifier, "index_digits"),
-                             (dpcat.core, "_cylinder_indices")]:
+                             (dpcat.core, "_box_indices")]:
             fn = getattr(module, attr)
             monkeypatch.setattr(module, attr, lambda *a, fn=fn, attr=attr:
                                 calls.append(attr) or fn(*a))
@@ -537,6 +537,54 @@ class TestEpsilonRange:
                            "--epsilon", "709")
         assert code == 0
         assert json.loads(out)["epsilon"] == 709.0
+
+
+class TestParameterRange:
+    """A NaN matrix entry and a hamming k whose e^k overflows are input
+    errors on every subcommand that loads the spec; k = 709 answers."""
+
+    @staticmethod
+    def argv(workdir, command, spec):
+        return {
+            "verify": ["verify", "--epsilon", "1"],
+            "sanitize": ["sanitize", "--data", workdir / "data.csv",
+                         "--seed", "1"],
+            "analyze": ["analyze", "--epsilon", "1"],
+            "convert": ["convert"],
+        }[command] + ["--spec", workdir / spec]
+
+    @pytest.fixture
+    def specs(self, workdir):
+        (workdir / "nan.csv").write_text(
+            "0.5,0.5,0\n0.5,nan,0\n0.2,0.3,0.5\n")
+        (workdir / "nan.spec").write_text(
+            "type = product\nmatrix = nan.csv\ncategories = cats.txt\n"
+            "n = 2\n")
+        for k in ("709", "800", "1e308"):
+            (workdir / f"k{k}.spec").write_text(
+                f"type = exponential\nutility = hamming\nk = {k}\n"
+                f"categories = cats.txt\nn = 2\n")
+        (workdir / "data.csv").write_text("0\n2\n")
+        return workdir
+
+    @pytest.mark.parametrize("spec, message", [
+        ("nan.spec", "error: matrix holds non-finite entries\n"),
+        ("k800.spec", "error: hamming utility needs k at most "),
+        ("k1e308.spec", "error: hamming utility needs k at most "),
+    ])
+    @pytest.mark.parametrize("command",
+                             ["verify", "sanitize", "analyze", "convert"])
+    def test_exits_2(self, specs, capsys, command, spec, message):
+        code, out, err = run(capsys, *self.argv(specs, command, spec))
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command",
+                             ["verify", "sanitize", "analyze", "convert"])
+    def test_largest_whole_k_answers(self, specs, capsys, command):
+        code, out, err = run(capsys, *self.argv(specs, command, "k709.spec"))
+        assert code == (1 if command == "verify" else 0) and err == ""
+        assert out
 
 
 class TestParserReuse:

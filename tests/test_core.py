@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ class TestEnumeration:
             list(enumerate_databases(make_space(9), 8, budget=10 ** 6))
         assert err.value.count == 10 ** 8
         assert "100000000" in str(err.value)
+
+    @pytest.mark.parametrize("n, states", [
+        (8383, None),              # 4,000 digits: the decimal, then the power
+        (8384, "3^8384"),          # 4,001 digits: the power alone
+        (10 ** 7, "3^10000000"),   # far past the cap: no big int is built
+    ])
+    def test_refusal_builds_no_count_past_the_cap(self, n, states):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as err:
+            dpcat.core.check_enum_budget(make_space(2), n)
+        assert time.perf_counter() - start < 0.1
+        if states is None:
+            states = f"{3 ** n} = 3^{n}"
+        assert str(err.value) == (f"database space holds {states} states, "
+                                  f"over the enumeration budget of 1048576")
+
+    def test_budget_boundary_is_exact(self):
+        space = make_space(1)
+        assert dpcat.core.check_enum_budget(space, 20) == 1 << 20
+        assert dpcat.core.check_enum_budget(space, 21, (1 << 21)) == 1 << 21
+        with pytest.raises(EnumerationBudgetError):
+            dpcat.core.check_enum_budget(space, 21, (1 << 21) - 1)
+        with pytest.raises(EnumerationBudgetError):
+            dpcat.core.check_enum_budget(space, 1, 0)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     @settings(max_examples=100, deadline=None)
@@ -235,6 +260,14 @@ class TestTypes:
         assert Database((0, 1)) in s
         assert len(s) == 3
 
+    def test_membership_needs_the_same_row_count(self, space3):
+        # (1,) and (0, 0, 1) share index 1 with (0, 1) but are not members
+        for s in (DatabaseSet(space3, 2, (1,)),
+                  DatabaseSet.from_box(space3, 2, [(0,), (1,)])):
+            assert Database((0, 1)) in s
+            assert Database((1,)) not in s
+            assert Database((0, 0, 1)) not in s
+
     def test_database_set_from_databases(self, space3):
         s = DatabaseSet.from_databases(space3, 2,
                                        [Database((0, 1)), Database((2, 0))])
@@ -271,14 +304,39 @@ class TestCylinderSet:
 
     def test_indices_are_built_once(self, space3, monkeypatch):
         calls = []
-        build = dpcat.core._cylinder_indices
-        monkeypatch.setattr(dpcat.core, "_cylinder_indices",
+        build = dpcat.core._box_indices
+        monkeypatch.setattr(dpcat.core, "_box_indices",
                             lambda *args: calls.append(args) or build(*args))
         cylinder = DatabaseSet.from_cylinder(space3, 3, 1, (2,))
         assert len(cylinder) == 9 and calls == []
         assert Database((0, 2, 1)) in cylinder
         assert cylinder.indices is cylinder.indices
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_box_agrees_with_the_set_of_its_indices(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        space = make_space(m)
+        for _ in range(10):
+            rows = [tuple(np.flatnonzero(rng.random(space.size) < 0.6))
+                    for _ in range(n)]
+            dbs = _oracles.all_dbs(m + 1, n)
+            members = [i for i, x in enumerate(dbs)
+                       if all(x[j] in rows[j] for j in range(n))]
+            box = DatabaseSet.from_box(space, n, rows)
+            assert box.box == tuple(rows) and box.cylinder is None
+            assert len(box) == len(members)
+            for i, x in enumerate(dbs):
+                assert (Database(x) in box) == (i in members)
+            assert "indices" not in vars(box)    # length, membership: rows
+            assert box.indices == tuple(members)
+            assert box == DatabaseSet(space, n, tuple(members))
+
+    def test_rejects_boxes_outside_the_space(self, space3):
+        with pytest.raises(DataFormatError, match="box has 1 rows, not 2"):
+            DatabaseSet.from_box(space3, 2, [(0,)])
+        with pytest.raises(DataFormatError, match="categories outside"):
+            DatabaseSet.from_box(space3, 2, [(0,), (1, 3)])
 
     def test_rejects_rows_and_categories_outside_the_space(self, space3):
         with pytest.raises(DataFormatError, match="row 2 outside"):

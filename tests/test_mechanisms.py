@@ -94,6 +94,19 @@ class TestExponentialPmf:
                                                                     abs=1e-9)
 
 
+class TestHammingRange:
+    @pytest.mark.parametrize("k", [710.0, 800.0, 1e308])
+    def test_k_past_the_float_exponent_is_rejected(self, k):
+        with pytest.raises(ParameterRangeError, match="k at most"):
+            HammingUtility(k)
+
+    @pytest.mark.parametrize("k", [709.0, math.log(2.0 ** 1023), math.inf])
+    def test_largest_k_and_the_no_noise_endpoint_answer(self, k):
+        parent = HammingUtility(k).parent_matrix(2)
+        assert parent.values[0, 0] == 1.0
+        assert parent.fractions()[0][0] <= 1
+
+
 class TestNormConstant:
     def test_uniform_prefactor(self, space3):
         spec = ExponentialSpec(space3, 2, HammingUtility(0.0))
@@ -268,19 +281,68 @@ class TestParentMatrix:
             == sample(pspec, d, np.random.default_rng(42))
 
     @pytest.mark.parametrize("make", [
-        lambda s: ExponentialSpec(s, 4, HammingUtility(1.0)),
-        lambda s: ExponentialSpec(s, 4, NegL1Utility()),
-        lambda s: make_symmetric_product(s, 4, 0.1),
+        lambda s, n: ExponentialSpec(s, n, HammingUtility(1.0)),
+        lambda s, n: ExponentialSpec(s, n, NegL1Utility()),
+        lambda s, n: make_symmetric_product(s, n, 0.1),
     ], ids=["hamming", "l1", "product"])
-    def test_budget_checked_on_every_row_call(self, space3, make):
-        spec = make(space3)                  # 81 states
-        spec.pmf_row(0)                      # builds and caches the table
-        with pytest.raises(EnumerationBudgetError):
-            spec.pmf_row(1, budget=4)
-        with pytest.raises(EnumerationBudgetError):
-            spec.pmf_row(0, budget=4)
-        with pytest.raises(EnumerationBudgetError):
-            spec.exact_pmf_row(0, budget=4)
+    def test_block_guard_refuses_before_allocating(self, monkeypatch, make):
+        # one fixed guard: two rows over 2^20 states are answered, a third
+        # row or a larger space is refused before any digit or row is built
+        space = make_space(1)
+        rows = make(space, 20).log_pmf_block([0, 1])
+        assert rows.shape == (2, 1 << 20)
+
+        def refuse(*args):
+            raise AssertionError("built before the guard")
+        monkeypatch.setattr(dpcat.mechanisms, "index_digits", refuse)
+        calls = [(make(space, 20).log_pmf_block, [0, 1, 2]),
+                 (make(space, 20).exact_pmf_block, [0, 1, 2])]
+        for n in (22, 10 ** 6):
+            spec = make(space, n)
+            calls += [(spec.log_pmf_block, [0]), (spec.exact_pmf_block, [0]),
+                      (spec.pmf_row, 0), (spec.exact_pmf_row, 0)]
+        for build, indices in calls:
+            with pytest.raises(EnumerationBudgetError):
+                build(indices)
+
+    @pytest.mark.parametrize("make", [
+        lambda s, n: ExponentialSpec(s, n, HammingUtility(0.8)),
+        lambda s, n: ExponentialSpec(s, n, HammingUtility(math.inf)),
+        lambda s, n: ExponentialSpec(s, n, NegL1Utility()),
+        lambda s, n: ProductSpec(s, n, SolutionMatrix(
+            np.random.default_rng(s.size * n).dirichlet(np.ones(s.size),
+                                                        size=s.size))),
+        lambda s, n: ProductSpec(s, n, SolutionMatrix(
+            0.7 * np.eye(s.size) + 0.3 * np.roll(np.eye(s.size), 1, axis=1))),
+    ], ids=["hamming", "hamming-inf", "l1", "dirichlet", "zeros"])
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (1, 5), (3, 2)])
+    def test_block_is_the_stacked_rows(self, make, m, n):
+        # the block's rows are the one-row-at-a-time outer sums bit for bit,
+        # and the same rows the row methods return
+        space = make_space(m)
+        spec = make(space, n)
+        product = spec.product
+        dbs = _oracles.all_dbs(space.size, n)
+        block = spec.log_pmf_block(np.arange(len(dbs)))
+        expect = np.stack([_oracles.log_pmf_row_outer(product.log_weights, d)
+                           for d in dbs])
+        assert np.array_equal(block, expect)
+        for i in (0, len(dbs) - 1):
+            assert np.array_equal(spec.log_pmf_row(i), expect[i])
+            assert np.array_equal(spec.pmf_row(i), np.exp(expect[i]))
+        exact = spec.exact_pmf_block([len(dbs) - 1, 0])
+        fracs = product.matrix.fractions()
+        assert [list(row) for row in exact] == [
+            _oracles.exact_pmf_row_outer(fracs, dbs[-1]),
+            _oracles.exact_pmf_row_outer(fracs, dbs[0])]
+        assert spec.exact_pmf_row(1) == _oracles.exact_pmf_row_outer(
+            fracs, dbs[1])
+
+    def test_block_rejects_indices_outside_the_space(self, space3):
+        spec = ExponentialSpec(space3, 2, HammingUtility(1.0))
+        for index in (-1, 9):
+            with pytest.raises(DataFormatError, match=f"index {index}"):
+                spec.log_pmf_block([0, index])
 
 
 class TestSolutionMatrix:
@@ -306,6 +368,37 @@ class TestSolutionMatrix:
         path.write_text("0.6,0.4\n0.4,0.6\n")
         mat = SolutionMatrix.from_csv(path, exact=True)
         assert mat.fractions()[0][0] == Fraction(3, 5)
+
+    def test_csv_exact_mode_parses_each_field_once(self, tmp_path,
+                                                  monkeypatch):
+        # one Fraction per field, kept by fractions() as it is, and the
+        # floats are those float() reads from the same text
+        path = tmp_path / "m.csv"
+        path.write_text("0.6, 0.4\n0.1,0.9\n")
+        parsed = []
+        parse_record = dpcat.mechanisms.parse_record
+        monkeypatch.setattr(
+            dpcat.mechanisms, "parse_record",
+            lambda *args: parsed.append(parse_record(*args)) or parsed[-1])
+        mat = SolutionMatrix.from_csv(path, exact=True)
+        assert len(parsed) == 2
+        assert all(got is field for row, got_row in zip(parsed, mat.fractions())
+                   for field, got in zip(row, got_row))
+        assert mat.values.tolist() == [[0.6, 0.4], [0.1, 0.9]]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_csv_entry_past_the_float_range_is_out_of_range(self, tmp_path,
+                                                            exact):
+        path = tmp_path / "m.csv"
+        path.write_text("1e999,0\n0,1\n")
+        with pytest.raises(DataFormatError, match=r"must lie in \[0, 1\]"):
+            SolutionMatrix.from_csv(path, exact=exact)
+
+    def test_nan_entry_is_rejected(self):
+        # NaN fails no comparison, so neither the range nor the row-sum
+        # check would see it
+        with pytest.raises(DataFormatError, match="non-finite"):
+            SolutionMatrix(np.array([[0.5, 0.5], [0.5, np.nan]]))
 
     def test_symmetry_detection(self):
         assert symmetric_matrix(2, 0.2).is_symmetric()

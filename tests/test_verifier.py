@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -150,6 +151,127 @@ class TestSufficientSet:
         assert all(a > 0 for a in s.alpha_levels)
         combined = sorted(i for cell in s.partition for i in cell.indices)
         assert tuple(combined) == s.members.indices
+
+
+def zero_entry_parent(rng, size):
+    """A random parent with zero entries: each row keeps a random nonempty
+    set of categories."""
+    values = rng.dirichlet(np.ones(size), size=size)
+    keep = rng.random((size, size)) < 0.6
+    keep[np.arange(size), rng.integers(0, size, size)] = True
+    values = np.where(keep, values, 0.0)
+    return SolutionMatrix(values / values.sum(axis=1, keepdims=True))
+
+
+#: Random product specs of every kind: hamming with k = 0 and k = inf
+#: among its weights, L1 (exact ties from m = 2), Dirichlet parents, parents
+#: with zero entries and symmetric parents (one level per S, identity
+#: included).
+PARENT_KINDS = {
+    "hamming": lambda rng, space, n: ExponentialSpec(space, n, HammingUtility(
+        rng.choice([0.0, math.inf, float(rng.uniform(0.1, 3.0))]))),
+    "l1": lambda rng, space, n: ExponentialSpec(space, n, NegL1Utility()),
+    "dirichlet": lambda rng, space, n: ProductSpec(
+        space, n, random_stochastic(rng, space.size)),
+    "zeros": lambda rng, space, n: ProductSpec(
+        space, n, zero_entry_parent(rng, space.size)),
+    "symmetric": lambda rng, space, n: make_symmetric_product(
+        space, n, rng.choice([0.0, float(rng.uniform(0.01, 1 / space.size))])),
+}
+
+PARENT_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (4, 1)]
+
+
+class TestParentSufficientSet:
+    """A product spec's S is a box over its parent: the same members,
+    levels and partition as two full pmf rows give, from no row at all."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", list(PARENT_KINDS))
+    def test_box_matches_the_full_row_oracle(self, kind, exact):
+        rng = np.random.default_rng(sorted(PARENT_KINDS).index(kind))
+        for m, n in PARENT_SHAPES:
+            space = make_space(m)
+            spec = PARENT_KINDS[kind](rng, space, n)
+            for pair in enumerate_neighbor_pairs(space, n):
+                got = sufficient_set(spec, pair, exact=exact)
+                members, levels, partition = \
+                    _oracles.sufficient_set_from_rows(
+                        spec.product, pair.d.rows, pair.d_prime.rows,
+                        spec.fixed_normalizer, exact, verifier.TIE_BAND)
+                assert got.members.box is not None
+                assert len(got.members) == len(members)
+                assert got.members.indices == tuple(members)
+                assert got.alpha_levels == levels
+                if partition is None:
+                    assert got.partition is None
+                else:
+                    assert [cell.indices for cell in got.partition] \
+                        == [tuple(cell) for cell in partition]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", list(PARENT_KINDS))
+    def test_box_margin_matches_the_rows(self, kind, exact):
+        # a box sums the parent's rows; the same members as plain indices
+        # sum two pmf rows
+        rng = np.random.default_rng(10 + sorted(PARENT_KINDS).index(kind))
+        params = PrivacyParams(0.3, 0.01)
+        for m, n in PARENT_SHAPES:
+            space = make_space(m)
+            spec = PARENT_KINDS[kind](rng, space, n)
+            for pair in enumerate_neighbor_pairs(space, n):
+                box = sufficient_set(spec, pair, exact=exact).members
+                if not len(box):
+                    continue
+                plain = DatabaseSet(space, n, box.indices)
+                got = dp_holds_on_set(spec, pair, box, params, exact=exact)
+                rows = dp_holds_on_set(spec, pair, plain, params,
+                                       exact=exact)
+                assert got.holds == rows.holds
+                if exact:
+                    assert got.margin == rows.margin
+                else:
+                    assert got.margin == pytest.approx(rows.margin,
+                                                       abs=1e-15)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_builds_no_row_digit_table_or_index(self, monkeypatch, exact):
+        import dpcat.core
+        import dpcat.mechanisms as mech
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in (mech._Spec, mech.ExponentialSpec, mech.ProductSpec):
+            for name in ("_digit_table", "log_pmf_row", "pmf_row",
+                         "exact_pmf_row", "log_pmf_block", "exact_pmf_block",
+                         "_outer_block"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name,
+                                        counting(name, vars(cls)[name]))
+        for module, name in [(dpcat.core, "index_digits"),
+                             (verifier, "index_digits"),
+                             (mech, "index_digits"),
+                             (mech, "digit_matrix"),
+                             (dpcat.core, "_box_indices"),
+                             (verifier, "database_index")]:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        hamming = ExponentialSpec(make_space(1), 20, HammingUtility(0.5))
+        l1 = ExponentialSpec(make_space(2), 12, NegL1Utility())
+        params = PrivacyParams(0.3, 0.0)
+        for spec, d, size, levels in [(hamming, (0,) * 20, 2 ** 19, (0.5,)),
+                                      (l1, (0,) * 12, 3 ** 11, None)]:
+            d_prime = (1,) + d[1:]
+            pair = NeighborPair(Database(d), Database(d_prime), 0)
+            s = sufficient_set(spec, pair, exact=exact)
+            assert len(s.members) == size and s.alpha_levels == levels
+            dp_holds_on_set(spec, pair, s.members, params, exact=exact)
+        assert calls == []
 
 
 class TestVerifyReduced:
@@ -408,11 +530,6 @@ class TestFactorisedRoute:
         assert at_binding.margin == float(best)
         assert report.checks_performed == checks
 
-    def test_row_cache_stays_bounded(self):
-        spec = ExponentialSpec(make_space(2), 7, HammingUtility(1.0))
-        verify_reduced(spec, PrivacyParams(0.5, 0.0))
-        assert spec.product._log_rows == {} and spec.product._digits is None
-
     @pytest.mark.parametrize("exact", [False, True])
     def test_builds_no_row_and_walks_no_subset(self, monkeypatch, exact):
         import dpcat.kernels
@@ -428,7 +545,9 @@ class TestFactorisedRoute:
         targets = [(cls, name) for cls in (mech._Spec, mech.ExponentialSpec,
                                            mech.ProductSpec)
                    for name in ("_digit_table", "log_pmf_row", "pmf_row",
-                                "exact_pmf_row") if name in vars(cls)]
+                                "exact_pmf_row", "log_pmf_block",
+                                "exact_pmf_block", "_outer_block")
+                   if name in vars(cls)]
         for cls, name in targets:
             monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
         monkeypatch.setattr(dpcat.kernels, "subset_scan",
@@ -517,6 +636,32 @@ class TestVerifyBruteforce:
                            match=r"subsets of 2\^100000 elements"):
             verify_bruteforce(huge, PrivacyParams(1.0, 0.0),
                               budget_subsets=10 ** 6)
+
+    @pytest.mark.parametrize("n", [8383, 8384, 10 ** 7])
+    def test_refusals_build_no_count_past_the_cap(self, n):
+        # 3^8383 has 4,000 digits and prints; 3^8384 and beyond print as
+        # the power, and far past the cap the count is never built
+        states = f"3^{n}" if n > 8383 else str(3 ** n)
+        spec = ExponentialSpec(make_space(2), n, NegL1Utility())
+        params = PrivacyParams(1.0, 0.0)
+        for call, message in [
+                (lambda: verify_bruteforce(spec, params),
+                 f"database space holds {states} states; the brute-force "
+                 f"oracle enumerates 2^{states} - 2 subsets per pair, over "
+                 f"the budget of 24"),
+                (lambda: verify_bruteforce(spec, params,
+                                           budget_subsets=10 ** 6),
+                 f"scanning the subsets of {states} elements exceeds the "
+                 f"kernel's limit of 40"),
+                (lambda: verify_reduced(spec, params),
+                 f"database space holds "
+                 f"{states + ' = 3^' + str(n) if n == 8383 else states} "
+                 f"states, over the enumeration budget of 1048576")]:
+            start = time.perf_counter()
+            with pytest.raises(EnumerationBudgetError) as info:
+                call()
+            assert time.perf_counter() - start < 0.1
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (3, 2)])
     def test_chunked_scan_gives_the_unchunked_report(self, monkeypatch, m, n):
