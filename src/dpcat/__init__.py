@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_SUBSET_BUDGET,
     CategorySpace,
+    Count,
     Database,
     DatabaseSet,
     NeighborPair,
@@ -37,7 +38,6 @@ from .core import (
     load_category_space,
     load_database_csv,
     naive_check_count,
-    naive_check_count_text,
     neighbor_pair_count,
     space_size,
 )

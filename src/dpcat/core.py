@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -132,8 +134,7 @@ class NeighborPair:
         if self.d.n != self.d_prime.n:
             raise LengthMismatchError(
                 f"neighbor pair mixes row counts {self.d.n} and {self.d_prime.n}")
-        diffs = [i for i in range(self.d.n)
-                 if self.d.rows[i] != self.d_prime.rows[i]]
+        diffs = np.flatnonzero(self.d.array != self.d_prime.array).tolist()
         if diffs != [self.differing_row]:
             raise DataFormatError(
                 f"databases must differ exactly at row {self.differing_row}, "
@@ -148,9 +149,10 @@ class DatabaseSet:
     """A subset of the database space, held as sorted enumeration indices.
 
     A box {x : x_j in rows[j] for every row j}, built by ``from_box``,
-    holds only its per-row categories and builds ``indices`` on first
-    read, as ``Database`` builds ``rows``; its length and membership come
-    from the box.  A one-row cylinder {x : x_row in categories}, built by
+    holds only ``box_mask``, an (n, m + 1) bool array whose row j marks
+    the categories of rows[j], and builds ``indices`` on first read, as
+    ``Database`` builds ``rows``; its size and membership come from the
+    mask.  A one-row cylinder {x : x_row in categories}, built by
     ``from_cylinder``, is the box that restricts that row alone and also
     keeps its row.  Equality and hashing are those of the indices either
     way.
@@ -170,10 +172,10 @@ class DatabaseSet:
 
     def __getattr__(self, name):
         # reached only for attributes not set yet: indices of a box
-        box = self.box if name == "indices" else None
-        if box is None:
+        mask = self.box_mask if name == "indices" else None
+        if mask is None:
             raise AttributeError(name)
-        indices = tuple(_box_indices(self.space, box).tolist())
+        indices = tuple(_box_indices(self.space, mask).tolist())
         object.__setattr__(self, "indices", indices)
         return indices
 
@@ -188,16 +190,24 @@ class DatabaseSet:
         row j."""
         if len(rows) != n:
             raise DataFormatError(f"box has {len(rows)} rows, not {n}")
-        box = tuple(tuple(sorted(set(int(c) for c in values)))
-                    for values in rows)
-        if any(values and not (0 <= values[0] and values[-1] < space.size)
-               for values in box):
+        mask = np.zeros((n, space.size), dtype=bool)
+        for j, values in enumerate(rows):
+            mask[j, _categories(space, values)] = True
+        return cls.from_mask(space, mask)
+
+    @classmethod
+    def from_mask(cls, space: CategorySpace, mask) -> "DatabaseSet":
+        """The box whose row j holds the categories c with mask[j, c], for
+        an (n, m + 1) bool array kept as it is."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape[1] != space.size or not mask.size:
             raise DataFormatError(
-                f"box holds categories outside 0..{space.m}")
+                f"box mask must be (n, {space.size}), got {mask.shape}")
+        mask.setflags(write=False)
         out = cls.__new__(cls)
         object.__setattr__(out, "space", space)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "_box", box)
+        object.__setattr__(out, "n", mask.shape[0])
+        object.__setattr__(out, "_mask", mask)
         return out
 
     @classmethod
@@ -206,22 +216,45 @@ class DatabaseSet:
         """The databases whose row ``row`` holds one of ``categories``."""
         if not 0 <= row < n:
             raise DataFormatError(f"row {row} outside 0..{n - 1}")
-        every = range(space.size)
-        out = cls.from_box(space, n, [categories if j == row else every
-                                      for j in range(n)])
-        object.__setattr__(out, "_cylinder", (row, out.box[row]))
+        values = _categories(space, categories)
+        mask = np.ones((n, space.size), dtype=bool)
+        mask[row] = False
+        mask[row, values] = True
+        out = cls.from_mask(space, mask)
+        object.__setattr__(out, "_cylinder", (row, tuple(values)))
         return out
 
     @property
+    def box_mask(self) -> np.ndarray | None:
+        """The (n, m + 1) mask of a set built as a box, else None."""
+        return self.__dict__.get("_mask")
+
+    @property
     def box(self) -> tuple[tuple[int, ...], ...] | None:
-        """Per-row categories of a set built by ``from_box`` or
-        ``from_cylinder``, else None."""
-        return self.__dict__.get("_box")
+        """Per-row categories of a set built as a box, else None."""
+        mask = self.box_mask
+        if mask is None:
+            return None
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
 
     @property
     def cylinder(self) -> tuple[int, tuple[int, ...]] | None:
         """(row, categories) of a set built by ``from_cylinder``, else None."""
         return self.__dict__.get("_cylinder")
+
+    @property
+    def size(self) -> "Count":
+        """The number of members, from the mask for a box: the product of
+        its rows' category counts, as a power of each count."""
+        mask = self.box_mask
+        if mask is None:
+            return Count(len(self.indices))
+        per_row = np.bincount(mask.sum(axis=1), minlength=self.space.size + 1)
+        if per_row[0]:
+            return Count(0)
+        return Count(("*", *(c if rows == 1 else ("^", c, rows)
+                             for c, rows in enumerate(per_row.tolist())
+                             if c > 1 and rows)))
 
     def databases(self) -> list[Database]:
         return [database_from_index(self.space, self.n, i) for i in self.indices]
@@ -233,29 +266,46 @@ class DatabaseSet:
             out |= 1 << i
         return out
 
+    def __bool__(self) -> bool:
+        mask = self.box_mask
+        if mask is None:
+            return bool(self.indices)
+        return bool(mask.any(axis=1).all())
+
     def __len__(self) -> int:
-        if self.box is None:
+        """The number of members; a box past ``sys.maxsize`` members
+        raises OverflowError, as ``len`` does, while ``size`` counts it."""
+        if self.box_mask is None:
             return len(self.indices)
-        return math.prod(len(values) for values in self.box)
+        return int(self.size)
 
     def __contains__(self, d: Database) -> bool:
         if d.n != self.n:
             return False
-        if self.box is not None:
+        mask = self.box_mask
+        if mask is not None:
             validate_database(self.space, d)
-            return all(r in values for r, values in zip(d.rows, self.box))
+            return bool(mask[np.arange(self.n), d.array].all())
         i = database_index(self.space, d)
         at = bisect.bisect_left(self.indices, i)
         return at < len(self.indices) and self.indices[at] == i
 
 
-def _box_indices(space: CategorySpace, box) -> np.ndarray:
-    """Sorted enumeration indices of the box {x : x_j in box[j]}: each
-    index so far, times the base, plus each category of the next row."""
+def _categories(space: CategorySpace, values) -> list[int]:
+    """Distinct category indices in ascending order, each inside 0..m."""
+    values = sorted({int(c) for c in values})
+    if values and not (0 <= values[0] and values[-1] <= space.m):
+        raise DataFormatError(f"box holds categories outside 0..{space.m}")
+    return values
+
+
+def _box_indices(space: CategorySpace, mask: np.ndarray) -> np.ndarray:
+    """Sorted enumeration indices of the box with this mask: each index so
+    far, times the base, plus each category of the next row."""
     out = np.zeros(1, dtype=np.int64)
-    for values in box:
-        out = (out[:, None] * space.size
-               + np.array(values, dtype=np.int64)[None, :]).ravel()
+    for row in mask:
+        out = (out[:, None] * space.size + np.flatnonzero(row)[None, :]
+               ).ravel()
     return out
 
 
@@ -309,29 +359,23 @@ def space_size_over(space: CategorySpace, n: int, limit) -> bool:
     return space_size(space, n) > limit
 
 
-def states_text(space: CategorySpace, n: int) -> tuple[int | None, str]:
-    """(m + 1) ** n and its exact text of bounded length: the decimal, or
-    past ``COUNT_DIGIT_CAP`` digits the power, such as ``"2^100000"``.  A
-    count well past the cap is None, as no message prints it, and is never
-    built."""
-    power = f"{space.size}^{n}"
-    if n * math.log10(space.size) > COUNT_DIGIT_CAP + 1:
-        return None, power
-    size = space_size(space, n)
-    return size, count_text(size, power)
+def state_count(space: CategorySpace, n: int) -> "Count":
+    """(m + 1) ** n as a Count: past ``COUNT_DIGIT_CAP`` digits the power,
+    such as ``2^100000``, with no int built."""
+    return Count(("^", space.size, n))
 
 
 def check_enum_budget(space: CategorySpace, n: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> int:
     if not space_size_over(space, n, budget):
         return space_size(space, n)
-    size, states = states_text(space, n)
-    power = f"{space.size}^{n}"
-    if states != power:
-        states = f"{states} = {power}"
+    states = state_count(space, n)
+    text = str(states)
+    if states.value is not None:
+        text = f"{text} = {space.size}^{n}"
     raise EnumerationBudgetError(
-        f"database space holds {states} states, over the enumeration "
-        f"budget of {budget}", size)
+        f"database space holds {text} states, over the enumeration "
+        f"budget of {budget}", states.value)
 
 
 def enumerate_databases(space: CategorySpace, n: int,
@@ -366,48 +410,160 @@ def neighbor_pair_count(space: CategorySpace, n: int) -> int:
     return n * space.m * space_size(space, n)
 
 
-def naive_check_count(space: CategorySpace, n: int) -> int:
+def naive_check_count(space: CategorySpace, n: int) -> "Count":
     """Total inequality checks without any workload reduction.
 
     Every ordered neighbor pair is checked against every subset of the space
-    except the empty set and the space itself.  Exact integer arithmetic;
-    the value overflows 64 bits already for three categories and three rows.
+    except the empty set and the space itself:
+    n * m * (m+1)^n * (2^((m+1)^n) - 2), which overflows 64 bits already for
+    three categories and three rows.  Past ``COUNT_DIGIT_CAP`` digits it
+    prints as that product, ``"354294*(2^19683-2)"`` for three categories
+    and nine rows.
     """
-    size = space_size(space, n)
-    return neighbor_pair_count(space, n) * ((1 << size) - 2)
+    states = ("^", space.size, n)
+    return Count(("*", ("*", n * space.m, states), ("2^-", states, 2)))
 
 
-#: Counts with more decimal digits than this print in product form.  Python
-#: refuses ``str()`` on ints beyond 4,300 digits, and it is slow well before.
+#: Counts with more decimal digits than this print as the expression that
+#: defines them.  Python refuses ``str()`` on ints beyond 4,300 digits, and
+#: it is slow well before.
 COUNT_DIGIT_CAP = 4000
 
 
-def count_text(count: int, form: str | None) -> str:
-    """``count`` as exact text of bounded length.
+@functools.total_ordering
+class Count:
+    """A count of states, subsets or checks, exact at any size.
 
-    Up to ``COUNT_DIGIT_CAP`` digits, or when there is no ``form``, this is
-    the decimal string.  Above it, ``form``: the expression the count is
-    defined by, without ever converting the big int.
+    It is made from the expression that defines it: an int, or a tuple
+    ``("^", b, e)`` for b^e with ints b >= 1 and e, ``("*", ...)`` for a
+    product, ``("+", ...)`` for a sum, or ``("2^-", x, c)`` for 2^x - c.
+    Up to ``COUNT_DIGIT_CAP`` digits ``value`` holds the int and the count
+    prints as its decimal.  Past the cap ``value`` is None and the count
+    prints as its expression, in which each part without a 2^x - c inside
+    prints as its decimal while that stays under the cap.  Which case
+    applies is decided from the bit lengths of the parts, a base-2
+    logarithm, so no int of much over the cap is built unless ``int()``
+    asks for one.  Counts compare and add as their ints.
     """
-    # 2^(3 * cap) = 8^cap < 10^cap: most counts pass without the big power
-    if (form is None or count.bit_length() <= 3 * COUNT_DIGIT_CAP
-            or count < 10 ** COUNT_DIGIT_CAP):
-        return str(count)
-    return form
+
+    __slots__ = ("expr", "value")
+
+    def __init__(self, expr):
+        self.expr = expr
+        self.value = _fits(expr)
+
+    def __int__(self) -> int:
+        return (_bounded(self.expr, math.inf) if self.value is None
+                else self.value)
+
+    def __str__(self) -> str:
+        return _text(self.expr) if self.value is None else str(self.value)
+
+    def __repr__(self) -> str:
+        return f"Count({self})"
+
+    def __bool__(self) -> bool:
+        return self.value != 0
+
+    def __hash__(self) -> int:
+        return hash(int(self))
+
+    def __eq__(self, other):
+        try:
+            a, b = self._ints(other)
+        except TypeError:
+            return NotImplemented
+        return a == b
+
+    def __lt__(self, other):
+        try:
+            a, b = self._ints(other)
+        except TypeError:
+            return NotImplemented
+        return a < b
+
+    def __add__(self, other):
+        try:
+            return int(self) + _as_int(other)
+        except TypeError:
+            return NotImplemented
+
+    __radd__ = __add__
+
+    def _ints(self, other) -> tuple[int, int]:
+        """Two ints that compare as self and other: a count past the cap
+        exceeds any int under it without being built."""
+        other = _as_int(other)
+        if self.value is None and other < 10 ** COUNT_DIGIT_CAP:
+            return 1, 0
+        return int(self), other
 
 
-def naive_check_count_text(space: CategorySpace, n: int) -> str:
-    """:func:`naive_check_count` as exact text of bounded length: above
-    ``COUNT_DIGIT_CAP`` digits the product pairs*(2^size-2) it is defined
-    by, ``"354294*(2^19683-2)"`` for three categories and nine rows.
-    """
-    return count_text(naive_check_count(space, n),
-                      naive_check_form(space, n))
+def _as_int(x) -> int:
+    return int(x) if isinstance(x, Count) else operator.index(x)
 
 
-def naive_check_form(space: CategorySpace, n: int) -> str:
-    """The expression pairs*(2^size-2) that defines the naive count."""
-    return f"{neighbor_pair_count(space, n)}*(2^{space_size(space, n)}-2)"
+def _bounded(x, bits: float) -> int | None:
+    """The value of a Count expression, or None where some part of it is
+    seen, from bit lengths alone, to pass 2^bits."""
+    if isinstance(x, int):
+        return x
+    op = x[0]
+    if op == "^":
+        _, base, power = x
+        if power * (base.bit_length() - 1) > bits:
+            return None
+        return base ** power
+    values = [a if isinstance(a, int) else _bounded(a, bits) for a in x[1:]]
+    if op == "2^-":
+        power, c = values
+        return None if power is None or power > bits else (1 << power) - c
+    if op == "*" and 0 in values:
+        return 0
+    if None in values or op == "*" and sum(
+            map(int.bit_length, values)) > bits + len(values):
+        return None
+    return math.prod(values) if op == "*" else sum(values)
+
+
+#: Bits past which a count has more than ``COUNT_DIGIT_CAP`` digits.
+_CAP_BITS = math.ceil(COUNT_DIGIT_CAP * math.log2(10))
+
+
+def _fits(x) -> int | None:
+    """The value while it has at most ``COUNT_DIGIT_CAP`` digits, else
+    None; 8^cap < 10^cap, so most counts need no comparison."""
+    value = _bounded(x, _CAP_BITS)
+    if value is None or value.bit_length() > 3 * COUNT_DIGIT_CAP and (
+            value >= 10 ** COUNT_DIGIT_CAP):
+        return None
+    return value
+
+
+def _subsets_inside(x) -> bool:
+    return isinstance(x, tuple) and (x[0] == "2^-"
+                                     or any(map(_subsets_inside, x[1:])))
+
+
+def _text(x) -> str:
+    """A Count expression past the cap as text, each part without a 2^x - c
+    inside as its decimal while that fits under the cap."""
+    if isinstance(x, int):
+        return str(x)
+    value = None if _subsets_inside(x) else _fits(x)
+    if value is not None:
+        return str(value)
+    op, *args = x
+    if op == "^":
+        return f"{args[0]}^{args[1]}"
+    parts = [_text(a) for a in args]
+    if op == "+":
+        return "+".join(parts)
+    if op == "*":
+        return "*".join(f"({p})" if "+" in p or "-" in p else p
+                        for p in parts)
+    power, c = parts
+    return f"2^{power if power.isdigit() else f'({power})'}-{c}"
 
 
 def index_digits(space: CategorySpace, n: int, indices) -> np.ndarray:
@@ -465,9 +621,19 @@ def _csv_records(text: str, path):
             f"{path}: record {number + 1}: {exc}") from None
 
 
-def read_csv(path):
-    """The records of a UTF-8 CSV input file, as lists of fields."""
-    return (record for _, record in _csv_records(read_text(path), path))
+def read_csv_records(path) -> list[list[str]]:
+    """The nonblank records of a UTF-8 CSV input file, as lists of fields.
+    A record whose length differs from the first's is a DataFormatError
+    naming the path and that record."""
+    out = []
+    for number, record in _csv_records(read_text(path), path):
+        if out and record and len(record) != len(out[0]):
+            raise DataFormatError(
+                f"{path}: record {number} has {len(record)} fields, the "
+                f"first has {len(out[0])}")
+        if record:
+            out.append(record)
+    return out
 
 
 def load_category_space(path) -> CategorySpace:

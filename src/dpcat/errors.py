@@ -13,8 +13,8 @@ class EnumerationBudgetError(DpcatError, ValueError):
     """An operation would enumerate more states or subsets than allowed.
 
     The offending count is kept on ``.count`` so callers can report it; a
-    state count well past ``COUNT_DIGIT_CAP`` digits, which no message
-    prints, is never built, and ``.count`` is then None.
+    count past ``COUNT_DIGIT_CAP`` digits, which messages print as its
+    power, is never built, and ``.count`` is then None.
     """
 
     def __init__(self, message, count):

@@ -38,15 +38,15 @@ from .core import (
     CategorySpace,
     Database,
     check_enum_budget,
-    count_text,
     database_from_index,
     database_index,
     digit_matrix,
     hamming_distance,
     index_digits,
     parse_record,
-    read_csv,
+    read_csv_records,
     space_size,
+    state_count,
     validate_database,
 )
 from .errors import (
@@ -179,12 +179,12 @@ class TableUtility:
 
     def __init__(self, space: CategorySpace, n: int, values,
                  assert_fixed_c: bool = False):
-        size = space_size(space, n)
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (size, size):
-            states = count_text(size, f"({space.size}^{n})")
+        states = state_count(space, n)
+        if values.shape != (states.value, states.value):
+            side = states if states.value is not None else f"({states})"
             raise IncompleteUtilityError(
-                f"utility table must be {states}x{states} for this space, "
+                f"utility table must be {side}x{side} for this space, "
                 f"got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise IncompleteUtilityError("utility table holds non-finite entries")
@@ -345,11 +345,14 @@ class SolutionMatrix:
     """Row-stochastic (m+1) x (m+1) matrix defining a parent mechanism.
 
     Entry [i, j] is the probability that category i is released as
-    category j.  Exact rational entries may ride along for the rational
+    category j.  Rows may sum to 1 within ``ROW_SUM_TOL``; the mechanism
+    verified and sampled is ``stochastic``, each row divided by its sum
+    once, so its n-row product is exactly as private as one row at every
+    n.  Exact rational entries may ride along for the rational
     verification mode, as rows of rationals or a function returning them;
     absent that, the binary float values themselves are taken as exact.
-    Either way the ``Fraction`` entries are built at the first
-    ``fractions()`` call.
+    Either way the ``Fraction`` entries, each row divided by its exact sum,
+    are built at the first ``fractions()`` call.
     """
 
     def __init__(self, values, fractions=None):
@@ -388,10 +391,17 @@ class SolutionMatrix:
             if callable(rows):
                 rows = rows()
             self._fractions = tuple(
-                tuple(x if isinstance(x, Fraction) else Fraction(x)
-                      for x in row)
-                for row in rows)
+                _stochastic_row([x if isinstance(x, Fraction) else Fraction(x)
+                                 for x in row]) for row in rows)
         return self._fractions
+
+    @functools.cached_property
+    def stochastic(self) -> np.ndarray:
+        """The entries with each row divided by its sum; a row that sums to
+        exactly 1 keeps its entries bit for bit."""
+        out = self.values / self.values.sum(axis=1, keepdims=True)
+        out.setflags(write=False)
+        return out
 
     def is_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
         """Constant diagonal and constant off-diagonal."""
@@ -412,7 +422,7 @@ class SolutionMatrix:
         """
         parse = (lambda x: Fraction(x.strip())) if exact else float
         rows = [parse_record(record, parse, path, "matrix")
-                for record in read_csv(path) if record]
+                for record in read_csv_records(path)]
         if not rows:
             raise DataFormatError(f"{path}: empty matrix file")
         if not exact:
@@ -429,6 +439,17 @@ class SolutionMatrix:
                 "entries": [[float(x) for x in row] for row in self.values]}
 
 
+def _stochastic_row(row: list[Fraction]) -> tuple[Fraction, ...]:
+    """The row divided by its exact sum, in integers over the common
+    denominator; a row that sums to exactly 1 keeps its entries."""
+    scale = math.lcm(*(x.denominator for x in row))
+    numerators = [x.numerator * (scale // x.denominator) for x in row]
+    total = sum(numerators)
+    if total == scale:
+        return tuple(row)
+    return tuple(Fraction(x, total) for x in numerators)
+
+
 def _float(x: Fraction) -> float:
     """The float nearest x, or inf with x's sign past the float range."""
     try:
@@ -441,12 +462,13 @@ class ProductSpec(_Spec):
     """Row-independent sanitisation driven by one parent matrix.
 
     The probability of releasing d' for input d is the product over rows of
-    matrix[d_i, d'_i]; rows are sanitised independently and identically.
-    The log weights are log(matrix), or, for the parent of a separable
-    exponential spec, its one-row utility ``row_utility`` minus each row's
-    log normaliser, which keeps utility gaps exact.  Full pmf rows come
-    from one builder, :meth:`log_pmf_block` and :meth:`exact_pmf_block`,
-    which the row methods read; nothing is cached.
+    matrix.stochastic[d_i, d'_i]; rows are sanitised independently and
+    identically.  The log weights are log(matrix.stochastic), or, for the
+    parent of a separable exponential spec, its one-row utility
+    ``row_utility`` minus each row's log normaliser, which keeps utility
+    gaps exact.  Full pmf rows come from one builder,
+    :meth:`log_pmf_block` and :meth:`exact_pmf_block`, which the row
+    methods read; nothing is cached.
     """
 
     kind = "product"
@@ -462,7 +484,7 @@ class ProductSpec(_Spec):
         self.matrix = matrix
         if row_utility is None:
             with np.errstate(divide="ignore"):
-                row_utility = log_weights = np.log(matrix.values)
+                row_utility = log_weights = np.log(matrix.stochastic)
         else:
             log_weights = _log_normalise(row_utility)
         self.row_utility = row_utility
@@ -527,7 +549,7 @@ class ProductSpec(_Spec):
             raise DataFormatError(f"spec expects {self.n} rows")
         out = 1.0
         for a, b in zip(d.rows, d_prime.rows):
-            out *= float(self.matrix.values[a, b])
+            out *= float(self.matrix.stochastic[a, b])
         return out
 
     def exact_pmf_row(self, index: int) -> list[Fraction]:
@@ -597,7 +619,7 @@ def _rowwise_sample(matrix: SolutionMatrix, d: Database,
     # same stream); row value v maps to the smallest j with
     # u < cumsum(matrix[v])[j], i.e. the count of j with
     # u >= cumsum(matrix[v])[j], accumulated one output category at a time.
-    cum = np.cumsum(matrix.values, axis=1).T
+    cum = np.cumsum(matrix.stochastic, axis=1).T
     vals = d.array
     out = np.empty(d.n, dtype=np.int64)
     counts = np.empty(min(d.n, _SAMPLE_BLOCK), dtype=np.int32)

@@ -23,12 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    count_text,
     load_category_space,
     parse_record,
-    read_csv,
+    read_csv_records,
     read_text,
-    space_size,
+    state_count,
 )
 from .errors import DataFormatError
 from .mechanisms import (
@@ -83,16 +82,14 @@ def _parse_float(value: str, key: str, origin) -> float:
 
 def load_table_csv(path, space, n: int) -> np.ndarray:
     """The (m+1)^n x (m+1)^n utility table a CSV file holds."""
-    rows = []
-    for record in read_csv(path):
-        if record:
-            rows.append(parse_record(record, float, path, "table"))
-    table = np.asarray(rows, dtype=np.float64)
-    size = space_size(space, n)
-    if table.shape != (size, size):
-        states = count_text(size, f"({space.size}^{n})")
+    table = np.asarray([parse_record(record, float, path, "table")
+                        for record in read_csv_records(path)],
+                       dtype=np.float64)
+    states = state_count(space, n)
+    if table.shape != (states.value, states.value):
+        side = states if states.value is not None else f"({states})"
         raise DataFormatError(
-            f"{path}: utility table must be {states}x{states}, "
+            f"{path}: utility table must be {side}x{side}, "
             f"got {table.shape}")
     return table
 

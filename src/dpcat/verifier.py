@@ -36,10 +36,12 @@ set S, the outputs strictly more likely under d than under d'.
   parent; one per utility-gap level set of S for a table with a provably
   constant normaliser at delta = 0; every nonempty subset of S otherwise.
   It is computed from the sizes of S, never walked.
-* Neither route enumerates a subset, so the subset budget caps brute force
-  alone.  ``budget_enum`` caps a product spec's state count, bounding its
-  naive count and the indices of its binding cylinder, which are built
-  only when read; a table is bounded by its own size.
+* Neither route enumerates a subset or a state, so the subset budget caps
+  brute force alone.  Every count on a report is a :class:`~dpcat.core.Count`,
+  built from its closed form and printed as that form past
+  ``COUNT_DIGIT_CAP`` digits, and a product spec's binding pair and set are
+  arrays over its rows: no state budget applies to product specs, at any
+  row count.  A table is bounded by its own size.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
@@ -52,6 +54,7 @@ denominator, everything else in ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,21 +64,19 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    DEFAULT_ENUM_BUDGET,
+    COUNT_DIGIT_CAP,
     DEFAULT_SUBSET_BUDGET,
     CategorySpace,
+    Count,
     Database,
     DatabaseSet,
     NeighborPair,
-    check_enum_budget,
-    count_text,
     database_from_index,
     database_index,
     index_digits,
     naive_check_count,
-    naive_check_form,
     space_size_over,
-    states_text,
+    state_count,
     validate_database,
 )
 from .errors import (
@@ -184,20 +185,13 @@ class VerificationReport:
     margin: float                      # canonical: <= delta; inf if trivial
     binding_pair: NeighborPair | None
     binding_set: DatabaseSet | None
-    checks_performed: int
-    checks_naive: int
+    checks_performed: Count
+    checks_naive: Count
     space: CategorySpace
     n: int
     tolerance: float = TOLERANCE
     exact: bool = False
     trivial: bool = False
-    checks_form: str | None = None     # checks_performed as an expression
-
-    @property
-    def checks_text(self) -> str:
-        """``checks_performed`` as exact text of bounded length: the
-        decimal, or ``checks_form`` above ``COUNT_DIGIT_CAP`` digits."""
-        return count_text(self.checks_performed, self.checks_form)
 
     @property
     def private(self) -> bool:
@@ -224,9 +218,8 @@ class VerificationReport:
             "margin": None if math.isinf(self.margin) else self.margin,
             "binding_pair": pair,
             "binding_set": members,
-            "checks_performed": self.checks_text,
-            "checks_naive": count_text(self.checks_naive,
-                                       naive_check_form(self.space, self.n)),
+            "checks_performed": str(self.checks_performed),
+            "checks_naive": str(self.checks_naive),
             "tolerance": self.tolerance,
         }
 
@@ -235,30 +228,34 @@ def _render_set(dbset: DatabaseSet):
     """JSON form of a set of databases.
 
     A one-row cylinder {x : x_i in C} prints as
-    ``{"row": i, "categories": [labels of C], "size": len(set)}``, with i
-    the lowest such row (the only one unless the set is the whole space).
-    A set built as a cylinder prints from its row and categories; any
-    other set is recognised from its indices, and is otherwise the list of
-    its members' label lists, in index order.  Every nonempty set is a
-    cylinder at n = 1.
+    ``{"row": i, "categories": [labels of C], "size": |set|}``, with i the
+    lowest such row (the only one unless the set is the whole space).  A
+    set built as a cylinder prints from its row and categories, its size a
+    JSON int up to ``COUNT_DIGIT_CAP`` digits and past that the string of
+    its power form; any other set is recognised from its indices, and is
+    otherwise the list of its members' label lists, in index order.  Every
+    nonempty set is a cylinder at n = 1.
     """
     space, n = dbset.space, dbset.n
     if dbset.cylinder is not None and dbset.cylinder[1]:
         row, values = dbset.cylinder
         if len(values) == space.size:       # the whole space: every row fits
             row = 0
+        size = ("^", space.size, n - 1)
+        size = Count(("*", len(values), size) if len(values) > 1 else size)
         return {"row": row, "categories": [space.labels[c] for c in values],
-                "size": len(dbset)}
+                "size": str(size) if size.value is None else size.value}
     digits = index_digits(space, n, dbset.indices)
     labels = np.array(space.labels, dtype=object)
-    if len(dbset):
+    size = len(dbset.indices)
+    if size:
         others = space.size ** (n - 1)
         for row in range(n):
             values = np.flatnonzero(np.bincount(digits[:, row],
                                                 minlength=space.size))
-            if values.size * others == len(dbset):
+            if values.size * others == size:
                 return {"row": row, "categories": labels[values].tolist(),
-                        "size": len(dbset)}
+                        "size": size}
     return labels[digits].tolist()
 
 
@@ -335,28 +332,30 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
     {x : x_i in S1, x_j in supp M[d_j] for every j != i} with
     S1 = {c : M[u, c] > M[v, c]}: decided on the log weights with the
     ``TIE_BAND``, or on the exact entries under ``exact``.  No pmf row,
-    digit table or index is built.
+    digit table or index is built; the box is a mask over d's rows.
     """
     validate_database(spec.space, pair.d)
     validate_database(spec.space, pair.d_prime)
     product = spec.product
     i = pair.differing_row
-    u, v = pair.d.rows[i], pair.d_prime.rows[i]
+    u, v = int(pair.d.array[i]), int(pair.d_prime.array[i])
     if exact:
         fracs = product.matrix.fractions()
         s1 = np.array([c for c in range(spec.space.size)
                        if fracs[u][c] > fracs[v][c]], dtype=np.int64)
-        released = [[c for c, x in enumerate(row) if x > 0] for row in fracs]
+        released = np.array([[x > 0 for x in row] for row in fracs])
     else:
         log_w = product.log_weights
         with np.errstate(invalid="ignore"):     # NaN gaps: both zero
             s1 = np.flatnonzero(log_w[u] - log_w[v] > TIE_BAND)
-        released = [np.flatnonzero(np.isfinite(row)) for row in log_w]
-    rows = [released[a] for a in pair.d.rows]
+        released = np.isfinite(log_w)
+    rows = released[pair.d.array]
 
     def make_box(cells):
-        return DatabaseSet.from_box(spec.space, spec.n,
-                                    rows[:i] + [cells] + rows[i + 1:])
+        mask = rows.copy()
+        mask[i] = False
+        mask[i, cells] = True
+        return DatabaseSet.from_mask(spec.space, mask)
     u1 = product.row_utility
     return s1, u1[u, s1] - u1[v, s1], make_box
 
@@ -374,16 +373,17 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
     ``Fraction`` under ``exact``, else over the exponentiated log weights
     the pmf rows are built from); any other set sums two pmf rows.
     """
-    if len(A) == 0:
+    if not A:
         raise DataFormatError("output set must be nonempty")
     _require_exact(spec, exact)
-    if A.box is not None and spec.product is not None:
+    box = A.box
+    if box is not None and spec.product is not None:
         validate_database(spec.space, pair.d)
         validate_database(spec.space, pair.d_prime)
         weights = (spec.product.matrix.fractions() if exact
                    else np.exp(spec.product.log_weights).tolist())
         pa, pb = (math.prod(sum(weights[r][c] for c in values)
-                            for r, values in zip(d.rows, A.box))
+                            for r, values in zip(d.rows, box))
                   for d in (pair.d, pair.d_prime))
     else:
         ia = database_index(spec.space, pair.d)
@@ -414,12 +414,10 @@ class _Accumulator:
         self.margin = float(params.delta)
         self.exact_margin: Fraction | None = (params.exact_pair()[1]
                                               if exact else None)
-        self.binding = None           # (ia, ib, row, DatabaseSet)
-        self.checks = 0
-        self.checks_form: str | None = None
+        self.binding = None           # (NeighborPair, DatabaseSet)
+        self.checks: Count | None = None    # set by the route
 
-    def add(self, margin, binding, checks: int) -> None:
-        self.checks += checks
+    def add(self, margin, binding) -> None:
         current = self.exact_margin if self.exact_margin is not None else self.margin
         if margin < current:
             if isinstance(margin, Fraction):
@@ -428,42 +426,131 @@ class _Accumulator:
             self.binding = binding
 
 
-def _subset_count(terms) -> tuple[int, str]:
-    """The nonempty subsets of ``count`` sets of ``e`` members each, summed
-    over the items ``{e: count}`` of terms, and that sum as an expression."""
-    items = sorted(terms.items())
-    return (sum(count * (2 ** e - 1) for e, count in items),
-            "+".join(f"{count}*(2^{e}-1)" for e, count in items))
+def _index_pair(spec, ia, ib, row) -> NeighborPair:
+    """The neighbour pair of the databases at two enumeration indices."""
+    return NeighborPair(database_from_index(spec.space, spec.n, int(ia)),
+                        database_from_index(spec.space, spec.n, int(ib)),
+                        int(row))
 
 
-def _parent_route(spec, params: PrivacyParams, budget_enum: int,
-                  exact: bool) -> _Accumulator:
+def _subset_count(terms, times: int = 1) -> Count:
+    """``times`` the nonempty subsets of ``count`` sets of ``e`` members
+    each, summed over the (e, count) items of terms in order.  Terms of int
+    e and count under 8^cap < 10^cap are summed at once; otherwise the
+    Count is the expression times*(count*(2^e-1)+...)."""
+    terms = list(terms)
+    if all(isinstance(e, int) and e < 3 * COUNT_DIGIT_CAP
+           and isinstance(count, int) for e, count in terms):
+        total = times * sum(count * ((1 << e) - 1) for e, count in terms)
+        if total.bit_length() <= 3 * COUNT_DIGIT_CAP:
+            return Count(total)
+    total = ("+", *(("*", count, ("2^-", e, 1)) for e, count in terms))
+    return Count(total if times == 1 else ("*", times, total))
+
+
+#: Most class counts a product spec's check count may be summed over where
+#: the parent's rows release different numbers of categories: one term per
+#: way of splitting the n - 1 other rows among those numbers, so terms *
+#: (n - 1) counts, and the work of each term grows with n.  Every spec of
+#: at most 2^20 states needs at most 17,952 (32 categories, 4 rows: 5,984
+#: terms).
+RELEASE_CLASS_LIMIT = 1 << 15
+
+
+def _quantity(coef: int, powers) -> int | tuple:
+    """coef * prod b^e over the (b, e) of powers, as a Count expression:
+    the int while it has well under ``COUNT_DIGIT_CAP`` digits, else the
+    product, leaving out the factors equal to 1."""
+    powers = [(b, e) for b, e in powers if b > 1 and e]
+    digits = math.log10(coef) + sum(e * math.log10(b) for b, e in powers)
+    if digits < COUNT_DIGIT_CAP - 2:
+        return coef * math.prod(b ** e for b, e in powers)
+    factors = [b if e == 1 else ("^", b, e) for b, e in powers]
+    return ("*", coef, *factors) if coef > 1 else ("*", *factors)
+
+
+def _release_spread(released: list[int], rows: int):
+    """The release classes of a parent, (z, parent rows releasing z
+    categories) ascending in z, and one item per way of splitting ``rows``
+    other rows among them: (rows per class, number of assignments)."""
+    classes = sorted(Counter(released).items())
+    terms = 1
+    for j in range(1, len(classes)):
+        terms = terms * (rows + j) // j             # C(rows + j, j)
+        if terms * rows > RELEASE_CLASS_LIMIT:
+            raise EnumerationBudgetError(
+                f"the parent's rows release {len(classes)} different "
+                f"numbers of categories, so the check count of {rows + 1} "
+                f"rows sums over more than {RELEASE_CLASS_LIMIT // rows} "
+                f"release-class terms of {rows} row counts each, past the "
+                f"limit of {RELEASE_CLASS_LIMIT} counts", None)
+    if len(classes) == 1:
+        return classes, [((rows,), 1)]
+    width = rows + len(classes) - 1     # bars between classes among them
+    splits = [[b - a - 1 for a, b in zip((-1, *bars), (*bars, width))]
+              for bars in itertools.combinations(range(width),
+                                                 len(classes) - 1)]
+    return classes, [(counts, math.prod(
+        math.comb(total, c) for total, c
+        in zip(itertools.accumulate(counts), counts))) for counts in splits]
+
+
+def _parent_checks(pairs: Counter, released: list[int], k: int, n: int,
+                   symmetric: bool) -> Count:
+    """The paper's checks over every neighbour pair of a product spec, from
+    ``pairs``, the number of parent pairs (u, v) per nonempty |S1|.
+
+    A symmetric parent takes one check of S per pair, n * pairs *
+    (m+1)^(n-1) in all.  Otherwise each pair takes every nonempty subset of
+    S, which holds |S1| * prod_{j != i} z(d_j) databases, z(a) being the
+    number of categories parent row a releases: outputs impossible under
+    both inputs are not in S.  Equal sizes of S are merged while they are
+    ints; the terms go in ascending size, then those past the ints in
+    release-class order.
+    """
+    if symmetric:
+        return Count(("*", n * sum(pairs.values()), ("^", k, n - 1)))
+    classes, splits = _release_spread(released, n - 1)
+    zs, ws = zip(*classes)
+    terms = {}              # |S| -> multiplicities
+    for counts, ways in splits:
+        for s1, count in sorted(pairs.items()):
+            terms.setdefault(_quantity(s1, zip(zs, counts)), []).append(
+                _quantity(count * ways, zip(ws, counts)))
+    sizes = (sorted(size for size in terms if isinstance(size, int))
+             + [size for size in terms if not isinstance(size, int)])
+    return _subset_count(
+        ((size, many[0] if len(many) == 1 else ("+", *many))
+         for size, many in zip(sizes, map(terms.get, sizes))), n)
+
+
+def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
     """Decide a product spec from its (m+1) x (m+1) parent M.
 
-    For neighbours differing in row i, with u = d_i and v = d'_i,
-    P_d(x) / P_d'(x) = M[u, x_i] / M[v, x_i].  The worst output set is the
-    cylinder {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]},
-    with margin e^eps * B * R + delta - A * R: A and B sum rows u and v of
-    M over A1, and R = prod_{j != i} r(d_j) over the parent's row sums r,
-    largest when every other row sits at a largest row sum.  The paper's
-    sufficient set is the cylinder over S1 = {c : M[u, c] > M[v, c]}, of
-    |S1| * (m+1)^(n-1) databases when M has no zero entry; each pair takes
-    one check of it for a symmetric parent and one per nonempty subset
-    otherwise.  The binding set goes on the report as that cylinder, (row,
-    A1), with no index built, so the work is O(m^2) in the parent whatever
-    n is, plus the counts.
+    M is ``matrix.stochastic`` (``fractions()`` in exact mode): every row
+    sums to 1, so for neighbours differing in row i, with u = d_i and
+    v = d'_i, the other rows contribute a factor of 1 to every cylinder
+    over row i.  The worst output set is the cylinder
+    {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]}, with
+    margin e^eps * B + delta - A, where A and B sum rows u and v of M over
+    A1: the same at every n.  The paper's sufficient set is the cylinder
+    over S1 = {c : M[u, c] > M[v, c]}, of |S1| * (m+1)^(n-1) databases when
+    M has no zero entry; each pair takes one check of it for a symmetric
+    parent and one per nonempty subset otherwise (see
+    :func:`_parent_checks`).  The binding pair, the first canonical pair
+    at the worst margin, has every other row at category 0, and goes on the
+    report as two arrays with the cylinder (row, A1) as a mask, so the work
+    is O(m^2) in the parent plus O(n) array writes, whatever n is.
 
     Exact mode works in integers: the entries N = D * M over their common
     denominator D, e^eps = E_n / E_d and delta = delta_n / delta_d.  Every
     ``>`` is a cross-multiplication, and a pair's margin times
-    D^n * E_d * delta_d is delta_d * N_max^(n-1) * (E_n * B - E_d * A) +
-    delta_n * E_d * D^n, with A and B now sums of N and N_max the largest
-    row sum of N: a positive multiple of E_n * B - E_d * A plus a constant,
-    so that key, below 0 where the margin is below delta, picks the same
-    binding pair under the same strict ``<``.  One ``Fraction``, the
-    reported margin, is built at the end.
+    D * E_d * delta_d is delta_d * (E_n * B - E_d * A) + delta_n * E_d * D,
+    with A and B now sums of N: a positive multiple of E_n * B - E_d * A
+    plus a constant, so that key, below 0 where the margin is below delta,
+    picks the same binding pair under the same strict ``<``.  One
+    ``Fraction``, the reported margin, is built at the end.
     """
-    check_enum_budget(spec.space, spec.n, budget_enum)
     product = spec.product
     k, n = spec.space.size, spec.n
     if exact:
@@ -477,9 +564,7 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                     for v in range(k)] for u in range(k)]
         worst = [[[e_den * weights[u][c] > e_num * weights[v][c]
                    for c in range(k)] for v in range(k)] for u in range(k)]
-        row_sums = [sum(row) for row in weights]
         released = [sum(1 for x in row if x > 0) for row in weights]
-        r_max = max(row_sums)
         best = 0                    # the key of margin delta: the empty set
 
         def pair_margin(a, b):      # the key, not the margin itself
@@ -490,42 +575,22 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
             log_gap = log_w[:, None, :] - log_w[None, :, :]  # [u, v, c]
         support = (log_gap > TIE_BAND).tolist()      # NaN gaps: both zero
         worst = (log_gap > params.epsilon + TIE_BAND).tolist()
-        exp_w = np.exp(log_w)
-        weights, row_sums = exp_w.tolist(), exp_w.sum(axis=1).tolist()
+        weights = np.exp(log_w).tolist()
         released = np.isfinite(log_w).sum(axis=1).tolist()
         e_eps, delta = math.exp(params.epsilon), params.delta
-        r_max = max(row_sums)
-        rest = math.prod([r_max] * (n - 1))
         best = delta
 
         def pair_margin(a, b):
-            return e_eps * (b * rest) + delta - a * rest
+            return e_eps * b + delta - a
 
-    # Outputs impossible under both inputs are not in S, so S holds
-    # |S1| * prod_{j != i} z(d_j) databases, with z(a) the number of
-    # categories row a of M releases: spread maps each value of that
-    # product to the number of other-row assignments giving it.
-    spread = Counter({1: 1})
-    for _ in range(n - 1):
-        step = Counter()
-        for product_z, count in spread.items():
-            for z in released:
-                step[product_z * z] += count
-        spread = step
-    symmetric = product.matrix.is_symmetric()
-    checks = 0
-    terms = Counter()           # exponent e -> pairs scanning 2^e - 1 subsets
+    pairs = Counter()           # |S1| -> parent pairs (u, v) with it
     binding = None
     for u in range(k):
         for v in range(k):
             s1 = sum(support[u][v])
             if not s1:
                 continue                    # A1 lies inside S1
-            if symmetric:
-                checks += k ** (n - 1)      # one check of S per pair
-            else:
-                for product_z, count in spread.items():
-                    terms[s1 * product_z] += count
+            pairs[s1] += 1
             cells = [c for c in range(k) if worst[u][v][c]]
             if cells:
                 margin = pair_margin(sum(weights[u][c] for c in cells),
@@ -534,31 +599,25 @@ def _parent_route(spec, params: PrivacyParams, budget_enum: int,
                     best, binding = margin, (u, v, cells)
 
     acc = _Accumulator(params, exact)
-    subsets, sums = _subset_count(terms)
-    acc.checks = n * (checks + subsets)
-    if terms:
-        # past COUNT_DIGIT_CAP digits the count prints as these terms; a
-        # symmetric parent's n*pairs*(m+1)^(n-1) would reach the cap only
-        # where the naive count, over 2^((m+1)^n), cannot be computed
-        acc.checks_form = f"{n}*({sums})"
+    acc.checks = _parent_checks(pairs, released, k, n,
+                                product.matrix.is_symmetric())
     if binding is not None:
         if exact:
             d_n, d_d = delta.numerator, delta.denominator
-            best = Fraction(d_d * r_max ** (n - 1) * best
-                            + d_n * e_den * scale ** n,
-                            scale ** n * e_den * d_d)
-        # the first canonical pair: other rows at the lowest category with
-        # the largest row sum, and u in the first row unless that puts a
-        # larger digit ahead of them
+            best = Fraction(d_d * best + d_n * e_den * scale,
+                            scale * e_den * d_d)
+        # the first canonical pair: other rows at category 0, and u in the
+        # first row unless that puts a larger digit ahead of them
         u, v, cells = binding
-        low = row_sums.index(r_max)
-        row = 0 if u <= low else n - 1
-        d = [low] * n
+        row = 0 if u == 0 else n - 1
+        d = np.zeros(n, dtype=np.int64)
         d[row] = u
-        ia = database_index(spec.space, Database(tuple(d)))
-        place = k ** (n - 1 - row)
-        members = DatabaseSet.from_cylinder(spec.space, n, row, cells)
-        acc.add(best, (ia, ia + (v - u) * place, row, members), 0)
+        d_prime = d.copy()
+        d_prime[row] = v
+        pair = NeighborPair(Database.from_array(d),
+                            Database.from_array(d_prime), row)
+        acc.add(best, (pair, DatabaseSet.from_cylinder(spec.space, n, row,
+                                                        cells)))
     return acc
 
 
@@ -600,20 +659,18 @@ def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
 
     acc = _Accumulator(params, exact=False)
     if partition:
-        acc.checks = int(counts.sum())
+        acc.checks = Count(int(counts.sum()))
     else:
         sizes, number = np.unique(counts[counts > 0], return_counts=True)
-        acc.checks, sums = _subset_count(dict(zip(sizes.tolist(),
-                                                  number.tolist())))
-        acc.checks_form = sums or None
+        acc.checks = _subset_count(zip(sizes.tolist(), number.tolist()))
     j = int(np.argmax(hockey))
     if hockey[j] > 0:
         a, b = int(ia[j]), int(ib[j])
         worst = np.flatnonzero(log_pmf[a] - log_pmf[b]
                                > params.epsilon + TIE_BAND)
-        binding = (a, b, int(rows[j]),
-                   DatabaseSet(spec.space, spec.n, tuple(worst.tolist())))
-        acc.add(params.delta - float(hockey[j]), binding, 0)
+        acc.add(params.delta - float(hockey[j]),
+                (_index_pair(spec, a, b, rows[j]),
+                 DatabaseSet(spec.space, spec.n, tuple(worst.tolist()))))
     return acc
 
 
@@ -623,11 +680,7 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
         ok = acc.exact_margin >= 0
     else:
         ok = acc.margin >= -tolerance
-    pair = bset = None
-    if acc.binding is not None:
-        ia, ib, row, bset = acc.binding
-        pair = NeighborPair(database_from_index(spec.space, spec.n, ia),
-                            database_from_index(spec.space, spec.n, ib), row)
+    pair, bset = acc.binding or (None, None)
     return VerificationReport(
         verdict="private" if ok else "not-private",
         method=method,
@@ -638,7 +691,6 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
         binding_set=bset,
         checks_performed=acc.checks,
         checks_naive=naive_check_count(spec.space, spec.n),
-        checks_form=acc.checks_form,
         space=spec.space,
         n=spec.n,
         tolerance=0.0 if exact else tolerance,
@@ -651,24 +703,25 @@ def _trivial_report(spec, params, method: str, tolerance: float,
     return VerificationReport(
         verdict="private", method=method, epsilon=params.epsilon,
         delta=params.delta, margin=math.inf, binding_pair=None,
-        binding_set=None, checks_performed=0,
+        binding_set=None, checks_performed=Count(0),
         checks_naive=naive_check_count(spec.space, spec.n),
         space=spec.space, n=spec.n,
         tolerance=0.0 if exact else tolerance, exact=exact, trivial=True)
 
 
 def verify_reduced(spec, params: PrivacyParams, *,
-                   budget_enum: int = DEFAULT_ENUM_BUDGET,
                    tolerance: float = TOLERANCE,
                    exact: bool = False) -> VerificationReport:
     """Decide privacy using the strongest reduction the spec admits.
 
-    Routing: product-kind specs are decided from their parent matrix (see
-    :func:`_parent_route`), utility tables in one array pass (see
-    :func:`_table_route`), which counts one check per utility-gap cell for a
-    fixed-normaliser table at delta = 0 and every nonempty subset of S
-    otherwise.  ``budget_enum`` caps a product spec's state count; a table
-    is bounded by its own size.
+    Routing: product-kind specs are decided from their parent matrix at any
+    row count (see :func:`_parent_route`), utility tables in one array pass
+    (see :func:`_table_route`), which counts one check per utility-gap cell
+    for a fixed-normaliser table at delta = 0 and every nonempty subset of
+    S otherwise.  No state count is enumerated on either route; a table is
+    bounded by its own size, and only a product spec whose parent rows
+    release different numbers of categories may refuse, past
+    ``RELEASE_CLASS_LIMIT`` class counts in its check count.
     """
     partition = False
     if spec.product is None and spec.fixed_normalizer:
@@ -679,7 +732,7 @@ def verify_reduced(spec, params: PrivacyParams, *,
         return _trivial_report(spec, params, method, tolerance, exact)
     _require_exact(spec, exact)
     if spec.product is not None:
-        acc = _parent_route(spec, params, budget_enum, exact)
+        acc = _parent_route(spec, params, exact)
     else:
         acc = _table_route(spec, params, partition)
     return _build_report(spec, params, acc, method, tolerance, exact)
@@ -694,18 +747,19 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
 
     A state count over the smaller of the subset budget and the kernel's
     ``MAX_WIDTH`` is refused before any row, or the count itself where it
-    is far past that, is built.  The pmf rows of every input come from one
-    block.  The first pair in canonical order at the smallest margin binds.
+    is past ``COUNT_DIGIT_CAP`` digits, is built.  The pmf rows of every
+    input come from one block.  The first pair in canonical order at the
+    smallest margin binds.
     """
     if space_size_over(spec.space, spec.n,
                        min(budget_subsets, kernels.MAX_WIDTH)):
-        size, states = states_text(spec.space, spec.n)
+        states = state_count(spec.space, spec.n)
         if budget_subsets >= kernels.MAX_WIDTH:
-            raise kernels.width_error(size, states)
+            raise kernels.width_error(states.value, str(states))
         raise EnumerationBudgetError(
             f"database space holds {states} states; the brute-force oracle "
             f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
-            f"{budget_subsets}", size)
+            f"{budget_subsets}", states.value)
     if params.trivial:
         return _trivial_report(spec, params, "brute-force", tolerance, exact)
     _require_exact(spec, exact)
@@ -728,11 +782,11 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
             pmf[ia[part]].T, pmf[ib[part]].T, e_eps, delta)
         checks += count
     acc = _Accumulator(params, exact)
+    acc.checks = Count(checks)
     p = int(np.argmin(margins))         # the first canonical pair at the min
     witness = DatabaseSet(spec.space, spec.n,
                           tuple(i for i in range(size) if masks[p] >> i & 1))
-    acc.add(margins[p], (int(ia[p]), int(ib[p]), int(rows[p]), witness),
-            checks)
+    acc.add(margins[p], (_index_pair(spec, ia[p], ib[p], rows[p]), witness))
     return _build_report(spec, params, acc, "brute-force", tolerance, exact)
 
 

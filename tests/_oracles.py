@@ -8,6 +8,7 @@ checks.
 import csv
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -263,3 +264,63 @@ def sufficient_set_from_rows(product, d, d_prime, fixed, exact,
     partition = [[x for x, a in zip(members, alphas) if a == level]
                  for level in levels]
     return members, tuple(levels), partition
+
+
+COUNT_DIGIT_CAP = 4000
+
+
+def count_text(count: int, form):
+    """A count as the package printed it before counts became expressions:
+    the decimal up to ``COUNT_DIGIT_CAP`` digits or without a form, the
+    form past that."""
+    if form is None or count < 10 ** COUNT_DIGIT_CAP:
+        return str(count)
+    return form
+
+
+def naive_check_count(size: int, n: int):
+    """(int, text) of n * m * (m+1)^n * (2^((m+1)^n) - 2), the naive count
+    over ``size`` = m + 1 categories, and its text as pairs*(2^states-2)."""
+    states = size ** n
+    pairs = n * (size - 1) * states
+    count = pairs * ((1 << states) - 2)
+    return count, count_text(count, f"{pairs}*(2^{states}-2)")
+
+
+def subset_count(terms):
+    """The nonempty subsets of ``count`` sets of ``e`` members each, summed
+    over the items ``{e: count}`` of terms, and that sum as an expression."""
+    items = sorted(terms.items())
+    return (sum(count * (2 ** e - 1) for e, count in items),
+            "+".join(f"{count}*(2^{e}-1)" for e, count in items))
+
+
+def parent_check_count(s1_sizes, released, n: int, symmetric: bool):
+    """(int, text) of a product spec's reduced check count, by the loops
+    the package ran before: s1_sizes[u][v] = |S1(u, v)|, released[a] the
+    number of categories parent row a releases.  ``spread`` maps each
+    product of released counts over the n - 1 other rows to the number of
+    assignments giving it."""
+    k = len(released)
+    spread = Counter({1: 1})
+    for _ in range(n - 1):
+        step = Counter()
+        for product_z, count in spread.items():
+            for z in released:
+                step[product_z * z] += count
+        spread = step
+    checks = 0
+    terms = Counter()
+    for u in range(k):
+        for v in range(k):
+            s1 = s1_sizes[u][v]
+            if not s1:
+                continue
+            if symmetric:
+                checks += k ** (n - 1)
+            else:
+                for product_z, count in spread.items():
+                    terms[s1 * product_z] += count
+    subsets, sums = subset_count(terms)
+    total = n * (checks + subsets)
+    return total, count_text(total, f"{n}*({sums})" if terms else None)

@@ -22,7 +22,6 @@ from dpcat import (
     load_category_space,
     load_database_csv,
     naive_check_count,
-    naive_check_count_text,
     neighbor_pair_count,
 )
 import dpcat.core
@@ -164,30 +163,9 @@ class TestNaiveCheckCount:
         assert naive_check_count(make_space(2), 5) \
             == 5 * 2 * 243 * (2 ** 243 - 2)
 
-
-    def test_text_is_decimal_up_to_the_cap(self):
-        # every count of up to COUNT_DIGIT_CAP digits prints in decimal,
-        # byte-identical to str(); the larger ones as pairs*(2^size-2)
-        decimal = product = 0
-        for m in range(1, 5):
-            for n in range(1, 9):
-                space = make_space(m)
-                count = naive_check_count(space, n)
-                text = naive_check_count_text(space, n)
-                if count < 10 ** COUNT_DIGIT_CAP:
-                    assert text == str(count)
-                    decimal += 1
-                else:
-                    pairs, power = text.split("*(2^")
-                    size = power.removesuffix("-2)")
-                    assert int(pairs) * (2 ** int(size) - 2) == count
-                    assert len(text) < 40
-                    product += 1
-        assert decimal and product
-
     def test_cap_stays_inside_the_int_to_str_limit(self):
         assert COUNT_DIGIT_CAP <= 4300
-        assert naive_check_count_text(make_space(2), 9) \
+        assert str(naive_check_count(make_space(2), 9)) \
             == "354294*(2^19683-2)"
 
 

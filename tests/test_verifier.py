@@ -449,7 +449,7 @@ def naive_table(spec):
     size, n = spec.space.size, spec.n
     if spec.product is not None:
         return _oracles.product_pmf_table(
-            spec.product.matrix.values.tolist(), n)
+            spec.product.matrix.stochastic.tolist(), n)
     index = {d: i for i, d in enumerate(_oracles.all_dbs(size, n))}
     values = spec.utility.values
     return _oracles.pmf_table_from_utility(
@@ -652,11 +652,7 @@ class TestVerifyBruteforce:
                 (lambda: verify_bruteforce(spec, params,
                                            budget_subsets=10 ** 6),
                  f"scanning the subsets of {states} elements exceeds the "
-                 f"kernel's limit of 40"),
-                (lambda: verify_reduced(spec, params),
-                 f"database space holds "
-                 f"{states + ' = 3^' + str(n) if n == 8383 else states} "
-                 f"states, over the enumeration budget of 1048576")]:
+                 f"kernel's limit of 40")]:
             start = time.perf_counter()
             with pytest.raises(EnumerationBudgetError) as info:
                 call()
@@ -1037,7 +1033,7 @@ class TestIntegerParentRoute:
         e_eps, delta = params.exact_pair()
         margin, d, d_prime, row, members = _oracles.parent_route_fraction(
             matrix.fractions(), n, e_eps, delta)
-        acc = verifier._parent_route(spec, params, 1 << 20, True)
+        acc = verifier._parent_route(spec, params, True)
         assert acc.exact_margin == margin
         report = verify_reduced(spec, params, exact=True)
         assert report.private == (margin >= 0)
@@ -1072,7 +1068,7 @@ class TestIntegerParentRoute:
         # and stays out of the binding cylinder
         tied = PrivacyParams.from_exact(Fraction(2), Fraction(0))
         spec = ProductSpec(make_space(2), n, matrix)
-        acc = verifier._parent_route(spec, tied, 1 << 20, True)
+        acc = verifier._parent_route(spec, tied, True)
         assert acc.exact_margin == Fraction(-1, 5)
         report = verify_reduced(spec, tied, exact=True)
         assert report.binding_pair.d_prime.rows[0] == 2
@@ -1085,3 +1081,133 @@ class TestIntegerParentRoute:
         matrix = random_stochastic(rng, 3)
         for eps, delta in [(0.0, 0.0), (0.0, 0.05), (0.3, 0.0), (1.1, 0.2)]:
             self.assert_matches_oracle(matrix, n, PrivacyParams(eps, delta))
+
+
+def release_class_parent(size):
+    """Row a releases categories 0..a alike: every row releases a different
+    number of categories, so products of those numbers collide."""
+    return SolutionMatrix([[1 / (a + 1) if c <= a else 0.0
+                            for c in range(size)] for a in range(size)])
+
+
+class TestCount:
+    """Counts against the integer formulas the package computed before:
+    the same int, and the same text, in decimal and in product form."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_counts_match_the_integer_reference(self, m, n):
+        space = make_space(m)
+        count, text = _oracles.naive_check_count(m + 1, n)
+        naive = naive_check_count(space, n)
+        assert int(naive) == count and str(naive) == text
+        rng = np.random.default_rng(m * 10 + n)
+        specs = [make(rng, space, n) for make in PARENT_KINDS.values()]
+        specs.append(ProductSpec(space, n, release_class_parent(m + 1)))
+        for spec in specs:
+            log_w = spec.product.log_weights
+            with np.errstate(invalid="ignore"):
+                s1 = (log_w[:, None, :] - log_w[None, :, :]
+                      > verifier.TIE_BAND).sum(axis=2).tolist()
+            count, text = _oracles.parent_check_count(
+                s1, np.isfinite(log_w).sum(axis=1).tolist(), n,
+                spec.product.matrix.is_symmetric())
+            checks = verify_reduced(spec, PrivacyParams(0.5, 0.0)
+                                    ).checks_performed
+            assert int(checks) == count and str(checks) == text
+        cylinder = DatabaseSet.from_cylinder(space, n, n - 1, [0, m])
+        assert cylinder.size == len(cylinder.indices) == 2 * (m + 1) ** (n - 1)
+        assert str(cylinder.size) == str(2 * (m + 1) ** (n - 1))
+
+    def test_both_forms_occur_in_the_reference_grid(self):
+        texts = [_oracles.naive_check_count(size, n)[1]
+                 for size in range(2, 6) for n in range(1, 9)]
+        assert any(t.isdigit() for t in texts)
+        assert any("*(2^" in t for t in texts)
+
+    def test_a_table_count_prints_its_terms_past_the_cap(self):
+        count = verifier._subset_count([(5, 1), (13288, 2)])
+        assert count.value is None
+        assert str(count) == "1*(2^5-1)+2*(2^13288-1)"
+        assert int(count) == _oracles.subset_count({5: 1, 13288: 2})[0]
+
+
+class TestAnyRowCount:
+    """Product specs verify at any row count from their parent."""
+
+    PARAMS = PrivacyParams(0.3, 0.01)
+
+    @pytest.mark.parametrize("name", ["hamming", "l1", "dirichlet"])
+    def test_a_million_rows_cost_what_the_parent_costs(self, name):
+        space = make_space(1 if name == "hamming" else 2)
+        n = 10 ** 6
+        spec = {"hamming": lambda: ExponentialSpec(space, n,
+                                                   HammingUtility(0.5)),
+                "l1": lambda: ExponentialSpec(space, n, NegL1Utility()),
+                "dirichlet": lambda: ProductSpec(space, n, random_stochastic(
+                    np.random.default_rng(3), 3))}[name]()
+        start = time.perf_counter()
+        report = verify_reduced(spec, self.PARAMS)
+        assert time.perf_counter() - start < 0.05
+        parent = verify_matrix(spec.product.matrix, self.PARAMS,
+                               space=space)
+        assert report.verdict == parent.verdict
+        assert report.margin == pytest.approx(parent.margin, abs=1e-12)
+        assert report.binding_pair.d.n == n
+        assert report.checks_performed.value is None
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_off_one_verify_as_their_normalised_parent(self, tmp_path,
+                                                            exact):
+        # rows summing to 1 + 5e-10: each is divided by its sum, so the
+        # margin at 10^6 rows is the parent's
+        path = tmp_path / "m.csv"
+        path.write_text("0.6000000005,0.3,0.1\n0.2,0.5000000005,0.3\n"
+                        "0.1,0.1,0.8000000005\n")
+        matrix = SolutionMatrix.from_csv(path, exact=exact)
+        spec = ProductSpec(make_space(2), 10 ** 6, matrix)
+        report = verify_reduced(spec, self.PARAMS, exact=exact)
+        parent = verify_matrix(matrix, self.PARAMS, exact=exact)
+        assert report.verdict == parent.verdict == "not-private"
+        if exact:
+            assert report.margin == parent.margin
+            at_n, at_1 = (verifier._parent_route(s, self.PARAMS, True)
+                          for s in (spec, spec.with_n(1)))
+            assert at_n.exact_margin == at_1.exact_margin
+        else:
+            assert report.margin == pytest.approx(parent.margin, abs=1e-12)
+
+    def test_a_box_past_sys_maxsize_members(self):
+        # 2^69 members: len() overflows, the size and margin do not
+        margins = []
+        for n in (1, 70):
+            spec = ExponentialSpec(make_space(1), n, HammingUtility(0.5))
+            pair = NeighborPair(Database((0,) * n),
+                                Database((1,) + (0,) * (n - 1)), 0)
+            box = sufficient_set(spec, pair).members
+            assert box and box.size == 2 ** (n - 1)
+            margins.append(dp_holds_on_set(spec, pair, box,
+                                           self.PARAMS).margin)
+        with pytest.raises(OverflowError):
+            len(box)
+        assert margins[1] == pytest.approx(margins[0], abs=1e-12)
+
+    def test_release_classes_past_the_limit_refuse_first(self):
+        # rows releasing one and two categories: 10^6 class-count terms
+        spec = ProductSpec(make_space(1), 10 ** 6,
+                           SolutionMatrix([[1.0, 0.0], [0.5, 0.5]]))
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError,
+                           match="past the limit of 32768 counts"):
+            verify_reduced(spec, self.PARAMS)
+        assert time.perf_counter() - start < 0.1
+        report = verify_reduced(spec.with_n(12), self.PARAMS)
+        count, text = _oracles.parent_check_count([[0, 1], [1, 0]], [1, 2],
+                                                  12, False)
+        assert int(report.checks_performed) == count
+        assert str(report.checks_performed) == text
+        # 150 terms of 149 counts each, inside the limit: the count is
+        # summed over 2^(2^j) - 1 terms and prints without being built
+        report = verify_reduced(spec.with_n(150), self.PARAMS)
+        assert report.checks_performed.value is None
+        assert str(report.checks_performed).startswith("150*(")
