@@ -270,7 +270,8 @@ class DatabaseSet:
         mask = self.box_mask
         if mask is None:
             return bool(self.indices)
-        return bool(mask.any(axis=1).all())
+        empty_row = np.void(bytes(mask.shape[1]))
+        return bool((mask_rows(mask) != empty_row).all())
 
     def __len__(self) -> int:
         """The number of members; a box past ``sys.maxsize`` members
@@ -289,6 +290,14 @@ class DatabaseSet:
         i = database_index(self.space, d)
         at = bisect.bisect_left(self.indices, i)
         return at < len(self.indices) and self.indices[at] == i
+
+
+def mask_rows(mask: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D bool array as an (n,) array of opaque byte
+    strings, equal where the rows are: one comparison per row, where an
+    ``any(axis=1)`` over short rows costs about ten times as much."""
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    return mask.view(np.dtype((np.void, mask.shape[1]))).reshape(-1)
 
 
 def _categories(space: CategorySpace, values) -> list[int]:

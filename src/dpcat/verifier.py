@@ -74,6 +74,7 @@ from .core import (
     database_from_index,
     database_index,
     index_digits,
+    mask_rows,
     naive_check_count,
     space_size_over,
     state_count,
@@ -83,6 +84,7 @@ from .errors import (
     DataFormatError,
     EnumerationBudgetError,
     ExactModeError,
+    LengthMismatchError,
     ParameterRangeError,
 )
 from .mechanisms import LOG_FLOAT_MAX, ProductSpec, SolutionMatrix
@@ -375,16 +377,18 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
     """
     if not A:
         raise DataFormatError("output set must be nonempty")
+    if A.n != pair.d.n:
+        raise LengthMismatchError(
+            f"output set of {A.n}-row databases for a pair of {pair.d.n} rows")
     _require_exact(spec, exact)
-    box = A.box
-    if box is not None and spec.product is not None:
+    mask = A.box_mask
+    if mask is not None and spec.product is not None:
         validate_database(spec.space, pair.d)
         validate_database(spec.space, pair.d_prime)
         weights = (spec.product.matrix.fractions() if exact
                    else np.exp(spec.product.log_weights).tolist())
-        pa, pb = (math.prod(sum(weights[r][c] for c in values)
-                            for r, values in zip(d.rows, box))
-                  for d in (pair.d, pair.d_prime))
+        pa, pb = _box_probabilities(weights, mask, (pair.d, pair.d_prime),
+                                    exact)
     else:
         ia = database_index(spec.space, pair.d)
         ib = database_index(spec.space, pair.d_prime)
@@ -401,6 +405,41 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
         return SetCheckResult(margin >= 0, float(margin))
     margin = math.exp(params.epsilon) * pb + params.delta - pa
     return SetCheckResult(margin >= -tolerance, margin)
+
+
+def _box_probabilities(weights, mask: np.ndarray, databases,
+                       exact: bool) -> list:
+    """P(X_d in A) for each database d, where A is the box with this
+    (n, m + 1) mask: the product over rows j of
+    sum(weights[d_j][c] for c in A_j).
+
+    Each distinct (d_j, A_j) sum is formed once.  Floats then multiply in
+    row order, as a loop over the rows would; exact factors are raised to
+    their counts, which rational arithmetic does not round.
+    """
+    n, size = mask.shape
+    items = mask_rows(mask)
+    starts = np.flatnonzero(np.r_[True, items[1:] != items[:-1]])
+    shapes, shape_of_run = np.unique(items[starts], return_inverse=True)
+    shapes = shapes.view(bool).reshape(-1, size)
+    shape_key = np.repeat(shape_of_run.reshape(-1) * size,
+                          np.diff(starts, append=n))
+    out = []
+    for d in databases:
+        key = shape_key + d.array                  # shape * size + d_j
+        counts = np.bincount(key)
+        present = np.flatnonzero(counts)
+        factors = [sum(weights[k % size][c]
+                       for c in np.flatnonzero(shapes[k // size]).tolist())
+                   for k in present.tolist()]
+        if exact:
+            out.append(math.prod(
+                f ** c for f, c in zip(factors, counts[present].tolist())))
+        else:
+            table = np.zeros(counts.size)
+            table[present] = factors
+            out.append(float(np.multiply.accumulate(table[key])[-1]))
+    return out
 
 
 class _Accumulator:

@@ -324,3 +324,36 @@ def parent_check_count(s1_sizes, released, n: int, symmetric: bool):
     subsets, sums = subset_count(terms)
     total = n * (checks + subsets)
     return total, count_text(total, f"{n}*({sums})" if terms else None)
+
+
+def box_probabilities_rows(product, box, d, d_prime, exact):
+    """P(X_d in A) and P(X_d' in A) for a box A on a product spec, by the
+    row loop the package ran before it grouped rows: one Python sum per
+    row over the box's categories, multiplied in row order.  box holds
+    each row's categories; d and d_prime are row tuples."""
+    weights = (product.matrix.fractions() if exact
+               else np.exp(product.log_weights).tolist())
+    return tuple(math.prod(sum(weights[r][c] for c in values)
+                           for r, values in zip(rows, box))
+                 for rows in (d, d_prime))
+
+
+def sample_feasible_dirichlet(m, e_eps, delta, count, rng, batch,
+                              max_batches, tol):
+    """Feasible parent matrices by the package's sampler before it drew in
+    its screen's layout: whole batches from ``rng.dirichlet``, each matrix
+    kept when its full-square batch margin clears -tol, the first count
+    kept returned.  Raises RuntimeError when max_batches do not fill
+    the request."""
+    size = m + 1
+    out = []
+    have = 0
+    for _ in range(max_batches):
+        mats = rng.dirichlet(np.ones(size), size=(batch, size))
+        keep = mats[batch_margins_full_square(mats, e_eps, delta) >= -tol]
+        if keep.shape[0]:
+            out.append(keep)
+            have += keep.shape[0]
+        if have >= count:
+            return np.concatenate(out)[:count]
+    raise RuntimeError(f"only {have} of {count} feasible matrices found")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpcat.analysis
 from dpcat import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
@@ -299,8 +300,94 @@ class TestFeasibleSampling:
         errs = 1.0 - mats.diagonal(axis1=1, axis2=2).min(axis=1)
         assert float(errs.min()) >= optimal_err - 1e-12
 
-    def test_infeasible_region_raises(self, rng):
-        # eps = delta = 0 admits only measure-zero matrices
+    def test_infeasible_region_raises(self):
+        # eps = delta = 0 admits only measure-zero matrices; every batch is
+        # still drawn
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
         with pytest.raises(RuntimeError, match="feasible"):
             sample_feasible_matrices(2, PrivacyParams(0.0, 0.0), 10, rng,
                                      batch=256, max_batches=3)
+        with pytest.raises(RuntimeError, match="feasible"):
+            _oracles.sample_feasible_dirichlet(2, 1.0, 0.0, 10, reference,
+                                               256, 3, TOLERANCE)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("name, value", [
+        ("m", 0), ("count", 0), ("count", -3), ("batch", 0),
+        ("max_batches", 0)])
+    def test_bad_arguments_are_refused_before_any_draw(self, name, value):
+        args = {"m": 2, "count": 10, "batch": 100, "max_batches": 5}
+        args[name] = value
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterRangeError, match=f"^{name} must be >= 1"):
+            sample_feasible_matrices(args.pop("m"), PrivacyParams(1.0, 0.0),
+                                     args.pop("count"), rng, **args)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_batches_are_the_dirichlet_stream(self, m):
+        # at delta = 1 every matrix is kept, so a call returns its batch
+        size = m + 1
+        batch = dpcat.analysis._SCREEN_CHUNK + 5
+        ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
+        got = sample_feasible_matrices(m, PrivacyParams(0.0, 1.0), batch,
+                                       ours, batch=batch)
+        want = theirs.dirichlet(np.ones(size), size=(batch, size))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("m, eps, delta, batch, count", [
+        (1, math.log(2), 0.0, 9_000, 5),      # filled in the first chunk
+        (2, 1.0, 0.1, 8_200, 2_000),          # a chunk and an 8-matrix tail
+        (2, 1.0, 0.0, 1_000, 1_000),
+        (3, math.log(4), 0.1, 3_000, 1_500),
+        (4, 3.0, 0.0, 10_000, 900),
+    ])
+    def test_matches_the_dirichlet_sampler(self, m, eps, delta, batch,
+                                           count):
+        ours = np.random.default_rng(count)
+        theirs = np.random.default_rng(count)
+        for _ in range(2):
+            got = sample_feasible_matrices(m, PrivacyParams(eps, delta),
+                                           count, ours, batch=batch)
+            want = _oracles.sample_feasible_dirichlet(
+                m, math.exp(eps), delta, count, theirs, batch, 2000,
+                TOLERANCE)
+            assert got.shape == want.shape == (count, m + 1, m + 1)
+            assert got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_singleton_screen_never_refuses_a_feasible_matrix(self, data):
+        m = data.draw(st.integers(1, 4), label="m")
+        size = m + 1
+        eps = data.draw(st.floats(0.0, 3.0), label="eps")
+        delta = data.draw(st.sampled_from(DEFAULT_DELTAS + (1.0,))
+                          | st.floats(0.0, 1.0), label="delta")
+        params = PrivacyParams(eps, delta)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        dense = rng.dirichlet(np.ones(size), size=(64, size))
+        # parents with zero entries, every row keeping one category or more
+        sparse = rng.dirichlet(np.full(size, 0.3), size=(64, size))
+        sparse[rng.random(sparse.shape)
+               < data.draw(st.floats(0.0, 0.8), label="zeros")] = 0.0
+        sparse[..., 0] += sparse.sum(axis=-1) == 0.0
+        sparse /= sparse.sum(axis=-1, keepdims=True)
+        # the zero-slack optimum, entries nudged by up to 4 ulps
+        knife = np.repeat(optimal_mechanism(params, m).values[None], 64,
+                          axis=0)
+        knife = np.maximum(knife + rng.integers(-4, 5, knife.shape)
+                           * np.spacing(knife), 0.0)
+        mats = np.concatenate([dense, sparse, knife])
+        e_eps = math.exp(eps)
+        bound = dpcat.analysis._singleton_bound(
+            np.ascontiguousarray(mats.transpose(2, 1, 0)), e_eps, delta)
+        assert bound.tolist() == [
+            min(e_eps * min(col) - max(col) for col in zip(*mat)) + delta
+            for mat in mats.tolist()]
+        margins = batch_matrix_margins(mats, params)
+        assert np.all(margins <= bound)
+        assert np.all(bound[margins >= -TOLERANCE] >= -TOLERANCE)

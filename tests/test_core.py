@@ -304,6 +304,7 @@ class TestCylinderSet:
             box = DatabaseSet.from_box(space, n, rows)
             assert box.box == tuple(rows) and box.cylinder is None
             assert len(box) == len(members)
+            assert bool(box) == bool(members)
             for i, x in enumerate(dbs):
                 assert (Database(x) in box) == (i in members)
             assert "indices" not in vars(box)    # length, membership: rows

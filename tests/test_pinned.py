@@ -157,15 +157,16 @@ class _Counting:
 
 
 class _CountingRng:
-    """A generator whose dirichlet draws (one per batch) are counted."""
+    """A generator whose standard exponential draws (one per batch) are
+    counted."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.batches = 0
 
-    def dirichlet(self, *args, **kwargs):
+    def standard_exponential(self, *args, **kwargs):
         self.batches += 1
-        return self.rng.dirichlet(*args, **kwargs)
+        return self.rng.standard_exponential(*args, **kwargs)
 
 
 def test_batch_margins_match_the_full_square_on_the_criterion6_stream(
@@ -258,6 +259,8 @@ def test_traced_entry_points_are_called_through_their_modules(
     mats = sample_feasible_matrices(2, PrivacyParams(1.0, 0.0), 500, rng,
                                     batch=1_000)
     assert mats.shape == (500, 3, 3)
+    # only singleton-screen survivors reach the exact screen, at most one
+    # batch's worth per call
     assert rng.batches >= 2
-    assert len(margins.calls) == rng.batches
-    assert all(result.shape == (1_000,) for _, result in margins.calls)
+    assert 1 <= len(margins.calls) <= rng.batches
+    assert all(result.shape[0] <= 1_000 for _, result in margins.calls)

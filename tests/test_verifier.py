@@ -13,6 +13,7 @@ from dpcat import (
     DatabaseSet,
     DataFormatError,
     EnumerationBudgetError,
+    LengthMismatchError,
     ExponentialSpec,
     HammingUtility,
     NegL1Utility,
@@ -89,6 +90,29 @@ class TestDpHoldsOnSet:
             dp_holds_on_set(l1_spec, pair_of((0, 0), (1, 0)),
                             DatabaseSet(space3, 2, ()),
                             PrivacyParams(0.0, 0.0))
+
+    def test_set_of_another_row_count_rejected(self, l1_spec, space3):
+        with pytest.raises(LengthMismatchError):
+            dp_holds_on_set(l1_spec, pair_of((0, 0), (1, 0)),
+                            DatabaseSet(space3, 3, (0,)),
+                            PrivacyParams(0.0, 0.0))
+
+    def test_a_million_row_box_in_array_passes(self):
+        params = PrivacyParams(0.3, 0.0)
+        margins = []
+        for n in (1, 10 ** 6):
+            spec = ExponentialSpec(make_space(1), n, HammingUtility(0.5))
+            d = np.zeros(n, dtype=np.int64)
+            d_prime = d.copy()
+            d_prime[0] = 1
+            pair = NeighborPair(Database.from_array(d),
+                                Database.from_array(d_prime), 0)
+            box = sufficient_set(spec, pair).members
+            start = time.perf_counter()
+            margins.append(dp_holds_on_set(spec, pair, box, params).margin)
+            assert time.perf_counter() - start < 0.5
+            assert "rows" not in vars(pair.d)
+        assert margins[1] == pytest.approx(margins[0], abs=1e-12)
 
 
 class TestSufficientSet:
@@ -233,6 +257,48 @@ class TestParentSufficientSet:
                 else:
                     assert got.margin == pytest.approx(rows.margin,
                                                        abs=1e-15)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("kind", list(PARENT_KINDS))
+    def test_box_probabilities_match_the_row_loop(self, kind, exact):
+        # random boxes with runs of repeated rows, up to 20 rows: grouped
+        # sums give the row loop's floats bit for bit and its Fractions
+        rng = np.random.default_rng(30 + sorted(PARENT_KINDS).index(kind))
+        params = PrivacyParams(0.3, 0.01)
+        for n in (1, 2, 5, 13, 20):
+            m = int(rng.integers(1, 5))
+            space = make_space(m)
+            spec = PARENT_KINDS[kind](rng, space, n)
+            weights = (spec.product.matrix.fractions() if exact
+                       else np.exp(spec.product.log_weights).tolist())
+            for _ in range(6):
+                mask = rng.random((n, space.size)) < 0.6
+                mask[np.arange(n), rng.integers(0, space.size, n)] = True
+                mask = mask[np.sort(rng.integers(0, n, n))]
+                box = DatabaseSet.from_mask(space, mask)
+                d = rng.integers(0, space.size, n)
+                row = int(rng.integers(n))
+                d_prime = d.copy()
+                d_prime[row] = ((d[row] + rng.integers(1, space.size))
+                                % space.size)
+                pair = NeighborPair(Database(tuple(d.tolist())),
+                                    Database(tuple(d_prime.tolist())), row)
+                want = _oracles.box_probabilities_rows(
+                    spec.product, box.box, pair.d.rows, pair.d_prime.rows,
+                    exact)
+                got = verifier._box_probabilities(
+                    weights, mask, (pair.d, pair.d_prime), exact)
+                assert tuple(got) == want
+                assert all(type(g) is type(w) for g, w in zip(got, want))
+                if exact:
+                    e_eps, delta = params.exact_pair()
+                    margin = e_eps * want[1] + delta - want[0]
+                    holds = margin >= 0
+                else:
+                    margin = math.exp(0.3) * want[1] + 0.01 - want[0]
+                    holds = margin >= -verifier.TOLERANCE
+                result = dp_holds_on_set(spec, pair, box, params, exact=exact)
+                assert (result.holds, result.margin) == (holds, float(margin))
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_builds_no_row_digit_table_or_index(self, monkeypatch, exact):
