@@ -8,8 +8,6 @@ families, including the error-optimal solution matrix.
 """
 
 from .analysis import (
-    DEFAULT_DELTAS,
-    DEFAULT_EPSILONS,
     ErrorProfile,
     batch_matrix_margins,
     error_bounds,
@@ -38,7 +36,6 @@ from .core import (
     load_category_space,
     load_database_csv,
     naive_check_count,
-    neighbor_pair_count,
     space_size,
 )
 from .errors import (
@@ -58,10 +55,7 @@ from .mechanisms import (
     ProductSpec,
     SolutionMatrix,
     TableUtility,
-    exp_norm_constant,
-    exp_pmf,
     make_symmetric_product,
-    product_pmf,
     sample,
     symmetric_matrix,
 )

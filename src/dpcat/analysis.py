@@ -26,12 +26,6 @@ from .mechanisms import (
 )
 from .verifier import TOLERANCE, PrivacyParams
 
-#: Default (epsilon, delta) grid for property suites: the zero-budget
-#: boundary, small budgets, and a generous regime.
-DEFAULT_EPSILONS = (0.0, 0.1, math.log(2), 1.0, math.log(4), 3.0)
-DEFAULT_DELTAS = (0.0, 0.01, 0.1, 0.5)
-
-
 @dataclass(frozen=True)
 class ErrorProfile:
     """Worst-case expected hamming error of a mechanism, with bounds.

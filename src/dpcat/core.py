@@ -52,12 +52,6 @@ class CategorySpace:
         """Number of categories, m + 1."""
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataFormatError(f"unknown category label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class Database:
@@ -134,28 +128,29 @@ class NeighborPair:
         if self.d.n != self.d_prime.n:
             raise LengthMismatchError(
                 f"neighbor pair mixes row counts {self.d.n} and {self.d_prime.n}")
-        diffs = np.flatnonzero(self.d.array != self.d_prime.array).tolist()
+        a, b = self.d.__dict__.get("rows"), self.d_prime.__dict__.get("rows")
+        if a is not None and b is not None:   # neither builds an array
+            diffs = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        else:
+            diffs = np.flatnonzero(self.d.array != self.d_prime.array).tolist()
         if diffs != [self.differing_row]:
             raise DataFormatError(
                 f"databases must differ exactly at row {self.differing_row}, "
                 f"but differ at rows {diffs}")
 
-    def swapped(self) -> "NeighborPair":
-        return NeighborPair(self.d_prime, self.d, self.differing_row)
-
 
 @dataclass(frozen=True)
 class DatabaseSet:
-    """A subset of the database space, held as sorted enumeration indices.
+    """A subset of the database space, held in one of two forms.
 
-    A box {x : x_j in rows[j] for every row j}, built by ``from_box``,
-    holds only ``box_mask``, an (n, m + 1) bool array whose row j marks
-    the categories of rows[j], and builds ``indices`` on first read, as
+    A set built from enumeration indices holds them sorted.  A box
+    {x : x_j in A_j for every row j}, built by ``from_mask``, holds only
+    ``box_mask``, an (n, m + 1) bool array whose row j marks the
+    categories of A_j, and builds ``indices`` on first read, as
     ``Database`` builds ``rows``; its size and membership come from the
     mask.  A one-row cylinder {x : x_row in categories}, built by
-    ``from_cylinder``, is the box that restricts that row alone and also
-    keeps its row.  Equality and hashing are those of the indices either
-    way.
+    ``from_cylinder``, is the box that restricts that row alone.
+    Equality and hashing are those of the indices either way.
     """
 
     space: CategorySpace
@@ -180,22 +175,6 @@ class DatabaseSet:
         return indices
 
     @classmethod
-    def from_databases(cls, space: CategorySpace, n: int,
-                       members) -> "DatabaseSet":
-        return cls(space, n, tuple(database_index(space, d) for d in members))
-
-    @classmethod
-    def from_box(cls, space: CategorySpace, n: int, rows) -> "DatabaseSet":
-        """The databases whose row j holds one of ``rows[j]``, for every
-        row j."""
-        if len(rows) != n:
-            raise DataFormatError(f"box has {len(rows)} rows, not {n}")
-        mask = np.zeros((n, space.size), dtype=bool)
-        for j, values in enumerate(rows):
-            mask[j, _categories(space, values)] = True
-        return cls.from_mask(space, mask)
-
-    @classmethod
     def from_mask(cls, space: CategorySpace, mask) -> "DatabaseSet":
         """The box whose row j holds the categories c with mask[j, c], for
         an (n, m + 1) bool array kept as it is."""
@@ -216,13 +195,14 @@ class DatabaseSet:
         """The databases whose row ``row`` holds one of ``categories``."""
         if not 0 <= row < n:
             raise DataFormatError(f"row {row} outside 0..{n - 1}")
-        values = _categories(space, categories)
+        values = sorted({int(c) for c in categories})
+        if values and not (0 <= values[0] and values[-1] <= space.m):
+            raise DataFormatError(
+                f"cylinder holds categories outside 0..{space.m}")
         mask = np.ones((n, space.size), dtype=bool)
         mask[row] = False
         mask[row, values] = True
-        out = cls.from_mask(space, mask)
-        object.__setattr__(out, "_cylinder", (row, tuple(values)))
-        return out
+        return cls.from_mask(space, mask)
 
     @property
     def box_mask(self) -> np.ndarray | None:
@@ -230,17 +210,18 @@ class DatabaseSet:
         return self.__dict__.get("_mask")
 
     @property
-    def box(self) -> tuple[tuple[int, ...], ...] | None:
-        """Per-row categories of a set built as a box, else None."""
+    def cylinder(self) -> tuple[int, tuple[int, ...]] | None:
+        """(row, categories) of a box that restricts at most one row, row 0
+        for the whole space; None for a set built from indices or a box
+        that restricts more rows."""
         mask = self.box_mask
         if mask is None:
             return None
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
-
-    @property
-    def cylinder(self) -> tuple[int, tuple[int, ...]] | None:
-        """(row, categories) of a set built by ``from_cylinder``, else None."""
-        return self.__dict__.get("_cylinder")
+        restricted = np.flatnonzero(~mask.all(axis=1))
+        if restricted.size > 1:
+            return None
+        row = int(restricted[0]) if restricted.size else 0
+        return row, tuple(np.flatnonzero(mask[row]).tolist())
 
     @property
     def size(self) -> "Count":
@@ -255,16 +236,6 @@ class DatabaseSet:
         return Count(("*", *(c if rows == 1 else ("^", c, rows)
                              for c, rows in enumerate(per_row.tolist())
                              if c > 1 and rows)))
-
-    def databases(self) -> list[Database]:
-        return [database_from_index(self.space, self.n, i) for i in self.indices]
-
-    def mask(self) -> int:
-        """Bitmask over the canonical enumeration order (bit i = database i)."""
-        out = 0
-        for i in self.indices:
-            out |= 1 << i
-        return out
 
     def __bool__(self) -> bool:
         mask = self.box_mask
@@ -298,14 +269,6 @@ def mask_rows(mask: np.ndarray) -> np.ndarray:
     ``any(axis=1)`` over short rows costs about ten times as much."""
     mask = np.ascontiguousarray(mask, dtype=bool)
     return mask.view(np.dtype((np.void, mask.shape[1]))).reshape(-1)
-
-
-def _categories(space: CategorySpace, values) -> list[int]:
-    """Distinct category indices in ascending order, each inside 0..m."""
-    values = sorted({int(c) for c in values})
-    if values and not (0 <= values[0] and values[-1] <= space.m):
-        raise DataFormatError(f"box holds categories outside 0..{space.m}")
-    return values
 
 
 def _box_indices(space: CategorySpace, mask: np.ndarray) -> np.ndarray:
@@ -413,10 +376,6 @@ def enumerate_neighbor_pairs(space: CategorySpace, n: int,
                 rows = list(d.rows)
                 rows[i] = v
                 yield NeighborPair(d, Database(tuple(rows)), i)
-
-
-def neighbor_pair_count(space: CategorySpace, n: int) -> int:
-    return n * space.m * space_size(space, n)
 
 
 def naive_check_count(space: CategorySpace, n: int) -> "Count":

@@ -193,19 +193,6 @@ class TableUtility:
         self.values = values
         self.assert_fixed_c = bool(assert_fixed_c)
 
-    @classmethod
-    def from_mapping(cls, space: CategorySpace, n: int, mapping,
-                     assert_fixed_c: bool = False) -> "TableUtility":
-        size = space_size(space, n)
-        values = np.full((size, size), np.nan)
-        for (d, d_prime), u in mapping.items():
-            values[database_index(space, d), database_index(space, d_prime)] = u
-        if np.isnan(values).any():
-            missing = int(np.isnan(values).sum())
-            raise IncompleteUtilityError(
-                f"utility mapping leaves {missing} database pairs undefined")
-        return cls(space, n, values, assert_fixed_c)
-
     def value(self, d: Database, d_prime: Database) -> float:
         return float(self.values[database_index(self.space, d),
                                  database_index(self.space, d_prime)])
@@ -242,9 +229,7 @@ class ExponentialSpec(_Spec):
     A separable utility (hamming, negative L1) makes the spec the product
     of its one-row parent; that ProductSpec is ``product`` and computes
     every probability.  Utility tables have ``product = None`` and are
-    enumerated.  The reported normalisation constant is the *prefactor* C
-    (the reciprocal of the sum of e^u), so the probability is always
-    ``exp_norm_constant(spec, d) * e^{u(d, d')}``.
+    enumerated.
     """
 
     def __init__(self, space: CategorySpace, n: int, utility):
@@ -287,13 +272,6 @@ class ExponentialSpec(_Spec):
                 f"cannot be rescaled to {n}")
         return ExponentialSpec(self.space, n, self.utility)
 
-    def log_prefactor(self, index: int) -> float:
-        if self.product is not None:
-            # u(d, d) = 0, so C(d) = P(X_d = d) = prod_i M[d_i, d_i]
-            rows = database_from_index(self.space, self.n, index).rows
-            return float(sum(self.product.log_weights[r, r] for r in rows))
-        return -float(self.log_pmf_table()[1][index])
-
     def log_pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """A utility table's log pmf and log normalisers, built once.
 
@@ -329,12 +307,6 @@ class ExponentialSpec(_Spec):
 
     def pmf_row(self, index: int) -> np.ndarray:
         return np.exp(self.log_pmf_row(index))
-
-    def pmf(self, d: Database, d_prime: Database) -> float:
-        if self.product is not None:
-            return self.product.pmf(d, d_prime)
-        return float(self.pmf_row(database_index(self.space, d))
-                     [database_index(self.space, d_prime)])
 
     def exact_pmf_row(self, index: int) -> list[Fraction]:
         """Exact probabilities from the parent's exact entries."""
@@ -542,39 +514,8 @@ class ProductSpec(_Spec):
     def pmf_row(self, index: int) -> np.ndarray:
         return np.exp(self.log_pmf_row(index))
 
-    def pmf(self, d: Database, d_prime: Database) -> float:
-        validate_database(self.space, d)
-        validate_database(self.space, d_prime)
-        if d.n != self.n or d_prime.n != self.n:
-            raise DataFormatError(f"spec expects {self.n} rows")
-        out = 1.0
-        for a, b in zip(d.rows, d_prime.rows):
-            out *= float(self.matrix.stochastic[a, b])
-        return out
-
     def exact_pmf_row(self, index: int) -> list[Fraction]:
         return self.exact_pmf_block([index])[0].tolist()
-
-
-def exp_pmf(spec: ExponentialSpec, d: Database, d_prime: Database) -> float:
-    """P(X_d = d') for an exponential spec."""
-    return spec.pmf(d, d_prime)
-
-
-def exp_norm_constant(spec: ExponentialSpec, d: Database) -> float:
-    """The normalisation prefactor C for input d, so that the probability
-    of each output d' is exactly C * e^{u(d, d')}.
-
-    For separable utilities C(d) = prod_i M[d_i, d_i] over the parent, with
-    no enumeration (for hamming, (1 + m/e^k)^{-n} for every d); utility
-    tables take a log-sum-exp over their row.
-    """
-    return math.exp(spec.log_prefactor(database_index(spec.space, d)))
-
-
-def product_pmf(spec: ProductSpec, d: Database, d_prime: Database) -> float:
-    """P(X_d = d') for a product spec: the row-wise matrix product."""
-    return spec.pmf(d, d_prime)
 
 
 def symmetric_matrix(m: int, p) -> SolutionMatrix:

@@ -40,8 +40,9 @@ set S, the outputs strictly more likely under d than under d'.
   brute force alone.  Every count on a report is a :class:`~dpcat.core.Count`,
   built from its closed form and printed as that form past
   ``COUNT_DIGIT_CAP`` digits, and a product spec's binding pair and set are
-  arrays over its rows: no state budget applies to product specs, at any
-  row count.  A table is bounded by its own size.
+  arrays over its rows: no state budget applies to product specs, and
+  only a binding pair too long for any array is refused.  A table is
+  bounded by its own size.
 
 Set membership compares log-probabilities with a tie band: gaps within
 ``TIE_BAND`` count as ties and are excluded, since exact ties carry no
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,13 +129,6 @@ class PrivacyParams:
         if math.isnan(self.delta) or not 0 <= self.delta <= 1:
             raise ParameterRangeError(
                 f"delta must lie in [0, 1], got {self.delta}")
-
-    @classmethod
-    def from_exact(cls, e_eps: Fraction, delta: Fraction) -> "PrivacyParams":
-        e_eps, delta = Fraction(e_eps), Fraction(delta)
-        if e_eps < 1:
-            raise ParameterRangeError("e^epsilon must be >= 1")
-        return cls(math.log(e_eps), float(delta), e_eps, delta)
 
     @property
     def trivial(self) -> bool:
@@ -232,17 +227,16 @@ def _render_set(dbset: DatabaseSet):
     A one-row cylinder {x : x_i in C} prints as
     ``{"row": i, "categories": [labels of C], "size": |set|}``, with i the
     lowest such row (the only one unless the set is the whole space).  A
-    set built as a cylinder prints from its row and categories, its size a
+    box that is a cylinder prints from its row and categories, its size a
     JSON int up to ``COUNT_DIGIT_CAP`` digits and past that the string of
     its power form; any other set is recognised from its indices, and is
     otherwise the list of its members' label lists, in index order.  Every
     nonempty set is a cylinder at n = 1.
     """
     space, n = dbset.space, dbset.n
-    if dbset.cylinder is not None and dbset.cylinder[1]:
-        row, values = dbset.cylinder
-        if len(values) == space.size:       # the whole space: every row fits
-            row = 0
+    cylinder = dbset.cylinder
+    if cylinder is not None and cylinder[1]:
+        row, values = cylinder
         size = ("^", space.size, n - 1)
         size = Count(("*", len(values), size) if len(values) > 1 else size)
         return {"row": row, "categories": [space.labels[c] for c in values],
@@ -305,9 +299,7 @@ def sufficient_set(spec, pair: NeighborPair, *,
     else:
         ia = database_index(spec.space, pair.d)
         ib = database_index(spec.space, pair.d_prime)
-        with np.errstate(invalid="ignore"):     # NaN gaps: both zero
-            gap = spec.log_pmf_row(ia) - spec.log_pmf_row(ib)
-        cells = np.flatnonzero(gap > TIE_BAND)
+        cells = np.flatnonzero(_table_gaps(spec, ia, ib)[1])
         u = spec.utility.values
         alphas = u[ia, cells] - u[ib, cells]
 
@@ -332,8 +324,7 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
     P_d(x) > P_d'(x) exactly when M[u, x_i] > M[v, x_i] and every other
     row's output is one that M[d_j] releases, so S is the box
     {x : x_i in S1, x_j in supp M[d_j] for every j != i} with
-    S1 = {c : M[u, c] > M[v, c]}: decided on the log weights with the
-    ``TIE_BAND``, or on the exact entries under ``exact``.  No pmf row,
+    S1 = {c : M[u, c] > M[v, c]}, from :func:`_parent_gaps`.  No pmf row,
     digit table or index is built; the box is a mask over d's rows.
     """
     validate_database(spec.space, pair.d)
@@ -341,17 +332,9 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
     product = spec.product
     i = pair.differing_row
     u, v = int(pair.d.array[i]), int(pair.d_prime.array[i])
-    if exact:
-        fracs = product.matrix.fractions()
-        s1 = np.array([c for c in range(spec.space.size)
-                       if fracs[u][c] > fracs[v][c]], dtype=np.int64)
-        released = np.array([[x > 0 for x in row] for row in fracs])
-    else:
-        log_w = product.log_weights
-        with np.errstate(invalid="ignore"):     # NaN gaps: both zero
-            s1 = np.flatnonzero(log_w[u] - log_w[v] > TIE_BAND)
-        released = np.isfinite(log_w)
-    rows = released[pair.d.array]
+    _, released, above = _parent_gaps(product, exact)
+    s1 = np.flatnonzero(above()[u][v])
+    rows = np.array(released)[pair.d.array]
 
     def make_box(cells):
         mask = rows.copy()
@@ -563,6 +546,40 @@ def _parent_checks(pairs: Counter, released: list[int], k: int, n: int,
          for size, many in zip(sizes, map(terms.get, sizes))), n)
 
 
+def _parent_gaps(product: ProductSpec, exact: bool):
+    """The parent M of a product spec in one arithmetic, as (weights,
+    released, above): M's entries and M[a, c] > 0 as nested lists, and the
+    function that gives the nested (k, k, k) lists of M[u, c] >
+    e^eps * M[v, c], for eps as a float or e^eps as a ``Fraction`` under
+    ``exact``; above()[u][v], at e^eps = 1, marks S1(u, v) =
+    {c : M[u, c] > M[v, c]}.
+
+    Floats compare the log weights, log M[u, c] - log M[v, c] > eps +
+    ``TIE_BAND`` (a NaN gap, both entries zero, is not above); weights are
+    their exponentials.  Exact mode works in integers: weights are the
+    numerators N = D * M over the common denominator D, and with
+    e^eps = E_n / E_d the test is E_d * N[u, c] > E_n * N[v, c].
+    """
+    if exact:
+        fracs = product.matrix.fractions()
+        scale = math.lcm(*(x.denominator for row in fracs for x in row))
+        weights = [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in fracs]
+
+        def above(e_eps=Fraction(1)):
+            e_num, e_den = e_eps.as_integer_ratio()
+            return [[[e_den * a > e_num * b for a, b in zip(wu, wv)]
+                     for wv in weights] for wu in weights]
+        return weights, [[x > 0 for x in row] for row in weights], above
+    log_w = product.log_weights
+    with np.errstate(invalid="ignore"):
+        log_gap = log_w[:, None, :] - log_w[None, :, :]     # [u, v, c]
+
+    def above(eps=0.0):
+        return (log_gap > eps + TIE_BAND).tolist()
+    return np.exp(log_w).tolist(), np.isfinite(log_w).tolist(), above
+
+
 def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
     """Decide a product spec from its (m+1) x (m+1) parent M.
 
@@ -579,44 +596,34 @@ def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
     :func:`_parent_checks`).  The binding pair, the first canonical pair
     at the worst margin, has every other row at category 0, and goes on the
     report as two arrays with the cylinder (row, A1) as a mask, so the work
-    is O(m^2) in the parent plus O(n) array writes, whatever n is.
+    is O(m^2) in the parent plus O(n) array writes, whatever n is.  An n
+    whose arrays no array of this platform can hold is an
+    EnumerationBudgetError naming n, raised before they are allocated.
 
-    Exact mode works in integers: the entries N = D * M over their common
-    denominator D, e^eps = E_n / E_d and delta = delta_n / delta_d.  Every
-    ``>`` is a cross-multiplication, and a pair's margin times
-    D * E_d * delta_d is delta_d * (E_n * B - E_d * A) + delta_n * E_d * D,
-    with A and B now sums of N: a positive multiple of E_n * B - E_d * A
-    plus a constant, so that key, below 0 where the margin is below delta,
-    picks the same binding pair under the same strict ``<``.  One
-    ``Fraction``, the reported margin, is built at the end.
+    Exact mode works in integers, on the numerators N = D * M of
+    :func:`_parent_gaps`, e^eps = E_n / E_d and delta = delta_n / delta_d.
+    A pair's margin times D * E_d * delta_d is
+    delta_d * (E_n * B - E_d * A) + delta_n * E_d * D, with A and B now
+    sums of N: a positive multiple of E_n * B - E_d * A plus a constant,
+    so that key, below 0 where the margin is below delta, picks the same
+    binding pair under the same strict ``<``.  One ``Fraction``, the
+    reported margin, is built at the end.
     """
     product = spec.product
     k, n = spec.space.size, spec.n
+    weights, released, above = _parent_gaps(product, exact)
+    support = above()
     if exact:
-        fracs = product.matrix.fractions()
-        scale = math.lcm(*(x.denominator for row in fracs for x in row))
-        weights = [[x.numerator * (scale // x.denominator) for x in row]
-                   for row in fracs]
         e_eps, delta = params.exact_pair()
         e_num, e_den = e_eps.numerator, e_eps.denominator
-        support = [[[weights[u][c] > weights[v][c] for c in range(k)]
-                    for v in range(k)] for u in range(k)]
-        worst = [[[e_den * weights[u][c] > e_num * weights[v][c]
-                   for c in range(k)] for v in range(k)] for u in range(k)]
-        released = [sum(1 for x in row if x > 0) for row in weights]
+        worst = above(e_eps)
         best = 0                    # the key of margin delta: the empty set
 
         def pair_margin(a, b):      # the key, not the margin itself
             return e_num * b - e_den * a
     else:
-        log_w = product.log_weights
-        with np.errstate(invalid="ignore"):
-            log_gap = log_w[:, None, :] - log_w[None, :, :]  # [u, v, c]
-        support = (log_gap > TIE_BAND).tolist()      # NaN gaps: both zero
-        worst = (log_gap > params.epsilon + TIE_BAND).tolist()
-        weights = np.exp(log_w).tolist()
-        released = np.isfinite(log_w).sum(axis=1).tolist()
         e_eps, delta = math.exp(params.epsilon), params.delta
+        worst = above(params.epsilon)
         best = delta
 
         def pair_margin(a, b):
@@ -638,16 +645,22 @@ def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
                     best, binding = margin, (u, v, cells)
 
     acc = _Accumulator(params, exact)
-    acc.checks = _parent_checks(pairs, released, k, n,
+    acc.checks = _parent_checks(pairs, [sum(row) for row in released], k, n,
                                 product.matrix.is_symmetric())
     if binding is not None:
+        u, v, cells = binding
         if exact:
+            scale = sum(weights[0])     # D: each row of M sums to 1
             d_n, d_d = delta.numerator, delta.denominator
             best = Fraction(d_d * best + d_n * e_den * scale,
                             scale * e_den * d_d)
+        if n * (16 + k) > sys.maxsize:
+            # two int64 rows and a bool mask row per database row
+            raise EnumerationBudgetError(
+                f"the binding pair of n = {n} rows needs {16 + k} bytes per "
+                f"row, past the {sys.maxsize} bytes an array can hold", n)
         # the first canonical pair: other rows at category 0, and u in the
         # first row unless that puts a larger digit ahead of them
-        u, v, cells = binding
         row = 0 if u == 0 else n - 1
         d = np.zeros(n, dtype=np.int64)
         d[row] = u
@@ -658,6 +671,16 @@ def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
         acc.add(best, (pair, DatabaseSet.from_cylinder(spec.space, n, row,
                                                         cells)))
     return acc
+
+
+def _table_gaps(spec, a, b):
+    """The gap rows of a utility table's inputs at indices a and b (ints,
+    or index arrays of one pair per row): log P_a(x) - log P_b(x) over
+    every output x, and the mask of S, where that gap passes
+    ``TIE_BAND``."""
+    log_pmf = spec.log_pmf_table()[0]
+    gap = log_pmf[a] - log_pmf[b]
+    return gap, gap > TIE_BAND
 
 
 def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
@@ -672,19 +695,17 @@ def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
     partition route, every nonempty subset of S otherwise.  Pairs are taken
     ``size`` at a time, so no temporary outgrows the table.
     """
-    log_pmf = spec.log_pmf_table()[0]
+    pmf = np.exp(spec.log_pmf_table()[0])
     utility = spec.utility.values
-    pmf = np.exp(log_pmf)
     e_eps = math.exp(params.epsilon)
     ia, ib, rows = _neighbor_pairs(spec)
-    size = log_pmf.shape[0]
+    size = pmf.shape[0]
     hockey = np.empty(ia.size)
     counts = np.empty(ia.size, dtype=np.int64)  # |S|, or its gap levels
     for lo in range(0, ia.size, size):
         chunk = slice(lo, lo + size)
         a, b = ia[chunk], ib[chunk]
-        gap = log_pmf[a] - log_pmf[b]
-        support = gap > TIE_BAND
+        gap, support = _table_gaps(spec, a, b)
         hockey[chunk] = np.where(gap > params.epsilon + TIE_BAND,
                                  pmf[a] - e_eps * pmf[b], 0.0).sum(1)
         if partition:
@@ -705,7 +726,7 @@ def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
     j = int(np.argmax(hockey))
     if hockey[j] > 0:
         a, b = int(ia[j]), int(ib[j])
-        worst = np.flatnonzero(log_pmf[a] - log_pmf[b]
+        worst = np.flatnonzero(_table_gaps(spec, a, b)[0]
                                > params.epsilon + TIE_BAND)
         acc.add(params.delta - float(hockey[j]),
                 (_index_pair(spec, a, b, rows[j]),
@@ -713,9 +734,15 @@ def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
     return acc
 
 
-def _build_report(spec, params, acc: _Accumulator, method: str,
+def _build_report(spec, params, acc: _Accumulator | None, method: str,
                   tolerance: float, exact: bool) -> VerificationReport:
-    if exact:
+    """The report of a route's accumulator; acc None is the trivial regime
+    delta = 1, private at an infinite margin after no check."""
+    trivial = acc is None
+    if trivial:
+        acc = _Accumulator(params, exact=False)
+        acc.margin, acc.checks = math.inf, Count(0)
+    if acc.exact_margin is not None:
         ok = acc.exact_margin >= 0
     else:
         ok = acc.margin >= -tolerance
@@ -734,18 +761,8 @@ def _build_report(spec, params, acc: _Accumulator, method: str,
         n=spec.n,
         tolerance=0.0 if exact else tolerance,
         exact=exact,
+        trivial=trivial,
     )
-
-
-def _trivial_report(spec, params, method: str, tolerance: float,
-                    exact: bool) -> VerificationReport:
-    return VerificationReport(
-        verdict="private", method=method, epsilon=params.epsilon,
-        delta=params.delta, margin=math.inf, binding_pair=None,
-        binding_set=None, checks_performed=Count(0),
-        checks_naive=naive_check_count(spec.space, spec.n),
-        space=spec.space, n=spec.n,
-        tolerance=0.0 if exact else tolerance, exact=exact, trivial=True)
 
 
 def verify_reduced(spec, params: PrivacyParams, *,
@@ -768,7 +785,7 @@ def verify_reduced(spec, params: PrivacyParams, *,
         partition = params.delta == 0
     method = "partition" if partition else "sufficient-set"
     if params.trivial:
-        return _trivial_report(spec, params, method, tolerance, exact)
+        return _build_report(spec, params, None, method, tolerance, exact)
     _require_exact(spec, exact)
     if spec.product is not None:
         acc = _parent_route(spec, params, exact)
@@ -800,7 +817,8 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
             f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
             f"{budget_subsets}", states.value)
     if params.trivial:
-        return _trivial_report(spec, params, "brute-force", tolerance, exact)
+        return _build_report(spec, params, None, "brute-force", tolerance,
+                             exact)
     _require_exact(spec, exact)
 
     size = spec.state_count

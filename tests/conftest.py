@@ -1,11 +1,20 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from dpcat import CategorySpace, ExponentialSpec, NegL1Utility
+from dpcat import CategorySpace, ExponentialSpec, NegL1Utility, PrivacyParams
 
 
 def make_space(m: int) -> CategorySpace:
     return CategorySpace(tuple(str(i) for i in range(m + 1)))
+
+
+def exact_params(e_eps, delta) -> PrivacyParams:
+    """Privacy parameters pinned to the rationals e^eps and delta."""
+    e_eps, delta = Fraction(e_eps), Fraction(delta)
+    return PrivacyParams(math.log(e_eps), float(delta), e_eps, delta)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from dpcat import (
     ProductSpec,
     SolutionMatrix,
     TableUtility,
+    database_from_index,
     dp_holds_on_set,
     enumerate_neighbor_pairs,
     error_bounds,
@@ -64,7 +65,8 @@ def test_criterion_1_example_workload_reproduction(space3, l1_spec):
         s = sufficient_set(l1_spec, next(
             p for p in pairs
             if p.d.rows == (0, 1) and p.d_prime.rows == (2, 1)))
-        assert [d.rows for d in s.members.databases()] \
+        assert [database_from_index(space3, 2, i).rows
+                for i in s.members.indices] \
             == [(0, 0), (0, 1), (0, 2)]
 
         report = verify_reduced(l1_spec, PrivacyParams(1.0, 0.0))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 import dpcat.analysis
 from dpcat import (
-    DEFAULT_DELTAS,
-    DEFAULT_EPSILONS,
     TOLERANCE,
     Database,
     ExponentialSpec,
@@ -31,9 +29,14 @@ from dpcat import (
     sample_feasible_matrices,
     verify_matrix,
 )
-from conftest import make_space
+from conftest import exact_params, make_space
 
 import _oracles
+
+#: The (epsilon, delta) grid of the property suites: the zero-budget
+#: boundary, small budgets, and a generous regime.
+DEFAULT_EPSILONS = (0.0, 0.1, math.log(2), 1.0, math.log(4), 3.0)
+DEFAULT_DELTAS = (0.0, 0.01, 0.1, 0.5)
 
 
 def exhaustive_error(spec):
@@ -219,13 +222,13 @@ class TestOptimalMechanism:
         assert np.array_equal(matrix.values, np.eye(3))
 
     def test_exact_entries(self):
-        params = PrivacyParams.from_exact(Fraction(3), Fraction(1, 4))
+        params = exact_params(Fraction(3), Fraction(1, 4))
         matrix = optimal_mechanism(params, 2, exact=True)
         assert matrix.fractions()[0][1] == Fraction(3, 20)
         assert matrix.fractions()[0][0] == Fraction(3, 20) * 3 + Fraction(1, 4)
 
     def test_verified_private_with_zero_slack(self):
-        params = PrivacyParams.from_exact(Fraction(2), Fraction(1, 10))
+        params = exact_params(Fraction(2), Fraction(1, 10))
         matrix = optimal_mechanism(params, 3, exact=True)
         report = verify_matrix(matrix, params, exact=True)
         assert report.private and report.margin == 0.0

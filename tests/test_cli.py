@@ -73,7 +73,7 @@ def evaluate_count(text):
 def expand_cylinder(cylinder, space, n):
     """Indices of {x : x_row in categories}, in enumeration order."""
     digits = np.indices((space.size,) * n).reshape(n, -1).T
-    wanted = [space.index_of(label) for label in cylinder["categories"]]
+    wanted = [space.labels.index(label) for label in cylinder["categories"]]
     return tuple(np.flatnonzero(np.isin(digits[:, cylinder["row"]],
                                         wanted)).tolist())
 
@@ -326,6 +326,23 @@ class TestVerify:
         assert code == 1 and report["verdict"] == "not-private"
         assert len(report["binding_pair"]["d_prime"]) == 1000000
         assert report["checks_performed"] == "2000000*2^999999"
+
+    def test_binding_pair_past_any_array_is_a_budget_error(self, workdir,
+                                                          capsys):
+        # 10^30 rows: a not-private spec refuses its binding pair's arrays
+        # with one line naming n; a private one binds nothing and answers
+        spec = workdir / "huge.spec"
+        for p, want in (("0.01", 3), ("0.3", 0)):
+            spec.write_text(f"type = product\np = {p}\n"
+                            f"categories = cats.txt\nn = {10 ** 30}\n")
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "--spec", spec,
+                                 "--epsilon", "0.5", "--method", "reduced")
+            assert time.perf_counter() - start < 0.1
+            assert code == want and "Traceback" not in err
+            if code == 3:
+                assert out == "" and err.count("\n") == 1
+                assert f"n = {10 ** 30} rows" in err
 
     def test_table_under_a_huge_row_count_is_an_input_error(self, workdir,
                                                             capsys):

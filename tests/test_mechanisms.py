@@ -20,12 +20,10 @@ from dpcat import (
     SolutionMatrix,
     TableUtility,
     database_from_index,
+    database_index,
     enumerate_databases,
-    exp_norm_constant,
-    exp_pmf,
     hamming_distance,
     make_symmetric_product,
-    product_pmf,
     sample,
     symmetric_matrix,
 )
@@ -36,11 +34,17 @@ import dpcat.core
 import dpcat.mechanisms
 
 
+def pmf(spec, d, d_prime) -> float:
+    """P(X_d = d'), read from the pmf row of d."""
+    return float(spec.pmf_row(database_index(spec.space, d))
+                 [database_index(spec.space, d_prime)])
+
+
 class TestExponentialPmf:
     def test_zero_weight_is_uniform(self, space3):
         spec = ExponentialSpec(space3, 2, HammingUtility(0.0))
         for d_prime in enumerate_databases(space3, 2):
-            assert exp_pmf(spec, Database((0, 1)), d_prime) \
+            assert pmf(spec, Database((0, 1)), d_prime) \
                 == pytest.approx(1 / 9)
 
     @pytest.mark.parametrize("m,n,k", [(1, 1, 0.3), (2, 2, 1.0), (3, 2, 0.25),
@@ -52,7 +56,7 @@ class TestExponentialPmf:
         spec = ExponentialSpec(make_space(m), n, HammingUtility(k))
         d = Database((0,) * n)
         expect = (1 + m * math.exp(-k)) ** -n
-        assert exp_pmf(spec, d, d) == pytest.approx(expect, abs=1e-15)
+        assert pmf(spec, d, d) == pytest.approx(expect, abs=1e-15)
         assert table[d.rows][d.rows] == pytest.approx(expect, abs=1e-15)
 
     def test_l1_matches_direct_normalisation(self, l1_spec, space3):
@@ -60,7 +64,7 @@ class TestExponentialPmf:
             3, 2, lambda a, b: -sum(abs(x - y) for x, y in zip(a, b)))
         for d in enumerate_databases(space3, 2):
             for d_prime in enumerate_databases(space3, 2):
-                assert exp_pmf(l1_spec, d, d_prime) == pytest.approx(
+                assert pmf(l1_spec, d, d_prime) == pytest.approx(
                     table[d.rows][d_prime.rows], abs=1e-14)
 
     def test_monotone_in_distance(self, space3):
@@ -69,7 +73,7 @@ class TestExponentialPmf:
         by_h = {}
         for d_prime in enumerate_databases(space3, 2):
             by_h.setdefault(hamming_distance(d, d_prime), set()).add(
-                exp_pmf(spec, d, d_prime))
+                pmf(spec, d, d_prime))
         assert all(len(v) == 1 for v in by_h.values())
         probs = [by_h[h].pop() for h in sorted(by_h)]
         assert probs == sorted(probs, reverse=True)
@@ -78,15 +82,16 @@ class TestExponentialPmf:
     def test_no_noise_endpoint(self, space3):
         spec = ExponentialSpec(space3, 2, HammingUtility(math.inf))
         d = Database((2, 0))
-        assert exp_pmf(spec, d, d) == 1.0
-        assert exp_pmf(spec, d, Database((2, 1))) == 0.0
+        assert pmf(spec, d, d) == 1.0
+        assert pmf(spec, d, Database((2, 1))) == 0.0
 
     def test_scales_without_enumeration(self):
-        # hamming pmf has a closed form; n = 60 must not enumerate 2^60 states
+        # hamming pmf has a closed form; n = 60 must not enumerate 2^60
+        # states: P(X_d = d) is the product of the parent's diagonal
         spec = ExponentialSpec(make_space(1), 60, HammingUtility(1.0))
-        d = Database((0,) * 60)
-        assert exp_pmf(spec, d, d) == pytest.approx(
-            (1 + math.exp(-1)) ** -60)
+        log_w = spec.product.log_weights
+        assert math.exp(sum(log_w[r, r] for r in (0,) * 60)) \
+            == pytest.approx((1 + math.exp(-1)) ** -60)
 
     def test_row_normalisation(self, l1_spec):
         for i in range(9):
@@ -108,10 +113,13 @@ class TestHammingRange:
 
 
 class TestNormConstant:
+    """The prefactor C(d) of P(X_d = d') = C(d) * e^{u(d, d')}: hamming and
+    L1 have u(d, d) = 0, so C(d) = P(X_d = d)."""
+
     def test_uniform_prefactor(self, space3):
         spec = ExponentialSpec(space3, 2, HammingUtility(0.0))
-        assert exp_norm_constant(spec, Database((1, 2))) \
-            == pytest.approx(1 / 9)
+        d = Database((1, 2))
+        assert pmf(spec, d, d) == pytest.approx(1 / 9)
 
     def test_k_log2_prefactor_quarter(self, space3):
         # independent check: sum e^{-k h} over all 9 databases, then invert
@@ -120,22 +128,21 @@ class TestNormConstant:
                     for x in _oracles.all_dbs(3, 2))
         assert 1 / total == pytest.approx(1 / 4, abs=1e-15)
         spec = ExponentialSpec(space3, 2, HammingUtility(k))
-        assert exp_norm_constant(spec, Database((0, 1))) \
-            == pytest.approx(1 / 4, abs=1e-15)
+        d = Database((0, 1))
+        assert pmf(spec, d, d) == pytest.approx(1 / 4, abs=1e-15)
 
     def test_l1_prefactor_matches_exhaustive_sum(self, l1_spec):
         d = Database((0, 1))
         total = sum(math.exp(-sum(abs(x - y) for x, y in zip((0, 1), b)))
                     for b in _oracles.all_dbs(3, 2))
-        assert exp_norm_constant(l1_spec, d) == pytest.approx(1 / total,
-                                                              abs=1e-15)
+        assert pmf(l1_spec, d, d) == pytest.approx(1 / total, abs=1e-15)
 
     def test_prefactor_orientation(self, l1_spec):
         # pmf(d, d') must equal prefactor * e^u exactly by construction
         d, d_prime = Database((0, 1)), Database((2, 2))
         u = NegL1Utility().value(d, d_prime)
-        assert exp_pmf(l1_spec, d, d_prime) == pytest.approx(
-            exp_norm_constant(l1_spec, d) * math.exp(u), rel=1e-12)
+        assert pmf(l1_spec, d, d_prime) == pytest.approx(
+            pmf(l1_spec, d, d) * math.exp(u), rel=1e-12)
 
 
 class TestProduct:
@@ -143,14 +150,14 @@ class TestProduct:
         space = make_space(4)
         spec = make_symmetric_product(space, 1, 0.1)
         tv, cars = Database((2,)), Database((1,))
-        assert product_pmf(spec, tv, tv) == pytest.approx(0.6)
-        assert product_pmf(spec, tv, cars) == pytest.approx(0.1)
+        assert pmf(spec, tv, tv) == pytest.approx(0.6)
+        assert pmf(spec, tv, cars) == pytest.approx(0.1)
 
     def test_identity_matrix(self, space3):
         spec = ProductSpec(space3, 2, SolutionMatrix(np.eye(3)))
         d = Database((1, 2))
         for d_prime in enumerate_databases(space3, 2):
-            assert product_pmf(spec, d, d_prime) == (1.0 if d_prime == d
+            assert pmf(spec, d, d_prime) == (1.0 if d_prime == d
                                                      else 0.0)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.floats(0.01, 0.24),
@@ -163,7 +170,7 @@ class TestProduct:
         d = Database(data.draw(rows))
         d_prime = Database(data.draw(rows))
         h = hamming_distance(d, d_prime)
-        assert product_pmf(spec, d, d_prime) == pytest.approx(
+        assert pmf(spec, d, d_prime) == pytest.approx(
             (1 - p * m) ** (n - h) * p ** h)
 
     def test_pmf_row_matches_reference_table(self, space3):
@@ -419,17 +426,15 @@ class TestTableUtility:
             TableUtility(space3, 200_000, np.zeros((9, 9)))
         assert len(str(exc.value)) < 1024
 
-    def test_missing_mapping_entries(self, space3):
-        mapping = {(Database((0, 0)), Database((0, 0))): -1.0}
-        with pytest.raises(IncompleteUtilityError, match="80"):
-            TableUtility.from_mapping(space3, 2, mapping)
-
     def test_full_mapping_round_trip(self):
         space = make_space(1)
         dbs = [Database((0,)), Database((1,))]
         mapping = {(a, b): -float(abs(a.rows[0] - b.rows[0]))
                    for a in dbs for b in dbs}
-        utility = TableUtility.from_mapping(space, 1, mapping)
+        values = np.zeros((2, 2))
+        for (a, b), u in mapping.items():
+            values[database_index(space, a), database_index(space, b)] = u
+        utility = TableUtility(space, 1, values)
         assert utility.value(dbs[0], dbs[1]) == -1.0
 
 
@@ -488,7 +493,7 @@ class TestSampling:
         for _ in range(4000):
             out = sample(l1_spec, d, rng)
             counts[out.rows] = counts.get(out.rows, 0) + 1
-        prob_self = exp_pmf(l1_spec, d, d)
+        prob_self = pmf(l1_spec, d, d)
         freq = counts[(0, 1)] / 4000
         sigma = math.sqrt(prob_self * (1 - prob_self) / 4000)
         assert abs(freq - prob_self) <= 4 * sigma

@@ -7,6 +7,7 @@ byte for byte: the same uniforms, the same inverse-CDF rule, the same
 labels, and the same feasibility verdicts.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -264,3 +265,138 @@ def test_traced_entry_points_are_called_through_their_modules(
     assert rng.batches >= 2
     assert 1 <= len(margins.calls) <= rng.batches
     assert all(result.shape[0] <= 1_000 for _, result in margins.calls)
+
+
+#: Spec kinds, methods and (epsilon, delta) points of the pinned verify
+#: grid; the first point is generous and the second strict, so most specs
+#: are private at one and not at the other.
+VERIFY_KINDS = ("hamming", "l1", "symmetric", "dirichlet", "zeros", "table")
+VERIFY_METHODS = ("reduced", "reduced-exact", "brute", "auto")
+VERIFY_POINTS = (("3.0", "0.1"), ("0.1", "0"))
+
+
+def _parent_with_zeros(rng, size: int) -> np.ndarray:
+    """A Dirichlet parent whose even rows drop the column one past their
+    own, so rows release different numbers of categories."""
+    mat = rng.dirichlet(np.ones(size), size=size)
+    for r in range(0, size, 2):
+        mat[r, (r + 1) % size] = 0.0
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="module")
+def verify_grid(tmp_path_factory):
+    """Spec files for every kind at m = 1-3 and n = 1-4, keyed by
+    (kind, m, n)."""
+    root = tmp_path_factory.mktemp("verify-grid")
+    specs = {}
+    for m in (1, 2, 3):
+        size = m + 1
+        (root / f"cats{m}.txt").write_text(
+            "".join(f"c{i}\n" for i in range(size)))
+        rng = np.random.default_rng(500 + m)
+        for name, mat in (("dirichlet", rng.dirichlet(np.ones(size),
+                                                      size=size)),
+                          ("zeros", _parent_with_zeros(rng, size))):
+            _write_csv(root / f"{name}{m}.csv",
+                       [[repr(float(x)) for x in row] for row in mat])
+        for n in (1, 2, 3, 4):
+            table = np.random.default_rng(100 * m + n).uniform(
+                -3.0, 0.0, (size ** n, size ** n))
+            _write_csv(root / f"table{m}_{n}.csv",
+                       [[repr(float(x)) for x in row] for row in table])
+            lines = {
+                "hamming": "type = exponential\nutility = hamming\nk = 1.0",
+                "l1": "type = exponential\nutility = l1",
+                "symmetric": "type = product\np = 0.15",
+                "dirichlet": f"type = product\nmatrix = dirichlet{m}.csv",
+                "zeros": f"type = product\nmatrix = zeros{m}.csv",
+                "table": ("type = exponential\nutility = table\n"
+                          f"table = table{m}_{n}.csv"),
+            }
+            for kind, body in lines.items():
+                path = root / f"{kind}{m}_{n}.spec"
+                path.write_text(f"{body}\ncategories = cats{m}.txt\nn = {n}\n")
+                specs[kind, m, n] = path
+    return specs
+
+
+def _verify_digest(specs, kind: str, method: str) -> str:
+    """sha256 over the grid of each verify call's stdout and exit code."""
+    h = hashlib.sha256()
+    for (k, m, n), path in specs.items():
+        if k != kind:
+            continue
+        for eps, delta in VERIFY_POINTS:
+            argv = ["verify", "--spec", str(path), "--epsilon", eps,
+                    "--delta", delta, "--method", method.split("-")[0]]
+            if method.endswith("exact"):
+                argv.append("--exact")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            h.update(f"{m} {n} {eps} {delta} {code}\n".encode())
+            h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
+#: Digests of the verify grid, computed before the sufficient set, the
+#: parent gap test and DatabaseSet were each reduced to one form.
+VERIFY_DIGESTS = {
+    ('hamming', 'reduced'):
+        '7a30ceacf3a882be6cc9c012335861625fa2961033d7fd7c183cf59da766a17f',
+    ('hamming', 'reduced-exact'):
+        'b58d434c6bbea46f3c81b314198865dee487e339a7303785a29306a619a24a34',
+    ('hamming', 'brute'):
+        'b9e6327b107ee7d5d2c4ece500b1356a8ecf00f1eaa7eea784872be4fe58a953',
+    ('hamming', 'auto'):
+        'de88ec16e8d2beff013f0cfc31d0b62b47fe5003069144a1e736dc300a341e55',
+    ('l1', 'reduced'):
+        '608ff0431f738dabd28a4e0771746c691163cbd0b3c58b48782bf3b8721c6263',
+    ('l1', 'reduced-exact'):
+        '41429bd8d8438a8d75341b77afbeae7328e8eaa8dd60ab1898a87fea1d6550b6',
+    ('l1', 'brute'):
+        '8f94656b97d997da85aaab6f51c61fcb8cdef95f3387d3014fa78050a8054a73',
+    ('l1', 'auto'):
+        '0dfd08924a890d6ae46393990bdcae8d3d8f971fb8a300a04f05950668539940',
+    ('symmetric', 'reduced'):
+        '935a8a4a09d705a981ac4757efa5450132f6f42e921fb95094f185f6046eac50',
+    ('symmetric', 'reduced-exact'):
+        '466c431c77820b54b967c1b43bf47609009427adcbbcc2414000c7269fb7bdbf',
+    ('symmetric', 'brute'):
+        'fff936cc55e44c69f9896a5b5a60f1eebd042acf958777a2a97d104d24ff32a2',
+    ('symmetric', 'auto'):
+        'ed8b1ceafeaee8d26ed664525eff1d582af9f2b8b8ae553b18bb693285c5e5fe',
+    ('dirichlet', 'reduced'):
+        '7c5c5738ae6a15d28495809fa8bc8ca78b0d06b9172ca1d855f0359ad4bc9bd0',
+    ('dirichlet', 'reduced-exact'):
+        'bc1382e688901f71bc76d924c81b3e3f64e8c5f4181f5eaaa8dd5fcde1f7f15d',
+    ('dirichlet', 'brute'):
+        '98bafa546db3dc8d21cd8d18bd229bd61afc06e17788329c5a6def4a3463519f',
+    ('dirichlet', 'auto'):
+        '139b62d5ec3f79ed31e63e3b5e4d0ff86fef42802ae2255fda95363930f05c13',
+    ('zeros', 'reduced'):
+        'f2ea230dcf4c203c76c8c3d874c60e0b0d04125b149417c81769831278979481',
+    ('zeros', 'reduced-exact'):
+        'c15a3beff7691827dbcf3c4d22d0be1b86eebe45a85cc0a3259adb46dcde1c8a',
+    ('zeros', 'brute'):
+        '495712ebb39bdb54bbf0b3d5bcd4734ca0773a8ae8fa95a80be2cecfab295872',
+    ('zeros', 'auto'):
+        '59e11cf76a029ebfeebc20fe529aafb28ffeded15058b52ea8916546f6dadd3c',
+    ('table', 'reduced'):
+        '38c353a46db89684571f1081958af528c092366a9a2e23f4f8f622437ccf54e8',
+    ('table', 'brute'):
+        '758b697ed9ab23157806e965bd8a804d6a0972eefc17e210eb0c2f56cb350a58',
+    ('table', 'auto'):
+        '38c353a46db89684571f1081958af528c092366a9a2e23f4f8f622437ccf54e8',
+}
+
+
+@pytest.mark.parametrize("kind,method", [
+    (kind, method) for kind in VERIFY_KINDS for method in VERIFY_METHODS
+    if not (kind == "table" and method == "reduced-exact")],
+    ids=lambda x: x)
+def test_verify_output_is_pinned(verify_grid, kind, method):
+    assert _verify_digest(verify_grid, kind, method) \
+        == VERIFY_DIGESTS[kind, method]

@@ -35,9 +35,16 @@ from dpcat import (
     verify_matrix,
     verify_reduced,
 )
-from conftest import make_space
+from dpcat.core import database_from_index, database_index
+from conftest import exact_params, make_space
 
 import _oracles
+
+
+def rows_of(dbset):
+    """The row tuples of a set's members, in enumeration order."""
+    return [database_from_index(dbset.space, dbset.n, i).rows
+            for i in dbset.indices]
 
 
 def pair_of(a, b):
@@ -74,8 +81,8 @@ class TestDpHoldsOnSet:
         expect = (math.exp(eps) * sum(table[(2, 1)][x] for x in members)
                   - sum(table[(0, 1)][x] for x in members))
         pair = pair_of((0, 1), (2, 1))
-        A = DatabaseSet.from_databases(space3, 2,
-                                       [Database(x) for x in members])
+        A = DatabaseSet(space3, 2, tuple(database_index(space3, Database(x))
+                                         for x in members))
         res = dp_holds_on_set(l1_spec, pair, A, PrivacyParams(eps, 0.0))
         assert res.margin == pytest.approx(expect, abs=1e-14)
 
@@ -118,20 +125,20 @@ class TestDpHoldsOnSet:
 class TestSufficientSet:
     def test_l1_far_pair(self, l1_spec, space3):
         s = sufficient_set(l1_spec, pair_of((0, 1), (2, 1)))
-        assert [d.rows for d in s.members.databases()] \
+        assert rows_of(s.members) \
             == [(0, 0), (0, 1), (0, 2)]
         assert s.alpha_levels is None  # normaliser varies across inputs
 
     def test_l1_near_pair(self, l1_spec):
         s = sufficient_set(l1_spec, pair_of((1, 1), (2, 1)))
-        assert [d.rows for d in s.members.databases()] \
+        assert rows_of(s.members) \
             == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
     def test_exact_ties_are_excluded(self, l1_spec):
         # for d = (0, b), d' = (2, b) the outputs (1, *) are exact ties:
         # equal utility and equal normaliser, so they stay out of S
         s = sufficient_set(l1_spec, pair_of((0, 0), (2, 0)))
-        assert all(d.rows[0] == 0 for d in s.members.databases())
+        assert all(d.rows[0] == 0 for d in map(Database, rows_of(s.members)))
 
     def test_hamming_single_level(self, space3):
         spec = ExponentialSpec(space3, 2, HammingUtility(0.7))
@@ -160,7 +167,7 @@ class TestSufficientSet:
             [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]])))
         s = sufficient_set(spec, pair_of((1, 0), (1, 2)))
         assert s.alpha_levels == pytest.approx((math.log(2.0),))
-        assert all(d.rows[1] == 2 for d in s.members.databases())
+        assert all(d.rows[1] == 2 for d in map(Database, rows_of(s.members)))
         for eps in (0.0, 0.5, 1.0):
             params = PrivacyParams(eps, 0.0)
             assert verify_reduced(spec, params).verdict \
@@ -223,7 +230,7 @@ class TestParentSufficientSet:
                     _oracles.sufficient_set_from_rows(
                         spec.product, pair.d.rows, pair.d_prime.rows,
                         spec.fixed_normalizer, exact, verifier.TIE_BAND)
-                assert got.members.box is not None
+                assert got.members.box_mask is not None
                 assert len(got.members) == len(members)
                 assert got.members.indices == tuple(members)
                 assert got.alpha_levels == levels
@@ -284,7 +291,8 @@ class TestParentSufficientSet:
                 pair = NeighborPair(Database(tuple(d.tolist())),
                                     Database(tuple(d_prime.tolist())), row)
                 want = _oracles.box_probabilities_rows(
-                    spec.product, box.box, pair.d.rows, pair.d_prime.rows,
+                    spec.product, [np.flatnonzero(r).tolist() for r in mask],
+                    pair.d.rows, pair.d_prime.rows,
                     exact)
                 got = verifier._box_probabilities(
                     weights, mask, (pair.d, pair.d_prime), exact)
@@ -853,8 +861,8 @@ class TestBindingSetJson:
         spec = ExponentialSpec(space, 2, TableUtility(space, 2, table))
         report = verify_bruteforce(spec, PrivacyParams(0.5, 0.0))
         assert len(report.binding_set) == 2       # not {x : x_i in C}
-        members = [list(d.labels(space))
-                   for d in report.binding_set.databases()]
+        members = [[space.labels[c] for c in rows]
+                   for rows in rows_of(report.binding_set)]
         assert (json.dumps(report.to_json_dict()["binding_set"], indent=2)
                 == json.dumps(members, indent=2))
 
@@ -960,7 +968,7 @@ class TestVerifyMatrix:
         matrix = symmetric_matrix(m, p)
         for e_eps in (Fraction(1), Fraction(6), Fraction(7)):
             for delta in (Fraction(0), Fraction(1, 10)):
-                params = PrivacyParams.from_exact(e_eps, delta)
+                params = exact_params(e_eps, delta)
                 report = verify_matrix(matrix, params, exact=True)
                 assert report.method == "sufficient-set"
                 closed = min(delta, e_eps * p + delta - (1 - m * p))
@@ -983,7 +991,7 @@ class TestVerifyMatrix:
         m = 3
         p = (1 - delta) / (e_eps + m)
         matrix = symmetric_matrix(m, p)
-        params = PrivacyParams.from_exact(e_eps, delta)
+        params = exact_params(e_eps, delta)
         report = verify_matrix(matrix, params, exact=True)
         assert report.private
         assert report.margin == 0.0
@@ -1060,11 +1068,11 @@ class TestExactMode:
 
     def test_exact_product_verification(self):
         spec = make_symmetric_product(make_space(3), 2, Fraction(1, 8))
-        params = PrivacyParams.from_exact(Fraction(5), Fraction(0))
+        params = exact_params(Fraction(5), Fraction(0))
         report = verify_reduced(spec, params, exact=True)
         # threshold: p >= 1/(e^eps + m) = 1/8 exactly
         assert report.private and report.margin == 0.0
-        params = PrivacyParams.from_exact(Fraction(499, 100), Fraction(0))
+        params = exact_params(Fraction(499, 100), Fraction(0))
         assert not verify_reduced(spec, params, exact=True).private
 
 
@@ -1119,7 +1127,7 @@ class TestIntegerParentRoute:
         assert any(x == 0 for row in matrix.fractions() for x in row)
         for e_eps, delta in EXACT_BUDGETS:
             self.assert_matches_oracle(
-                matrix, n, PrivacyParams.from_exact(e_eps, delta))
+                matrix, n, exact_params(e_eps, delta))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_ties_stay_out_of_the_worst_set(self, n):
@@ -1128,11 +1136,11 @@ class TestIntegerParentRoute:
                                 fractions=TIED_PARENT)
         for e_eps, delta in EXACT_BUDGETS:
             self.assert_matches_oracle(
-                matrix, n, PrivacyParams.from_exact(e_eps, delta))
+                matrix, n, exact_params(e_eps, delta))
         # at e^eps = 2 the pair (0, 2) beats the tie M[0, 1] = 2 * M[2, 1]
         # only on cell 0; the tied cell adds nothing to the margin, -1/5,
         # and stays out of the binding cylinder
-        tied = PrivacyParams.from_exact(Fraction(2), Fraction(0))
+        tied = exact_params(Fraction(2), Fraction(0))
         spec = ProductSpec(make_space(2), n, matrix)
         acc = verifier._parent_route(spec, tied, True)
         assert acc.exact_margin == Fraction(-1, 5)
