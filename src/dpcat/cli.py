@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: verify, sanitize, analyze, convert, optimal, bench.  All
-output is deterministic given the inputs and the seed (bench wall-clock
-fields excepted).  Exit codes: 0 success / private, 1 not private,
-2 input error, 3 enumeration budget exceeded, 4 internal error (the
-traceback goes to stderr), so 0 and 1 always mean a decided verdict.
+Subcommands: verify, sanitize, analyze, convert, optimal.  All output
+is deterministic given the inputs and the seed.  Exit codes: 0 success /
+private, 1 not private, 2 input error, 3 enumeration budget exceeded,
+4 internal error (the traceback goes to stderr), so 0 and 1 always mean
+a decided verdict.
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused.
 """
@@ -17,11 +17,9 @@ import functools
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
-from . import kernels
 from .analysis import (
     expected_error,
     exponential_to_product,
@@ -31,25 +29,16 @@ from .analysis import (
 )
 from .core import (
     DEFAULT_SUBSET_BUDGET,
-    CategorySpace,
     load_category_space,
     load_database_csv,
-    naive_check_count,
 )
 from .errors import (
     DataFormatError,
+    DpcatError,
     EnumerationBudgetError,
-    ExactModeError,
-    IncompleteUtilityError,
-    LengthMismatchError,
     ParameterRangeError,
 )
-from .mechanisms import (
-    ExponentialSpec,
-    HammingUtility,
-    NegL1Utility,
-    sample,
-)
+from .mechanisms import sample
 from .specfile import load_spec_file, save_spec_file
 from .verifier import (
     PrivacyParams,
@@ -66,15 +55,10 @@ EXIT_INTERNAL_ERROR = 4
 
 
 def _add_options(parser: argparse.ArgumentParser, *,
-                 exact: bool = False, budgets: bool = False) -> None:
-    """``--format`` plus whichever shared options the subcommand reads."""
+                 exact: bool = False) -> None:
+    """``--format``, and ``--exact`` where the subcommand reads it."""
     parser.add_argument("--format", choices=("json", "table"), default="json",
                         help="output format (default json)")
-    if budgets:
-        parser.add_argument("--budget-subsets", type=int,
-                            default=DEFAULT_SUBSET_BUDGET, metavar="N",
-                            help="max database-space size whose subsets "
-                                 "brute force may scan")
     if exact:
         parser.add_argument("--exact", action="store_true",
                             help="exact rational arithmetic (all but utility "
@@ -95,23 +79,20 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.budget_subsets < 0:
+        raise ParameterRangeError(
+            f"--budget-subsets must be >= 0, got {args.budget_subsets}")
     spec = load_spec_file(args.spec, exact=args.exact)
     params = PrivacyParams(args.epsilon, args.delta)
-    method = args.method
-    if method == "auto":
-        method = "matrix" if spec.product is not None else "reduced"
-    if method == "matrix":
-        if spec.product is None:
-            raise DataFormatError("--method matrix needs a product-kind spec, "
-                                  "not a utility table")
-        report = verify_matrix(spec.product.matrix, params, space=spec.space,
-                               exact=args.exact)
-    elif method == "reduced":
-        report = verify_reduced(spec, params, exact=args.exact)
-    else:
+    if args.method == "brute":
         report = verify_bruteforce(spec, params,
                                    budget_subsets=args.budget_subsets,
                                    exact=args.exact)
+    elif args.method == "auto" and spec.product is not None:
+        report = verify_matrix(spec.product.matrix, params, space=spec.space,
+                               exact=args.exact)
+    else:
+        report = verify_reduced(spec, params, exact=args.exact)
     payload = report.to_json_dict()
     if args.format == "table":
         payload["binding_pair"] = json.dumps(payload["binding_pair"])
@@ -213,12 +194,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_optimal(args) -> int:
-    if args.categories:
-        space = load_category_space(args.categories)
-    elif args.spec:
-        space = load_spec_file(args.spec).space
-    else:
-        raise DataFormatError("optimal needs --categories or --spec")
+    space = load_category_space(args.categories)
     params = PrivacyParams(args.epsilon, args.delta)
     matrix = optimal_mechanism(params, space.m, exact=args.exact)
     if args.output:
@@ -242,57 +218,6 @@ def cmd_optimal(args) -> int:
     return 0
 
 
-def _bench_spec(space: CategorySpace, n: int, mechanism: str, k: float):
-    if mechanism == "hamming":
-        return ExponentialSpec(space, n, HammingUtility(k))
-    if mechanism == "l1":
-        return ExponentialSpec(space, n, NegL1Utility())
-    raise DataFormatError(f"unknown bench mechanism {mechanism!r}")
-
-
-def cmd_bench(args) -> int:
-    params = PrivacyParams(args.epsilon, args.delta)
-    rows = []
-    for m in args.m_list:
-        for n in args.n_list:
-            space = CategorySpace(tuple(f"c{i}" for i in range(m + 1)))
-            row = {
-                "mechanism": args.mechanism,
-                "m": m,
-                "n": n,
-                "epsilon": params.epsilon,
-                "delta": params.delta,
-                "kernel": kernels.BACKEND,
-                "checks_naive": str(naive_check_count(space, n)),
-            }
-            spec = _bench_spec(space, n, args.mechanism, args.k)
-            start = time.perf_counter()
-            reduced = verify_reduced(spec, params)
-            row["time_reduced_s"] = time.perf_counter() - start
-            row["checks_reduced"] = str(reduced.checks_performed)
-            row["verdict"] = reduced.verdict
-            start = time.perf_counter()
-            try:
-                brute = verify_bruteforce(spec, params,
-                                          budget_subsets=args.budget_subsets)
-            except EnumerationBudgetError as exc:
-                row.update(brute_reason=str(exc), time_bruteforce_s=None,
-                           speedup=None, brute_skipped=True)
-            else:
-                row["time_bruteforce_s"] = time.perf_counter() - start
-                row["agree"] = brute.verdict == reduced.verdict
-                row["speedup"] = (row["time_bruteforce_s"]
-                                  / max(row["time_reduced_s"], 1e-9))
-            row["skipped"] = False
-            rows.append(row)
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        for row in rows:
-            print(" ".join(f"{key}={value}" for key, value in row.items()))
-    return 0
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The dpcat argument parser, built on first use and reused after.
@@ -310,9 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="decide (epsilon, delta) privacy")
     p.add_argument("--spec", required=True)
     _privacy_args(p)
-    p.add_argument("--method", choices=("auto", "reduced", "brute", "matrix"),
+    p.add_argument("--method", choices=("auto", "reduced", "brute"),
                    default="auto")
-    _add_options(p, exact=True, budgets=True)
+    p.add_argument("--budget-subsets", type=int,
+                   default=DEFAULT_SUBSET_BUDGET, metavar="N",
+                   help="max database-space size whose subsets brute force "
+                        "may scan")
+    _add_options(p, exact=True)
 
     p = sub.add_parser("sanitize", help="sanitise a data file")
     p.add_argument("--spec", required=True)
@@ -334,22 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimal", help="error-optimal solution matrix")
     _privacy_args(p)
-    p.add_argument("--categories", default=None)
-    p.add_argument("--spec", default=None)
+    p.add_argument("--categories", required=True)
     p.add_argument("--output", default=None, help="write the matrix as CSV")
     _add_options(p, exact=True)
-
-    p = sub.add_parser("bench", help="workload comparison across (m, n)")
-    _privacy_args(p)
-    p.add_argument("--mechanism", choices=("hamming", "l1"), default="hamming")
-    p.add_argument("--k", type=float, default=1.0,
-                   help="hamming privacy weight (default 1.0)")
-    # tuple defaults: the parser, and with it each default, outlives a call
-    p.add_argument("--m-list", type=lambda s: [int(x) for x in s.split(",")],
-                   default=(1, 2), metavar="M1,M2,...")
-    p.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
-                   default=(1, 2), metavar="N1,N2,...")
-    _add_options(p, budgets=True)
 
     return parser
 
@@ -358,17 +274,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
-        if getattr(args, "budget_subsets", 0) < 0:
-            raise ParameterRangeError(
-                f"--budget-subsets must be >= 0, got {args.budget_subsets}")
         return command(args)
-    except (DataFormatError, ParameterRangeError, IncompleteUtilityError,
-            LengthMismatchError, ExactModeError, FileNotFoundError) as exc:
+    except (DpcatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET_ERROR
+        return (EXIT_BUDGET_ERROR if isinstance(exc, EnumerationBudgetError)
+                else EXIT_INPUT_ERROR)
     except Exception:
         import traceback    # only on the failure path: no import-time cost
         traceback.print_exc()

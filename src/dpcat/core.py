@@ -15,6 +15,7 @@ import functools
 import io
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -247,8 +248,6 @@ class DatabaseSet:
     def __len__(self) -> int:
         """The number of members; a box past ``sys.maxsize`` members
         raises OverflowError, as ``len`` does, while ``size`` counts it."""
-        if self.box_mask is None:
-            return len(self.indices)
         return int(self.size)
 
     def __contains__(self, d: Database) -> bool:
@@ -322,26 +321,19 @@ def database_from_index(space: CategorySpace, n: int, index: int) -> Database:
     return Database(tuple(rows))
 
 
-def space_size_over(space: CategorySpace, n: int, limit) -> bool:
-    """True when (m + 1) ** n exceeds ``limit``.  A count far past the
-    limit is told from n * log2(m + 1) alone, so it is never built."""
-    if n >= 1 and (limit < 1
-                   or n * math.log2(space.size) > math.log2(limit) + 1):
-        return True
-    return space_size(space, n) > limit
-
-
 def state_count(space: CategorySpace, n: int) -> "Count":
     """(m + 1) ** n as a Count: past ``COUNT_DIGIT_CAP`` digits the power,
     such as ``2^100000``, with no int built."""
+    if n < 1:
+        raise DataFormatError("row count must be at least 1")
     return Count(("^", space.size, n))
 
 
 def check_enum_budget(space: CategorySpace, n: int,
                       budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    if not space_size_over(space, n, budget):
-        return space_size(space, n)
     states = state_count(space, n)
+    if states <= budget:
+        return states.value
     text = str(states)
     if states.value is not None:
         text = f"{text} = {space.size}^{n}"
@@ -411,7 +403,7 @@ class Count:
     prints as its decimal while that stays under the cap.  Which case
     applies is decided from the bit lengths of the parts, a base-2
     logarithm, so no int of much over the cap is built unless ``int()``
-    asks for one.  Counts compare and add as their ints.
+    asks for one.  Counts compare, hash and add as their ints.
     """
 
     __slots__ = ("expr", "value")
@@ -434,41 +426,44 @@ class Count:
         return self.value != 0
 
     def __hash__(self) -> int:
-        return hash(int(self))
+        # hash(x) of an int x >= 0 is x modulo sys.hash_info.modulus
+        return _residue(self.expr, sys.hash_info.modulus)
 
     def __eq__(self, other):
         try:
-            a, b = self._ints(other)
+            return self._cmp(other) == 0
         except TypeError:
             return NotImplemented
-        return a == b
 
     def __lt__(self, other):
         try:
-            a, b = self._ints(other)
+            return self._cmp(other) < 0
         except TypeError:
             return NotImplemented
-        return a < b
 
     def __add__(self, other):
         try:
-            return int(self) + _as_int(other)
+            return int(self) + (int(other) if isinstance(other, Count)
+                                else operator.index(other))
         except TypeError:
             return NotImplemented
 
     __radd__ = __add__
 
-    def _ints(self, other) -> tuple[int, int]:
-        """Two ints that compare as self and other: a count past the cap
-        exceeds any int under it without being built."""
-        other = _as_int(other)
-        if self.value is None and other < 10 ** COUNT_DIGIT_CAP:
-            return 1, 0
-        return int(self), other
-
-
-def _as_int(x) -> int:
-    return int(x) if isinstance(x, Count) else operator.index(x)
+    def _cmp(self, other) -> int:
+        """The sign of self - other.  Past the cap, identical expressions
+        are equal and separated bit-length bounds give the order; only
+        overlapping bounds build the ints."""
+        if not isinstance(other, Count):
+            other = Count(operator.index(other))
+        a, b = self.value, other.value
+        if a is None and b is None and self.expr != other.expr:
+            (lo, hi), (lo_b, hi_b) = map(_log2_span, (self.expr, other.expr))
+            a, b = ((lo, hi_b) if lo > hi_b else (hi, lo_b) if hi < lo_b
+                    else (int(self), int(other)))
+        elif a is None or b is None:    # None: past the cap, over any under it
+            a, b = a is None, b is None
+        return (a > b) - (a < b)
 
 
 def _bounded(x, bits: float) -> int | None:
@@ -492,6 +487,41 @@ def _bounded(x, bits: float) -> int | None:
             map(int.bit_length, values)) > bits + len(values):
         return None
     return math.prod(values) if op == "*" else sum(values)
+
+
+def _log2_span(x) -> tuple[float, float]:
+    """Bounds lo <= log2(x) <= hi of a Count expression, from bit lengths
+    and float logarithms widened by 2^-40; inf past the float range."""
+    if isinstance(x, int):
+        return (x.bit_length() - 1 if x else -math.inf), x.bit_length()
+    op, *args = x
+    if op in ("*", "+"):
+        los, his = zip(*map(_log2_span, args))
+        return ((sum(los), sum(his)) if op == "*"
+                else (max(los), max(his) + len(his).bit_length()))
+    if op == "^":
+        lo = hi = args[1] * math.log2(args[0])
+    else:   # 2^y - c lies in [2^(y-1), 2^y] once 2^y >= 2c
+        lo, hi = (2.0 ** b if b < 1000 else math.inf
+                  for b in _log2_span(args[0]))
+        lo = lo - 1 if lo > args[1].bit_length() + 1 else -math.inf
+    return lo * (1 - 2.0 ** -40), hi * (1 + 2.0 ** -40)
+
+
+def _residue(x, q: int) -> int:
+    """x mod q of a Count expression.  Where q = 2^k - 1, 2^k = 1 (mod q),
+    so a 2^y part needs only y mod k; for any other q, y is built."""
+    if isinstance(x, int):
+        return x % q
+    op, *args = x
+    if op in ("*", "+"):
+        parts = [_residue(a, q) for a in args]
+        return (math.prod(parts) if op == "*" else sum(parts)) % q
+    if op == "^":
+        return pow(*args, q)
+    k = q.bit_length()
+    y = _residue(args[0], k) if q == (1 << k) - 1 else int(Count(args[0]))
+    return (pow(2, y, q) - args[1]) % q
 
 
 #: Bits past which a count has more than ``COUNT_DIGIT_CAP`` digits.
@@ -552,13 +582,18 @@ def digit_matrix(space: CategorySpace, n: int,
 
 
 def _read_bytes(path) -> bytes:
-    """The bytes of an input file.  A directory is a DataFormatError naming
-    it; a missing file raises FileNotFoundError, an input error as well."""
+    """The bytes of an input file.  A missing file raises FileNotFoundError;
+    any other path the OS will not open is a DataFormatError naming it."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except FileNotFoundError:
+        raise
     except IsADirectoryError:
         raise DataFormatError(f"{path}: is a directory, not a file") from None
+    except (OSError, ValueError) as exc:   # ValueError: an embedded NUL
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataFormatError(f"{path}: cannot open: {reason}") from None
 
 
 def _utf8(data: bytes, path) -> str:

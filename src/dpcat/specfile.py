@@ -70,13 +70,14 @@ def _require(kv: dict, key: str, origin) -> str:
     return kv[key]
 
 
-def _parse_float(value: str, key: str, origin) -> float:
-    if value.lower() in ("inf", "infinity"):
-        return math.inf
+def _parse_number(value: str, key: str, origin, kind=float):
+    """``kind(value)``, float by default (which reads ``inf`` itself); a
+    value it rejects is a DataFormatError naming the key."""
     try:
-        return float(value)
+        return kind(value)
     except ValueError:
-        raise DataFormatError(f"{origin}: {key} = {value!r} is not a number"
+        what = "an integer" if kind is int else "a number"
+        raise DataFormatError(f"{origin}: {key} = {value!r} is not {what}"
                               ) from None
 
 
@@ -110,18 +111,14 @@ def load_spec_file(path, *, exact: bool = False):
 
     cat_path = base / _require(kv, "categories", path)
     space = load_category_space(cat_path)
-    try:
-        n = int(_require(kv, "n", path))
-    except ValueError:
-        raise DataFormatError(f"{path}: n = {kv['n']!r} is not an integer"
-                              ) from None
+    n = _parse_number(_require(kv, "n", path), "n", path, int)
 
     mech_type = _require(kv, "type", path)
     if mech_type == "exponential":
         utility_name = _require(kv, "utility", path)
         if utility_name == "hamming":
-            utility = HammingUtility(_parse_float(_require(kv, "k", path),
-                                                  "k", path))
+            utility = HammingUtility(_parse_number(_require(kv, "k", path),
+                                                   "k", path))
         elif utility_name == "l1":
             utility = NegL1Utility()
         elif utility_name == "table":
@@ -139,7 +136,7 @@ def load_spec_file(path, *, exact: bool = False):
             raise DataFormatError(
                 f"{path}: product specs need exactly one of 'p' or 'matrix'")
         if "p" in kv:
-            matrix = symmetric_matrix(space.m, _parse_float(kv["p"], "p", path))
+            matrix = symmetric_matrix(space.m, _parse_number(kv["p"], "p", path))
         else:
             matrix = SolutionMatrix.from_csv(base / kv["matrix"], exact=exact)
         spec = ProductSpec(space, n, matrix)

@@ -78,7 +78,6 @@ from .core import (
     index_digits,
     mask_rows,
     naive_check_count,
-    space_size_over,
     state_count,
     validate_database,
 )
@@ -807,9 +806,8 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
     input come from one block.  The first pair in canonical order at the
     smallest margin binds.
     """
-    if space_size_over(spec.space, spec.n,
-                       min(budget_subsets, kernels.MAX_WIDTH)):
-        states = state_count(spec.space, spec.n)
+    states = state_count(spec.space, spec.n)
+    if states > min(budget_subsets, kernels.MAX_WIDTH):
         if budget_subsets >= kernels.MAX_WIDTH:
             raise kernels.width_error(states.value, str(states))
         raise EnumerationBudgetError(

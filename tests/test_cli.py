@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpcat.cli
 from dpcat import (
@@ -224,14 +229,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--method", "brute", "--budget-subsets", "-1"),
-        ("bench", "--budget-subsets", "-1"),
     ])
     def test_negative_budget_is_an_input_error(self, workdir, capsys, argv):
-        # not a budget overrun (exit 3), and bench must not skip silently
+        # not a budget overrun (exit 3)
         command, *options = argv
-        spec = ("--spec", workdir / "ham.spec") if command == "verify" else ()
-        code, out, err = run(capsys, command, *spec, "--epsilon", "1",
-                             *options)
+        code, out, err = run(capsys, command, "--spec", workdir / "ham.spec",
+                             "--epsilon", "1", *options)
         assert (code, out) == (2, "")
         assert f"{options[-2]} must be >= 0, got -1" in err
         assert "Traceback" not in err
@@ -388,8 +391,7 @@ class TestVerify:
     def test_huge_reduced_count_prints_from_its_terms(self, workdir,
                                                       capsys):
         # L1 m=2 n=10: checks_performed has 11,856 digits and prints as
-        # n*(c1*(2^e1-1)+...); bench's brute force at 3^10 states, under a
-        # raised subset budget, is past the kernel's width and is skipped
+        # n*(c1*(2^e1-1)+...)
         spec = workdir / "l1_n10.spec"
         spec.write_text("type = exponential\nutility = l1\n"
                         "categories = cats.txt\nn = 10\n")
@@ -400,13 +402,6 @@ class TestVerify:
         text = json.loads(out)["checks_performed"]
         assert text == "10*(78732*(2^19683-1)+39366*(2^39366-1))"
         assert evaluate_count(text) == report.checks_performed
-        code, out, _ = run(capsys, "bench", "--mechanism", "l1",
-                           "--m-list", "2", "--n-list", "10",
-                           "--epsilon", "1", "--budget-subsets", "100000")
-        assert code in (0, 1)
-        (row,) = json.loads(out)
-        assert evaluate_count(row["checks_reduced"]) == report.checks_performed
-        assert row["brute_skipped"] and "40" in row["brute_reason"]
 
     def test_cylinder_binding_set_expands_to_the_report_set(self, workdir,
                                                            capsys):
@@ -543,6 +538,42 @@ class TestUnreadableInputs:
         assert str(path) in err and "directory" in err
         assert "Traceback" not in err
 
+    #: each way an input path reaches dpcat: the argv, and the spec file
+    #: line that names the path, if it is named in a spec
+    PATH_CASES = {
+        "data": (("sanitize", "--spec", "hobby.spec", "--data", "{path}",
+                  "--seed", "1"), None),
+        "spec": (("verify", "--spec", "{path}", "--epsilon", "1"), None),
+        "optimal": (("optimal", "--categories", "{path}", "--epsilon", "1"),
+                    None),
+        "categories": (("verify", "--spec", "path.spec", "--epsilon", "1"),
+                       "type = product\np = 0.1\ncategories = {name}\n"
+                       "n = 2\n"),
+        "matrix": (("verify", "--spec", "path.spec", "--epsilon", "1"),
+                   "type = product\nmatrix = {name}\ncategories = cats.txt\n"
+                   "n = 1\n"),
+        "table": (("verify", "--spec", "path.spec", "--epsilon", "1"),
+                  "type = exponential\nutility = table\ntable = {name}\n"
+                  "categories = cats.txt\nn = 1\n"),
+    }
+
+    @pytest.mark.parametrize("name, reason", [
+        ("x" * 300, "File name too long"),
+        ("ca\0ts.txt", "embedded null byte"),
+    ], ids=["long", "nul"])
+    @pytest.mark.parametrize("kind", list(PATH_CASES))
+    def test_path_the_os_will_not_open_exits_2(self, workdir, capsys, kind,
+                                               name, reason):
+        argv, spec = self.PATH_CASES[kind]
+        path = os.path.join(workdir, name)
+        if spec is not None:
+            (workdir / "path.spec").write_text(spec.format(name=name))
+        argv = [workdir / a if a.endswith((".spec", ".txt", ".csv"))
+                else a.format(path=path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: cannot open: {reason}\n"
+
     @pytest.mark.parametrize("kind", ["data", "matrix", "table"])
     def test_field_over_the_csv_limit_exits_2(self, workdir, capsys, kind):
         # a quoted field longer than csv's field size limit, which dpcat
@@ -622,8 +653,9 @@ class TestEpsilonRange:
 
 
 class TestParameterRange:
-    """A NaN matrix entry and a hamming k whose e^k overflows are input
-    errors on every subcommand that loads the spec; k = 709 answers."""
+    """A NaN matrix entry, a hamming k whose e^k overflows and a utility
+    table spec's row count below 1 are input errors on every subcommand
+    that loads the spec; k = 709 answers."""
 
     @staticmethod
     def argv(workdir, command, spec):
@@ -646,6 +678,10 @@ class TestParameterRange:
             (workdir / f"k{k}.spec").write_text(
                 f"type = exponential\nutility = hamming\nk = {k}\n"
                 f"categories = cats.txt\nn = 2\n")
+        (workdir / "t.csv").write_text("0\n")
+        (workdir / "rows.spec").write_text(
+            "type = exponential\nutility = table\ntable = t.csv\n"
+            "categories = cats.txt\nn = -1\n")
         (workdir / "data.csv").write_text("0\n2\n")
         return workdir
 
@@ -653,6 +689,7 @@ class TestParameterRange:
         ("nan.spec", "error: matrix holds non-finite entries\n"),
         ("k800.spec", "error: hamming utility needs k at most "),
         ("k1e308.spec", "error: hamming utility needs k at most "),
+        ("rows.spec", "error: row count must be at least 1\n"),
     ])
     @pytest.mark.parametrize("command",
                              ["verify", "sanitize", "analyze", "convert"])
@@ -710,7 +747,7 @@ class TestParserReuse:
         assert code == 0 and out == ""
         assert seen == [str(workdir / "ham.spec")]
 
-    def test_parser_is_built_on_first_call_only(self):
+    def test_parser_is_built_on_first_call_only(self, workdir):
         probe = (
             "import argparse, contextlib, io\n"
             "built = []\n"
@@ -721,11 +758,10 @@ class TestParserReuse:
             "argparse.ArgumentParser.__init__ = counting\n"
             "import dpcat.cli\n"
             "counts = [len(built)]\n"
-            "argv = ['bench', '--epsilon', '1', '--m-list', '1', "
-            "'--n-list', '1']\n"
+            f"argv = {list(map(str, self.argv(workdir)))!r}\n"
             "for _ in range(2):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert dpcat.cli.main(argv) == 0\n"
+            "        assert dpcat.cli.main(argv) == 1\n"
             "    counts.append(len(built))\n"
             "print(counts)\n")
         done = run_fresh("-c", probe)
@@ -747,10 +783,9 @@ class TestParserReuse:
          "--budget-subsets", "4"),
         ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
          "--seed", "1", "--format", "json"),
-        ("bench", "--epsilon", "1", "--seed", "1"),
     ], ids=lambda argv: argv[0] + [   # the option under test comes last
-        a for a in argv if a in ("--exact", "--budget-subsets", "--format",
-                                 "--seed")][-1])
+        a for a in argv if a in ("--exact", "--budget-subsets",
+                                 "--format")][-1])
     def test_options_a_subcommand_does_not_read_are_rejected(
             self, workdir, capsys, argv):
         argv = [str(workdir / a) if a.endswith((".spec", ".csv", ".txt"))
@@ -1031,46 +1066,99 @@ class TestOptimal:
         assert float(rows[0].split(",")[0]) == pytest.approx(0.5)
 
     def test_needs_categories_or_spec(self, capsys):
-        code, _, err = run(capsys, "optimal", "--epsilon", "1",
-                           "--delta", "0")
-        assert code == 2
-        assert "categories" in err
+        # --categories is the one way to name the space; argparse refuses
+        with pytest.raises(SystemExit) as exc:
+            main(["optimal", "--epsilon", "1", "--delta", "0"])
+        assert exc.value.code == 2
+        assert "--categories" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_l1_workload_row(self, workdir, capsys):
-        code, out, _ = run(capsys, "bench", "--mechanism", "l1",
-                           "--epsilon", math.log(2), "--delta", "0",
-                           "--m-list", "2", "--n-list", "2")
-        rows = json.loads(out)
-        assert code == 0
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["checks_naive"] == "18360"
-        assert row["checks_reduced"] == "924"
-        assert row["agree"] is True
-        assert row["time_reduced_s"] > 0
+class TestInputFuzz:
+    """Every input file, mutated, gives an exit code of the contract, with
+    one short error line and never a traceback."""
 
-    def test_hamming_rows_and_budget_skip(self, workdir, capsys):
-        code, out, _ = run(capsys, "bench", "--mechanism", "hamming",
-                           "--k", "1.0", "--epsilon", "0.5", "--delta", "0",
-                           "--m-list", "1,2", "--n-list", "1,2",
-                           "--budget-subsets", "4")
-        rows = json.loads(out)
-        assert code == 0
-        by_mn = {(r["m"], r["n"]): r for r in rows}
-        assert by_mn[(1, 1)]["checks_reduced"] == "2"
-        assert by_mn[(1, 1)]["checks_naive"] == "4"
-        assert by_mn[(2, 2)]["checks_reduced"] == "36"
-        # (m+1)^n = 9 exceeds the subset budget: brute side skipped
-        assert by_mn[(2, 2)]["time_bruteforce_s"] is None
-        assert by_mn[(2, 2)]["brute_skipped"] is True
-        assert by_mn[(1, 2)]["agree"] is True
+    FILES = {
+        "cats.txt": b"0\n1\n2\n",
+        "m.csv": b"0.7,0.2,0.1\n0.1,0.8,0.1\n0.2,0.2,0.6\n",
+        "t.csv": b"0,-1,-2\n-1,0,-1\n-2,-1,0\n",
+        "data.csv": b"0\n2\n1\n1\n",
+        "ham.spec": b"type = exponential\nutility = hamming\nk = 0.5\n"
+                    b"categories = cats.txt\nn = 2\n",
+        "l1.spec": b"type = exponential\nutility = l1\n"
+                   b"categories = cats.txt\nn = 2\n",
+        "sym.spec": b"type = product\np = 0.1\ncategories = cats.txt\nn = 2\n",
+        "mat.spec": b"type = product\nmatrix = m.csv\ncategories = cats.txt\n"
+                    b"n = 2\n",
+        "tab.spec": b"type = exponential\nutility = table\ntable = t.csv\n"
+                    b"categories = cats.txt\nn = 1\n",
+    }
+    #: bytes that are not UTF-8 (a lone continuation byte, a truncated
+    #: sequence, an encoded surrogate) and a NUL
+    INSERTS = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]
 
-    def test_huge_naive_count_prints_in_product_form(self, capsys):
-        code, out, _ = run(capsys, "bench", "--epsilon", "0.5",
-                           "--m-list", "1", "--n-list", "14")
-        assert code == 0
-        (row,) = json.loads(out)
-        assert row["checks_naive"] == "229376*(2^16384-2)"
-        assert row["checks_reduced"] == "229376"
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        files = dict(TestInputFuzz.FILES)
+        command = draw(st.sampled_from(
+            ["verify", "analyze", "convert", "sanitize"]))
+        spec = draw(st.sampled_from(
+            sorted(name for name in files if name.endswith(".spec"))))
+        paths = {"spec": spec, "data": "data.csv"}
+        argv = {
+            "verify": ["verify", "--spec", "{spec}", "--epsilon", "0.4",
+                       "--method", draw(st.sampled_from(
+                           ["auto", "reduced", "brute"]))]
+                      + draw(st.sampled_from([[], ["--exact"]])),
+            "analyze": ["analyze", "--spec", "{spec}", "--epsilon", "0.4"],
+            "convert": ["convert", "--spec", "{spec}"],
+            "sanitize": ["sanitize", "--spec", "{spec}", "--data", "{data}",
+                         "--seed", "1"],
+        }[command]
+        reads = [spec, "cats.txt"] + [
+            name for name in ("m.csv", "t.csv") if name.encode()
+            in files[spec]] + (["data.csv"] if command == "sanitize" else [])
+        target = draw(st.sampled_from(reads))
+        kind = draw(st.sampled_from(
+            ["flip", "truncate", "insert", "long path", "nul path"]))
+        if kind.endswith("path"):
+            name = ("x" * 300 if kind == "long path"
+                    else f"{target[:2]}\0{target[2:]}")
+            if target in (spec, "data.csv"):        # a command-line path
+                paths["spec" if target == spec else "data"] = name
+            else:                                   # a spec's path value
+                files[spec] = files[spec].replace(target.encode(),
+                                                  name.encode())
+        else:
+            data = files[target]
+            at = draw(st.integers(0, len(data) - 1))
+            if kind == "flip":
+                flipped = data[at] ^ draw(st.integers(1, 255))
+                data = data[:at] + bytes([flipped]) + data[at + 1:]
+            elif kind == "truncate":
+                data = data[:at]
+            else:
+                data = data[:at] + draw(st.sampled_from(
+                    TestInputFuzz.INSERTS)) + data[at:]
+            files[target] = data
+        return files, argv, paths
+
+    @given(cases())
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    def test_exit_code_is_in_the_contract(self, case):
+        files, argv, paths = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            argv = [a.format(**{key: os.path.join(tmp, value)
+                                for key, value in paths.items()})
+                    for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        assert len(err.encode()) < 1024

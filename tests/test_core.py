@@ -24,7 +24,7 @@ from dpcat import (
     naive_check_count,
 )
 import dpcat.core
-from dpcat.core import COUNT_DIGIT_CAP
+from dpcat.core import COUNT_DIGIT_CAP, Count
 from conftest import make_space
 
 import _oracles
@@ -165,6 +165,78 @@ class TestNaiveCheckCount:
         assert COUNT_DIGIT_CAP <= 4300
         assert str(naive_check_count(make_space(2), 9)) \
             == "354294*(2^19683-2)"
+
+
+class TestCountPastTheCap:
+    """Counts past the digit cap compare and hash without building their
+    ints: ``int()`` is made to fail, so any comparison that builds one
+    fails the test instead of taking seconds."""
+
+    @pytest.fixture
+    def no_ints(self, monkeypatch):
+        def refuse(count):
+            raise AssertionError(f"built the int of {count}")
+        monkeypatch.setattr(Count, "__int__", refuse)
+
+    def test_identical_expressions_are_equal(self, no_ints):
+        big = naive_check_count(make_space(1), 10 ** 6)
+        assert big.value is None
+        assert big == naive_check_count(make_space(1), 10 ** 6)
+        assert not big != naive_check_count(make_space(1), 10 ** 6)
+        assert Count(("^", 2, 2 ** 24)) == Count(("^", 2, 2 ** 24))
+        assert Count(("^", 2, 2 ** 24)) <= Count(("^", 2, 2 ** 24))
+
+    def test_bit_length_bounds_order_two_counts(self, no_ints):
+        two, three = Count(("^", 2, 2 ** 24)), Count(("^", 3, 2 ** 24))
+        assert two < three and three > two and two != three
+        assert sorted([three, two]) == [two, three]
+        small, large = (naive_check_count(make_space(2), n) for n in (9, 10))
+        assert small < large and not large <= small
+
+    def test_a_count_past_the_cap_exceeds_any_under_it(self, no_ints):
+        big = Count(("^", 2, 2 ** 24))
+        assert big > 10 ** COUNT_DIGIT_CAP - 1 and big != 0
+        assert Count(5) < big and not big < 5
+
+    def test_hash_is_the_ints_hash_without_the_int(self, monkeypatch):
+        counts = [naive_check_count(make_space(1), 14),
+                  naive_check_count(make_space(2), 9),
+                  Count(("^", 3, 9000)), Count(10 ** 5000),
+                  Count(("+", ("*", 1, ("2^-", 5, 1)),
+                         ("*", 2, ("2^-", 13288, 1))))]
+        ints = [int(count) for count in counts]
+        assert all(count.value is None for count in counts)
+        monkeypatch.setattr(Count, "__int__", None)
+        assert [hash(count) for count in counts] == list(map(hash, ints))
+        assert {counts[0]: "x"}[counts[0]] == "x"
+        assert isinstance(hash(naive_check_count(make_space(1), 10 ** 6)),
+                          int)
+
+    @staticmethod
+    def expressions():
+        """Count expressions of up to about 50,000 bits, either side of
+        the cap."""
+        leaf = st.one_of(
+            st.integers(0, 10 ** 6),
+            st.tuples(st.just("^"), st.integers(1, 6), st.integers(0, 20000)),
+            st.tuples(st.just("2^-"), st.integers(1, 20000),
+                      st.integers(1, 2)))
+        return st.one_of(
+            leaf, st.tuples(st.sampled_from(["*", "+"]), leaf, leaf))
+
+    @given(expressions(), expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_comparisons_and_hash_agree_with_the_ints(self, x, y):
+        a, b = Count(x), Count(y)
+        i, j = int(a), int(b)
+        assert (a < b, a == b, a > b) == (i < j, i == j, i > j)
+        assert (a < j, a == j, a > j) == (i < j, i == j, i > j)
+        assert hash(a) == hash(i)
+
+    def test_equal_counts_of_different_expressions(self):
+        # the bounds overlap, so the ints decide
+        assert Count(("^", 4, 10000)) == Count(("^", 2, 20000))
+        assert Count(("^", 4, 10000)) < Count(("+", ("^", 2, 20000), 1))
 
 
 class TestDatabaseArray:

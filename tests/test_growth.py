@@ -1,17 +1,25 @@
-"""Every public name has a caller in the package or a reason to exist.
+"""Every public name has a caller in the package or a reason to exist,
+and the command line has one pinned surface.
 
 A name that ``dpcat/__init__.py`` exports must be referenced somewhere in
 ``src/dpcat`` besides its own definition and ``__init__.py``, or appear
 in ``ALLOWED`` with its reason.  References are NAME tokens, so a name
 mentioned only in a docstring or comment does not count.
+
+Each subcommand's options are pinned in ``CLI_OPTIONS``, so adding one is
+a visible change here, and every subcommand is run twice on the same
+inputs to show that its output is a function of them.
 """
 
+import argparse
 import ast
+import contextlib
 import io
 import tokenize
 from pathlib import Path
 
 import dpcat
+import dpcat.cli
 
 PACKAGE = Path(dpcat.__file__).resolve().parent
 
@@ -25,6 +33,8 @@ ALLOWED = {
     "enumerate_neighbor_pairs": "paper object: the neighbour relation",
     "sample_feasible_matrices": "perfbench import: criterion-6 draws",
     "make_symmetric_product": "README quick start: builds the spec",
+    "KERNEL_BACKEND": "perfbench import: `perfbench/worker.py` records the "
+                      "scan backend",
 }
 
 
@@ -76,3 +86,69 @@ def test_every_allowed_name_is_exported_and_unused():
             "README quick start"), name
         assert not counts.get(exported[name]), (
             f"{name} has a caller now; drop its entry")
+
+
+#: Each subcommand's options, in the order the parser adds them.
+CLI_OPTIONS = {
+    "verify": ["--spec", "--epsilon", "--delta", "--method",
+               "--budget-subsets", "--format", "--exact"],
+    "sanitize": ["--spec", "--data", "--column", "--seed", "--output"],
+    "analyze": ["--spec", "--epsilon", "--delta", "--format"],
+    "convert": ["--spec", "--output", "--format", "--exact"],
+    "optimal": ["--epsilon", "--delta", "--categories", "--output",
+                "--format", "--exact"],
+}
+
+#: Runs of each subcommand over the files ``_write_inputs`` makes.
+CLI_WALK = {
+    "verify": [["verify", "--spec", "ham.spec", "--epsilon", "0.3",
+                "--method", method, *exact]
+               for method in ("auto", "reduced", "brute")
+               for exact in ([], ["--exact"])],
+    "sanitize": [["sanitize", "--spec", "ham.spec", "--data", "data.csv",
+                  "--seed", "5"]],
+    "analyze": [["analyze", "--spec", "ham.spec", "--epsilon", "1"]],
+    "convert": [["convert", "--spec", "ham.spec", "--exact"]],
+    "optimal": [["optimal", "--categories", "cats.txt", "--epsilon", "1",
+                 "--delta", "0.1"]],
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = dpcat.cli.build_parser()._subparsers._group_actions
+    return action.choices
+
+
+def _write_inputs(root: Path) -> None:
+    (root / "cats.txt").write_text("a\nb\nc\n")
+    (root / "ham.spec").write_text("type = exponential\nutility = hamming\n"
+                                   "k = 0.5\ncategories = cats.txt\nn = 2\n")
+    (root / "data.csv").write_text("a\nc\nb\nb\na\n" * 20)
+
+
+def test_cli_options_are_pinned():
+    options = {name: [action.option_strings[-1] for action in sub._actions
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, sub in _subcommands().items()}
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 26
+    (method,) = [action for action in _subcommands()["verify"]._actions
+                 if "--method" in action.option_strings]
+    assert method.choices == ("auto", "reduced", "brute")
+
+
+def test_every_subcommand_answers_the_same_twice(tmp_path):
+    assert set(CLI_WALK) == set(_subcommands()), (
+        "every subcommand needs runs in CLI_WALK")
+    _write_inputs(tmp_path)
+    for name, runs in CLI_WALK.items():
+        for argv in runs:
+            argv = [str(tmp_path / a) if a.endswith((".spec", ".csv", ".txt"))
+                    else a for a in argv]
+            answers = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    answers.append((dpcat.cli.main(argv), out.getvalue()))
+            assert answers[0] == answers[1], argv
+            assert answers[0][0] in (0, 1) and answers[0][1], argv

@@ -228,7 +228,7 @@ def test_traced_entry_points_are_called_through_their_modules(
     monkeypatch.setattr(dpcat.cli, "load_spec_file", spec_loads)
     for method, name in (("reduced", "verify_reduced"),
                          ("brute", "verify_bruteforce"),
-                         ("matrix", "verify_matrix")):
+                         ("auto", "verify_matrix")):
         verify = _Counting(getattr(dpcat.cli, name))
         monkeypatch.setattr(dpcat.cli, name, verify)
         assert main(["verify", "--spec", str(golden_dir / "hamming.spec"),
