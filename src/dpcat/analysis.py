@@ -182,12 +182,12 @@ def batch_matrix_margins(mats: np.ndarray, params: PrivacyParams) -> np.ndarray:
     """Canonical privacy margin of each parent matrix in a (B, s, s) batch.
 
     The minimum of e^eps * P_j(A) + delta - P_i(A) over ordered category
-    pairs i != j and every output set A, the empty set included; equals the
-    margin verify_matrix reports (up to rounding).  With terms
-    t_x = e^eps * M[j, x] - M[i, x], the minimising A holds the negative
-    terms (the hockey-stick witness), so the margin is delta plus their
-    sum.  O(s^3) per matrix, batch innermost, over the s(s - 1) ordered
-    pairs only.
+    pairs i != j and every output set A, the empty set included.  With
+    terms t_x = e^eps * M[j, x] - M[i, x], the minimising A holds the
+    negative terms (the hockey-stick witness), so the margin is delta plus
+    their sum, added in x order: the verifier's float expression, with no
+    tie band, and verify_matrix's margin bit for bit for s <= 7.  O(s^3)
+    per matrix, batch innermost, over the s(s - 1) ordered pairs only.
     """
     mats = np.asarray(mats, dtype=np.float64)
     size = mats.shape[-1]

@@ -270,13 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A NUL or other control character in an error message goes out as \xNN.
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(32), 127)}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (DpcatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except DpcatError as exc:
+        print(f"error: {str(exc).translate(_CONTROL_ESCAPES)}",
+              file=sys.stderr)
         return (EXIT_BUDGET_ERROR if isinstance(exc, EnumerationBudgetError)
                 else EXIT_INPUT_ERROR)
     except Exception:

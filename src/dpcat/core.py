@@ -452,13 +452,14 @@ class Count:
 
     def _cmp(self, other) -> int:
         """The sign of self - other.  Past the cap, identical expressions
-        are equal and separated bit-length bounds give the order; only
+        are equal and separated bounds on log2(log2) give the order; only
         overlapping bounds build the ints."""
         if not isinstance(other, Count):
             other = Count(operator.index(other))
         a, b = self.value, other.value
         if a is None and b is None and self.expr != other.expr:
-            (lo, hi), (lo_b, hi_b) = map(_log2_span, (self.expr, other.expr))
+            (lo, hi), (lo_b, hi_b) = map(_log2_log2_span,
+                                         (self.expr, other.expr))
             a, b = ((lo, hi_b) if lo > hi_b else (hi, lo_b) if hi < lo_b
                     else (int(self), int(other)))
         elif a is None or b is None:    # None: past the cap, over any under it
@@ -489,23 +490,30 @@ def _bounded(x, bits: float) -> int | None:
     return math.prod(values) if op == "*" else sum(values)
 
 
-def _log2_span(x) -> tuple[float, float]:
-    """Bounds lo <= log2(x) <= hi of a Count expression, from bit lengths
-    and float logarithms widened by 2^-40; inf past the float range."""
-    if isinstance(x, int):
-        return (x.bit_length() - 1 if x else -math.inf), x.bit_length()
-    op, *args = x
-    if op in ("*", "+"):
-        los, his = zip(*map(_log2_span, args))
-        return ((sum(los), sum(his)) if op == "*"
-                else (max(los), max(his) + len(his).bit_length()))
-    if op == "^":
-        lo = hi = args[1] * math.log2(args[0])
-    else:   # 2^y - c lies in [2^(y-1), 2^y] once 2^y >= 2c
-        lo, hi = (2.0 ** b if b < 1000 else math.inf
-                  for b in _log2_span(args[0]))
-        lo = lo - 1 if lo > args[1].bit_length() + 1 else -math.inf
-    return lo * (1 - 2.0 ** -40), hi * (1 + 2.0 ** -40)
+def _log2_log2_span(x) -> tuple[float, float]:
+    """Bounds lo <= log2(log2(x)) <= hi of a Count expression, widened by
+    2^-40; -inf for a part of 0 or 1.  A part of at most ``_CAP_BITS`` bits
+    is built; past them b^e is e * log2(b), log2(2^y - c) lies in
+    [y - 1, y], a product adds its parts' log2, and a sum lies between its
+    largest part and that part times the number of parts.  They stay
+    finite where log2(x) itself passes the float range."""
+    value = _bounded(x, _CAP_BITS)
+    if value is not None and value < 2:
+        return -math.inf, -math.inf
+    if value is not None:
+        lo = hi = math.log2(math.log2(value))
+    elif x[0] == "^":
+        lo = hi = math.log2(x[2]) + math.log2(math.log2(x[1]))
+    elif x[0] == "2^-":
+        lo, hi = (2.0 ** b for b in _log2_log2_span(x[1]))   # log2(y)
+        lo += math.log1p(-2.0 ** -lo) / math.log(2)           # log2(y - 1)
+    else:
+        los, his = zip(*map(_log2_log2_span, x[1:]))
+        add = np.logaddexp2         # log2(2^a + 2^b)
+        lo, hi = ((add.reduce(los), add.reduce(his)) if x[0] == "*" else
+                  (max(los), add(max(his), math.log2(len(his)))))
+    lo, hi = float(lo), float(hi)
+    return lo - 2.0 ** -40 * (1 + abs(lo)), hi + 2.0 ** -40 * (1 + abs(hi))
 
 
 def _residue(x, q: int) -> int:
@@ -582,15 +590,11 @@ def digit_matrix(space: CategorySpace, n: int,
 
 
 def _read_bytes(path) -> bytes:
-    """The bytes of an input file.  A missing file raises FileNotFoundError;
-    any other path the OS will not open is a DataFormatError naming it."""
+    """The bytes of an input file.  A path the OS will not open, such as
+    a missing file or a directory, is a DataFormatError naming it."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except FileNotFoundError:
-        raise
-    except IsADirectoryError:
-        raise DataFormatError(f"{path}: is a directory, not a file") from None
     except (OSError, ValueError) as exc:   # ValueError: an embedded NUL
         reason = getattr(exc, "strerror", None) or exc
         raise DataFormatError(f"{path}: cannot open: {reason}") from None

@@ -102,11 +102,7 @@ def load_spec_file(path, *, exact: bool = False):
     ``categories_path`` so converters can reference it.
     """
     path = Path(path)
-    try:
-        text = read_text(path)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read spec file: {exc}") from None
-    kv = parse_kv(text, origin=str(path))
+    kv = parse_kv(read_text(path), origin=str(path))
     base = path.parent
 
     cat_path = base / _require(kv, "categories", path)

@@ -7,8 +7,9 @@ neighbor pair (d, d') and every output set A,
 
 Every report carries the canonical margin: the minimum of
 e^eps * P(X_d' in A) + delta - P(X_d in A) over every pair and every
-output set A, the empty set included.  It is at most delta, and when no
-set goes below delta the report has no binding pair or set.
+output set A, the empty set included.  It is at most delta, and a pair
+binds only when its margin is below delta: otherwise the report has no
+binding pair or set.
 
 ``verify_bruteforce`` checks the inequality on every nonempty proper subset
 of the space and is the ground-truth oracle.  Its subset scan
@@ -18,9 +19,13 @@ subset is still accounted for.  The pairs go to the kernel as the columns
 of their pmf rows, one call per chunk of pairs whose half tables hold at
 most 2^20 entries (2^8 exact), so no Python step runs per pair.  It is
 the only subset enumerator: ``verify_reduced`` takes each pair's worst
-output set directly, the hockey-stick set {x : P_d(x) > e^eps * P_d'(x)}
-(Barthe and Olmedo), and only counts the checks of the paper's sufficient
-set S, the outputs strictly more likely under d than under d'.
+output set directly, the hockey-stick set W = {x : P_d(x) >
+e^eps * P_d'(x)} (Barthe and Olmedo), and only counts the checks of the
+paper's sufficient set S, the outputs strictly more likely under d than
+under d'.  Both of its routes decide through one expression, the margin
+delta + Σ_{x∈W} (e^eps * P_d'(x) - P_d(x)) of :func:`_worst_set`, where the
+first pair at the smallest sum binds; ``analysis.batch_matrix_margins``
+computes the same float expression for a batch of parents.
 
 * Product mechanisms (hamming, L1, symmetric and general parent matrices)
   are decided from their one-row parent.  For neighbours differing in row
@@ -44,8 +49,9 @@ set S, the outputs strictly more likely under d than under d'.
   only a binding pair too long for any array is refused.  A table is
   bounded by its own size.
 
-Set membership compares log-probabilities with a tie band: gaps within
-``TIE_BAND`` count as ties and are excluded, since exact ties carry no
+Set membership compares log-probabilities with a tie band: one predicate,
+gap > eps + ``TIE_BAND`` (:func:`_above`), decides W at eps and S at 0, so
+gaps within the band are ties and stay out, since exact ties carry no
 utility gap and cannot tighten any margin.  The exact-rational mode redoes
 the arithmetic exactly (mechanism parameters are taken at their exact
 binary-float values unless exact rationals are supplied) and uses strict
@@ -93,7 +99,7 @@ from .mechanisms import LOG_FLOAT_MAX, ProductSpec, SolutionMatrix
 #: Slack added to every margin comparison to absorb float rounding.
 TOLERANCE = 1e-12
 
-#: Log-probability gaps inside this band are ties, excluded from S.
+#: Log-probability gaps inside this band are ties, excluded from W and S.
 TIE_BAND = 1e-12
 
 #: Half-table entries per brute-force chunk of pairs: the 2^20 floats
@@ -298,7 +304,8 @@ def sufficient_set(spec, pair: NeighborPair, *,
     else:
         ia = database_index(spec.space, pair.d)
         ib = database_index(spec.space, pair.d_prime)
-        cells = np.flatnonzero(_table_gaps(spec, ia, ib)[1])
+        log_pmf = spec.log_pmf_table()[0]
+        cells = np.flatnonzero(_above(log_pmf[ia] - log_pmf[ib], 0.0))
         u = spec.utility.values
         alphas = u[ia, cells] - u[ib, cells]
 
@@ -332,8 +339,8 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
     i = pair.differing_row
     u, v = int(pair.d.array[i]), int(pair.d_prime.array[i])
     _, released, above = _parent_gaps(product, exact)
-    s1 = np.flatnonzero(above()[u][v])
-    rows = np.array(released)[pair.d.array]
+    s1 = np.flatnonzero(above()[u, v])
+    rows = released[pair.d.array]
 
     def make_box(cells):
         mask = rows.copy()
@@ -422,29 +429,6 @@ def _box_probabilities(weights, mask: np.ndarray, databases,
             table[present] = factors
             out.append(float(np.multiply.accumulate(table[key])[-1]))
     return out
-
-
-class _Accumulator:
-    """Merge per-pair results into a report, keeping the worst margin.
-
-    It starts at the empty output set, whose margin is delta and which has
-    no binding pair: a pair binds only by going below delta.
-    """
-
-    def __init__(self, params: PrivacyParams, exact: bool):
-        self.margin = float(params.delta)
-        self.exact_margin: Fraction | None = (params.exact_pair()[1]
-                                              if exact else None)
-        self.binding = None           # (NeighborPair, DatabaseSet)
-        self.checks: Count | None = None    # set by the route
-
-    def add(self, margin, binding) -> None:
-        current = self.exact_margin if self.exact_margin is not None else self.margin
-        if margin < current:
-            if isinstance(margin, Fraction):
-                self.exact_margin = margin
-            self.margin = float(margin)
-            self.binding = binding
 
 
 def _index_pair(spec, ia, ib, row) -> NeighborPair:
@@ -545,216 +529,194 @@ def _parent_checks(pairs: Counter, released: list[int], k: int, n: int,
          for size, many in zip(sizes, map(terms.get, sizes))), n)
 
 
+def _above(gap, eps: float) -> np.ndarray:
+    """The tie rule of every float route: x is in W at eps, and in S at
+    eps = 0, when its gap log P_d(x) - log P_d'(x) (NaN where both are 0)
+    passes eps by more than ``TIE_BAND``."""
+    return gap > eps + TIE_BAND
+
+
+def _worst_set(chunks, delta, scale: int | None = None):
+    """The worst-set margin of a route, and the pair that binds it.
+
+    ``chunks`` yields (terms, members) arrays of one row per pair (d, d'),
+    in canonical order: t_x = e^eps * P_d'(x) - P_d(x), and the mask of W.
+    A pair's margin is delta + Σ_{x∈W} t_x, the row summed by NumPy; exact
+    terms are integers over ``scale``, and their margin one ``Fraction``.
+    Returns (margin, j), j the first pair at the smallest sum, or
+    (delta, None), the empty set's, unless that margin is below delta.
+    """
+    sums = np.concatenate([np.where(members, terms, 0).sum(axis=-1)
+                           for terms, members in chunks])
+    j = int(np.argmin(sums))
+    if scale is None:
+        margin = float(delta + sums[j])
+    else:
+        d_n, d_d = delta.as_integer_ratio()
+        margin = Fraction(d_n * scale + d_d * sums[j], d_d * scale)
+    return (margin, j) if margin < delta else (delta, None)
+
+
 def _parent_gaps(product: ProductSpec, exact: bool):
     """The parent M of a product spec in one arithmetic, as (weights,
-    released, above): M's entries and M[a, c] > 0 as nested lists, and the
-    function that gives the nested (k, k, k) lists of M[u, c] >
-    e^eps * M[v, c], for eps as a float or e^eps as a ``Fraction`` under
-    ``exact``; above()[u][v], at e^eps = 1, marks S1(u, v) =
-    {c : M[u, c] > M[v, c]}.
+    released, above): M's entries and the mask M[a, c] > 0 as (k, k)
+    arrays, and the function that gives the (k, k, k) mask [u, v, c] of
+    M[u, c] > M[v, c], S1(u, v) at [u, v], and for floats that of
+    M[u, c] > e^eps * M[v, c] at eps.
 
-    Floats compare the log weights, log M[u, c] - log M[v, c] > eps +
-    ``TIE_BAND`` (a NaN gap, both entries zero, is not above); weights are
-    their exponentials.  Exact mode works in integers: weights are the
-    numerators N = D * M over the common denominator D, and with
-    e^eps = E_n / E_d the test is E_d * N[u, c] > E_n * N[v, c].
+    Floats compare the log weights by :func:`_above`; weights are their
+    exponentials.  Exact mode works in integers: weights are the
+    numerators N = D * M over the common denominator D, as Python ints in
+    an object array, compared strictly.
     """
     if exact:
         fracs = product.matrix.fractions()
         scale = math.lcm(*(x.denominator for row in fracs for x in row))
-        weights = [[x.numerator * (scale // x.denominator) for x in row]
-                   for row in fracs]
+        weights = np.array([[x.numerator * (scale // x.denominator)
+                             for x in row] for row in fracs], dtype=object)
 
-        def above(e_eps=Fraction(1)):
-            e_num, e_den = e_eps.as_integer_ratio()
-            return [[[e_den * a > e_num * b for a, b in zip(wu, wv)]
-                     for wv in weights] for wu in weights]
-        return weights, [[x > 0 for x in row] for row in weights], above
+        def above():
+            return weights[:, None, :] > weights[None, :, :]
+        return weights, weights > 0, above
     log_w = product.log_weights
     with np.errstate(invalid="ignore"):
         log_gap = log_w[:, None, :] - log_w[None, :, :]     # [u, v, c]
 
     def above(eps=0.0):
-        return (log_gap > eps + TIE_BAND).tolist()
-    return np.exp(log_w).tolist(), np.isfinite(log_w).tolist(), above
+        return _above(log_gap, eps)
+    return np.exp(log_w), np.isfinite(log_w), above
 
 
-def _parent_route(spec, params: PrivacyParams, exact: bool) -> _Accumulator:
-    """Decide a product spec from its (m+1) x (m+1) parent M.
+def _parent_route(spec, params: PrivacyParams, exact: bool):
+    """Decide a product spec from its (m+1) x (m+1) parent M, as (margin,
+    binding, checks).
 
     M is ``matrix.stochastic`` (``fractions()`` in exact mode): every row
     sums to 1, so for neighbours differing in row i, with u = d_i and
     v = d'_i, the other rows contribute a factor of 1 to every cylinder
     over row i.  The worst output set is the cylinder
-    {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]}, with
-    margin e^eps * B + delta - A, where A and B sum rows u and v of M over
-    A1: the same at every n.  The paper's sufficient set is the cylinder
-    over S1 = {c : M[u, c] > M[v, c]}, of |S1| * (m+1)^(n-1) databases when
-    M has no zero entry; each pair takes one check of it for a symmetric
-    parent and one per nonempty subset otherwise (see
-    :func:`_parent_checks`).  The binding pair, the first canonical pair
-    at the worst margin, has every other row at category 0, and goes on the
-    report as two arrays with the cylinder (row, A1) as a mask, so the work
-    is O(m^2) in the parent plus O(n) array writes, whatever n is.  An n
-    whose arrays no array of this platform can hold is an
-    EnumerationBudgetError naming n, raised before they are allocated.
-
-    Exact mode works in integers, on the numerators N = D * M of
-    :func:`_parent_gaps`, e^eps = E_n / E_d and delta = delta_n / delta_d.
-    A pair's margin times D * E_d * delta_d is
-    delta_d * (E_n * B - E_d * A) + delta_n * E_d * D, with A and B now
-    sums of N: a positive multiple of E_n * B - E_d * A plus a constant,
-    so that key, below 0 where the margin is below delta, picks the same
-    binding pair under the same strict ``<``.  One ``Fraction``, the
-    reported margin, is built at the end.
+    {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]}, whose
+    terms e^eps * M[v, c] - M[u, c] are the same at every n: the k^2
+    parent pairs (u, v) are the rows :func:`_worst_set` sums.  Exact mode
+    sums E_n * N[v, c] - E_d * N[u, c] over D * E_d, with the numerators
+    N = D * M of :func:`_parent_gaps` and e^eps = E_n / E_d.  The checks
+    are counted from the sizes of S1 (see :func:`_parent_checks`).  The
+    binding pair, the first canonical pair at the worst margin, has every
+    other row at category 0, and goes on the report as two arrays with the
+    cylinder (row, A1) as a mask, so the work is O(m^3) in the parent plus
+    O(n) array writes, whatever n is.  An n whose arrays no array of this
+    platform can hold is an EnumerationBudgetError naming n, raised before
+    they are allocated.
     """
     product = spec.product
     k, n = spec.space.size, spec.n
     weights, released, above = _parent_gaps(product, exact)
-    support = above()
+    s1 = above().sum(axis=2).ravel()            # |S1| of each pair (u, v)
+    checks = _parent_checks(Counter(s1[s1 > 0].tolist()),
+                            released.sum(axis=1).tolist(), k, n,
+                            product.matrix.is_symmetric())
     if exact:
         e_eps, delta = params.exact_pair()
-        e_num, e_den = e_eps.numerator, e_eps.denominator
-        worst = above(e_eps)
-        best = 0                    # the key of margin delta: the empty set
-
-        def pair_margin(a, b):      # the key, not the margin itself
-            return e_num * b - e_den * a
+        e_num, e_den = e_eps.as_integer_ratio()
+        terms = e_num * weights[None] - e_den * weights[:, None]
+        scale = e_den * weights[0].sum()        # D: each row of M sums to 1
+        worst = terms < 0               # E_d * N[u, c] > E_n * N[v, c]
     else:
-        e_eps, delta = math.exp(params.epsilon), params.delta
+        terms = math.exp(params.epsilon) * weights[None] - weights[:, None]
+        delta, scale = params.delta, None
         worst = above(params.epsilon)
-        best = delta
-
-        def pair_margin(a, b):
-            return e_eps * b + delta - a
-
-    pairs = Counter()           # |S1| -> parent pairs (u, v) with it
-    binding = None
-    for u in range(k):
-        for v in range(k):
-            s1 = sum(support[u][v])
-            if not s1:
-                continue                    # A1 lies inside S1
-            pairs[s1] += 1
-            cells = [c for c in range(k) if worst[u][v][c]]
-            if cells:
-                margin = pair_margin(sum(weights[u][c] for c in cells),
-                                     sum(weights[v][c] for c in cells))
-                if margin < best:
-                    best, binding = margin, (u, v, cells)
-
-    acc = _Accumulator(params, exact)
-    acc.checks = _parent_checks(pairs, [sum(row) for row in released], k, n,
-                                product.matrix.is_symmetric())
-    if binding is not None:
-        u, v, cells = binding
-        if exact:
-            scale = sum(weights[0])     # D: each row of M sums to 1
-            d_n, d_d = delta.numerator, delta.denominator
-            best = Fraction(d_d * best + d_n * e_den * scale,
-                            scale * e_den * d_d)
-        if n * (16 + k) > sys.maxsize:
-            # two int64 rows and a bool mask row per database row
-            raise EnumerationBudgetError(
-                f"the binding pair of n = {n} rows needs {16 + k} bytes per "
-                f"row, past the {sys.maxsize} bytes an array can hold", n)
-        # the first canonical pair: other rows at category 0, and u in the
-        # first row unless that puts a larger digit ahead of them
-        row = 0 if u == 0 else n - 1
-        d = np.zeros(n, dtype=np.int64)
-        d[row] = u
-        d_prime = d.copy()
-        d_prime[row] = v
-        pair = NeighborPair(Database.from_array(d),
-                            Database.from_array(d_prime), row)
-        acc.add(best, (pair, DatabaseSet.from_cylinder(spec.space, n, row,
-                                                        cells)))
-    return acc
+    margin, j = _worst_set([(terms.reshape(k * k, k),
+                             worst.reshape(k * k, k))], delta, scale)
+    if j is None:
+        return margin, None, checks
+    u, v = divmod(j, k)
+    if n * (16 + k) > sys.maxsize:
+        # two int64 rows and a bool mask row per database row
+        raise EnumerationBudgetError(
+            f"the binding pair of n = {n} rows needs {16 + k} bytes per "
+            f"row, past the {sys.maxsize} bytes an array can hold", n)
+    # the first canonical pair: other rows at category 0, and u in the
+    # first row unless that puts a larger digit ahead of them
+    row = 0 if u == 0 else n - 1
+    d = np.zeros(n, dtype=np.int64)
+    d[row] = u
+    d_prime = d.copy()
+    d_prime[row] = v
+    pair = NeighborPair(Database.from_array(d), Database.from_array(d_prime),
+                        row)
+    cells = np.flatnonzero(worst[u, v]).tolist()
+    return margin, (pair, DatabaseSet.from_cylinder(spec.space, n, row,
+                                                    cells)), checks
 
 
-def _table_gaps(spec, a, b):
-    """The gap rows of a utility table's inputs at indices a and b (ints,
-    or index arrays of one pair per row): log P_a(x) - log P_b(x) over
-    every output x, and the mask of S, where that gap passes
-    ``TIE_BAND``."""
-    log_pmf = spec.log_pmf_table()[0]
-    gap = log_pmf[a] - log_pmf[b]
-    return gap, gap > TIE_BAND
-
-
-def _table_route(spec, params: PrivacyParams, partition: bool) -> _Accumulator:
-    """Decide a utility table in one array pass over its neighbour pairs.
+def _table_route(spec, params: PrivacyParams, partition: bool):
+    """Decide a utility table in one array pass over its neighbour pairs,
+    as (margin, binding, checks).
 
     The worst output set of a pair (d, d') is its hockey-stick set
-    W = {x : log P_d(x) - log P_d'(x) > eps}, whose margin is delta - H with
-    H = sum over W of P_d(x) - e^eps * P_d'(x).  The table binds on W of the
-    first pair, in canonical order, with the largest H, or not at all when
-    no H is positive.  The sufficient set S = {x : P_d(x) > P_d'(x)} only
-    counts the paper's checks: one per utility-gap level of S on the
-    partition route, every nonempty subset of S otherwise.  Pairs are taken
-    ``size`` at a time, so no temporary outgrows the table.
+    W = {x : log P_d(x) - log P_d'(x) > eps}, and :func:`_worst_set` sums
+    the pairs' pmf rows over it; S = {x : P_d(x) > P_d'(x)} only counts the
+    checks.  Pairs are taken ``size`` at a time, so no temporary outgrows
+    the table.
     """
-    pmf = np.exp(spec.log_pmf_table()[0])
+    log_pmf = spec.log_pmf_table()[0]
+    pmf = np.exp(log_pmf)
     utility = spec.utility.values
     e_eps = math.exp(params.epsilon)
     ia, ib, rows = _neighbor_pairs(spec)
     size = pmf.shape[0]
-    hockey = np.empty(ia.size)
     counts = np.empty(ia.size, dtype=np.int64)  # |S|, or its gap levels
-    for lo in range(0, ia.size, size):
-        chunk = slice(lo, lo + size)
-        a, b = ia[chunk], ib[chunk]
-        gap, support = _table_gaps(spec, a, b)
-        hockey[chunk] = np.where(gap > params.epsilon + TIE_BAND,
-                                 pmf[a] - e_eps * pmf[b], 0.0).sum(1)
-        if partition:
-            levels = np.sort(np.where(support, utility[a] - utility[b],
-                                      np.inf), axis=1)
-            first = np.isfinite(levels)      # first member of its level
-            first[:, 1:] &= levels[:, 1:] != levels[:, :-1]
-            counts[chunk] = first.sum(1)
-        else:
-            counts[chunk] = support.sum(1)
 
-    acc = _Accumulator(params, exact=False)
+    def chunks():                   # fills counts as _worst_set reads it
+        for lo in range(0, ia.size, size):
+            chunk = slice(lo, lo + size)
+            a, b = ia[chunk], ib[chunk]
+            gap = log_pmf[a] - log_pmf[b]
+            support = _above(gap, 0.0)
+            if partition:
+                levels = np.sort(np.where(support, utility[a] - utility[b],
+                                          np.inf), axis=1)
+                first = np.isfinite(levels)      # first member of its level
+                first[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+                counts[chunk] = first.sum(1)
+            else:
+                counts[chunk] = support.sum(1)
+            yield e_eps * pmf[b] - pmf[a], _above(gap, params.epsilon)
+
+    margin, j = _worst_set(chunks(), params.delta)
     if partition:
-        acc.checks = Count(int(counts.sum()))
+        checks = Count(int(counts.sum()))
     else:
         sizes, number = np.unique(counts[counts > 0], return_counts=True)
-        acc.checks = _subset_count(zip(sizes.tolist(), number.tolist()))
-    j = int(np.argmax(hockey))
-    if hockey[j] > 0:
-        a, b = int(ia[j]), int(ib[j])
-        worst = np.flatnonzero(_table_gaps(spec, a, b)[0]
-                               > params.epsilon + TIE_BAND)
-        acc.add(params.delta - float(hockey[j]),
-                (_index_pair(spec, a, b, rows[j]),
-                 DatabaseSet(spec.space, spec.n, tuple(worst.tolist()))))
-    return acc
+        checks = _subset_count(zip(sizes.tolist(), number.tolist()))
+    if j is None:
+        return margin, None, checks
+    a, b = int(ia[j]), int(ib[j])
+    worst = np.flatnonzero(_above(log_pmf[a] - log_pmf[b], params.epsilon))
+    return margin, (_index_pair(spec, a, b, rows[j]),
+                    DatabaseSet(spec.space, spec.n,
+                                tuple(worst.tolist()))), checks
 
 
-def _build_report(spec, params, acc: _Accumulator | None, method: str,
-                  tolerance: float, exact: bool) -> VerificationReport:
-    """The report of a route's accumulator; acc None is the trivial regime
-    delta = 1, private at an infinite margin after no check."""
-    trivial = acc is None
-    if trivial:
-        acc = _Accumulator(params, exact=False)
-        acc.margin, acc.checks = math.inf, Count(0)
-    if acc.exact_margin is not None:
-        ok = acc.exact_margin >= 0
-    else:
-        ok = acc.margin >= -tolerance
-    pair, bset = acc.binding or (None, None)
+def _build_report(spec, params, result, method: str, tolerance: float,
+                  exact: bool) -> VerificationReport:
+    """The report of a route's (margin, binding, checks); result None is
+    the trivial regime delta = 1, private at an infinite margin after no
+    check.  An exact margin is a ``Fraction``, compared with no
+    tolerance."""
+    trivial = result is None
+    margin, binding, checks = result or (math.inf, None, Count(0))
+    pair, bset = binding or (None, None)
     return VerificationReport(
-        verdict="private" if ok else "not-private",
+        verdict=("private" if margin >= (0 if exact else -tolerance)
+                 else "not-private"),
         method=method,
         epsilon=params.epsilon,
         delta=params.delta,
-        margin=acc.margin,
+        margin=float(margin),
         binding_pair=pair,
         binding_set=bset,
-        checks_performed=acc.checks,
+        checks_performed=checks,
         checks_naive=naive_check_count(spec.space, spec.n),
         space=spec.space,
         n=spec.n,
@@ -786,11 +748,9 @@ def verify_reduced(spec, params: PrivacyParams, *,
     if params.trivial:
         return _build_report(spec, params, None, method, tolerance, exact)
     _require_exact(spec, exact)
-    if spec.product is not None:
-        acc = _parent_route(spec, params, exact)
-    else:
-        acc = _table_route(spec, params, partition)
-    return _build_report(spec, params, acc, method, tolerance, exact)
+    result = (_parent_route(spec, params, exact) if spec.product is not None
+              else _table_route(spec, params, partition))
+    return _build_report(spec, params, result, method, tolerance, exact)
 
 
 def verify_bruteforce(spec, params: PrivacyParams, *,
@@ -836,13 +796,15 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
         margins[part], masks[part], count = kernels.subset_scan(
             pmf[ia[part]].T, pmf[ib[part]].T, e_eps, delta)
         checks += count
-    acc = _Accumulator(params, exact)
-    acc.checks = Count(checks)
     p = int(np.argmin(margins))         # the first canonical pair at the min
-    witness = DatabaseSet(spec.space, spec.n,
-                          tuple(i for i in range(size) if masks[p] >> i & 1))
-    acc.add(margins[p], (_index_pair(spec, ia[p], ib[p], rows[p]), witness))
-    return _build_report(spec, params, acc, "brute-force", tolerance, exact)
+    result = delta, None, Count(checks)  # the empty set's margin
+    if margins[p] < delta:
+        witness = DatabaseSet(spec.space, spec.n, tuple(
+            i for i in range(size) if masks[p] >> i & 1))
+        result = (margins[p], (_index_pair(spec, ia[p], ib[p], rows[p]),
+                               witness), Count(checks))
+    return _build_report(spec, params, result, "brute-force", tolerance,
+                         exact)
 
 
 def exp_dp_condition(k: float, params: PrivacyParams, m: int, *,

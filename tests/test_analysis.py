@@ -14,6 +14,8 @@ from dpcat import (
     HammingUtility,
     ParameterRangeError,
     PrivacyParams,
+    ProductSpec,
+    SolutionMatrix,
     batch_matrix_margins,
     error_bounds,
     expected_error,
@@ -243,14 +245,22 @@ class TestFeasibleSampling:
             from dpcat import SolutionMatrix
             assert verify_matrix(SolutionMatrix(values), params).private
 
-    def test_batch_margins_match_verify_matrix(self, rng):
-        from dpcat import SolutionMatrix
-        params = PrivacyParams(0.8, 0.0)
-        mats = rng.dirichlet(np.ones(3), size=(30, 3))
-        margins = batch_matrix_margins(mats, params)
-        for values, margin in zip(mats, margins):
-            report = verify_matrix(SolutionMatrix(values), params)
-            assert report.margin == pytest.approx(float(margin), abs=1e-12)
+    def test_batch_margins_match_verify_matrix(self):
+        # one canonical margin: the parent route and the sampler's screen
+        # both add e^eps * M[v, c] - M[u, c] over the worst set in c order,
+        # then delta, so at m <= 6 (rows summed one by one) they agree
+        rng = np.random.default_rng(2315)
+        for m in range(1, 7):
+            space = make_space(m)
+            for _ in range(200):
+                matrix = SolutionMatrix(rng.dirichlet(np.ones(m + 1),
+                                                      size=m + 1))
+                params = PrivacyParams(float(rng.uniform(0.0, 2.0)),
+                                       float(rng.choice([0.0, rng.uniform(
+                                           0.0, 0.2)])))
+                weights = np.exp(ProductSpec(space, 1, matrix).log_weights)
+                assert verify_matrix(matrix, params).margin == float(
+                    batch_matrix_margins(weights[None], params)[0])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("eps", [0.0, math.log(2), 3.0])

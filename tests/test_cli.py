@@ -487,8 +487,9 @@ class TestVerify:
 
 
 class TestUnreadableInputs:
-    """An input file that is not UTF-8 text, or a directory in its place,
-    is an input error (exit 2) naming the path, not an internal error."""
+    """An input file that is missing, is not UTF-8 text, or has a directory
+    in its place is an input error (exit 2) naming the path, not an
+    internal error."""
 
     #: each kind of input file: the argv that reads it, and its name
     CASES = {
@@ -560,7 +561,8 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("name, reason", [
         ("x" * 300, "File name too long"),
         ("ca\0ts.txt", "embedded null byte"),
-    ], ids=["long", "nul"])
+        ("missing.txt", "No such file or directory"),
+    ], ids=["long", "nul", "missing"])
     @pytest.mark.parametrize("kind", list(PATH_CASES))
     def test_path_the_os_will_not_open_exits_2(self, workdir, capsys, kind,
                                                name, reason):
@@ -572,7 +574,8 @@ class TestUnreadableInputs:
                 else a.format(path=path) for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: cannot open: {reason}\n"
+        shown = path.replace("\0", "\\x00")     # no raw NUL on stderr
+        assert err == f"error: {shown}: cannot open: {reason}\n"
 
     @pytest.mark.parametrize("kind", ["data", "matrix", "table"])
     def test_field_over_the_csv_limit_exits_2(self, workdir, capsys, kind):

@@ -193,6 +193,19 @@ class TestCountPastTheCap:
         small, large = (naive_check_count(make_space(2), n) for n in (9, 10))
         assert small < large and not large <= small
 
+    def test_counts_past_the_float_range_order_by_their_exponents(
+            self, no_ints):
+        # log2 of these counts passes 2^2000, past any float: log2(log2)
+        # bounds order them
+        small, large = (naive_check_count(make_space(1), n)
+                        for n in (2000, 2001))
+        start = time.perf_counter()
+        assert small < large and not large < small
+        assert small != large and not small == large
+        assert time.perf_counter() - start < 0.01
+        cube = Count(("*", small.expr, small.expr, small.expr))
+        assert cube > large and Count(("+", small.expr, small.expr)) < large
+
     def test_a_count_past_the_cap_exceeds_any_under_it(self, no_ints):
         big = Count(("^", 2, 2 ** 24))
         assert big > 10 ** COUNT_DIGIT_CAP - 1 and big != 0

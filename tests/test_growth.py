@@ -9,6 +9,9 @@ mentioned only in a docstring or comment does not count.
 Each subcommand's options are pinned in ``CLI_OPTIONS``, so adding one is
 a visible change here, and every subcommand is run twice on the same
 inputs to show that its output is a function of them.
+
+The verifier's tie rule, ``TIE_BAND``, is read in one function, so a new
+route cannot bring a tie rule of its own.
 """
 
 import argparse
@@ -152,3 +155,16 @@ def test_every_subcommand_answers_the_same_twice(tmp_path):
                     answers.append((dpcat.cli.main(argv), out.getvalue()))
             assert answers[0] == answers[1], argv
             assert answers[0][0] in (0, 1) and answers[0][1], argv
+
+
+def test_the_tie_band_is_read_in_one_function():
+    tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
+
+    def reads(node) -> int:
+        return sum(isinstance(name, ast.Name) and name.id == "TIE_BAND"
+                   and isinstance(name.ctx, ast.Load)
+                   for name in ast.walk(node))
+    readers = {func.name: reads(func) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and reads(func)}
+    assert list(readers) == ["_above"]
+    assert readers["_above"] == reads(tree)
