@@ -119,16 +119,19 @@ _LINE_BLOCK = 1 << 16
 def _label_lines(labels, values: np.ndarray):
     """The UTF-8 lines ``labels[v]``, each ended by a line feed, for the
     values in order, as buffers of ``_LINE_BLOCK`` whole lines.  Each value
-    takes one fixed-width item of a table of the lines, padded to the
-    longest with 0xFF, a byte UTF-8 never uses, which is then dropped."""
+    takes one row of a byte table of the lines, padded to the longest with
+    0xFF, a byte UTF-8 never uses, which is then dropped (when the lines
+    differ in width)."""
     lines = [f"{label}\n".encode("utf-8") for label in labels]
     width = max(map(len, lines))
+    padded = any(len(line) < width for line in lines)
     table = np.frombuffer(b"".join(line.ljust(width, b"\xff")
-                                   for line in lines), dtype=f"V{width}")
+                                   for line in lines),
+                          dtype=np.uint8).reshape(len(lines), width)
     for start in range(0, values.size, _LINE_BLOCK):
-        # np.take would copy read-only indices first
-        taken = table[values[start:start + _LINE_BLOCK]]
-        yield taken.tobytes().replace(b"\xff", b"")
+        block = values[start:start + _LINE_BLOCK]
+        chunk = table.take(block, axis=0).tobytes()
+        yield chunk.replace(b"\xff", b"") if padded else chunk
 
 
 def cmd_sanitize(args) -> int:

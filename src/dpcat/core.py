@@ -780,9 +780,15 @@ def _array_label_indices(data: bytes, space: CategorySpace, column,
             encoded = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
             by_length.setdefault(encoded.size, []).append((i, encoded))
     lookup = {label: i for i, label in enumerate(space.labels)}
-    # one entry per line at most: untouched pages of the bound cost nothing
-    rows = np.empty(data.count(b"\n") + data.count(b"\r") + 1,
-                    dtype=np.int64)
+    code = np.min_scalar_type(len(space.labels))    # 1 + label index
+    # one entry per line at most (a lone CR ends one too), line feeds counted
+    # a block at a time: untouched pages of the bound cost nothing
+    raw = np.frombuffer(data, dtype=np.uint8)
+    lines = sum(int(np.count_nonzero(raw[at:at + _LOAD_BLOCK] == ord("\n")))
+                for at in range(0, raw.size, _LOAD_BLOCK))
+    if b"\r" in data:
+        lines += data.count(b"\r")
+    rows = np.empty(lines + 1, dtype=np.int64)
     filled = 0
     lineno = 1                  # number of the block's first line
     col = 0 if column is None else None     # None: header not read yet
@@ -810,19 +816,22 @@ def _array_label_indices(data: bytes, space: CategorySpace, column,
             if col:
                 before = commas.take(first_comma + col - 1, mode="clip")
                 has_field, lo = before < ends, before + 1
-        lengths = np.where(has_field, hi - lo, -1)
+        lengths = hi - lo   # negative on a line without field col
 
-        found = np.full(ends.size, -1, dtype=np.int64)
+        codes = np.zeros(ends.size, dtype=code)     # 1 + label index, 0: none
         for size, group in by_length.items():
             sel = np.flatnonzero(lengths == size)
             at = lo[sel]
             fields = np.empty((size, sel.size), dtype=np.uint8)  # byte j
-            for j in range(size):
-                fields[j] = u[at + j]
-            match = np.zeros(sel.size, dtype=np.int64)  # 1 + index, 0: none
+            for j in range(size):   # indices in range: "clip" skips a copy
+                u.take(at + j, out=fields[j], mode="clip")
+            match = np.zeros(sel.size, dtype=code)
             for i, label in group:
-                match += (i + 1) * (fields == label[:, None]).all(axis=0)
-            found[sel] = match - 1
+                hit = (fields == label[:, None]).all(axis=0)
+                match += hit * code.type(i + 1)
+            codes[sel] = match
+        found = rows[filled:filled + ends.size]     # a slot for each line
+        np.subtract(codes, 1, out=found, dtype=np.int64)
 
         # padded fields, unknown labels and short rows: row by row, as csv
         for r in np.flatnonzero(nonblank & (found < 0)).tolist():
@@ -833,9 +842,10 @@ def _array_label_indices(data: bytes, space: CategorySpace, column,
                 found[r] = lookup[field]
             except KeyError:
                 raise _unknown_label(path, lineno + r, field) from None
-        kept = found[nonblank]
-        rows[filled:filled + kept.size] = kept
-        filled += kept.size
+        if not nonblank.all():      # blank lines hold no row
+            found = found[nonblank]
+            rows[filled:filled + found.size] = found
+        filled += found.size
         lineno += ends.size
     if col is None:
         raise DataFormatError(f"{path}: empty data file")

@@ -375,14 +375,17 @@ class SolutionMatrix:
         out.setflags(write=False)
         return out
 
-    def is_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
-        """Constant diagonal and constant off-diagonal."""
+    @functools.cached_property
+    def is_symmetric(self) -> bool:
+        """Constant diagonal and constant off-diagonal, within
+        ``SYMMETRY_TOL``; decided once, as the entries never change."""
         diag = np.diag(self.values)
         off = self.values[~np.eye(self.size, dtype=bool)]
-        return (np.ptp(diag) <= tol) and (np.ptp(off) <= tol)
+        return bool(np.ptp(diag) <= SYMMETRY_TOL
+                    and np.ptp(off) <= SYMMETRY_TOL)
 
     def symmetric_p(self) -> float | None:
-        if not self.is_symmetric():
+        if not self.is_symmetric:
             return None
         return float(self.values[0, 1])
 
@@ -468,7 +471,7 @@ class ProductSpec(_Spec):
 
     @property
     def fixed_normalizer(self) -> bool:
-        return self.matrix.is_symmetric()
+        return self.matrix.is_symmetric
 
     def with_n(self, n: int) -> "ProductSpec":
         """The same mechanism over n rows."""
@@ -557,13 +560,21 @@ _SAMPLE_BLOCK = 1 << 16
 def _rowwise_sample(matrix: SolutionMatrix, d: Database,
                     rng: np.random.Generator) -> Database:
     # One uniform draw per row, in row order (drawn block by block: the
-    # same stream); row value v maps to the smallest j with
-    # u < cumsum(matrix[v])[j], i.e. the count of j with
-    # u >= cumsum(matrix[v])[j], accumulated one output category at a time.
+    # same stream); row value v maps to min(#{j : u >= cum[v, j]}, m), for
+    # cum the parent's cumulative rows (the smallest j with u < cum[v, j]),
+    # counted one output category at a time.  Cumulative sums of
+    # non-negative entries never decrease, so the last of the m + 1 columns
+    # can only lift a count to m + 1, which the min takes back: that column
+    # and the min are needed only when an entry lies below 0 (within
+    # ROW_SUM_TOL).
+    clamp = bool((matrix.stochastic < 0).any())
     cum = np.cumsum(matrix.stochastic, axis=1).T
+    if not clamp:
+        cum = cum[:-1]
     vals = d.array
     out = np.empty(d.n, dtype=np.int64)
-    counts = np.empty(min(d.n, _SAMPLE_BLOCK), dtype=np.int32)
+    counts = np.empty(min(d.n, _SAMPLE_BLOCK),
+                      dtype=np.min_scalar_type(len(cum)))
     for start in range(0, d.n, _SAMPLE_BLOCK):
         v = vals[start:start + _SAMPLE_BLOCK]
         u = rng.random(v.size)
@@ -571,7 +582,9 @@ def _rowwise_sample(matrix: SolutionMatrix, d: Database,
         count.fill(0)
         for col in cum:
             count += u >= col[v]
-        np.minimum(count, matrix.size - 1, out=out[start:start + v.size])
+        if clamp:
+            np.minimum(count, matrix.size - 1, out=count)
+        out[start:start + v.size] = count
     return Database._over(out)
 
 

@@ -614,7 +614,7 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
     s1 = above().sum(axis=2).ravel()            # |S1| of each pair (u, v)
     checks = _parent_checks(Counter(s1[s1 > 0].tolist()),
                             released.sum(axis=1).tolist(), k, n,
-                            product.matrix.is_symmetric())
+                            product.matrix.is_symmetric)
     if exact:
         e_eps, delta = params.exact_pair()
         e_num, e_den = e_eps.as_integer_ratio()

@@ -893,6 +893,8 @@ class TestSanitize:
         ("Sports", "Computer games", "x", "y" * 300),
         ("grün", "日本語", "ÿ", "🙂", "z"),
         ("", "é"),
+        ("c0", "c1", "c2"),     # lines of one width: nothing to strip
+        ("é", "ü"),
     ])
     def test_label_lines_match_the_join(self, labels, monkeypatch):
         values = np.random.default_rng(len(labels)).integers(

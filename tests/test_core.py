@@ -511,19 +511,40 @@ LOADER_CASES = [
      ("red, dark", "c\n1", "c1"), "colour"),
     ('"c0"\r\n c1\r\n"c2\r\n', ("c0", "c1", "c2"), None),
     ('c0\n"c0" \nc1"\n', ("c0", "c1"), None),
+    # more blank lines than rows: lines, not rows, bound a block's lines
+    ("\n" * 5 + "c0\n", ("c0", "c1"), None),
+    ("\r\n" * 5 + "c0\r\n", ("c0", "c1"), None),
+    ("\r" * 5 + "c0\r", ("c0", "c1"), None),
+    # labels that prefix one another, of three lengths
+    ("abc\na\nab\n ab\nabc\na\n", ("a", "ab", "abc"), None),
+    ("ab\nabc\nabcd\n", ("a", "ab", "abc"), None),
+    # a label longer than 8 bytes beside short ones
+    ("Computer games\nx\nc0\n Computer games\nComputer game\n",
+     ("c0", "Computer games", "x", "Computer game"), None),
+    ("x\nComputer games\nComputer gamez\n", ("c0", "Computer games", "x"),
+     None),
+    # labels of one length in bytes, each more than one byte
+    ("é\nü\né\nüé\n", ("é", "ü"), None),
+    ("日本\n中国\n日本\n", ("中国", "日本"), None),
+    # one label length, a short row under --column
+    ("id,colour\n1,c1\nc0\n3,c0\n", ("c0", "c1"), "colour"),
+    ("id,colour\n1,c1\n2,c0\n3\n", ("c0", "c1"), "colour"),
 ]
 
 
 def _loader_cases(seed: int, count: int):
-    """Random small files: lines of 1-3 fields, mostly labels, some padded,
-    some noise, mixed line ends; one in twenty quotes."""
+    """Random small files: lines of 1-3 fields, mostly labels (of one or
+    several byte lengths), some padded, some noise, mixed line ends; one in
+    four mostly blank lines; one in twenty quotes."""
     rnd = random.Random(seed)
-    pool = ("c0", "c1", "c2", "grün", "日本", "", " c0", "x y")
+    pool = ("c0", "c1", "c2", "grün", "日本", "", " c0", "x y",
+            "Computer games")
     noise = ("zz", "\x00", "", " ", "c0\x00", "é")
     for _ in range(count):
         labels = tuple(rnd.sample(pool, rnd.randint(2, 4)))
         column = rnd.choice((None, None, "colour", "note", ""))
         lines = ["id,colour,note"] if column and rnd.random() < 0.8 else []
+        blanks = rnd.choice((0, 0, 0, 4))   # some files mostly blank lines
         for _ in range(rnd.randint(0, 12)):
             if rnd.random() < 0.1:
                 lines.append(rnd.choice(("", " ", "\t")))
@@ -535,6 +556,7 @@ def _loader_cases(seed: int, count: int):
                     field = rnd.choice((" ", "\t")) + field + " "
                 fields.append(field)
             lines.append(",".join(fields))
+            lines += [""] * rnd.randint(0, blanks)
         ends = [rnd.choice(("\n", "\n", "\r\n", "\r")) for _ in lines]
         if ends and rnd.random() < 0.3:
             ends[-1] = ""

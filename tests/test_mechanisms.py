@@ -408,11 +408,15 @@ class TestSolutionMatrix:
             SolutionMatrix(np.array([[0.5, 0.5], [0.5, np.nan]]))
 
     def test_symmetry_detection(self):
-        assert symmetric_matrix(2, 0.2).is_symmetric()
+        assert symmetric_matrix(2, 0.2).is_symmetric is True
         skew = SolutionMatrix(np.array([[0.6, 0.2, 0.2],
                                         [0.2, 0.6, 0.2],
                                         [0.2, 0.3, 0.5]]))
-        assert not skew.is_symmetric()
+        assert skew.is_symmetric is False
+        # decided once per matrix: its entries are read-only
+        assert vars(skew)["is_symmetric"] is False
+        with pytest.raises(ValueError):
+            skew.values[2, 1] = 0.2
 
 
 class TestTableUtility:
@@ -436,6 +440,17 @@ class TestTableUtility:
             values[database_index(space, a), database_index(space, b)] = u
         utility = TableUtility(space, 1, values)
         assert utility.value(dbs[0], dbs[1]) == -1.0
+
+
+class _Uniforms:
+    """Hands out fixed uniforms in order, as ``Generator.random`` would."""
+
+    def __init__(self, u):
+        self.u, self.at = u, 0
+
+    def random(self, size):
+        self.at += size
+        return self.u[self.at - size:self.at]
 
 
 class TestSampling:
@@ -474,18 +489,42 @@ class TestSampling:
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_blocks_draw_one_uniform_stream(self, monkeypatch, block):
         # the rule applied to one rng.random(n) call, the first uniform to
-        # row 0: value v becomes the count of cumulative entries <= u
+        # row 0: value v becomes min(#{j : u >= cum[v, j]}, m) over all m + 1
+        # cumulative entries, on random parents with zero entries and rows
+        # whose float cumulative sum ends below 1; a real generator drawn
+        # block by block, then fixed uniforms with some at 1 - 2^-53
         monkeypatch.setattr(dpcat.mechanisms, "_SAMPLE_BLOCK", block)
-        matrix = SolutionMatrix([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
-                                 [0.25, 0.25, 0.5]])
-        rows = np.random.default_rng(8).integers(0, 3, 1_000)
-        spec = ProductSpec(make_space(2), rows.size, matrix)
-        u = np.random.default_rng(21).random(rows.size)
-        cum = np.cumsum(matrix.values, axis=1)
-        expected = np.minimum((u[:, None] >= cum[rows]).sum(axis=1), 2)
-        out = sample(spec, Database.from_array(rows),
-                     np.random.default_rng(21))
-        assert out.array.tolist() == expected.tolist()
+        top = np.nextafter(1.0, 0.0)
+        # entries sum to 1 with one just below 0 (within ROW_SUM_TOL): the
+        # cumulative sums pass 1, then end below 1 - 2^-53
+        dip = [0.05696695496946494, 0.4295957312078112, 0.40127264764389214,
+               0.11216466627883188, -1e-10]
+        gen = np.random.default_rng(8)
+        short_rows = 0
+        for m in (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6):
+            values = gen.dirichlet(np.ones(m + 1), size=m + 1)
+            values[gen.random(values.shape) < 0.2] = 0.0
+            values[:, 0] += 1.0 - values.sum(axis=1)    # rows sum to ~1
+            if m == 4:
+                values[m] = dip
+            matrix = SolutionMatrix(values)
+            cum = np.cumsum(matrix.stochastic, axis=1)
+            short_rows += int((cum[:, -1] < 1.0)[values.min(axis=1) >= 0]
+                              .sum())
+            rows = gen.integers(0, m + 1, 1_000)
+            with np.errstate(invalid="ignore"):     # log of the dip: unused
+                spec = ProductSpec(make_space(m), rows.size, matrix)
+            seed = 21 + m
+            edge = gen.random(rows.size)
+            edge[gen.random(rows.size) < 0.1] = top
+            for u, draws in ((np.random.default_rng(seed).random(rows.size),
+                              np.random.default_rng(seed)),
+                             (edge, _Uniforms(edge))):
+                expected = np.minimum((u[:, None] >= cum[rows]).sum(axis=1),
+                                      m)
+                out = sample(spec, Database.from_array(rows), draws)
+                assert out.array.tolist() == expected.tolist()
+        assert short_rows
 
     def test_general_utility_inverse_cdf(self, l1_spec, rng):
         counts = {}

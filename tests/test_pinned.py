@@ -81,6 +81,14 @@ def golden_dir(tmp_path_factory):
     (root / "table.spec").write_text(
         "type = exponential\nutility = table\ntable = table.csv\n"
         "categories = yesno.txt\nn = 3\n")
+
+    # product over labels of one width, 100k headerless rows: the shape of
+    # the benchmark's sanitize requests
+    (root / "c4.txt").write_text("c0\nc1\nc2\nc3\n")
+    rows = rng.integers(0, 4, 100_000)
+    (root / "c4.csv").write_text("".join(f"c{r}\n" for r in rows))
+    (root / "product_c4.spec").write_text(
+        "type = product\np = 0.15\ncategories = c4.txt\nn = 1\n")
     return root
 
 
@@ -105,6 +113,10 @@ SANITIZE_DIGESTS = {
         "b708f87fb857aeb2f3c0c5c69db2df34edea9d7b760ea97b199f714ab832edfe",
     ("table.spec", "yesno.csv", None, 7411):
         "110a14d9b46455d763c24cd704e231189e4f2906f507f50d32f4533c045297ed",
+    ("product_c4.spec", "c4.csv", None, 11):
+        "2a379552b28190b96557ac585be8bd4c5c5d6731354dd3ac74e1ce007f58342f",
+    ("product_c4.spec", "c4.csv", None, 7411):
+        "3ce3e5ef5e85325eafc97b78f0c9f82d7c287316285165892e93d3794ac60bba",
 }
 
 

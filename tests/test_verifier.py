@@ -1183,7 +1183,7 @@ class TestCount:
                       > verifier.TIE_BAND).sum(axis=2).tolist()
             count, text = _oracles.parent_check_count(
                 s1, np.isfinite(log_w).sum(axis=1).tolist(), n,
-                spec.product.matrix.is_symmetric())
+                spec.product.matrix.is_symmetric)
             checks = verify_reduced(spec, PrivacyParams(0.5, 0.0)
                                     ).checks_performed
             assert int(checks) == count and str(checks) == text
