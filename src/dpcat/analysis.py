@@ -241,8 +241,7 @@ def _singleton_bound(cols: np.ndarray, e_eps: float,
 def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,
                              rng: np.random.Generator, *,
                              batch: int = 4096,
-                             max_batches: int = 2000,
-                             tolerance: float = TOLERANCE) -> np.ndarray:
+                             max_batches: int = 2000) -> np.ndarray:
     """Draw row-stochastic matrices from the flat simplex and keep those
     whose parent mechanism is private at (epsilon, delta).
 
@@ -256,9 +255,9 @@ def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,
     ``rng.dirichlet(np.ones(m+1), size=(batch, m+1))``, and every batch is
     drawn whole.  Rows are scaled in the [x, row, b] layout the screens
     read.  A matrix whose singleton output sets already fail
-    (``_singleton_bound`` below ``-tolerance``) is refused; the rest, about
-    a tenth of the draws at the criterion-6 budgets, are kept when their
-    ``batch_matrix_margins`` margin clears ``-tolerance``.
+    (``_singleton_bound`` below the verifier's ``-TOLERANCE``) is refused;
+    the rest, about a tenth of the draws at the criterion-6 budgets, are
+    kept when their ``batch_matrix_margins`` margin clears it.
     """
     for name, value in (("m", m), ("count", count), ("batch", batch),
                         ("max_batches", max_batches)):
@@ -277,11 +276,11 @@ def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,
             for col in cols[1:]:
                 acc += col
             cols *= 1.0 / acc
-            survive = _singleton_bound(cols, e_eps, params.delta) >= -tolerance
+            survive = _singleton_bound(cols, e_eps, params.delta) >= -TOLERANCE
             if not survive.any():
                 continue
             mats = cols[:, :, survive].transpose(2, 1, 0)
-            keep = mats[batch_matrix_margins(mats, params) >= -tolerance]
+            keep = mats[batch_matrix_margins(mats, params) >= -TOLERANCE]
             out.append(keep)
             have += keep.shape[0]
             if have >= count:

@@ -180,8 +180,7 @@ def cmd_convert(args) -> int:
         p = converted.matrix.symmetric_p()
     if args.output:
         with _writing(args.output):
-            save_spec_file(converted, args.output, categories_path=getattr(
-                spec, "categories_path", None))
+            save_spec_file(converted, args.output, spec.categories_path)
     payload = {
         "from": spec.kind,
         "to": converted.kind,

@@ -342,25 +342,22 @@ def check_enum_budget(space: CategorySpace, n: int,
         f"budget of {budget}", states.value)
 
 
-def enumerate_databases(space: CategorySpace, n: int,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[Database]:
+def enumerate_databases(space: CategorySpace, n: int) -> Iterator[Database]:
     """Yield all databases in canonical order.  Restartable and stable."""
-    size = check_enum_budget(space, n, budget)
+    size = check_enum_budget(space, n)
     for i in range(size):
         yield database_from_index(space, n, i)
 
 
-def enumerate_neighbor_pairs(space: CategorySpace, n: int,
-                             budget: int = DEFAULT_ENUM_BUDGET
-                             ) -> Iterator[NeighborPair]:
+def enumerate_neighbor_pairs(space: CategorySpace,
+                             n: int) -> Iterator[NeighborPair]:
     """Yield all ordered pairs at hamming distance 1, n*m*(m+1)^n in total.
 
     Both orientations of each unordered pair are emitted, since the privacy
     inequality is checked asymmetrically.  Order: by first database, then by
     differing row, then by replacement value.
     """
-    check_enum_budget(space, n, budget)
-    for d in enumerate_databases(space, n, budget):
+    for d in enumerate_databases(space, n):
         for i in range(n):
             for v in range(space.size):
                 if v == d.rows[i]:

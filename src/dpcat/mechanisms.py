@@ -199,7 +199,7 @@ class TableUtility:
 
 
 class _Spec:
-    """Category space, row count and the canonical digit table."""
+    """Category space, row count, digit table, and pmf rows from blocks."""
 
     def __init__(self, space: CategorySpace, n: int):
         if n < 1:
@@ -220,6 +220,12 @@ class _Spec:
         if self._digits is None:
             self._digits = digit_matrix(self.space, self.n)
         return self._digits
+
+    def log_pmf_row(self, index: int) -> np.ndarray:
+        return self.log_pmf_block([index])[0]
+
+    def pmf_row(self, index: int) -> np.ndarray:
+        return np.exp(self.log_pmf_row(index))
 
 
 class ExponentialSpec(_Spec):
@@ -302,12 +308,6 @@ class ExponentialSpec(_Spec):
                 f"utilities")
         return self.product.exact_pmf_block(indices)
 
-    def log_pmf_row(self, index: int) -> np.ndarray:
-        return self.log_pmf_block([index])[0]
-
-    def pmf_row(self, index: int) -> np.ndarray:
-        return np.exp(self.log_pmf_row(index))
-
     def exact_pmf_row(self, index: int) -> list[Fraction]:
         """Exact probabilities from the parent's exact entries."""
         return self.exact_pmf_block([index])[0].tolist()
@@ -317,14 +317,14 @@ class SolutionMatrix:
     """Row-stochastic (m+1) x (m+1) matrix defining a parent mechanism.
 
     Entry [i, j] is the probability that category i is released as
-    category j.  Rows may sum to 1 within ``ROW_SUM_TOL``; the mechanism
-    verified and sampled is ``stochastic``, each row divided by its sum
-    once, so its n-row product is exactly as private as one row at every
-    n.  Exact rational entries may ride along for the rational
-    verification mode, as rows of rationals or a function returning them;
-    absent that, the binary float values themselves are taken as exact.
-    Either way the ``Fraction`` entries, each row divided by its exact sum,
-    are built at the first ``fractions()`` call.
+    category j; no entry lies below 0.  Rows may sum to 1 within
+    ``ROW_SUM_TOL``; the mechanism verified and sampled is ``stochastic``,
+    each row divided by its sum once, so its n-row product is exactly as
+    private as one row at every n.  Exact rational entries (also never
+    below 0) may ride along, as rows or a function returning them; absent
+    that, the binary float values themselves are taken as exact.  Either
+    way the ``Fraction`` entries, each row divided by its exact sum, are
+    built at the first ``fractions()`` call.
     """
 
     def __init__(self, values, fractions=None):
@@ -333,7 +333,10 @@ class SolutionMatrix:
             raise DataFormatError(f"matrix must be square, got {values.shape}")
         if values.shape[0] < 2:
             raise DataFormatError("matrix needs at least two categories")
-        if np.any(values < -ROW_SUM_TOL) or np.any(values > 1 + ROW_SUM_TOL):
+        exact_rows = (() if fractions is None or callable(fractions)
+                      else fractions)
+        if (np.any(values < 0) or np.any(values > 1 + ROW_SUM_TOL)
+                or any(x < 0 for row in exact_rows for x in row)):
             raise DataFormatError("matrix entries must lie in [0, 1]")
         if not np.all(np.isfinite(values)):     # NaN passes every comparison
             raise DataFormatError("matrix holds non-finite entries")
@@ -511,12 +514,6 @@ class ProductSpec(_Spec):
                             ).reshape(indices.size, -1)
         return block
 
-    def log_pmf_row(self, index: int) -> np.ndarray:
-        return self.log_pmf_block([index])[0]
-
-    def pmf_row(self, index: int) -> np.ndarray:
-        return np.exp(self.log_pmf_row(index))
-
     def exact_pmf_row(self, index: int) -> list[Fraction]:
         return self.exact_pmf_block([index])[0].tolist()
 
@@ -562,15 +559,11 @@ def _rowwise_sample(matrix: SolutionMatrix, d: Database,
     # One uniform draw per row, in row order (drawn block by block: the
     # same stream); row value v maps to min(#{j : u >= cum[v, j]}, m), for
     # cum the parent's cumulative rows (the smallest j with u < cum[v, j]),
-    # counted one output category at a time.  Cumulative sums of
-    # non-negative entries never decrease, so the last of the m + 1 columns
-    # can only lift a count to m + 1, which the min takes back: that column
-    # and the min are needed only when an entry lies below 0 (within
-    # ROW_SUM_TOL).
-    clamp = bool((matrix.stochastic < 0).any())
-    cum = np.cumsum(matrix.stochastic, axis=1).T
-    if not clamp:
-        cum = cum[:-1]
+    # counted one output category at a time.  Entries are never below 0,
+    # so cumulative sums never decrease, and the last of the m + 1 columns
+    # could only lift a count to m + 1, which the min would take back: the
+    # first m columns give the count.
+    cum = np.cumsum(matrix.stochastic, axis=1).T[:-1]
     vals = d.array
     out = np.empty(d.n, dtype=np.int64)
     counts = np.empty(min(d.n, _SAMPLE_BLOCK),
@@ -582,8 +575,6 @@ def _rowwise_sample(matrix: SolutionMatrix, d: Database,
         count.fill(0)
         for col in cum:
             count += u >= col[v]
-        if clamp:
-            np.minimum(count, matrix.size - 1, out=count)
         out[start:start + v.size] = count
     return Database._over(out)
 

@@ -125,8 +125,6 @@ def load_spec_file(path, *, exact: bool = False):
         else:
             raise DataFormatError(f"{path}: unknown utility {utility_name!r}")
         spec = ExponentialSpec(space, n, utility)
-        if utility_name == "table":
-            spec.table_path = str(table_path)
     elif mech_type == "product":
         if ("p" in kv) == ("matrix" in kv):
             raise DataFormatError(
@@ -143,46 +141,24 @@ def load_spec_file(path, *, exact: bool = False):
     return spec
 
 
-def save_spec_file(spec, path, categories_path=None) -> None:
-    """Write a spec file for a hamming-exponential or product mechanism.
-
-    Non-symmetric product matrices are written to a sibling ``<stem>.matrix.csv``.
+def save_spec_file(spec, path, categories_path) -> None:
+    """Write the spec file of a hamming exponential spec or a symmetric
+    product spec, the two forms ``dpcat convert`` makes, with the category
+    list at ``categories_path``.  Any other spec is a DataFormatError
+    naming its kind.
     """
-    path = Path(path)
-    categories_path = categories_path or getattr(spec, "categories_path", None)
-    if categories_path is None:
-        raise DataFormatError("no categories path known for this spec")
+    if spec.kind == "hamming":
+        k = spec.utility.k
+        lines = ["type = exponential", "utility = hamming",
+                 f"k = {'inf' if math.isinf(k) else repr(k)}"]
+    elif spec.kind == "product" and spec.matrix.is_symmetric:
+        lines = ["type = product", f"p = {spec.matrix.symmetric_p()!r}"]
+    else:
+        kind = "asymmetric product" if spec.kind == "product" else spec.kind
+        raise DataFormatError(f"save_spec_file writes hamming and symmetric "
+                              f"product specs, not {kind} specs")
     # spec files resolve paths against their own directory, so pin the
     # category list with an absolute path when writing elsewhere
-    categories_path = Path(categories_path).resolve()
-    lines = []
-    if isinstance(spec, ExponentialSpec):
-        if isinstance(spec.utility, HammingUtility):
-            k = spec.utility.k
-            lines += ["type = exponential", "utility = hamming",
-                      f"k = {'inf' if math.isinf(k) else repr(k)}"]
-        elif isinstance(spec.utility, NegL1Utility):
-            lines += ["type = exponential", "utility = l1"]
-        else:
-            table_path = getattr(spec, "table_path", None)
-            if table_path is None:
-                table_path = path.with_suffix(".table.csv")
-                np.savetxt(table_path, spec.utility.values, delimiter=",")
-            lines += ["type = exponential", "utility = table",
-                      f"table = {Path(table_path).resolve()}"]
-            if spec.utility.assert_fixed_c:
-                lines.append("fixed_c = true")
-    elif isinstance(spec, ProductSpec):
-        lines.append("type = product")
-        p = spec.matrix.symmetric_p()
-        if p is not None:
-            lines.append(f"p = {p!r}")
-        else:
-            matrix_path = path.with_suffix(".matrix.csv")
-            with open(matrix_path, "w", encoding="utf-8") as fh:
-                spec.matrix.to_csv(fh)
-            lines.append(f"matrix = {matrix_path.name}")
-    else:
-        raise DataFormatError(f"cannot serialise {type(spec).__name__}")
-    lines += [f"categories = {categories_path}", f"n = {spec.n}"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [f"categories = {Path(categories_path).resolve()}",
+              f"n = {spec.n}"]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -72,7 +72,6 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    COUNT_DIGIT_CAP,
     DEFAULT_SUBSET_BUDGET,
     CategorySpace,
     Count,
@@ -353,12 +352,11 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
 
 def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
                     params: PrivacyParams, *,
-                    tolerance: float = TOLERANCE,
                     exact: bool = False) -> SetCheckResult:
     """Check the privacy inequality for one pair on one output set.
 
     The margin is e^eps * P(X_d' in A) + delta - P(X_d in A); the inequality
-    holds when the margin clears ``-tolerance`` (0 in exact mode).  On a
+    holds when the margin clears ``-TOLERANCE`` (0 in exact mode).  On a
     product spec a box A = {x : x_j in A_j} has P(X_d in A) = the product
     over rows j of the sum of M[d_j, c] over A_j, read from the parent (in
     ``Fraction`` under ``exact``, else over the exponentiated log weights
@@ -393,7 +391,7 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
         margin = e_eps * pb + delta - pa
         return SetCheckResult(margin >= 0, float(margin))
     margin = math.exp(params.epsilon) * pb + params.delta - pa
-    return SetCheckResult(margin >= -tolerance, margin)
+    return SetCheckResult(margin >= -TOLERANCE, margin)
 
 
 def _box_probabilities(weights, mask: np.ndarray, databases,
@@ -440,15 +438,8 @@ def _index_pair(spec, ia, ib, row) -> NeighborPair:
 
 def _subset_count(terms, times: int = 1) -> Count:
     """``times`` the nonempty subsets of ``count`` sets of ``e`` members
-    each, summed over the (e, count) items of terms in order.  Terms of int
-    e and count under 8^cap < 10^cap are summed at once; otherwise the
-    Count is the expression times*(count*(2^e-1)+...)."""
-    terms = list(terms)
-    if all(isinstance(e, int) and e < 3 * COUNT_DIGIT_CAP
-           and isinstance(count, int) for e, count in terms):
-        total = times * sum(count * ((1 << e) - 1) for e, count in terms)
-        if total.bit_length() <= 3 * COUNT_DIGIT_CAP:
-            return Count(total)
+    each, summed over the (e, count) items of terms in order: the Count of
+    times*(count*(2^e-1)+...), which decides itself whether it is an int."""
     total = ("+", *(("*", count, ("2^-", e, 1)) for e, count in terms))
     return Count(total if times == 1 else ("*", times, total))
 
@@ -463,15 +454,13 @@ RELEASE_CLASS_LIMIT = 1 << 15
 
 
 def _quantity(coef: int, powers) -> int | tuple:
-    """coef * prod b^e over the (b, e) of powers, as a Count expression:
-    the int while it has well under ``COUNT_DIGIT_CAP`` digits, else the
-    product, leaving out the factors equal to 1."""
-    powers = [(b, e) for b, e in powers if b > 1 and e]
-    digits = math.log10(coef) + sum(e * math.log10(b) for b, e in powers)
-    if digits < COUNT_DIGIT_CAP - 2:
-        return coef * math.prod(b ** e for b, e in powers)
-    factors = [b if e == 1 else ("^", b, e) for b, e in powers]
-    return ("*", coef, *factors) if coef > 1 else ("*", *factors)
+    """coef * prod b^e over the (b, e) of powers (coef, b >= 1), as a
+    Count expression: its int where the Count has one (up to
+    ``COUNT_DIGIT_CAP`` digits), else the product, leaving out the factors
+    equal to 1."""
+    factors = [b if e == 1 else ("^", b, e) for b, e in powers if b > 1 and e]
+    expr = ("*", coef, *factors) if coef > 1 else ("*", *factors)
+    return Count(expr).value or expr        # None past the cap, never 0
 
 
 def _release_spread(released: list[int], rows: int):
@@ -698,7 +687,7 @@ def _table_route(spec, params: PrivacyParams, partition: bool):
                                 tuple(worst.tolist()))), checks
 
 
-def _build_report(spec, params, result, method: str, tolerance: float,
+def _build_report(spec, params, result, method: str,
                   exact: bool) -> VerificationReport:
     """The report of a route's (margin, binding, checks); result None is
     the trivial regime delta = 1, private at an infinite margin after no
@@ -708,7 +697,7 @@ def _build_report(spec, params, result, method: str, tolerance: float,
     margin, binding, checks = result or (math.inf, None, Count(0))
     pair, bset = binding or (None, None)
     return VerificationReport(
-        verdict=("private" if margin >= (0 if exact else -tolerance)
+        verdict=("private" if margin >= (0 if exact else -TOLERANCE)
                  else "not-private"),
         method=method,
         epsilon=params.epsilon,
@@ -720,14 +709,13 @@ def _build_report(spec, params, result, method: str, tolerance: float,
         checks_naive=naive_check_count(spec.space, spec.n),
         space=spec.space,
         n=spec.n,
-        tolerance=0.0 if exact else tolerance,
+        tolerance=0.0 if exact else TOLERANCE,
         exact=exact,
         trivial=trivial,
     )
 
 
 def verify_reduced(spec, params: PrivacyParams, *,
-                   tolerance: float = TOLERANCE,
                    exact: bool = False) -> VerificationReport:
     """Decide privacy using the strongest reduction the spec admits.
 
@@ -746,16 +734,15 @@ def verify_reduced(spec, params: PrivacyParams, *,
         partition = params.delta == 0
     method = "partition" if partition else "sufficient-set"
     if params.trivial:
-        return _build_report(spec, params, None, method, tolerance, exact)
+        return _build_report(spec, params, None, method, exact)
     _require_exact(spec, exact)
     result = (_parent_route(spec, params, exact) if spec.product is not None
               else _table_route(spec, params, partition))
-    return _build_report(spec, params, result, method, tolerance, exact)
+    return _build_report(spec, params, result, method, exact)
 
 
 def verify_bruteforce(spec, params: PrivacyParams, *,
                       budget_subsets: int = DEFAULT_SUBSET_BUDGET,
-                      tolerance: float = TOLERANCE,
                       exact: bool = False) -> VerificationReport:
     """Ground-truth oracle: check every nonempty proper subset of the space
     for every ordered neighbor pair and record the worst margin.
@@ -775,8 +762,7 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
             f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
             f"{budget_subsets}", states.value)
     if params.trivial:
-        return _build_report(spec, params, None, "brute-force", tolerance,
-                             exact)
+        return _build_report(spec, params, None, "brute-force", exact)
     _require_exact(spec, exact)
 
     size = spec.state_count
@@ -803,8 +789,7 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
             i for i in range(size) if masks[p] >> i & 1))
         result = (margins[p], (_index_pair(spec, ia[p], ib[p], rows[p]),
                                witness), Count(checks))
-    return _build_report(spec, params, result, "brute-force", tolerance,
-                         exact)
+    return _build_report(spec, params, result, "brute-force", exact)
 
 
 def exp_dp_condition(k: float, params: PrivacyParams, m: int, *,
@@ -857,7 +842,6 @@ def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
 
 def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
                   space: CategorySpace | None = None,
-                  tolerance: float = TOLERANCE,
                   exact: bool = False) -> VerificationReport:
     """Decide privacy of a parent matrix as its one-row product spec (see
     :func:`_parent_route`); the verdict carries over to the product
@@ -868,5 +852,4 @@ def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,
         raise DataFormatError(
             f"matrix is {matrix.size}x{matrix.size} but the space has "
             f"{space.size} categories")
-    return verify_reduced(ProductSpec(space, 1, matrix), params,
-                          tolerance=tolerance, exact=exact)
+    return verify_reduced(ProductSpec(space, 1, matrix), params, exact=exact)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from dpcat.analysis import (
     product_to_exponential,
 )
 from dpcat.cli import main
-from dpcat.specfile import load_spec_file
+from dpcat.errors import DataFormatError
+from dpcat.specfile import load_spec_file, save_spec_file
 
 SRC = str(Path(dpcat.__file__).resolve().parent.parent)
 
@@ -709,6 +711,48 @@ class TestParameterRange:
         assert out
 
 
+class TestNegativeEntries:
+    """A parent entry below 0 is an input error, however small, before any
+    logarithm is taken; under --exact it is read from its rational."""
+
+    def write(self, workdir, rows):
+        (workdir / "neg.csv").write_text(rows)
+        (workdir / "neg.spec").write_text(
+            "type = product\nmatrix = neg.csv\ncategories = cats.txt\n"
+            "n = 2\n")
+        (workdir / "data.csv").write_text("0\n2\n")
+        return workdir
+
+    @pytest.mark.parametrize("command", ["verify", "sanitize", "analyze"])
+    def test_a_dip_below_0_exits_2_with_no_warning(self, workdir, capsys,
+                                                   command):
+        # the row sums to 1 within the row-sum tolerance
+        specs = self.write(workdir, "0.5,0.5000000001,-0.0000000001\n"
+                                    "0.2,0.3,0.5\n0.1,0.1,0.8\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *TestParameterRange.argv(
+                specs, command, "neg.spec"))
+        assert (code, out) == (2, "")
+        assert err == "error: matrix entries must lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("entry, refused", [("-1e-400", True),
+                                                ("-0.0", False)])
+    def test_exact_entries_are_checked_as_rationals(self, workdir, capsys,
+                                                    entry, refused):
+        # -1e-400 reads as the float -0.0, but its Fraction is below 0
+        specs = self.write(workdir, f"0.5,0.5,{entry}\n0.2,0.3,0.5\n"
+                                    f"0.1,0.1,0.8\n")
+        code, out, err = run(capsys, "verify", "--spec", specs / "neg.spec",
+                             "--epsilon", "1", "--exact")
+        if refused:
+            assert (code, out, err) == (
+                2, "", "error: matrix entries must lie in [0, 1]\n")
+        else:       # a zero entry: decided, not private at delta = 0
+            assert (code, err) == (1, "")
+            assert json.loads(out)["exact"] is True
+
+
 class TestParserReuse:
     """main() builds its parser once per process; calls share nothing."""
 
@@ -1052,6 +1096,49 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--spec", spec)
         assert code == 2
         assert "symmetric" in err
+
+
+class TestSaveSpecFile:
+    """save_spec_file writes the two forms convert makes, which load back
+    as they were, and refuses every other spec by its kind."""
+
+    @pytest.mark.parametrize("source, text", [
+        ("ham.spec", None),
+        ("inf.spec", "type = exponential\nutility = hamming\nk = inf\n"),
+        ("hobby.spec", None),
+    ])
+    def test_written_specs_load_back(self, workdir, source, text):
+        if text is not None:
+            (workdir / source).write_text(
+                f"{text}categories = cats.txt\nn = 3\n")
+        spec = load_spec_file(workdir / source)
+        (workdir / "out").mkdir()
+        path = workdir / "out" / "saved.spec"
+        save_spec_file(spec, path, spec.categories_path)
+        back = load_spec_file(path)
+        assert (back.kind, back.space, back.n) == (spec.kind, spec.space,
+                                                    spec.n)
+        if spec.kind == "hamming":
+            assert back.utility.k == spec.utility.k
+        else:
+            assert back.matrix.symmetric_p() == spec.matrix.symmetric_p()
+
+    @pytest.mark.parametrize("spec_text, kind", [
+        ("type = exponential\nutility = l1\n", "l1"),
+        ("type = exponential\nutility = table\ntable = t.csv\n", "table"),
+        ("type = product\nmatrix = m.csv\n", "asymmetric product"),
+    ])
+    def test_other_specs_are_refused_by_kind(self, workdir, spec_text, kind):
+        (workdir / "t.csv").write_text("0,1\n1,0\n")
+        (workdir / "m.csv").write_text("0.6,0.4\n0.3,0.7\n")
+        (workdir / "bits.txt").write_text("0\n1\n")
+        (workdir / "other.spec").write_text(
+            f"{spec_text}categories = bits.txt\nn = 1\n")
+        spec = load_spec_file(workdir / "other.spec")
+        path = workdir / "saved.spec"
+        with pytest.raises(DataFormatError, match=f"not {kind} specs"):
+            save_spec_file(spec, path, spec.categories_path)
+        assert not path.exists()
 
 
 class TestOptimal:

@@ -10,13 +10,18 @@ Each subcommand's options are pinned in ``CLI_OPTIONS``, so adding one is
 a visible change here, and every subcommand is run twice on the same
 inputs to show that its output is a function of them.
 
+Each defaulted parameter of the exported API is pinned in
+``LIBRARY_KEYWORDS``, so a new library knob is a visible change here too.
+
 The verifier's tie rule, ``TIE_BAND``, is read in one function, so a new
-route cannot bring a tie rule of its own.
+route cannot bring a tie rule of its own, and it reads no
+``COUNT_DIGIT_CAP``: ``Count`` alone decides when a count is an int.
 """
 
 import argparse
 import ast
 import contextlib
+import inspect
 import io
 import tokenize
 from pathlib import Path
@@ -157,14 +162,88 @@ def test_every_subcommand_answers_the_same_twice(tmp_path):
             assert answers[0][0] in (0, 1) and answers[0][1], argv
 
 
-def test_the_tie_band_is_read_in_one_function():
+#: Each defaulted parameter of an exported function, or of the
+#: constructor, a public method or a classmethod of an exported class.
+LIBRARY_KEYWORDS = [
+    "ConditionResult.__init__:trivial",
+    "HammingUtility.__init__:e_k",
+    "PrivacyParams.__init__:e_eps_exact",
+    "PrivacyParams.__init__:delta_exact",
+    "ProductSpec.__init__:row_utility",
+    "SolutionMatrix.__init__:fractions",
+    "SolutionMatrix.from_csv:exact",
+    "SufficientSet.__init__:alpha_levels",
+    "SufficientSet.__init__:partition",
+    "TableUtility.__init__:assert_fixed_c",
+    "VerificationReport.__init__:tolerance",
+    "VerificationReport.__init__:exact",
+    "VerificationReport.__init__:trivial",
+    "dp_holds_on_set:exact",
+    "exp_dp_condition:e_k",
+    "exp_dp_condition:exact",
+    "expected_error:params",
+    "load_database_csv:column",
+    "load_spec_file:exact",
+    "optimal_mechanism:exact",
+    "product_dp_condition:p_exact",
+    "product_dp_condition:exact",
+    "sample_feasible_matrices:batch",
+    "sample_feasible_matrices:max_batches",
+    "sufficient_set:exact",
+    "verify_bruteforce:budget_subsets",
+    "verify_bruteforce:exact",
+    "verify_matrix:space",
+    "verify_matrix:exact",
+    "verify_reduced:exact",
+]
+
+
+def _library_keywords() -> list[str]:
+    out = []
+    for name in sorted(_exported()):
+        obj = getattr(dpcat, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.__init__", obj.__init__)] + [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr, value in vars(obj).items()
+                if not attr.startswith("_") and (
+                    inspect.isfunction(value)
+                    or isinstance(value, classmethod))]
+        elif inspect.isfunction(obj):
+            members = [(name, obj)]
+        else:
+            continue
+        for label, fn in members:
+            out += [f"{label}:{p.name}"
+                    for p in inspect.signature(fn).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+    return out
+
+
+def test_library_keywords_are_pinned():
+    assert _library_keywords() == LIBRARY_KEYWORDS
+    assert len(LIBRARY_KEYWORDS) == 30
+
+
+def _verifier_readers(constant: str) -> tuple[dict[str, int], int]:
+    """Functions of verifier.py that load ``constant``, with their number
+    of loads, and the number of loads in the whole module."""
     tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
 
     def reads(node) -> int:
-        return sum(isinstance(name, ast.Name) and name.id == "TIE_BAND"
+        return sum(isinstance(name, ast.Name) and name.id == constant
                    and isinstance(name.ctx, ast.Load)
                    for name in ast.walk(node))
-    readers = {func.name: reads(func) for func in ast.walk(tree)
-               if isinstance(func, ast.FunctionDef) and reads(func)}
+    return ({func.name: reads(func) for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and reads(func)},
+            reads(tree))
+
+
+def test_the_tie_band_is_read_in_one_function():
+    readers, total = _verifier_readers("TIE_BAND")
     assert list(readers) == ["_above"]
-    assert readers["_above"] == reads(tree)
+    assert readers["_above"] == total
+
+
+def test_the_verifier_reads_no_count_cap():
+    assert _verifier_readers("COUNT_DIGIT_CAP") == ({}, 0)

@@ -407,6 +407,22 @@ class TestSolutionMatrix:
         with pytest.raises(DataFormatError, match="non-finite"):
             SolutionMatrix(np.array([[0.5, 0.5], [0.5, np.nan]]))
 
+    def test_entry_below_0_is_rejected(self):
+        # even within the row-sum tolerance, where its log would be NaN,
+        # and in exact rows whose floats read -0.0
+        rows = [[0.5, 0.5 + 1e-10, -1e-10], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]
+        with pytest.raises(DataFormatError, match=r"must lie in \[0, 1\]"):
+            SolutionMatrix(rows)
+        exact = [[Fraction(1, 2), Fraction(1, 2), Fraction(-1, 10 ** 400)],
+                 [Fraction(1, 2)] * 2 + [Fraction(0)],
+                 [Fraction(0)] + [Fraction(1, 2)] * 2]
+        floats = [[float(x) for x in row] for row in exact]
+        assert floats[0][2] == 0.0
+        with pytest.raises(DataFormatError, match=r"must lie in \[0, 1\]"):
+            SolutionMatrix(floats, fractions=exact)
+        exact[0][2] = Fraction(0)
+        assert SolutionMatrix(floats, fractions=exact).fractions()[0][2] == 0
+
     def test_symmetry_detection(self):
         assert symmetric_matrix(2, 0.2).is_symmetric is True
         skew = SolutionMatrix(np.array([[0.6, 0.2, 0.2],
@@ -495,25 +511,17 @@ class TestSampling:
         # block by block, then fixed uniforms with some at 1 - 2^-53
         monkeypatch.setattr(dpcat.mechanisms, "_SAMPLE_BLOCK", block)
         top = np.nextafter(1.0, 0.0)
-        # entries sum to 1 with one just below 0 (within ROW_SUM_TOL): the
-        # cumulative sums pass 1, then end below 1 - 2^-53
-        dip = [0.05696695496946494, 0.4295957312078112, 0.40127264764389214,
-               0.11216466627883188, -1e-10]
         gen = np.random.default_rng(8)
         short_rows = 0
         for m in (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6):
             values = gen.dirichlet(np.ones(m + 1), size=m + 1)
             values[gen.random(values.shape) < 0.2] = 0.0
             values[:, 0] += 1.0 - values.sum(axis=1)    # rows sum to ~1
-            if m == 4:
-                values[m] = dip
             matrix = SolutionMatrix(values)
             cum = np.cumsum(matrix.stochastic, axis=1)
-            short_rows += int((cum[:, -1] < 1.0)[values.min(axis=1) >= 0]
-                              .sum())
+            short_rows += int((cum[:, -1] < 1.0).sum())
             rows = gen.integers(0, m + 1, 1_000)
-            with np.errstate(invalid="ignore"):     # log of the dip: unused
-                spec = ProductSpec(make_space(m), rows.size, matrix)
+            spec = ProductSpec(make_space(m), rows.size, matrix)
             seed = 21 + m
             edge = gen.random(rows.size)
             edge[gen.random(rows.size) < 0.1] = top

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -448,8 +449,8 @@ class TestTableRoute:
             return wrapper
 
         for name in ("log_pmf_row", "pmf_row"):
-            monkeypatch.setattr(mech.ExponentialSpec, name,
-                                counting(name, vars(mech.ExponentialSpec)[name]))
+            monkeypatch.setattr(mech._Spec, name,
+                                counting(name, vars(mech._Spec)[name]))
         monkeypatch.setattr(dpcat.kernels, "subset_scan",
                             counting("subset_scan",
                                      dpcat.kernels.subset_scan))
@@ -1196,6 +1197,50 @@ class TestCount:
                  for size in range(2, 6) for n in range(1, 9)]
         assert any(t.isdigit() for t in texts)
         assert any("*(2^" in t for t in texts)
+
+    #: Single-class parents: every row releases z categories, so
+    #: |S| = |S1| * z^(n-1).
+    CAP_PARENTS = {
+        "m1": [[0.7, 0.3], [0.4, 0.6]],
+        "m2": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]],
+        "m2z": [[0.5, 0.5, 0.0], [0.0, 0.6, 0.4], [0.3, 0.0, 0.7]],
+    }
+
+    @pytest.mark.parametrize("name, n, length, expected", [
+        # |S| of 3,998, 3,999, 4,000 and 4,001 digits
+        ("m1", 13280, 8011, "1b9e6e2b51a493e7254d07819b18ae3e"
+                            "05257b898af8e4882555c732256a9596"),
+        ("m1", 13284, 8013, "9758b094d5bf581fa0aaae7495fe8ddf"
+                            "d113ca1b983a9bb5fd51d400207e0509"),
+        ("m1", 13288, 8017, "837f14ae37b3ab6955c9218826a7a8cb"
+                            "fcdd933ea4d246d2219cdfc8cb29270b"),
+        ("m1", 13289, 33, "13289*(2*2^13288*(2^(2^13288)-1))"),
+        # |S1| of 1 and 2: both |S| at 4,000 digits, then one on each side
+        # of the cap, then both past it
+        ("m2", 8383, 16022, "337c8638d76f054d0e778e3763cbf2e1"
+                            "e2241cccadf2c67f9e50df6542d71990"),
+        ("m2", 8384, 16030, "667b28d2009e211533b7a101c8e69af1"
+                            "371f330dc353bbd47023c570a35158cd"),
+        ("m2", 8385, 56, "8385*(3*3^8384*(2^(3^8384)-1)"
+                         "+3*3^8384*(2^(2*3^8384)-1))"),
+        # zero entries: z = 2 of 3 categories
+        ("m2z", 13288, 8045, "dc41afdae11a72c7b32bd7ffdf0145ec"
+                             "cb20a91c4c6cac669ee695da21a9c85a"),
+        ("m2z", 13289, 61, "13289*(3*3^13288*(2^(2^13288)-1)"
+                           "+3*3^13288*(2^(2*2^13288)-1))"),
+    ])
+    def test_check_count_text_across_the_cap(self, name, n, length,
+                                             expected):
+        # whether each |S| prints as its decimal or its power is Count's
+        # decision; a text of thousands of digits is pinned by its SHA-256
+        rows = self.CAP_PARENTS[name]
+        spec = ProductSpec(make_space(len(rows) - 1), n, SolutionMatrix(rows))
+        text = str(verify_reduced(spec, PrivacyParams(0.5, 0.0))
+                   .checks_performed)
+        assert len(text) == length
+        if len(expected) != length:
+            text = hashlib.sha256(text.encode()).hexdigest()
+        assert text == expected
 
     def test_a_table_count_prints_its_terms_past_the_cap(self):
         count = verifier._subset_count([(5, 1), (13288, 2)])
