@@ -13,9 +13,9 @@ import bisect
 import csv
 import functools
 import io
+import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -393,14 +393,19 @@ class Count:
 
     It is made from the expression that defines it: an int, or a tuple
     ``("^", b, e)`` for b^e with ints b >= 1 and e, ``("*", ...)`` for a
-    product, ``("+", ...)`` for a sum, or ``("2^-", x, c)`` for 2^x - c.
-    Up to ``COUNT_DIGIT_CAP`` digits ``value`` holds the int and the count
-    prints as its decimal.  Past the cap ``value`` is None and the count
-    prints as its expression, in which each part without a 2^x - c inside
-    prints as its decimal while that stays under the cap.  Which case
+    product, ``("+", ...)`` for a sum, ``("2^-", x, c)`` for 2^x - c, or
+    ``("classes", n, classes, pairs)`` for the release-class sum of
+    :func:`_class_sum`.  Up to ``COUNT_DIGIT_CAP`` digits ``value`` holds
+    the int and the count prints as its decimal.  Past the cap ``value`` is
+    None and the count prints as its expression, in which each part
+    without a 2^x - c inside prints as its decimal while that stays under
+    the cap, and a release-class sum as its closed form.  Which case
     applies is decided from the bit lengths of the parts, a base-2
     logarithm, so no int of much over the cap is built unless ``int()``
-    asks for one.  Counts compare, hash and add as their ints.
+    asks for one.  A count adds as its int and compares as its int
+    wherever one side fits under the cap, building a count past the cap
+    only as far as the bit length of the other side; two counts past the
+    cap do not compare (TypeError), and a count has no hash.
     """
 
     __slots__ = ("expr", "value")
@@ -422,21 +427,13 @@ class Count:
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def __hash__(self) -> int:
-        # hash(x) of an int x >= 0 is x modulo sys.hash_info.modulus
-        return _residue(self.expr, sys.hash_info.modulus)
-
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
-            return NotImplemented
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign == 0
 
     def __lt__(self, other):
-        try:
-            return self._cmp(other) < 0
-        except TypeError:
-            return NotImplemented
+        sign = self._cmp(other)
+        return NotImplemented if sign is None else sign < 0
 
     def __add__(self, other):
         try:
@@ -447,21 +444,28 @@ class Count:
 
     __radd__ = __add__
 
-    def _cmp(self, other) -> int:
-        """The sign of self - other.  Past the cap, identical expressions
-        are equal and separated bounds on log2(log2) give the order; only
-        overlapping bounds build the ints."""
-        if not isinstance(other, Count):
-            other = Count(operator.index(other))
-        a, b = self.value, other.value
-        if a is None and b is None and self.expr != other.expr:
-            (lo, hi), (lo_b, hi_b) = map(_log2_log2_span,
-                                         (self.expr, other.expr))
-            a, b = ((lo, hi_b) if lo > hi_b else (hi, lo_b) if hi < lo_b
-                    else (int(self), int(other)))
-        elif a is None or b is None:    # None: past the cap, over any under it
-            a, b = a is None, b is None
-        return (a > b) - (a < b)
+    def _cmp(self, other) -> int | None:
+        """The sign of self - other, or None where other is no integer."""
+        if isinstance(other, Count):
+            if other.value is None:
+                if self.value is None:
+                    raise TypeError(f"counts past {COUNT_DIGIT_CAP} digits "
+                                    f"do not compare with each other")
+                return -other._sign(self.value)
+            other = other.value
+        try:
+            other = operator.index(other)
+        except TypeError:
+            return None
+        return self._sign(other)
+
+    def _sign(self, other: int) -> int:
+        """The sign of self - other; past the cap, self is built only while
+        it stays under 2^(bit length of other)."""
+        value = self.value
+        if value is None:
+            value = _bounded(self.expr, other.bit_length())
+        return 1 if value is None else (value > other) - (value < other)
 
 
 def _bounded(x, bits: float) -> int | None:
@@ -475,6 +479,8 @@ def _bounded(x, bits: float) -> int | None:
         if power * (base.bit_length() - 1) > bits:
             return None
         return base ** power
+    if op == "classes":
+        return _class_sum(*x[1:], bits)
     values = [a if isinstance(a, int) else _bounded(a, bits) for a in x[1:]]
     if op == "2^-":
         power, c = values
@@ -487,46 +493,45 @@ def _bounded(x, bits: float) -> int | None:
     return math.prod(values) if op == "*" else sum(values)
 
 
-def _log2_log2_span(x) -> tuple[float, float]:
-    """Bounds lo <= log2(log2(x)) <= hi of a Count expression, widened by
-    2^-40; -inf for a part of 0 or 1.  A part of at most ``_CAP_BITS`` bits
-    is built; past them b^e is e * log2(b), log2(2^y - c) lies in
-    [y - 1, y], a product adds its parts' log2, and a sum lies between its
-    largest part and that part times the number of parts.  They stay
-    finite where log2(x) itself passes the float range."""
-    value = _bounded(x, _CAP_BITS)
-    if value is not None and value < 2:
-        return -math.inf, -math.inf
-    if value is not None:
-        lo = hi = math.log2(math.log2(value))
-    elif x[0] == "^":
-        lo = hi = math.log2(x[2]) + math.log2(math.log2(x[1]))
-    elif x[0] == "2^-":
-        lo, hi = (2.0 ** b for b in _log2_log2_span(x[1]))   # log2(y)
-        lo += math.log1p(-2.0 ** -lo) / math.log(2)           # log2(y - 1)
-    else:
-        los, his = zip(*map(_log2_log2_span, x[1:]))
-        add = np.logaddexp2         # log2(2^a + 2^b)
-        lo, hi = ((add.reduce(los), add.reduce(his)) if x[0] == "*" else
-                  (max(los), add(max(his), math.log2(len(his)))))
-    lo, hi = float(lo), float(hi)
-    return lo - 2.0 ** -40 * (1 + abs(lo)), hi + 2.0 ** -40 * (1 + abs(hi))
+def _class_sum(n: int, classes, pairs, bits: float) -> int | None:
+    """The release-class sum, the check count of n rows over a parent
+    whose rows release different numbers of categories:
+
+        n * sum over c_1 + ... + c_r = n - 1 of multinomial(n - 1; c)
+          * prod w_z^(c_z) * sum_s P_s * (2^(s * prod z^(c_z)) - 1),
+
+    for ``classes`` the (z, w_z) ascending in z, w_z parent rows releasing
+    z categories, and ``pairs`` the (s, P_s) ascending in s, P_s parent
+    pairs with |S1| = s.  Its largest exponent, max s * max z^(n-1), is
+    checked against ``bits`` before any split is built, so a sum under
+    2^bits has at most bits splits (one per class when n = 2).
+    """
+    z_top, s_top = classes[-1][0], pairs[-1][0]
+    if ((n - 1) * (z_top.bit_length() - 1) > bits
+            or s_top * z_top ** (n - 1) > bits):
+        return None
+    width = n - 1 + len(classes) - 1    # bars between classes among rows
+    orders, total = math.factorial(n - 1), 0
+    for bars in itertools.combinations(range(width), len(classes) - 1):
+        counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, width))]
+        ways = orders // math.prod(map(math.factorial, counts))
+        size = math.prod(z ** c for (z, _), c in zip(classes, counts))
+        weight = math.prod(w ** c for (_, w), c in zip(classes, counts))
+        total += ways * weight * sum(p * ((1 << s * size) - 1)
+                                     for s, p in pairs)
+    return n * total
 
 
-def _residue(x, q: int) -> int:
-    """x mod q of a Count expression.  Where q = 2^k - 1, 2^k = 1 (mod q),
-    so a 2^y part needs only y mod k; for any other q, y is built."""
-    if isinstance(x, int):
-        return x % q
-    op, *args = x
-    if op in ("*", "+"):
-        parts = [_residue(a, q) for a in args]
-        return (math.prod(parts) if op == "*" else sum(parts)) % q
-    if op == "^":
-        return pow(*args, q)
-    k = q.bit_length()
-    y = _residue(args[0], k) if q == (1 << k) - 1 else int(Count(args[0]))
-    return (pow(2, y, q) - args[1]) % q
+def _class_text(n: int, classes, pairs) -> str:
+    """The release-class sum as its closed form, of a length that grows
+    with n only by n's digits."""
+    c = [f"c{j}" for j in range(1, len(classes) + 1)]
+    weight = "".join(f"*{w}^{cj}" for (_, w), cj in zip(classes, c) if w > 1)
+    size = "*".join(f"{z}^{cj}" for (z, _), cj in zip(classes, c) if z > 1)
+    terms = "+".join(f"{p}*(2^({f'{s}*' if s > 1 else ''}{size})-1)"
+                     for s, p in pairs)
+    return (f"{n}*sum({n - 1}!/({'*'.join(f'{cj}!' for cj in c)}){weight}"
+            f"*({terms}) for {'+'.join(c)}={n - 1})")
 
 
 #: Bits past which a count has more than ``COUNT_DIGIT_CAP`` digits.
@@ -553,6 +558,8 @@ def _text(x) -> str:
     inside as its decimal while that fits under the cap."""
     if isinstance(x, int):
         return str(x)
+    if x[0] == "classes":
+        return _class_text(*x[1:])
     value = None if _subsets_inside(x) else _fits(x)
     if value is not None:
         return str(value)

@@ -61,7 +61,6 @@ denominator, everything else in ``fractions.Fraction``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections import Counter
@@ -444,51 +443,6 @@ def _subset_count(terms, times: int = 1) -> Count:
     return Count(total if times == 1 else ("*", times, total))
 
 
-#: Most class counts a product spec's check count may be summed over where
-#: the parent's rows release different numbers of categories: one term per
-#: way of splitting the n - 1 other rows among those numbers, so terms *
-#: (n - 1) counts, and the work of each term grows with n.  Every spec of
-#: at most 2^20 states needs at most 17,952 (32 categories, 4 rows: 5,984
-#: terms).
-RELEASE_CLASS_LIMIT = 1 << 15
-
-
-def _quantity(coef: int, powers) -> int | tuple:
-    """coef * prod b^e over the (b, e) of powers (coef, b >= 1), as a
-    Count expression: its int where the Count has one (up to
-    ``COUNT_DIGIT_CAP`` digits), else the product, leaving out the factors
-    equal to 1."""
-    factors = [b if e == 1 else ("^", b, e) for b, e in powers if b > 1 and e]
-    expr = ("*", coef, *factors) if coef > 1 else ("*", *factors)
-    return Count(expr).value or expr        # None past the cap, never 0
-
-
-def _release_spread(released: list[int], rows: int):
-    """The release classes of a parent, (z, parent rows releasing z
-    categories) ascending in z, and one item per way of splitting ``rows``
-    other rows among them: (rows per class, number of assignments)."""
-    classes = sorted(Counter(released).items())
-    terms = 1
-    for j in range(1, len(classes)):
-        terms = terms * (rows + j) // j             # C(rows + j, j)
-        if terms * rows > RELEASE_CLASS_LIMIT:
-            raise EnumerationBudgetError(
-                f"the parent's rows release {len(classes)} different "
-                f"numbers of categories, so the check count of {rows + 1} "
-                f"rows sums over more than {RELEASE_CLASS_LIMIT // rows} "
-                f"release-class terms of {rows} row counts each, past the "
-                f"limit of {RELEASE_CLASS_LIMIT} counts", None)
-    if len(classes) == 1:
-        return classes, [((rows,), 1)]
-    width = rows + len(classes) - 1     # bars between classes among them
-    splits = [[b - a - 1 for a, b in zip((-1, *bars), (*bars, width))]
-              for bars in itertools.combinations(range(width),
-                                                 len(classes) - 1)]
-    return classes, [(counts, math.prod(
-        math.comb(total, c) for total, c
-        in zip(itertools.accumulate(counts), counts))) for counts in splits]
-
-
 def _parent_checks(pairs: Counter, released: list[int], k: int, n: int,
                    symmetric: bool) -> Count:
     """The paper's checks over every neighbour pair of a product spec, from
@@ -498,24 +452,24 @@ def _parent_checks(pairs: Counter, released: list[int], k: int, n: int,
     (m+1)^(n-1) in all.  Otherwise each pair takes every nonempty subset of
     S, which holds |S1| * prod_{j != i} z(d_j) databases, z(a) being the
     number of categories parent row a releases: outputs impossible under
-    both inputs are not in S.  Equal sizes of S are merged while they are
-    ints; the terms go in ascending size, then those past the ints in
-    release-class order.
+    both inputs are not in S.  Where every row releases z categories that
+    is n * sum over |S1| of pairs * k^(n-1) * (2^(|S1| * z^(n-1)) - 1);
+    otherwise the rows split among release classes, and the count is the
+    release-class sum of ``core.Count``.
     """
     if symmetric:
         return Count(("*", n * sum(pairs.values()), ("^", k, n - 1)))
-    classes, splits = _release_spread(released, n - 1)
-    zs, ws = zip(*classes)
-    terms = {}              # |S| -> multiplicities
-    for counts, ways in splits:
-        for s1, count in sorted(pairs.items()):
-            terms.setdefault(_quantity(s1, zip(zs, counts)), []).append(
-                _quantity(count * ways, zip(ws, counts)))
-    sizes = (sorted(size for size in terms if isinstance(size, int))
-             + [size for size in terms if not isinstance(size, int)])
-    return _subset_count(
-        ((size, many[0] if len(many) == 1 else ("+", *many))
-         for size, many in zip(sizes, map(terms.get, sizes))), n)
+    pairs = tuple(sorted(pairs.items()))
+    classes = tuple(sorted(Counter(released).items()))
+    if len(classes) > 1:
+        return Count(("classes", n, classes, pairs))
+    (z, _), = classes
+
+    def times(coef: int, base: int):
+        power = ("^", base, n - 1)
+        return ("*", coef, power) if coef > 1 else power
+    return _subset_count(((times(s1, z), times(count, k))
+                          for s1, count in pairs), n)
 
 
 def _above(gap, eps: float) -> np.ndarray:
@@ -589,21 +543,18 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
     parent pairs (u, v) are the rows :func:`_worst_set` sums.  Exact mode
     sums E_n * N[v, c] - E_d * N[u, c] over D * E_d, with the numerators
     N = D * M of :func:`_parent_gaps` and e^eps = E_n / E_d.  The checks
-    are counted from the sizes of S1 (see :func:`_parent_checks`).  The
-    binding pair, the first canonical pair at the worst margin, has every
-    other row at category 0, and goes on the report as two arrays with the
-    cylinder (row, A1) as a mask, so the work is O(m^3) in the parent plus
-    O(n) array writes, whatever n is.  An n whose arrays no array of this
-    platform can hold is an EnumerationBudgetError naming n, raised before
-    they are allocated.
+    are counted from the sizes of S1 (see :func:`_parent_checks`) once the
+    margin is decided, and no count refuses, so the count never changes
+    the verdict.  The binding pair, the first canonical pair at the worst
+    margin, has every other row at category 0, and goes on the report as
+    two arrays with the cylinder (row, A1) as a mask, so the work is O(m^3)
+    in the parent plus O(n) array writes, whatever n is.  An n whose arrays
+    no array of this platform can hold is an EnumerationBudgetError naming
+    n, raised before they are allocated.
     """
     product = spec.product
     k, n = spec.space.size, spec.n
     weights, released, above = _parent_gaps(product, exact)
-    s1 = above().sum(axis=2).ravel()            # |S1| of each pair (u, v)
-    checks = _parent_checks(Counter(s1[s1 > 0].tolist()),
-                            released.sum(axis=1).tolist(), k, n,
-                            product.matrix.is_symmetric)
     if exact:
         e_eps, delta = params.exact_pair()
         e_num, e_den = e_eps.as_integer_ratio()
@@ -616,6 +567,10 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
         worst = above(params.epsilon)
     margin, j = _worst_set([(terms.reshape(k * k, k),
                              worst.reshape(k * k, k))], delta, scale)
+    s1 = above().sum(axis=2).ravel()            # |S1| of each pair (u, v)
+    checks = _parent_checks(Counter(s1[s1 > 0].tolist()),
+                            released.sum(axis=1).tolist(), k, n,
+                            product.matrix.is_symmetric)
     if j is None:
         return margin, None, checks
     u, v = divmod(j, k)
@@ -723,10 +678,10 @@ def verify_reduced(spec, params: PrivacyParams, *,
     row count (see :func:`_parent_route`), utility tables in one array pass
     (see :func:`_table_route`), which counts one check per utility-gap cell
     for a fixed-normaliser table at delta = 0 and every nonempty subset of
-    S otherwise.  No state count is enumerated on either route; a table is
-    bounded by its own size, and only a product spec whose parent rows
-    release different numbers of categories may refuse, past
-    ``RELEASE_CLASS_LIMIT`` class counts in its check count.
+    S otherwise.  No state count is enumerated on either route: a table is
+    bounded by its own size, and a product spec's check count is a closed
+    form at any n, so a product spec refuses only a binding pair too long
+    for any array.
     """
     partition = False
     if spec.product is None and spec.fixed_normalizer:

@@ -8,6 +8,7 @@ checks.
 import csv
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -300,7 +301,10 @@ def parent_check_count(s1_sizes, released, n: int, symmetric: bool):
     the package ran before: s1_sizes[u][v] = |S1(u, v)|, released[a] the
     number of categories parent row a releases.  ``spread`` maps each
     product of released counts over the n - 1 other rows to the number of
-    assignments giving it."""
+    assignments giving it.  Past the cap, rows releasing different numbers
+    of categories print as the sum over class counts c1 + ... + cr =
+    n - 1, with w^cj for the j-th class's w rows and z^cj for its z
+    categories, each left out at 1."""
     k = len(released)
     spread = Counter({1: 1})
     for _ in range(n - 1):
@@ -323,7 +327,38 @@ def parent_check_count(s1_sizes, released, n: int, symmetric: bool):
                     terms[s1 * product_z] += count
     subsets, sums = subset_count(terms)
     total = n * (checks + subsets)
-    return total, count_text(total, f"{n}*({sums})" if terms else None)
+    form = f"{n}*({sums})" if terms else None
+    classes = sorted(Counter(released).items())
+    if terms and len(classes) > 1:
+        names = [f"c{j + 1}" for j in range(len(classes))]
+        rows = "".join(f"*{w}^{c}" for (z, w), c in zip(classes, names)
+                       if w != 1)
+        size = "*".join(f"{z}^{c}" for (z, w), c in zip(classes, names)
+                        if z != 1)
+        by_s1 = Counter(s for row in s1_sizes for s in row if s)
+        inner = "+".join(f"{count}*(2^({'' if s == 1 else f'{s}*'}{size})-1)"
+                         for s, count in sorted(by_s1.items()))
+        form = (f"{n}*sum({n - 1}!/({'*'.join(c + '!' for c in names)})"
+                f"{rows}*({inner}) for {'+'.join(names)}={n - 1})")
+    return total, count_text(total, form)
+
+
+def class_sum_value(text: str) -> int:
+    """The int a release-class sum's text stands for, read as Python: N!
+    and cj! as factorials, ^ as a power, and sum(... for c1+...+cr=N) over
+    every way of writing N as c1 + ... + cr."""
+    n, body, names, rows = re.fullmatch(
+        r"(\d+)\*sum\((.*) for ((?:c\d+\+)*c\d+)=(\d+)\)", text).groups()
+    names, rows = names.split("+"), int(rows)
+    body = re.sub(r"(\w+)!", r"factorial(\1)", body)
+    body = body.replace("/", "//").replace("^", "**")
+    total = 0
+    for counts in itertools.product(range(rows + 1), repeat=len(names)):
+        if sum(counts) == rows:
+            total += eval(body, {"__builtins__": {},
+                                 "factorial": math.factorial,
+                                 **dict(zip(names, counts))})
+    return int(n) * total
 
 
 def box_probabilities_rows(product, box, d, d_prime, exact):

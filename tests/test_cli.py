@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,113 @@ class TestVerify:
         assert out == ""
         assert "Traceback" in err
         assert "RuntimeError: injected failure" in err
+
+
+class TestReleaseClassParent:
+    """A parent whose rows release two and three categories: its check
+    count is a closed form whose text grows only by n's digits, so no n
+    turns a verdict into a refusal."""
+
+    ROWS = "0.5,0.5,0\n0.25,0.5,0.25\n0.2,0.3,0.5\n"
+
+    @pytest.fixture
+    def spec_at(self, workdir):
+        (workdir / "classes.csv").write_text(self.ROWS)
+        path = workdir / "classes.spec"
+
+        def at(n):
+            path.write_text("type = product\nmatrix = classes.csv\n"
+                            f"categories = cats.txt\nn = {n}\n")
+            return path
+        return at
+
+    @staticmethod
+    def count_text(n):
+        return (f"{n}*sum({n - 1}!/(c1!*c2!)*2^c2*(4*(2^(2^c1*3^c2)-1)"
+                f"+2*(2^(2*2^c1*3^c2)-1)) for c1+c2={n - 1})")
+
+    @pytest.mark.parametrize("delta, code", [("0.3", 1), ("0.5", 0)])
+    @pytest.mark.parametrize("n", [182, 1000])
+    def test_reduced_decides_past_the_old_class_limit(self, spec_at, capsys,
+                                                      n, delta, code):
+        got, out, err = run(capsys, "verify", "--spec", spec_at(n),
+                            "--epsilon", "2", "--delta", delta,
+                            "--method", "reduced")
+        report = json.loads(out)
+        assert (got, err) == (code, "")
+        assert report["margin"] == pytest.approx(float(delta) - 0.5,
+                                                 abs=1e-12)
+        assert report["checks_performed"] == self.count_text(n)
+
+    def test_reduced_decides_a_million_rows(self, spec_at):
+        spec = load_spec_file(spec_at(10 ** 6))
+        for delta, verdict in ((0.3, "not-private"), (0.5, "private")):
+            report = verify_reduced(spec, PrivacyParams(2.0, delta))
+            assert report.verdict == verdict
+            assert report.margin == pytest.approx(delta - 0.5, abs=1e-12)
+            assert str(report.checks_performed) == self.count_text(10 ** 6)
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 30])
+    def test_auto_answers_in_a_short_report(self, spec_at, capsys, n):
+        code, out, err = run(capsys, "verify", "--spec", spec_at(n),
+                             "--epsilon", "2", "--delta", "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["margin"] == 0.0
+        assert len(out.encode()) < 4096
+
+    @pytest.mark.parametrize("n", [181, 182, 1000, 10 ** 6, 10 ** 30])
+    def test_count_text_stays_short(self, n):
+        start = time.perf_counter()
+        checks = dpcat.verifier._parent_checks(Counter({1: 4, 2: 2}),
+                                               [2, 3, 3], 3, n, False)
+        assert str(checks) == self.count_text(n)
+        assert len(str(checks)) < 1024
+        assert time.perf_counter() - start < 0.1
+
+
+class TestLargeRowFuzz:
+    """Parents with zero entries at row counts no enumeration reaches:
+    every verify method, and analyze, answers or refuses within the exit
+    code contract, with one short error line and no traceback, and a
+    refusal comes at once.  ``reduced`` refuses only a binding pair too
+    long for any array, naming n."""
+
+    @staticmethod
+    def parents():
+        rng = np.random.default_rng(26)
+        rows = [[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]]]
+        while len(rows) < 3:
+            mat = rng.dirichlet(np.ones(3), size=3)
+            mat[rng.random((3, 3)) < 0.3] = 0.0
+            if (mat.sum(axis=1) > 0).all():
+                rows.append((mat / mat.sum(axis=1, keepdims=True)).tolist())
+        return rows
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--method", "auto"], ["verify", "--method", "reduced"],
+        ["verify", "--method", "brute"], ["analyze"]])
+    @pytest.mark.parametrize("n", [182, 10 ** 6, 10 ** 30])
+    def test_exit_code_is_in_the_contract(self, workdir, n, argv):
+        for i, rows in enumerate(self.parents()):
+            (workdir / f"z{i}.csv").write_text("".join(
+                ",".join(map(repr, row)) + "\n" for row in rows))
+            spec = workdir / f"z{i}.spec"
+            spec.write_text(f"type = product\nmatrix = z{i}.csv\n"
+                            f"categories = cats.txt\nn = {n}\n")
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + ["--spec", str(spec), "--epsilon", "1",
+                                    "--delta", "0.1"])
+            elapsed = time.perf_counter() - start
+            err = err.getvalue()
+            assert code in (0, 1, 2, 3), err
+            assert "Traceback" not in err and len(err.encode()) < 1024
+            if code > 1:
+                assert elapsed < 0.1
+            if "reduced" in argv and code > 1:
+                assert code == 3 and f"n = {n} rows" in err
 
 
 class TestUnreadableInputs:

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -169,9 +170,10 @@ class TestNaiveCheckCount:
 
 
 class TestCountPastTheCap:
-    """Counts past the digit cap compare and hash without building their
-    ints: ``int()`` is made to fail, so any comparison that builds one
-    fails the test instead of taking seconds."""
+    """A count past the digit cap compares with any count or int under it
+    without building its int: ``int()`` is made to fail, so a comparison
+    that builds one fails the test instead of taking seconds.  Two counts
+    past the cap do not compare, and no count hashes."""
 
     @pytest.fixture
     def no_ints(self, monkeypatch):
@@ -179,52 +181,25 @@ class TestCountPastTheCap:
             raise AssertionError(f"built the int of {count}")
         monkeypatch.setattr(Count, "__int__", refuse)
 
-    def test_identical_expressions_are_equal(self, no_ints):
-        big = naive_check_count(make_space(1), 10 ** 6)
-        assert big.value is None
-        assert big == naive_check_count(make_space(1), 10 ** 6)
-        assert not big != naive_check_count(make_space(1), 10 ** 6)
-        assert Count(("^", 2, 2 ** 24)) == Count(("^", 2, 2 ** 24))
-        assert Count(("^", 2, 2 ** 24)) <= Count(("^", 2, 2 ** 24))
-
-    def test_bit_length_bounds_order_two_counts(self, no_ints):
-        two, three = Count(("^", 2, 2 ** 24)), Count(("^", 3, 2 ** 24))
-        assert two < three and three > two and two != three
-        assert sorted([three, two]) == [two, three]
-        small, large = (naive_check_count(make_space(2), n) for n in (9, 10))
-        assert small < large and not large <= small
-
-    def test_counts_past_the_float_range_order_by_their_exponents(
-            self, no_ints):
-        # log2 of these counts passes 2^2000, past any float: log2(log2)
-        # bounds order them
-        small, large = (naive_check_count(make_space(1), n)
-                        for n in (2000, 2001))
-        start = time.perf_counter()
-        assert small < large and not large < small
-        assert small != large and not small == large
-        assert time.perf_counter() - start < 0.01
-        cube = Count(("*", small.expr, small.expr, small.expr))
-        assert cube > large and Count(("+", small.expr, small.expr)) < large
-
     def test_a_count_past_the_cap_exceeds_any_under_it(self, no_ints):
         big = Count(("^", 2, 2 ** 24))
         assert big > 10 ** COUNT_DIGIT_CAP - 1 and big != 0
         assert Count(5) < big and not big < 5
 
-    def test_hash_is_the_ints_hash_without_the_int(self, monkeypatch):
-        counts = [naive_check_count(make_space(1), 14),
-                  naive_check_count(make_space(2), 9),
-                  Count(("^", 3, 9000)), Count(10 ** 5000),
-                  Count(("+", ("*", 1, ("2^-", 5, 1)),
-                         ("*", 2, ("2^-", 13288, 1))))]
-        ints = [int(count) for count in counts]
-        assert all(count.value is None for count in counts)
-        monkeypatch.setattr(Count, "__int__", None)
-        assert [hash(count) for count in counts] == list(map(hash, ints))
-        assert {counts[0]: "x"}[counts[0]] == "x"
-        assert isinstance(hash(naive_check_count(make_space(1), 10 ** 6)),
-                          int)
+    def test_two_counts_past_the_cap_do_not_order(self, no_ints):
+        small, large = (naive_check_count(make_space(1), n)
+                        for n in (2000, 2001))
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge,
+                        operator.eq):
+            with pytest.raises(TypeError):
+                compare(small, large)
+        with pytest.raises(TypeError):
+            sorted([large, small])
+
+    def test_a_count_has_no_hash(self):
+        for count in (Count(5), naive_check_count(make_space(1), 10 ** 6)):
+            with pytest.raises(TypeError):
+                hash(count)
 
     @staticmethod
     def expressions():
@@ -240,17 +215,12 @@ class TestCountPastTheCap:
 
     @given(expressions(), expressions())
     @settings(max_examples=200, deadline=None)
-    def test_comparisons_and_hash_agree_with_the_ints(self, x, y):
+    def test_comparisons_with_ints_agree_with_the_ints(self, x, y):
         a, b = Count(x), Count(y)
         i, j = int(a), int(b)
-        assert (a < b, a == b, a > b) == (i < j, i == j, i > j)
         assert (a < j, a == j, a > j) == (i < j, i == j, i > j)
-        assert hash(a) == hash(i)
-
-    def test_equal_counts_of_different_expressions(self):
-        # the bounds overlap, so the ints decide
-        assert Count(("^", 4, 10000)) == Count(("^", 2, 20000))
-        assert Count(("^", 4, 10000)) < Count(("+", ("^", 2, 20000), 1))
+        if a.value is not None or b.value is not None:
+            assert (a < b, a == b, a > b) == (i < j, i == j, i > j)
 
 
 class TestDatabaseArray:

@@ -12,6 +12,9 @@ inputs to show that its output is a function of them.
 
 Each defaulted parameter of the exported API is pinned in
 ``LIBRARY_KEYWORDS``, so a new library knob is a visible change here too.
+``Count``'s methods are pinned in ``COUNT_METHODS``: a count prints, adds
+and compares where one side fits under the cap, and a hash or an order
+between two counts past the cap is a visible change here.
 
 The verifier's tie rule, ``TIE_BAND``, is read in one function, so a new
 route cannot bring a tie rule of its own, and it reads no
@@ -198,6 +201,17 @@ LIBRARY_KEYWORDS = [
 ]
 
 
+#: The methods of ``dpcat.Count``: what a report prints (``__str__``), the
+#: int behind it, perfbench's ``+=`` and the budget checks' comparisons
+#: (``functools.total_ordering`` adds ``__le__``, ``__gt__``, ``__ge__``).
+#: ``__hash__`` stays None.
+COUNT_METHODS = {
+    "__init__", "__int__", "__str__", "__repr__", "__bool__",
+    "__add__", "__radd__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+    "_cmp", "_sign",
+}
+
+
 def _library_keywords() -> list[str]:
     out = []
     for name in sorted(_exported()):
@@ -223,6 +237,12 @@ def _library_keywords() -> list[str]:
 def test_library_keywords_are_pinned():
     assert _library_keywords() == LIBRARY_KEYWORDS
     assert len(LIBRARY_KEYWORDS) == 30
+
+
+def test_count_methods_are_pinned():
+    assert {name for name, value in vars(dpcat.Count).items()
+            if callable(value)} == COUNT_METHODS
+    assert dpcat.Count.__hash__ is None
 
 
 def _verifier_readers(constant: str) -> tuple[dict[str, int], int]:

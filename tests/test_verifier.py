@@ -1165,7 +1165,9 @@ def release_class_parent(size):
 
 class TestCount:
     """Counts against the integer formulas the package computed before:
-    the same int, and the same text, in decimal and in product form."""
+    the same int, and the same text, in decimal, in product form and, for
+    rows releasing different numbers of categories, as the release-class
+    sum."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("m", range(1, 5))
@@ -1191,6 +1193,21 @@ class TestCount:
         cylinder = DatabaseSet.from_cylinder(space, n, n - 1, [0, m])
         assert cylinder.size == len(cylinder.indices) == 2 * (m + 1) ** (n - 1)
         assert str(cylinder.size) == str(2 * (m + 1) ** (n - 1))
+
+    #: Rows releasing two and three categories: |S1| = 1 for four parent
+    #: pairs and 2 for two.
+    PROBE = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]]
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_release_class_sum_matches_the_integer_reference(self, n):
+        spec = ProductSpec(make_space(2), n, SolutionMatrix(self.PROBE))
+        checks = verify_reduced(spec, PrivacyParams(2.0, 0.3)
+                                ).checks_performed
+        count, text = _oracles.parent_check_count(
+            [[0, 1, 2], [1, 0, 2], [1, 1, 0]], [2, 3, 3], n, False)
+        assert int(checks) == count and str(checks) == text
+        if checks.value is None:
+            assert _oracles.class_sum_value(text) == count
 
     def test_both_forms_occur_in_the_reference_grid(self):
         texts = [_oracles.naive_check_count(size, n)[1]
@@ -1311,22 +1328,22 @@ class TestAnyRowCount:
             len(box)
         assert margins[1] == pytest.approx(margins[0], abs=1e-12)
 
-    def test_release_classes_past_the_limit_refuse_first(self):
-        # rows releasing one and two categories: 10^6 class-count terms
-        spec = ProductSpec(make_space(1), 10 ** 6,
-                           SolutionMatrix([[1.0, 0.0], [0.5, 0.5]]))
+    def test_release_classes_at_a_million_rows(self):
+        # rows releasing one and two categories: the check count is the
+        # release-class sum, whose closed form costs the same at any n
+        matrix = SolutionMatrix([[1.0, 0.0], [0.5, 0.5]])
+        spec = ProductSpec(make_space(1), 10 ** 6, matrix)
         start = time.perf_counter()
-        with pytest.raises(EnumerationBudgetError,
-                           match="past the limit of 32768 counts"):
-            verify_reduced(spec, self.PARAMS)
+        report = verify_reduced(spec, self.PARAMS)
         assert time.perf_counter() - start < 0.1
+        parent = verify_matrix(matrix, self.PARAMS, space=spec.space)
+        assert report.verdict == parent.verdict
+        assert report.margin == pytest.approx(parent.margin, abs=1e-12)
+        assert str(report.checks_performed) == (
+            "1000000*sum(999999!/(c1!*c2!)*(2*(2^(2^c2)-1)) "
+            "for c1+c2=999999)")
         report = verify_reduced(spec.with_n(12), self.PARAMS)
         count, text = _oracles.parent_check_count([[0, 1], [1, 0]], [1, 2],
                                                   12, False)
         assert int(report.checks_performed) == count
         assert str(report.checks_performed) == text
-        # 150 terms of 149 counts each, inside the limit: the count is
-        # summed over 2^(2^j) - 1 terms and prints without being built
-        report = verify_reduced(spec.with_n(150), self.PARAMS)
-        assert report.checks_performed.value is None
-        assert str(report.checks_performed).startswith("150*(")
