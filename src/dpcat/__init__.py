@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .core import (
     DEFAULT_ENUM_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
     CategorySpace,
     Count,
     Database,

@@ -27,11 +27,7 @@ from .analysis import (
     optimal_mechanism,
     product_to_exponential,
 )
-from .core import (
-    DEFAULT_SUBSET_BUDGET,
-    load_category_space,
-    load_database_csv,
-)
+from .core import load_category_space, load_database_csv
 from .errors import (
     DataFormatError,
     DpcatError,
@@ -79,15 +75,10 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.budget_subsets < 0:
-        raise ParameterRangeError(
-            f"--budget-subsets must be >= 0, got {args.budget_subsets}")
     spec = load_spec_file(args.spec, exact=args.exact)
     params = PrivacyParams(args.epsilon, args.delta)
     if args.method == "brute":
-        report = verify_bruteforce(spec, params,
-                                   budget_subsets=args.budget_subsets,
-                                   exact=args.exact)
+        report = verify_bruteforce(spec, params, exact=args.exact)
     elif args.method == "auto" and spec.product is not None:
         report = verify_matrix(spec.product.matrix, params, space=spec.space,
                                exact=args.exact)
@@ -239,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     _privacy_args(p)
     p.add_argument("--method", choices=("auto", "reduced", "brute"),
                    default="auto")
-    p.add_argument("--budget-subsets", type=int,
-                   default=DEFAULT_SUBSET_BUDGET, metavar="N",
-                   help="max database-space size whose subsets brute force "
-                        "may scan")
     _add_options(p, exact=True)
 
     p = sub.add_parser("sanitize", help="sanitise a data file")

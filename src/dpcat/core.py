@@ -26,10 +26,6 @@ from .errors import DataFormatError, EnumerationBudgetError, LengthMismatchError
 #: Largest (m + 1) ** n for which full database streams are enumerated.
 DEFAULT_ENUM_BUDGET = 1 << 20
 
-#: Largest (m + 1) ** n for which *subsets* of the space may be enumerated
-#: (the brute-force verifier walks 2 ** ((m + 1) ** n) - 2 of them).
-DEFAULT_SUBSET_BUDGET = 24
-
 
 @dataclass(frozen=True)
 class CategorySpace:

@@ -1,9 +1,10 @@
 """The subset-scan kernel, in NumPy.
 
 Evaluates the privacy margin  e^eps * P_b(A) + delta - P_a(A)  for every
-subset A of a small element set and returns the minimum, in float or in
-exact rational arithmetic.  Only the brute-force oracle uses it: every
-reduced route finds its worst set without enumerating subsets.
+nonempty proper subset A of a small element set and returns the minimum,
+in float or in exact rational arithmetic.  Only the brute-force oracle
+uses it: every reduced route finds its worst set without enumerating
+subsets.
 
 The margin is delta plus a sum over the members of A of the terms
 t = e^eps * p_b - p_a, so the subset lattice factors into two halves (a
@@ -11,18 +12,17 @@ meet-in-the-middle split, Horowitz and Sahni 1974): every subset is a low
 mask over the first ceil(k/2) elements joined to a high mask over the rest,
 and its margin is delta + high[h] + low[l].  The best subset for each high
 mask joins it to the smallest low sum, so one pass over the high table
-finds the minimum; only the two excluded corners (the empty set, and the
-full set unless it counts) need the low minimum again over a shortened
-range.  Time and memory per pair are O(2^(k/2)), and every subset is still
-accounted for exactly.  Exact scans build the same two tables over
-``Fraction`` objects.
+finds the minimum; only the two excluded corners (the empty and the full
+set) need the low minimum again over a shortened range.  Time and memory
+per pair are O(2^(k/2)), and every subset is still accounted for exactly.
+Exact scans build the same two tables over ``Fraction`` objects.
 
-A scan takes one pair as two (k,) vectors, or P pairs as the columns of
-two (k, P) arrays: the tables then gain a pair axis, and each pair's sums
-are still formed as its own vector's, so every column comes out bit for
-bit as its one-pair scan would.  The brute-force oracle passes its
-neighbour pairs in chunks whose half tables hold at most 2^20 entries,
-the bound ``MAX_WIDTH`` sets for a single pair.
+A scan takes P pairs as the columns of two (k, P) arrays, one pair as a
+(k, 1) stack: the tables have a pair axis, and each pair's sums are formed
+as its own vector's, so every column comes out bit for bit as its (k, 1)
+scan would.  The brute-force oracle passes its neighbour pairs in chunks
+whose half tables hold at most 2^20 entries, the bound ``MAX_WIDTH`` sets
+for a single pair.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import EnumerationBudgetError
 BACKEND: str = "python"
 
 #: Widest element set scanned: its half tables hold 2^20 float64 entries
-#: (8 MiB) each, so a raised subset budget fails before it allocates.
+#: (8 MiB) each, so a wider scan fails before it allocates.
 MAX_WIDTH = 40
 
 #: Subset sums of up to this many values come from one cached 0/1 table.
@@ -80,39 +80,28 @@ def _exact_subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def width_error(k: int, text: str | None = None) -> EnumerationBudgetError:
-    """Refusal of a scan over k > ``MAX_WIDTH`` elements, written as text."""
-    return EnumerationBudgetError(
-        f"scanning the subsets of {text or k} elements exceeds the kernel's "
-        f"limit of {MAX_WIDTH}", k)
+def subset_scan(p_a, p_b, e_eps, delta) -> tuple:
+    """Minimum privacy margin over the nonempty proper subsets of an
+    element set, for each of P pairs.
 
-
-def subset_scan(p_a, p_b, e_eps, delta,
-                include_full: bool = False) -> tuple:
-    """Minimum privacy margin over subsets of an element set.
-
-    Scans every nonempty subset A of the k elements (the full set too when
-    ``include_full``), evaluating  e_eps * P_b(A) + delta - P_a(A), and
-    returns ``(min_margin, witness_mask, n_checks)``.  Ties keep the first
-    witness in integer mask order.  A ``Fraction`` e_eps makes the scan
-    exact: the probabilities and delta are taken as rationals and the
-    margin is a ``Fraction``; otherwise everything is float64.
-
-    ``p_a`` and ``p_b`` may also be (k, P) arrays whose column p holds
-    pair p: the margin and mask are then arrays, each entry exactly as its
-    column's own scan gives it, and the count is ``P * n_checks``.
+    ``p_a`` and ``p_b`` are (k, P) arrays whose column p holds pair p.
+    For every subset A but the empty and the full set the scan evaluates
+    e_eps * P_b(A) + delta - P_a(A), and returns ``(margins, masks,
+    n_checks)``: per pair the minimum margin and its witness mask, ties
+    keeping the first witness in integer mask order, and P * (2^k - 2),
+    the subsets evaluated over all pairs.  A ``Fraction`` e_eps makes the
+    scan exact: the probabilities and delta are taken as rationals and
+    the margins are ``Fraction`` objects; otherwise everything is float64.
     """
-    k = len(p_a)
-    if np.shape(p_b) != np.shape(p_a):
-        raise ValueError("probability vectors differ in shape")
+    k, n_pairs = np.shape(p_a)
+    if np.shape(p_b) != (k, n_pairs):
+        raise ValueError("probability arrays differ in shape")
     if k > MAX_WIDTH:
-        raise width_error(k)
-    n_checks = (1 << k) - 1 - (0 if include_full else 1)
-    cols = np.shape(p_a)[1:]            # () for one pair, (P,) for P pairs
-    if n_checks <= 0:
-        if cols:
-            return np.full(cols, np.inf), np.zeros(cols, dtype=np.intp), 0
-        return float("inf"), 0, 0
+        raise EnumerationBudgetError(
+            f"scanning the subsets of {k} elements exceeds the kernel's "
+            f"limit of {MAX_WIDTH}", k)
+    if k < 2:                           # no nonempty proper subset
+        return np.full(n_pairs, np.inf), np.zeros(n_pairs, dtype=np.intp), 0
 
     exact = isinstance(e_eps, Fraction)
     if exact:
@@ -126,21 +115,18 @@ def subset_scan(p_a, p_b, e_eps, delta,
                  - np.asarray(p_a, dtype=np.float64))
         sums = _subset_sums
     # one row per pair, contiguous, so every row is summed as one vector
-    t = np.ascontiguousarray(terms.reshape(k, -1).T)
+    t = np.ascontiguousarray(terms.T)
     half = (k + 1) // 2
     low = sums(t[:, :half])             # low[p, l]: low mask l of pair p
     high = sums(t[:, half:])
-    pairs = np.arange(len(t))
+    pairs = np.arange(n_pairs)
     j = np.argmin(low, axis=1)
     best = high + low[pairs, j][:, None]  # best[p, h]: (h << half) | j
-    # The corners drop the empty low set from h = 0 and, unless the full
-    # set counts, the full low set from the top h; k >= 2 here unless
-    # include_full, so the two corners are distinct columns.
+    # The corners drop the empty low set from h = 0 and the full low set
+    # from the top h; k >= 2, so they are distinct columns.
     top = high.shape[1] - 1
     corners = {}
-    for h in {0, top}:
-        lo = 1 if h == 0 else 0
-        hi = low.shape[1] - (h == top and not include_full)
+    for h, lo, hi in ((0, 1, low.shape[1]), (top, 0, low.shape[1] - 1)):
         out = np.flatnonzero((j < lo) | (j >= hi))  # pairs whose j is cut
         corners[h] = at = j.copy()
         at[out] = np.argmin(low[out, lo:hi], axis=1) + lo
@@ -148,8 +134,4 @@ def subset_scan(p_a, p_b, e_eps, delta,
     h = np.argmin(best, axis=1)
     for corner, at in corners.items():
         j = np.where(h == corner, at, j)
-    margin = delta + best[pairs, h]
-    mask = (h << half) | j
-    if cols:
-        return margin, mask, len(t) * n_checks
-    return (margin[0] if exact else float(margin[0]), int(mask[0]), n_checks)
+    return delta + best[pairs, h], (h << half) | j, n_pairs * ((1 << k) - 2)

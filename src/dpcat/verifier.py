@@ -41,13 +41,13 @@ computes the same float expression for a batch of parents.
   parent; one per utility-gap level set of S for a table with a provably
   constant normaliser at delta = 0; every nonempty subset of S otherwise.
   It is computed from the sizes of S, never walked.
-* Neither route enumerates a subset or a state, so the subset budget caps
-  brute force alone.  Every count on a report is a :class:`~dpcat.core.Count`,
-  built from its closed form and printed as that form past
-  ``COUNT_DIGIT_CAP`` digits, and a product spec's binding pair and set are
-  arrays over its rows: no state budget applies to product specs, and
-  only a binding pair too long for any array is refused.  A table is
-  bounded by its own size.
+* Neither route enumerates a subset or a state, so the state limit
+  ``BRUTE_FORCE_STATES`` caps brute force alone.  Every count on a report
+  is a :class:`~dpcat.core.Count`, built from its closed form and printed
+  as that form past ``COUNT_DIGIT_CAP`` digits, and a product spec's
+  binding pair and set are arrays over its rows: no state budget applies
+  to product specs, and only a binding pair too long for any array is
+  refused.  A table is bounded by its own size.
 
 Set membership compares log-probabilities with a tie band: one predicate,
 gap > eps + ``TIE_BAND`` (:func:`_above`), decides W at eps and S at 0, so
@@ -71,7 +71,6 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    DEFAULT_SUBSET_BUDGET,
     CategorySpace,
     Count,
     Database,
@@ -99,6 +98,10 @@ TOLERANCE = 1e-12
 
 #: Log-probability gaps inside this band are ties, excluded from W and S.
 TIE_BAND = 1e-12
+
+#: Largest database space, (m + 1) ** n states, whose subsets brute force
+#: scans: 2^24 - 2 per pair.
+BRUTE_FORCE_STATES = 24
 
 #: Half-table entries per brute-force chunk of pairs: the 2^20 floats
 #: ``kernels.MAX_WIDTH`` allows one pair.  Exact time goes to ``Fraction``
@@ -189,13 +192,21 @@ class VerificationReport:
     checks_naive: Count
     space: CategorySpace
     n: int
-    tolerance: float = TOLERANCE
     exact: bool = False
-    trivial: bool = False
 
     @property
     def private(self) -> bool:
         return self.verdict == "private"
+
+    @property
+    def tolerance(self) -> float:
+        """Slack of the verdict's margin comparison: none when exact."""
+        return 0.0 if self.exact else TOLERANCE
+
+    @property
+    def trivial(self) -> bool:
+        """delta = 1: private at an infinite margin after no check."""
+        return self.delta >= 1
 
     def to_json_dict(self) -> dict:
         pair = None
@@ -648,7 +659,6 @@ def _build_report(spec, params, result, method: str,
     the trivial regime delta = 1, private at an infinite margin after no
     check.  An exact margin is a ``Fraction``, compared with no
     tolerance."""
-    trivial = result is None
     margin, binding, checks = result or (math.inf, None, Count(0))
     pair, bset = binding or (None, None)
     return VerificationReport(
@@ -664,9 +674,7 @@ def _build_report(spec, params, result, method: str,
         checks_naive=naive_check_count(spec.space, spec.n),
         space=spec.space,
         n=spec.n,
-        tolerance=0.0 if exact else TOLERANCE,
         exact=exact,
-        trivial=trivial,
     )
 
 
@@ -697,25 +705,23 @@ def verify_reduced(spec, params: PrivacyParams, *,
 
 
 def verify_bruteforce(spec, params: PrivacyParams, *,
-                      budget_subsets: int = DEFAULT_SUBSET_BUDGET,
                       exact: bool = False) -> VerificationReport:
     """Ground-truth oracle: check every nonempty proper subset of the space
     for every ordered neighbor pair and record the worst margin.
 
-    A state count over the smaller of the subset budget and the kernel's
-    ``MAX_WIDTH`` is refused before any row, or the count itself where it
-    is past ``COUNT_DIGIT_CAP`` digits, is built.  The pmf rows of every
-    input come from one block.  The first pair in canonical order at the
-    smallest margin binds.
+    A space of more than ``BRUTE_FORCE_STATES`` (24) states is refused
+    before any digit table, pair array or pmf row, or the state count
+    itself where it is past ``COUNT_DIGIT_CAP`` digits, is built.  The pmf
+    rows of every input come from one block, and the pairs reach the
+    kernel as (k, P) column stacks.  The first pair in canonical order at
+    the smallest margin binds.
     """
     states = state_count(spec.space, spec.n)
-    if states > min(budget_subsets, kernels.MAX_WIDTH):
-        if budget_subsets >= kernels.MAX_WIDTH:
-            raise kernels.width_error(states.value, str(states))
+    if states > BRUTE_FORCE_STATES:
         raise EnumerationBudgetError(
             f"database space holds {states} states; the brute-force oracle "
             f"enumerates 2^{states} - 2 subsets per pair, over the budget of "
-            f"{budget_subsets}", states.value)
+            f"{BRUTE_FORCE_STATES}", states.value)
     if params.trivial:
         return _build_report(spec, params, None, "brute-force", exact)
     _require_exact(spec, exact)

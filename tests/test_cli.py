@@ -115,8 +115,8 @@ class TestVerify:
                                            (1.0, 0.3)])
     def test_l1_auto_scales_past_the_subset_budget(self, workdir, capsys,
                                                    eps, delta):
-        # m=2, n=4: sufficient sets of 27 outputs exceed the subset budget,
-        # but the verdict is the one-row parent's for every n
+        # m=2, n=4: sufficient sets of 27 outputs exceed brute force's
+        # 24-state limit, but the verdict is the one-row parent's for every n
         spec = workdir / "l1_n4.spec"
         spec.write_text("type = exponential\nutility = l1\n"
                         "categories = cats.txt\nn = 4\n")
@@ -150,7 +150,7 @@ class TestVerify:
     def test_reduced_product_spec_takes_no_subset_budget(self, workdir,
                                                          capsys):
         # L1 m=2 n=12: its sufficient sets hold 3^11 and 2 * 3^11 databases,
-        # past the default subset budget, which caps brute force alone
+        # past the 24-state limit, which caps brute force alone
         spec = workdir / "l1_n12.spec"
         spec.write_text("type = exponential\nutility = l1\n"
                         "categories = cats.txt\nn = 12\n")
@@ -230,17 +230,40 @@ class TestVerify:
                                          "size": "2^99999"}
         assert report["binding_pair"]["d"] == ["0"] * 100000
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--method", "brute", "--budget-subsets", "-1"),
-    ])
-    def test_negative_budget_is_an_input_error(self, workdir, capsys, argv):
-        # not a budget overrun (exit 3)
-        command, *options = argv
-        code, out, err = run(capsys, command, "--spec", workdir / "ham.spec",
-                             "--epsilon", "1", *options)
-        assert (code, out) == (2, "")
-        assert f"{options[-2]} must be >= 0, got -1" in err
-        assert "Traceback" not in err
+    def test_brute_force_answers_at_24_states(self, workdir, capsys):
+        # m = 23, n = 1: the largest space brute force scans, 552 ordered
+        # pairs of 2^24 - 2 subsets each, with the reduced verdict
+        (workdir / "24.txt").write_text("".join(f"c{i}\n" for i in range(24)))
+        spec = workdir / "ham24.spec"
+        spec.write_text("type = exponential\nutility = hamming\nk = 0.5\n"
+                        "categories = 24.txt\nn = 1\n")
+        argv = ("verify", "--spec", spec, "--epsilon", "0.4")
+        code, out, _ = run(capsys, *argv, "--method", "brute")
+        report = json.loads(out)
+        assert code == 1 and report["method"] == "brute-force"
+        assert report["checks_performed"] == str(24 * 23 * (2 ** 24 - 2))
+        code_r, out_r, _ = run(capsys, *argv, "--method", "reduced")
+        assert code_r == code
+        assert report["margin"] == pytest.approx(json.loads(out_r)["margin"],
+                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_brute_force_refuses_25_states_first(self, workdir, capsys,
+                                                 exact):
+        # m = 4, n = 2: one state past the limit, refused before any row
+        (workdir / "five.txt").write_text("0\n1\n2\n3\n4\n")
+        spec = workdir / "l1_m4.spec"
+        spec.write_text("type = exponential\nutility = l1\n"
+                        "categories = five.txt\nn = 2\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--spec", spec, "--epsilon",
+                             "1", "--method", "brute",
+                             *(["--exact"] if exact else []))
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (3, "")
+        assert err == ("error: database space holds 25 states; the "
+                       "brute-force oracle enumerates 2^25 - 2 subsets per "
+                       "pair, over the budget of 24\n")
 
     def test_exact_brute_force_over_sixteen_states(self, workdir, capsys):
         # L1 at m=3, n=2: 96 ordered pairs, each scanning 2^16 - 2 subsets
@@ -928,19 +951,18 @@ class TestParserReuse:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--spec", "ham.spec", "--epsilon", "1", "--exact"),
         ("analyze", "--spec", "ham.spec", "--epsilon", "1",
-         "--budget-subsets", "4"),
+         "--method", "brute"),
         ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
          "--seed", "1", "--exact"),
         ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
-         "--seed", "1", "--budget-subsets", "4"),
-        ("convert", "--spec", "ham.spec", "--budget-subsets", "4"),
+         "--seed", "1", "--method", "brute"),
+        ("convert", "--spec", "ham.spec", "--method", "brute"),
         ("optimal", "--categories", "cats.txt", "--epsilon", "1",
-         "--budget-subsets", "4"),
+         "--method", "brute"),
         ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
          "--seed", "1", "--format", "json"),
     ], ids=lambda argv: argv[0] + [   # the option under test comes last
-        a for a in argv if a in ("--exact", "--budget-subsets",
-                                 "--format")][-1])
+        a for a in argv if a in ("--exact", "--method", "--format")][-1])
     def test_options_a_subcommand_does_not_read_are_rejected(
             self, workdir, capsys, argv):
         argv = [str(workdir / a) if a.endswith((".spec", ".csv", ".txt"))
@@ -958,7 +980,7 @@ class TestParserReuse:
                                  line)
             if found:
                 table[found[1]] = set(found[2].split(", "))
-        assert set(table) == {"--format", "--exact", "--budget-subsets"}
+        assert set(table) == {"--format", "--exact"}
         (commands,) = [action.choices for action
                        in dpcat.cli.build_parser()._subparsers._group_actions]
         for option, listed in table.items():

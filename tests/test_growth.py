@@ -11,7 +11,8 @@ a visible change here, and every subcommand is run twice on the same
 inputs to show that its output is a function of them.
 
 Each defaulted parameter of the exported API is pinned in
-``LIBRARY_KEYWORDS``, so a new library knob is a visible change here too.
+``LIBRARY_KEYWORDS``, so a new library knob is a visible change here too,
+and so are the subset kernel's parameters, in ``SUBSET_SCAN_PARAMETERS``.
 ``Count``'s methods are pinned in ``COUNT_METHODS``: a count prints, adds
 and compares where one side fits under the cap, and a hash or an order
 between two counts past the cap is a visible change here.
@@ -19,6 +20,8 @@ between two counts past the cap is a visible change here.
 The verifier's tie rule, ``TIE_BAND``, is read in one function, so a new
 route cannot bring a tie rule of its own, and it reads no
 ``COUNT_DIGIT_CAP``: ``Count`` alone decides when a count is an int.
+Brute force's one limit, ``BRUTE_FORCE_STATES``, is read only by
+``verify_bruteforce``.
 """
 
 import argparse
@@ -31,6 +34,7 @@ from pathlib import Path
 
 import dpcat
 import dpcat.cli
+import dpcat.kernels
 
 PACKAGE = Path(dpcat.__file__).resolve().parent
 
@@ -101,8 +105,8 @@ def test_every_allowed_name_is_exported_and_unused():
 
 #: Each subcommand's options, in the order the parser adds them.
 CLI_OPTIONS = {
-    "verify": ["--spec", "--epsilon", "--delta", "--method",
-               "--budget-subsets", "--format", "--exact"],
+    "verify": ["--spec", "--epsilon", "--delta", "--method", "--format",
+               "--exact"],
     "sanitize": ["--spec", "--data", "--column", "--seed", "--output"],
     "analyze": ["--spec", "--epsilon", "--delta", "--format"],
     "convert": ["--spec", "--output", "--format", "--exact"],
@@ -142,7 +146,7 @@ def test_cli_options_are_pinned():
                       if not isinstance(action, argparse._HelpAction)]
                for name, sub in _subcommands().items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 26
+    assert sum(map(len, options.values())) == 25
     (method,) = [action for action in _subcommands()["verify"]._actions
                  if "--method" in action.option_strings]
     assert method.choices == ("auto", "reduced", "brute")
@@ -178,9 +182,7 @@ LIBRARY_KEYWORDS = [
     "SufficientSet.__init__:alpha_levels",
     "SufficientSet.__init__:partition",
     "TableUtility.__init__:assert_fixed_c",
-    "VerificationReport.__init__:tolerance",
     "VerificationReport.__init__:exact",
-    "VerificationReport.__init__:trivial",
     "dp_holds_on_set:exact",
     "exp_dp_condition:e_k",
     "exp_dp_condition:exact",
@@ -193,12 +195,15 @@ LIBRARY_KEYWORDS = [
     "sample_feasible_matrices:batch",
     "sample_feasible_matrices:max_batches",
     "sufficient_set:exact",
-    "verify_bruteforce:budget_subsets",
     "verify_bruteforce:exact",
     "verify_matrix:space",
     "verify_matrix:exact",
     "verify_reduced:exact",
 ]
+
+#: The parameters of ``kernels.subset_scan``: (k, P) column stacks, with
+#: the empty and the full set always left out, so no switch or form.
+SUBSET_SCAN_PARAMETERS = ("p_a", "p_b", "e_eps", "delta")
 
 
 #: The methods of ``dpcat.Count``: what a report prints (``__str__``), the
@@ -236,7 +241,15 @@ def _library_keywords() -> list[str]:
 
 def test_library_keywords_are_pinned():
     assert _library_keywords() == LIBRARY_KEYWORDS
-    assert len(LIBRARY_KEYWORDS) == 30
+    assert len(LIBRARY_KEYWORDS) == 27
+
+
+def test_subset_scan_parameters_are_pinned():
+    # the kernel is not exported, so LIBRARY_KEYWORDS does not see it
+    parameters = inspect.signature(dpcat.kernels.subset_scan).parameters
+    assert tuple(parameters) == SUBSET_SCAN_PARAMETERS
+    assert all(p.default is inspect.Parameter.empty
+               for p in parameters.values())
 
 
 def test_count_methods_are_pinned():
@@ -263,6 +276,12 @@ def test_the_tie_band_is_read_in_one_function():
     readers, total = _verifier_readers("TIE_BAND")
     assert list(readers) == ["_above"]
     assert readers["_above"] == total
+
+
+def test_the_brute_force_limit_is_read_in_one_function():
+    readers, total = _verifier_readers("BRUTE_FORCE_STATES")
+    assert list(readers) == ["verify_bruteforce"]
+    assert readers["verify_bruteforce"] == total
 
 
 def test_the_verifier_reads_no_count_cap():

@@ -15,19 +15,30 @@ def _random_probs(rng, k):
     return p / p.sum()
 
 
-@pytest.mark.parametrize("include_full", [False, True])
-def test_matches_literal_enumeration(include_full):
+def _scan(p_a, p_b, e_eps, delta, stacked=False):
+    """One pair's ``(margin, mask, checks)``: the pair scanned as a (k, 1)
+    stack, or, when ``stacked``, as column 1 of a (k, 3) stack between its
+    mirror image and an identical pair."""
+    if stacked:
+        a = np.column_stack([p_b, p_a, p_a])
+        b = np.column_stack([p_a, p_b, p_a])
+    else:
+        a, b = np.column_stack([p_a]), np.column_stack([p_b])
+    margins, masks, checks = kernels.subset_scan(a, b, e_eps, delta)
+    col = a.shape[1] // 2
+    return margins[col], int(masks[col]), checks // a.shape[1]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_matches_literal_enumeration(stacked):
     rng = np.random.default_rng(7)
-    for k in (1, 2, 3, 5, 8, 10):
-        if k == 1 and not include_full:
-            continue
+    for k in (2, 3, 5, 8, 10):
         p_a = _random_probs(rng, k)
         p_b = _random_probs(rng, k)
         e_eps, delta = 1.7, 0.03
-        margin, mask, checks = kernels.subset_scan(p_a, p_b, e_eps, delta,
-                                                   include_full)
+        margin, mask, checks = _scan(p_a, p_b, e_eps, delta, stacked)
         expect, expect_checks = _oracles.subset_scan_literal(
-            p_a, p_b, e_eps, delta, include_full)
+            p_a, p_b, e_eps, delta, include_full=False)
         assert checks == expect_checks
         assert margin == pytest.approx(expect, abs=1e-13)
         # the witness mask reproduces the reported margin
@@ -37,36 +48,38 @@ def test_matches_literal_enumeration(include_full):
 
 
 def test_empty_and_degenerate():
-    # k = 1 without the full set leaves nothing to check
-    margin, mask, checks = kernels.subset_scan(
-        np.array([1.0]), np.array([1.0]), 1.0, 0.0, False)
-    assert checks == 0 and math.isinf(margin)
-    # k = 1 with the full set: exactly one subset
-    margin, mask, checks = kernels.subset_scan(
-        np.array([0.8]), np.array([0.1]), 1.0, 0.0, True)
-    assert checks == 1
-    assert mask == 1
-    assert margin == pytest.approx(0.1 - 0.8)
+    # k = 1 leaves no nonempty proper subset to check, for any pair count
+    for pairs in (1, 3):
+        margins, masks, checks = kernels.subset_scan(
+            np.ones((1, pairs)), np.ones((1, pairs)), 1.0, 0.0)
+        assert checks == 0
+        assert margins.shape == masks.shape == (pairs,)
+        assert np.all(np.isinf(margins)) and not masks.any()
 
 
 def test_zero_probabilities():
     p_a = np.array([0.0, 0.5, 0.5, 0.0])
     p_b = np.array([0.25, 0.25, 0.25, 0.25])
-    margin, mask, checks = kernels.subset_scan(p_a, p_b, 1.0, 0.0, False)
+    margin, mask, checks = _scan(p_a, p_b, 1.0, 0.0)
     expect, _ = _oracles.subset_scan_literal(p_a, p_b, 1.0, 0.0, False)
     assert checks == 2 ** 4 - 2
     assert margin == pytest.approx(expect, abs=1e-15)
 
 
-def _first_minimum_units(a_units, b_units, delta_units, include_full):
-    """(margin, mask) of the first minimising mask in integer order, in
-    units of 1/64 with e^eps = 2, by literal integer enumeration."""
+def test_one_pair_is_a_column_stack():
+    # a lone (k,) vector is not a stack of columns
+    with pytest.raises(ValueError):
+        kernels.subset_scan(np.full(3, 1 / 3), np.full(3, 1 / 3), 1.0, 0.0)
+
+
+def _first_minimum_units(a_units, b_units, delta_units):
+    """(margin, mask) of the first minimising nonempty proper mask in
+    integer order, in units of 1/64 with e^eps = 2, by literal integer
+    enumeration."""
     k = len(a_units)
     terms = [2 * b - a for a, b in zip(a_units, b_units)]
     best = None
-    for mask in range(1, 1 << k):
-        if mask == (1 << k) - 1 and not include_full:
-            continue
+    for mask in range(1, (1 << k) - 1):
         margin = delta_units + sum(t for i, t in enumerate(terms)
                                    if mask >> i & 1)
         if best is None or margin < best[0]:
@@ -91,42 +104,37 @@ def _dyadic_case(rng, k, kind):
 
 
 @pytest.mark.parametrize("kind", ["mixed", "negative", "positive", "zeros"])
-@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("k", range(1, 13))
-def test_dyadic_ties_and_corners(k, include_full, kind):
+def test_dyadic_ties_and_corners(k, stacked, kind):
     # multiples of 1/64 with e^eps = 2: every subset sum is exact in float,
     # so the margin and the first minimising mask must match exactly
-    if k == 1 and not include_full:
-        return
     rng = np.random.default_rng(k)
     a, b = _dyadic_case(rng, k, kind)
     delta_units = 1
-    margin, mask, checks = kernels.subset_scan(a / 64, b / 64, 2.0,
-                                               delta_units / 64,
-                                               include_full)
+    margin, mask, checks = _scan(a / 64, b / 64, 2.0, delta_units / 64,
+                                 stacked)
+    assert checks == 2 ** k - 2
+    if k == 1:
+        assert (math.isinf(margin), mask) == (True, 0)
+        return
     expect, expect_mask = _first_minimum_units(a.tolist(), b.tolist(),
-                                               delta_units, include_full)
-    assert checks == 2 ** k - (1 if include_full else 2)
+                                               delta_units)
     assert margin == expect / 64
     assert mask == expect_mask
 
 
-@pytest.mark.parametrize("include_full", [False, True])
-def test_both_excluded_corners_bind(include_full):
+@pytest.mark.parametrize("stacked", [False, True])
+def test_both_excluded_corners_bind(stacked):
     # all terms positive: the best set is the smallest single element, not
-    # the empty set; all negative: the full set, or all but the largest
-    # term (element 0) when the full set is excluded
+    # the empty set; all negative: all but the largest term (element 0),
+    # not the full set
     for k in (2, 3, 8, 9):
         a = np.arange(1, k + 1, dtype=float) / 64
-        margin, mask, _ = kernels.subset_scan(a, a, 2.0, 0.0, include_full)
+        margin, mask, _ = _scan(a, a, 2.0, 0.0, stacked)
         assert (margin, mask) == (1 / 64, 1)
-        margin, mask, _ = kernels.subset_scan(a, np.zeros(k), 2.0, 0.0,
-                                              include_full)
-        full = (1 << k) - 1
-        if include_full:
-            assert (margin, mask) == (-a.sum(), full)
-        else:
-            assert (margin, mask) == (-a[1:].sum(), full - 1)
+        margin, mask, _ = _scan(a, np.zeros(k), 2.0, 0.0, stacked)
+        assert (margin, mask) == (-a[1:].sum(), (1 << k) - 2)
 
 
 @pytest.mark.parametrize("k", [18, 24, 28])
@@ -137,7 +145,7 @@ def test_wide_scan_accuracy(k):
     p_a = _random_probs(rng, k)
     p_b = _random_probs(rng, k)
     e_eps = 1.25
-    margin, mask, checks = kernels.subset_scan(p_a, p_b, e_eps, 0.0, False)
+    margin, mask, checks = _scan(p_a, p_b, e_eps, 0.0)
     assert checks == 2 ** k - 2
     # exact evaluation at the witness
     idx = [i for i in range(k) if mask >> i & 1]
@@ -150,23 +158,20 @@ def test_wide_scan_accuracy(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 15, 16, 24, 25])
-@pytest.mark.parametrize("include_full", [False, True])
-def test_all_negative_terms_across_the_split(k, include_full):
-    # every term e^eps * p_b - p_a is negative, so the minimum takes the
-    # full set, or, when the full set is excluded, all but the largest term;
-    # odd k gives the low half one element more than the high half
+@pytest.mark.parametrize("stacked", [False, True])
+def test_all_negative_terms_across_the_split(k, stacked):
+    # every term e^eps * p_b - p_a is negative, so the minimum takes all
+    # but the largest term, the full set being excluded; odd k gives the
+    # low half one element more than the high half
     rng = np.random.default_rng(11)
     p_a = _random_probs(rng, k)
     p_b = 0.1 * _random_probs(rng, k) * p_a
     e_eps, delta = 1.5, 0.02
     terms = e_eps * p_b - p_a
     assert np.all(terms < 0)
-    margin, mask, checks = kernels.subset_scan(p_a, p_b, e_eps, delta,
-                                               include_full)
-    expect = delta + math.fsum(terms)
-    if not include_full:
-        expect -= terms.max()
-    assert checks == 2 ** k - (1 if include_full else 2)
+    margin, mask, checks = _scan(p_a, p_b, e_eps, delta, stacked)
+    expect = delta + math.fsum(terms) - terms.max()
+    assert checks == 2 ** k - 2
     assert margin == pytest.approx(expect, abs=1e-13)
     idx = [i for i in range(k) if mask >> i & 1]
     direct = e_eps * math.fsum(p_b[idx]) + delta - math.fsum(p_a[idx])
@@ -174,31 +179,32 @@ def test_all_negative_terms_across_the_split(k, include_full):
 
 
 @pytest.mark.parametrize("kind", ["mixed", "zeros"])
-@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("k", range(1, 13))
-def test_exact_scan_matches_literal_enumeration(k, include_full, kind):
+def test_exact_scan_matches_literal_enumeration(k, stacked, kind):
     # the dyadic cases as Fractions: the exact scan returns a Fraction
     # margin equal to the literal minimum, with the first minimising mask
-    if k == 1 and not include_full:
-        return
     a, b = _dyadic_case(np.random.default_rng(k), k, kind)
     p_a = [Fraction(int(x), 64) for x in a]
     p_b = [Fraction(int(x), 64) for x in b]
-    margin, mask, checks = kernels.subset_scan(p_a, p_b, Fraction(2),
-                                               Fraction(1, 64), include_full)
-    assert isinstance(margin, Fraction)
+    margin, mask, checks = _scan(p_a, p_b, Fraction(2), Fraction(1, 64),
+                                 stacked)
     assert (margin, checks) == _oracles.subset_scan_literal(
-        p_a, p_b, Fraction(2), Fraction(1, 64), include_full)
-    expect, expect_mask = _first_minimum_units(a.tolist(), b.tolist(), 1,
-                                               include_full)
+        p_a, p_b, Fraction(2), Fraction(1, 64), include_full=False)
+    if k == 1:
+        return
+    assert isinstance(margin, Fraction)
+    expect, expect_mask = _first_minimum_units(a.tolist(), b.tolist(), 1)
     assert (margin, mask) == (Fraction(expect, 64), expect_mask)
 
 
 def test_width_limit_fails_before_allocating():
     k = kernels.MAX_WIDTH + 1
     with pytest.raises(EnumerationBudgetError) as info:
-        kernels.subset_scan(np.zeros(k), np.zeros(k), 1.0, 0.0)
+        kernels.subset_scan(np.zeros((k, 1)), np.zeros((k, 1)), 1.0, 0.0)
     assert info.value.count == k
+    assert str(info.value) == (f"scanning the subsets of {k} elements "
+                               f"exceeds the kernel's limit of 40")
 
 
 def _stacked_columns(rng, k):
@@ -217,11 +223,12 @@ def _stacked_columns(rng, k):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("include_full", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("k", range(1, 25))
-def test_stacked_columns_match_one_pair_scans(k, include_full, exact):
+def test_stacked_columns_match_one_pair_scans(k, reverse, exact):
     # a (k, P) scan returns, per column, bit for bit the margin and mask
-    # of that column's own scan, and P times its check count
+    # of that column's own (k, 1) scan, and P times its check count, with
+    # the columns in either order
     p_a, p_b = _stacked_columns(np.random.default_rng(k), k)
     e_eps, delta = 2.0, 1 / 64
     if exact:
@@ -230,15 +237,15 @@ def test_stacked_columns_match_one_pair_scans(k, include_full, exact):
         p_a, p_b = (np.vectorize(Fraction, otypes=[object])(p[:, 2:7:2])
                     for p in (p_a, p_b))
         e_eps, delta = Fraction(e_eps), Fraction(delta)
-    margins, masks, checks = kernels.subset_scan(p_a, p_b, e_eps, delta,
-                                                 include_full)
+    if reverse:
+        p_a, p_b = p_a[:, ::-1], p_b[:, ::-1]
+    margins, masks, checks = kernels.subset_scan(p_a, p_b, e_eps, delta)
     assert margins.shape == masks.shape == (p_a.shape[1],)
-    n_checks = (1 << k) - (1 if include_full else 2)
-    assert checks == p_a.shape[1] * max(n_checks, 0)
+    n_checks = (1 << k) - 2
+    assert checks == p_a.shape[1] * n_checks
     for p in range(p_a.shape[1]):
-        margin, mask, one = kernels.subset_scan(p_a[:, p], p_b[:, p], e_eps,
-                                                delta, include_full)
-        assert one == max(n_checks, 0)
+        margin, mask, one = _scan(p_a[:, p], p_b[:, p], e_eps, delta)
+        assert one == n_checks
         assert masks[p] == mask
         if exact:
             assert margins[p] == margin

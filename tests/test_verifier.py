@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -408,6 +409,22 @@ class TestVerifyReduced:
         assert report.private and report.trivial
         assert report.checks_performed == 0
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_tolerance_and_trivial_come_from_the_report(self, l1_spec,
+                                                        delta):
+        # neither is a field: the tolerance follows the arithmetic, and a
+        # report is trivial exactly at delta = 1
+        assert {"tolerance", "trivial"}.isdisjoint(
+            f.name for f in dataclasses.fields(verifier.VerificationReport))
+        for exact in (False, True):
+            report = verify_reduced(l1_spec, PrivacyParams(1.0, delta),
+                                    exact=exact)
+            assert report.tolerance == (0.0 if exact else verifier.TOLERANCE)
+            assert report.trivial == (delta == 1.0)
+            payload = report.to_json_dict()
+            assert (payload["tolerance"], payload["trivial"]) == (
+                report.tolerance, report.trivial)
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_count_leaves_out_outputs_impossible_under_both(self, space3,
                                                              exact):
@@ -685,32 +702,23 @@ class TestVerifyBruteforce:
         with pytest.raises(EnumerationBudgetError, match="27"):
             verify_bruteforce(spec, PrivacyParams(1.0, 0.0))
 
-    @pytest.mark.parametrize("budget, message", [
-        (24, "59049 states; the brute-force oracle enumerates 2^59049 - 2 "
-             "subsets per pair, over the budget of 24"),
-        (100_000, "scanning the subsets of 59049 elements exceeds the "
-                  "kernel's limit of 40"),
-    ])
-    def test_one_guard_before_any_row(self, monkeypatch, budget, message):
-        # the smaller of the subset budget and the kernel's width binds,
-        # before a digit table, pair array or pmf row is built
+    def test_one_guard_before_any_row(self, monkeypatch):
+        # 24 states bind, before a digit table, pair array or pmf row is
+        # built, in both arithmetics
         def refuse(*args):
             raise AssertionError("built before the guard")
         for name in ("pmf_row", "exact_pmf_row", "_digit_table"):
             monkeypatch.setattr(ExponentialSpec, name, refuse)
+        monkeypatch.setattr(verifier, "_neighbor_pairs", refuse)
         spec = ExponentialSpec(make_space(2), 10, NegL1Utility())
         for exact in (False, True):
             with pytest.raises(EnumerationBudgetError) as info:
-                verify_bruteforce(spec, PrivacyParams(1.0, 0.0),
-                                  budget_subsets=budget, exact=exact)
-            assert message in str(info.value)
+                verify_bruteforce(spec, PrivacyParams(1.0, 0.0), exact=exact)
+            assert str(info.value) == (
+                "database space holds 59049 states; the brute-force oracle "
+                "enumerates 2^59049 - 2 subsets per pair, over the budget "
+                "of 24")
             assert info.value.count == 59049
-        # a state count past the int-to-str limit is written as a power
-        huge = ExponentialSpec(make_space(1), 100_000, HammingUtility(0.5))
-        with pytest.raises(EnumerationBudgetError,
-                           match=r"subsets of 2\^100000 elements"):
-            verify_bruteforce(huge, PrivacyParams(1.0, 0.0),
-                              budget_subsets=10 ** 6)
 
     @pytest.mark.parametrize("n", [8383, 8384, 10 ** 7])
     def test_refusals_build_no_count_past_the_cap(self, n):
@@ -718,21 +726,14 @@ class TestVerifyBruteforce:
         # the power, and far past the cap the count is never built
         states = f"3^{n}" if n > 8383 else str(3 ** n)
         spec = ExponentialSpec(make_space(2), n, NegL1Utility())
-        params = PrivacyParams(1.0, 0.0)
-        for call, message in [
-                (lambda: verify_bruteforce(spec, params),
-                 f"database space holds {states} states; the brute-force "
-                 f"oracle enumerates 2^{states} - 2 subsets per pair, over "
-                 f"the budget of 24"),
-                (lambda: verify_bruteforce(spec, params,
-                                           budget_subsets=10 ** 6),
-                 f"scanning the subsets of {states} elements exceeds the "
-                 f"kernel's limit of 40")]:
-            start = time.perf_counter()
-            with pytest.raises(EnumerationBudgetError) as info:
-                call()
-            assert time.perf_counter() - start < 0.1
-            assert str(info.value) == message
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as info:
+            verify_bruteforce(spec, PrivacyParams(1.0, 0.0))
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (
+            f"database space holds {states} states; the brute-force oracle "
+            f"enumerates 2^{states} - 2 subsets per pair, over the budget "
+            f"of 24")
 
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (3, 2)])
     def test_chunked_scan_gives_the_unchunked_report(self, monkeypatch, m, n):
