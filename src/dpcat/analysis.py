@@ -70,7 +70,7 @@ def expected_error(spec, params: PrivacyParams | None = None) -> ErrorProfile:
         err = matrix_expected_error(spec.product.matrix, n)
     else:
         size = spec.state_count
-        digits = digit_matrix(spec.space, n, size)
+        digits = digit_matrix(spec.space, n)
         err = 0.0
         for i in range(size):
             h = np.count_nonzero(digits != digits[i], axis=1)
@@ -132,10 +132,6 @@ def optimal_mechanism(params: PrivacyParams, m: int, *,
         p = (1 - delta) / (e_eps + m)
     else:
         p = (1.0 - params.delta) / (math.exp(params.epsilon) + m)
-    if float(p) > 1.0 / (m + 1) + 1e-12:
-        raise ParameterRangeError(
-            f"optimal flip probability {p} exceeds 1/(m+1); "
-            f"invalid privacy budget")
     return symmetric_matrix(m, p)
 
 

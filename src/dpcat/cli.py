@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: verify, sanitize, analyze, convert, optimal.  All output
-is deterministic given the inputs and the seed.  Exit codes: 0 success /
-private, 1 not private, 2 input error, 3 enumeration budget exceeded,
-4 internal error (the traceback goes to stderr), so 0 and 1 always mean
-a decided verdict.
+Subcommands: verify, sanitize, analyze, convert, optimal.  Every report
+is printed one way, as indented JSON; sanitize writes labels, one per
+line.  All output is deterministic given the inputs and the seed.  Exit
+codes: 0 success / private, 1 not private, 2 input error, 3 enumeration
+budget exceeded, 4 internal error (the traceback goes to stderr), so 0
+and 1 always mean a decided verdict.
 ``main(argv)`` may be called any number of times in one process: the
 argument parser is built on the first call and reused.
 """
@@ -50,15 +51,8 @@ EXIT_BUDGET_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-def _add_options(parser: argparse.ArgumentParser, *,
-                 exact: bool = False) -> None:
-    """``--format``, and ``--exact`` where the subcommand reads it."""
-    parser.add_argument("--format", choices=("json", "table"), default="json",
-                        help="output format (default json)")
-    if exact:
-        parser.add_argument("--exact", action="store_true",
-                            help="exact rational arithmetic (all but utility "
-                                 "tables)")
+#: The help line of ``--exact``, which verify, convert and optimal read.
+_EXACT_HELP = "exact rational arithmetic (all but utility tables)"
 
 
 def _privacy_args(parser: argparse.ArgumentParser) -> None:
@@ -66,12 +60,8 @@ def _privacy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=0.0)
 
 
-def _emit(args, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def cmd_verify(args) -> int:
@@ -84,11 +74,7 @@ def cmd_verify(args) -> int:
                                exact=args.exact)
     else:
         report = verify_reduced(spec, params, exact=args.exact)
-    payload = report.to_json_dict()
-    if args.format == "table":
-        payload["binding_pair"] = json.dumps(payload["binding_pair"])
-        payload["binding_set"] = json.dumps(payload["binding_set"])
-    _emit(args, payload)
+    _emit(report.to_json_dict())
     return EXIT_PRIVATE if report.private else EXIT_NOT_PRIVATE
 
 
@@ -130,8 +116,6 @@ def cmd_sanitize(args) -> int:
         raise ParameterRangeError(f"--seed must be >= 0, got {args.seed}")
     spec = load_spec_file(args.spec, exact=False)
     data = load_database_csv(args.data, spec.space, column=args.column)
-    if spec.n != data.n:
-        spec = spec.with_n(data.n)
     rng = np.random.default_rng(args.seed)
     sanitized = sample(spec, data, rng)
     lines = _label_lines(spec.space.labels, sanitized.array)
@@ -155,7 +139,7 @@ def cmd_analyze(args) -> int:
         "delta": params.delta,
         **profile.to_json_dict(),
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -182,7 +166,7 @@ def cmd_convert(args) -> int:
         "p": p,
         "output": args.output,
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -205,9 +189,7 @@ def cmd_optimal(args) -> int:
         "matrix": matrix.to_json_dict(),
         "output": args.output,
     }
-    if args.format == "table":
-        payload["matrix"] = json.dumps(payload["matrix"])
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -230,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     _privacy_args(p)
     p.add_argument("--method", choices=("auto", "reduced", "brute"),
                    default="auto")
-    _add_options(p, exact=True)
+    p.add_argument("--exact", action="store_true", help=_EXACT_HELP)
 
     p = sub.add_parser("sanitize", help="sanitise a data file")
     p.add_argument("--spec", required=True)
@@ -243,18 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="expected error and bounds")
     p.add_argument("--spec", required=True)
     _privacy_args(p)
-    _add_options(p)
 
     p = sub.add_parser("convert", help="map between hamming and product form")
     p.add_argument("--spec", required=True)
     p.add_argument("--output", default=None, help="write the converted spec")
-    _add_options(p, exact=True)
+    p.add_argument("--exact", action="store_true", help=_EXACT_HELP)
 
     p = sub.add_parser("optimal", help="error-optimal solution matrix")
     _privacy_args(p)
     p.add_argument("--categories", required=True)
     p.add_argument("--output", default=None, help="write the matrix as CSV")
-    _add_options(p, exact=True)
+    p.add_argument("--exact", action="store_true", help=_EXACT_HELP)
 
     return parser
 

@@ -268,8 +268,11 @@ def mask_rows(mask: np.ndarray) -> np.ndarray:
 
 def _box_indices(space: CategorySpace, mask: np.ndarray) -> np.ndarray:
     """Sorted enumeration indices of the box with this mask: each index so
-    far, times the base, plus each category of the next row."""
-    out = np.zeros(1, dtype=np.int64)
+    far, times the base, plus each category of the next row.  They are
+    int64 while every index of the space fits, and Python ints (an object
+    array) once n * log2(m + 1) reaches 63, where an int64 would wrap."""
+    wide = len(mask) * math.log2(space.size) >= 63
+    out = np.zeros(1, dtype=object if wide else np.int64)
     for row in mask:
         out = (out[:, None] * space.size + np.flatnonzero(row)[None, :]
                ).ravel()
@@ -582,10 +585,10 @@ def index_digits(space: CategorySpace, n: int, indices) -> np.ndarray:
     return out
 
 
-def digit_matrix(space: CategorySpace, n: int,
-                 budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """(size, n) array of row values for every database, in canonical order."""
-    size = check_enum_budget(space, n, budget)
+def digit_matrix(space: CategorySpace, n: int) -> np.ndarray:
+    """(size, n) array of row values for every database, in canonical
+    order, under the default enumeration budget."""
+    size = check_enum_budget(space, n)
     return index_digits(space, n, np.arange(size))
 
 

@@ -270,14 +270,6 @@ class ExponentialSpec(_Spec):
     def supports_exact(self) -> bool:
         return self.product is not None
 
-    def with_n(self, n: int) -> "ExponentialSpec":
-        """The same mechanism over n rows."""
-        if self.product is None:
-            raise DataFormatError(
-                f"a utility table is fixed to its n={self.n} rows and "
-                f"cannot be rescaled to {n}")
-        return ExponentialSpec(self.space, n, self.utility)
-
     def log_pmf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """A utility table's log pmf and log normalisers, built once.
 
@@ -476,10 +468,6 @@ class ProductSpec(_Spec):
     def fixed_normalizer(self) -> bool:
         return self.matrix.is_symmetric
 
-    def with_n(self, n: int) -> "ProductSpec":
-        """The same mechanism over n rows."""
-        return ProductSpec(self.space, n, self.matrix)
-
     def log_pmf_block(self, indices) -> np.ndarray:
         """(len(indices), size) log pmf rows of the inputs at ``indices``:
         the outer sum of their rows' log weights, row 0 first."""
@@ -583,14 +571,18 @@ def sample(spec, d: Database, rng: np.random.Generator) -> Database:
     """Draw one sanitised database.  Deterministic given the generator state.
 
     Product-kind specs (every spec but a utility table) sample row by row
-    through their parent and scale to any n.  Utility tables draw from
-    their input's row of the pmf matrix.
+    through their parent, which defines the mechanism at every row count,
+    so ``d`` may have any number of rows, whatever ``spec.n`` is.  A
+    utility table draws from its input's row of the pmf matrix and takes
+    only a database of its own n rows.
     """
     validate_database(spec.space, d)
-    if d.n != spec.n:
-        raise DataFormatError(f"spec expects {spec.n} rows, database has {d.n}")
     if spec.product is not None:
         return _rowwise_sample(spec.product.matrix, d, rng)
+    if d.n != spec.n:
+        raise DataFormatError(
+            f"a utility table is fixed to its n={spec.n} rows and "
+            f"cannot be rescaled to {d.n}")
     row = spec.pmf_row(database_index(spec.space, d))
     cum = np.cumsum(row)
     idx = int(np.searchsorted(cum, rng.random(), side="right"))

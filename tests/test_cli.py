@@ -283,13 +283,6 @@ class TestVerify:
             == str(96 * (2 ** 16 - 2))
         assert exact["margin"] == pytest.approx(report["margin"], abs=1e-12)
 
-    def test_table_format(self, workdir, capsys):
-        code, out, _ = run(capsys, "verify", "--spec", workdir / "ham.spec",
-                           "--epsilon", "1", "--delta", "0",
-                           "--format", "table")
-        assert code == 0
-        assert "verdict: private" in out
-
     def test_table_utility_spec(self, workdir, capsys):
         # normalised rows (log-probabilities), so the normaliser is fixed
         (workdir / "util.csv").write_text(
@@ -487,17 +480,6 @@ class TestVerify:
         assert calls == []
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == self.LARGE_N_DIGESTS[name, epsilon, exact])
-
-    def test_table_format_prints_the_cylinder_as_one_json_string(
-            self, workdir, capsys):
-        code, out, _ = run(capsys, "verify", "--spec", workdir / "ham.spec",
-                           "--epsilon", "0.3", "--method", "reduced",
-                           "--format", "table")
-        assert code == 1
-        (line,) = [x for x in out.splitlines()
-                   if x.startswith("binding_set: ")]
-        cylinder = json.loads(line[len("binding_set: "):])
-        assert cylinder == {"row": 0, "categories": ["0"], "size": 3}
 
     def test_internal_error_exits_4(self, workdir, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -899,15 +881,9 @@ class TestParserReuse:
         assert done.returncode == 1, done.stderr
         return done.stdout
 
-    def test_table_call_leaves_no_state(self, workdir, capsys):
-        run(capsys, *self.argv(workdir, "--format", "table"))
-        code, out, _ = run(capsys, *self.argv(workdir))
-        assert code == 1
-        assert out == self.fresh_output(workdir)
-
     def test_parse_failure_leaves_no_state(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([str(a) for a in self.argv(workdir, "--exact", "--format",
+            main([str(a) for a in self.argv(workdir, "--exact", "--method",
                                             "yaml")])
         assert exc.value.code == 2
         capsys.readouterr()
@@ -959,8 +935,16 @@ class TestParserReuse:
         ("convert", "--spec", "ham.spec", "--method", "brute"),
         ("optimal", "--categories", "cats.txt", "--epsilon", "1",
          "--method", "brute"),
+        # reports print one way: no subcommand takes --format
+        ("verify", "--spec", "ham.spec", "--epsilon", "1",
+         "--format", "json"),
         ("sanitize", "--spec", "hobby.spec", "--data", "hobby_data.csv",
          "--seed", "1", "--format", "json"),
+        ("analyze", "--spec", "ham.spec", "--epsilon", "1",
+         "--format", "json"),
+        ("convert", "--spec", "ham.spec", "--format", "json"),
+        ("optimal", "--categories", "cats.txt", "--epsilon", "1",
+         "--format", "json"),
     ], ids=lambda argv: argv[0] + [   # the option under test comes last
         a for a in argv if a in ("--exact", "--method", "--format")][-1])
     def test_options_a_subcommand_does_not_read_are_rejected(
@@ -980,7 +964,7 @@ class TestParserReuse:
                                  line)
             if found:
                 table[found[1]] = set(found[2].split(", "))
-        assert set(table) == {"--format", "--exact"}
+        assert set(table) == {"--exact"}
         (commands,) = [action.choices for action
                        in dpcat.cli.build_parser()._subparsers._group_actions]
         for option, listed in table.items():
@@ -1100,11 +1084,26 @@ class TestSanitize:
 
         loaded = load_spec_file(spec)
         d = dpcat.cli.load_database_csv(data, loaded.space)
-        drawn = dpcat.cli.sample(loaded.with_n(d.n), d,
-                                 np.random.default_rng(12))
+        drawn = dpcat.cli.sample(loaded, d, np.random.default_rng(12))
         expected = "".join(labels[v] + "\n" for v in drawn.rows)
         assert out == expected
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_table_refuses_another_row_count(self, workdir, capsys, output):
+        # a utility table holds the mechanism at its own n alone
+        (workdir / "util.csv").write_text("0,0,0\n0,0,0\n0,0,0\n")
+        spec = workdir / "table.spec"
+        spec.write_text("type = exponential\nutility = table\n"
+                        "table = util.csv\ncategories = cats.txt\nn = 1\n")
+        out_path = workdir / "out.csv"
+        code, out, err = run(capsys, "sanitize", "--spec", spec, "--data",
+                             workdir / "cats.txt", "--seed", "1",
+                             *["--output", out_path] * output)
+        assert (code, out) == (2, "")
+        assert err == ("error: a utility table is fixed to its n=1 rows "
+                       "and cannot be rescaled to 3\n")
+        assert not out_path.exists()
 
     def test_l1_sanitizes_long_files(self, workdir, capsys, tmp_path):
         # 1,000 rows: 3^1000 states, sampled row by row through the parent

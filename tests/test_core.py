@@ -351,6 +351,24 @@ class TestCylinderSet:
         assert cylinder.indices is cylinder.indices
         assert len(calls) == 1
 
+    def test_box_indices_past_int64_are_exact(self):
+        # one member, (1, 0, ..., 0) at m = 1 and n = 70: index 2^69, past
+        # the int64 range, which a wrapping index read as 0
+        space = make_space(1)
+        mask = np.zeros((70, 2), dtype=bool)
+        mask[0, 1] = mask[1:, 0] = True
+        box = DatabaseSet.from_mask(space, mask)
+        plain = DatabaseSet(space, 70, (2 ** 69,))
+        assert Database((1,) + (0,) * 69) in box
+        assert int(box.size) == len(plain) == 1
+        assert box.indices == plain.indices == (2 ** 69,)
+        assert box == plain and hash(box) == hash(plain)
+        # the space's last four members, at indices 2^70 - 4 on
+        top_mask = np.ones((70, 2), dtype=bool)
+        top_mask[:68, 0] = False
+        top = DatabaseSet.from_mask(space, top_mask)
+        assert top.indices == tuple(range(2 ** 70 - 4, 2 ** 70))
+
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_box_agrees_with_the_set_of_its_indices(self, m, n):
         rng = np.random.default_rng(m * 10 + n)

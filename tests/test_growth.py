@@ -8,7 +8,8 @@ mentioned only in a docstring or comment does not count.
 
 Each subcommand's options are pinned in ``CLI_OPTIONS``, so adding one is
 a visible change here, and every subcommand is run twice on the same
-inputs to show that its output is a function of them.
+inputs to show that its output is a function of them.  Every report is
+JSON, so a second output format is a visible change here too.
 
 Each defaulted parameter of the exported API is pinned in
 ``LIBRARY_KEYWORDS``, so a new library knob is a visible change here too,
@@ -29,6 +30,7 @@ import ast
 import contextlib
 import inspect
 import io
+import json
 import tokenize
 from pathlib import Path
 
@@ -105,13 +107,12 @@ def test_every_allowed_name_is_exported_and_unused():
 
 #: Each subcommand's options, in the order the parser adds them.
 CLI_OPTIONS = {
-    "verify": ["--spec", "--epsilon", "--delta", "--method", "--format",
-               "--exact"],
+    "verify": ["--spec", "--epsilon", "--delta", "--method", "--exact"],
     "sanitize": ["--spec", "--data", "--column", "--seed", "--output"],
-    "analyze": ["--spec", "--epsilon", "--delta", "--format"],
-    "convert": ["--spec", "--output", "--format", "--exact"],
+    "analyze": ["--spec", "--epsilon", "--delta"],
+    "convert": ["--spec", "--output", "--exact"],
     "optimal": ["--epsilon", "--delta", "--categories", "--output",
-                "--format", "--exact"],
+                "--exact"],
 }
 
 #: Runs of each subcommand over the files ``_write_inputs`` makes.
@@ -146,7 +147,7 @@ def test_cli_options_are_pinned():
                       if not isinstance(action, argparse._HelpAction)]
                for name, sub in _subcommands().items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 25
+    assert sum(map(len, options.values())) == 21
     (method,) = [action for action in _subcommands()["verify"]._actions
                  if "--method" in action.option_strings]
     assert method.choices == ("auto", "reduced", "brute")
@@ -167,6 +168,8 @@ def test_every_subcommand_answers_the_same_twice(tmp_path):
                     answers.append((dpcat.cli.main(argv), out.getvalue()))
             assert answers[0] == answers[1], argv
             assert answers[0][0] in (0, 1) and answers[0][1], argv
+            if name != "sanitize":     # labels, not a report
+                assert isinstance(json.loads(answers[0][1]), dict), argv
 
 
 #: Each defaulted parameter of an exported function, or of the

@@ -534,6 +534,38 @@ class TestSampling:
                 assert out.array.tolist() == expected.tolist()
         assert short_rows
 
+    @pytest.mark.parametrize("parent", ["hamming", "l1", "dirichlet"])
+    def test_any_row_count_draws_as_the_spec_built_there(self, parent):
+        # the parent defines a product-kind spec at every n, so the spec's
+        # own n does not enter the draws
+        m = 3
+        space = make_space(m)
+        matrix = SolutionMatrix(np.random.default_rng(6).dirichlet(
+            np.ones(m + 1), size=m + 1))
+
+        def build(n):
+            if parent == "dirichlet":
+                return ProductSpec(space, n, matrix)
+            utility = (HammingUtility(0.8) if parent == "hamming"
+                       else NegL1Utility())
+            return ExponentialSpec(space, n, utility)
+
+        for n in (1, 7, 500):
+            d = Database.from_array(
+                np.random.default_rng(n).integers(0, m + 1, n))
+            expected = sample(build(n), d, np.random.default_rng(n + 1))
+            for spec_n in (1, 2, 1000):
+                assert sample(build(spec_n), d,
+                              np.random.default_rng(n + 1)) == expected
+
+    def test_table_refuses_another_row_count(self, space3, rng):
+        spec = ExponentialSpec(space3, 1,
+                               TableUtility(space3, 1, np.zeros((3, 3))))
+        with pytest.raises(DataFormatError, match=(
+                r"^a utility table is fixed to its n=1 rows and cannot be "
+                r"rescaled to 2$")):
+            sample(spec, Database((0, 1)), rng)
+
     def test_general_utility_inverse_cdf(self, l1_spec, rng):
         counts = {}
         d = Database((0, 1))
@@ -559,11 +591,10 @@ class TestSampling:
         space = make_space(2)
         big = ExponentialSpec(space, 10**7, HammingUtility(1.0))
         assert ProductSpec(space, 10**7, symmetric_matrix(2, 0.1)).n == 10**7
-        # sampled at 10^6 rows: at 10^7 the row tuples alone take 0.5 GB
-        spec = big.with_n(10**6)
+        # a 10^6-row database: at 10^7 the row tuples alone take 0.5 GB
         d = Database.from_array(np.arange(10**6) % 3)
-        assert sample(spec, d, np.random.default_rng(4)).n == 10**6
+        assert sample(big, d, np.random.default_rng(4)).n == 10**6
         assert calls == []
-        small = big.with_n(3)
+        small = ExponentialSpec(space, 3, HammingUtility(1.0))
         assert small.state_count == small.state_count == 27
         assert calls == [3]

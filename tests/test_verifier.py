@@ -1307,7 +1307,7 @@ class TestAnyRowCount:
         if exact:
             assert report.margin == parent.margin
             at_n, at_1 = (verifier._parent_route(s, self.PARAMS, True)[0]
-                          for s in (spec, spec.with_n(1)))
+                          for s in (spec, ProductSpec(spec.space, 1, matrix)))
             margin = _oracles.parent_route_fraction(
                 matrix.fractions(), 1, *self.PARAMS.exact_pair())[0]
             assert isinstance(at_n, Fraction) and at_n == at_1 == margin
@@ -1343,7 +1343,8 @@ class TestAnyRowCount:
         assert str(report.checks_performed) == (
             "1000000*sum(999999!/(c1!*c2!)*(2*(2^(2^c2)-1)) "
             "for c1+c2=999999)")
-        report = verify_reduced(spec.with_n(12), self.PARAMS)
+        report = verify_reduced(ProductSpec(spec.space, 12, matrix),
+                                self.PARAMS)
         count, text = _oracles.parent_check_count([[0, 1], [1, 0]], [1, 2],
                                                   12, False)
         assert int(report.checks_performed) == count
