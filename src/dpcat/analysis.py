@@ -24,7 +24,7 @@ from .mechanisms import (
     SolutionMatrix,
     symmetric_matrix,
 )
-from .verifier import TOLERANCE, PrivacyParams
+from .verifier import PrivacyParams, budget, passes
 
 @dataclass(frozen=True)
 class ErrorProfile:
@@ -127,12 +127,8 @@ def optimal_mechanism(params: PrivacyParams, m: int, *,
     """
     if m < 1:
         raise ParameterRangeError("m must be >= 1")
-    if exact:
-        e_eps, delta = params.exact_pair()
-        p = (1 - delta) / (e_eps + m)
-    else:
-        p = (1.0 - params.delta) / (math.exp(params.epsilon) + m)
-    return symmetric_matrix(m, p)
+    e_eps, delta = budget(params, exact)
+    return symmetric_matrix(m, (1 - delta) / (e_eps + m))
 
 
 def exponential_to_product(spec: ExponentialSpec) -> ProductSpec:
@@ -168,9 +164,9 @@ def matrix_expected_error(matrix: SolutionMatrix, n: int) -> float:
     return n * float(off.sum(axis=1).max())
 
 
-#: Matrices per pass of batch_matrix_margins.  Keeps its (pairs, chunk)
-#: running arrays in cache: unchunked, 20,000-matrix batches at m = 1-4 ran
-#: 2-3x slower on a 2-vCPU x86-64 VM.
+#: Matrices per pass of batch_matrix_margins: bounds its (pairs, chunk)
+#: temporaries for a library caller that passes a large batch.  The
+#: sampler passes one screen chunk's survivors, at most _SCREEN_CHUNK.
 _MARGIN_CHUNK = 2048
 
 
@@ -250,10 +246,10 @@ def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,
     generator's state after each call are those of
     ``rng.dirichlet(np.ones(m+1), size=(batch, m+1))``, and every batch is
     drawn whole.  Rows are scaled in the [x, row, b] layout the screens
-    read.  A matrix whose singleton output sets already fail
-    (``_singleton_bound`` below the verifier's ``-TOLERANCE``) is refused;
-    the rest, about a tenth of the draws at the criterion-6 budgets, are
-    kept when their ``batch_matrix_margins`` margin clears it.
+    read.  A matrix whose singleton output sets already fail (its
+    ``_singleton_bound`` fails the verdict rule, ``verifier.passes``) is
+    refused; the rest, about a tenth of the draws at the criterion-6
+    budgets, are kept when their ``batch_matrix_margins`` margin passes.
     """
     for name, value in (("m", m), ("count", count), ("batch", batch),
                         ("max_batches", max_batches)):
@@ -272,11 +268,13 @@ def sample_feasible_matrices(m: int, params: PrivacyParams, count: int,
             for col in cols[1:]:
                 acc += col
             cols *= 1.0 / acc
-            survive = _singleton_bound(cols, e_eps, params.delta) >= -TOLERANCE
+            survive = passes(_singleton_bound(cols, e_eps, params.delta),
+                             exact=False)
             if not survive.any():
                 continue
             mats = cols[:, :, survive].transpose(2, 1, 0)
-            keep = mats[batch_matrix_margins(mats, params) >= -TOLERANCE]
+            keep = mats[passes(batch_matrix_margins(mats, params),
+                               exact=False)]
             out.append(keep)
             have += keep.shape[0]
             if have >= count:

@@ -137,13 +137,11 @@ class HammingUtility:
         """
         def exact_rows():
             e_k = self.exact_e_k()
-            p_q = Fraction(0) if e_k is None else 1 / (e_k + m)
-            return [[1 - m * p_q if i == j else p_q for j in range(m + 1)]
-                    for i in range(m + 1)]
+            return _symmetric_entries(m, Fraction(0) if e_k is None
+                                      else 1 / (e_k + m))
 
         p = 0.0 if math.isinf(self.k) else 1.0 / (math.exp(self.k) + m)
-        return SolutionMatrix(symmetric_matrix(m, p).values,
-                              fractions=exact_rows)
+        return SolutionMatrix(_symmetric_entries(m, p), fractions=exact_rows)
 
 
 class NegL1Utility:
@@ -513,21 +511,24 @@ def symmetric_matrix(m: int, p) -> SolutionMatrix:
     return the true value as any single wrong one.  ``p`` may be a Fraction,
     in which case exact entries are attached.
     """
-    exact = isinstance(p, Fraction)
     p_num = float(p)
     upper = 1.0 / (m + 1)
     if not 0.0 <= p_num <= upper + 1e-12:
         raise ParameterRangeError(
             f"flip probability must lie in [0, 1/(m+1)] = [0, {upper}], "
             f"got {p_num}")
-    if exact:
-        fracs = [[1 - m * p if i == j else p for j in range(m + 1)]
-                 for i in range(m + 1)]
-        values = [[float(x) for x in row] for row in fracs]
-        return SolutionMatrix(values, fractions=fracs)
-    values = np.full((m + 1, m + 1), p_num)
-    np.fill_diagonal(values, 1.0 - m * p_num)
-    return SolutionMatrix(values)
+    if not isinstance(p, Fraction):
+        return SolutionMatrix(_symmetric_entries(m, p_num))
+    fracs = _symmetric_entries(m, p)
+    return SolutionMatrix(fracs.astype(float), fractions=fracs)
+
+
+def _symmetric_entries(m: int, p) -> np.ndarray:
+    """1 - m*p on the diagonal and p elsewhere, in p's arithmetic."""
+    entries = np.full((m + 1, m + 1), p,
+                      dtype=object if isinstance(p, Fraction) else np.float64)
+    np.fill_diagonal(entries, 1 - m * p)
+    return entries
 
 
 def make_symmetric_product(space: CategorySpace, n: int, p) -> ProductSpec:

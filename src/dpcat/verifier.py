@@ -52,11 +52,12 @@ computes the same float expression for a batch of parents.
 Set membership compares log-probabilities with a tie band: one predicate,
 gap > eps + ``TIE_BAND`` (:func:`_above`), decides W at eps and S at 0, so
 gaps within the band are ties and stay out, since exact ties carry no
-utility gap and cannot tighten any margin.  The exact-rational mode redoes
-the arithmetic exactly (mechanism parameters are taken at their exact
-binary-float values unless exact rationals are supplied) and uses strict
-comparisons with no tolerance: product parents in integers over a common
-denominator, everything else in ``fractions.Fraction``.
+utility gap and cannot tighten any margin.  Exact mode compares strictly,
+in integers over a common denominator for product parents and in
+``Fraction`` otherwise (parameters are their exact binary-float values
+unless exact rationals are supplied).  One rule, :func:`passes`, turns
+every margin into a verdict: each route's report, the set check, both
+closed forms and the sampler's screens.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from .errors import (
 )
 from .mechanisms import LOG_FLOAT_MAX, ProductSpec, SolutionMatrix
 
-#: Slack added to every margin comparison to absorb float rounding.
+#: How far below 0 a float margin may fall and pass: see :func:`passes`.
 TOLERANCE = 1e-12
 
 #: Log-probability gaps inside this band are ties, excluded from W and S.
@@ -146,6 +147,18 @@ class PrivacyParams:
         delta = (self.delta_exact if self.delta_exact is not None
                  else Fraction(self.delta))
         return e_eps, delta
+
+
+def passes(margin, *, exact: bool):
+    """The verdict rule: a float margin, or an array of them, passes at
+    >= -TOLERANCE, which absorbs rounding; an exact margin at >= 0."""
+    return margin >= (0 if exact else -TOLERANCE)
+
+
+def budget(params: PrivacyParams, exact: bool) -> tuple:
+    """(e^eps, delta) in a decision's arithmetic: exact, or floats."""
+    return (params.exact_pair() if exact
+            else (math.exp(params.epsilon), params.delta))
 
 
 @dataclass(frozen=True)
@@ -366,11 +379,11 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
     """Check the privacy inequality for one pair on one output set.
 
     The margin is e^eps * P(X_d' in A) + delta - P(X_d in A); the inequality
-    holds when the margin clears ``-TOLERANCE`` (0 in exact mode).  On a
-    product spec a box A = {x : x_j in A_j} has P(X_d in A) = the product
-    over rows j of the sum of M[d_j, c] over A_j, read from the parent (in
-    ``Fraction`` under ``exact``, else over the exponentiated log weights
-    the pmf rows are built from); any other set sums two pmf rows.
+    holds when the margin :func:`passes`.  On a product spec a box
+    A = {x : x_j in A_j} has P(X_d in A) = the product over rows j of the
+    sum of M[d_j, c] over A_j, read from the parent (in ``Fraction`` under
+    ``exact``, else over the exponentiated log weights the pmf rows are
+    built from); any other set sums two pmf rows.
     """
     if not A:
         raise DataFormatError("output set must be nonempty")
@@ -378,30 +391,21 @@ def dp_holds_on_set(spec, pair: NeighborPair, A: DatabaseSet,
         raise LengthMismatchError(
             f"output set of {A.n}-row databases for a pair of {pair.d.n} rows")
     _require_exact(spec, exact)
-    mask = A.box_mask
-    if mask is not None and spec.product is not None:
-        validate_database(spec.space, pair.d)
-        validate_database(spec.space, pair.d_prime)
+    e_eps, delta = budget(params, exact)
+    databases = (pair.d, pair.d_prime)
+    if A.box_mask is not None and spec.product is not None:
+        for d in databases:
+            validate_database(spec.space, d)
         weights = (spec.product.matrix.fractions() if exact
                    else np.exp(spec.product.log_weights).tolist())
-        pa, pb = _box_probabilities(weights, mask, (pair.d, pair.d_prime),
-                                    exact)
+        pa, pb = _box_probabilities(weights, A.box_mask, databases, exact)
     else:
-        ia = database_index(spec.space, pair.d)
-        ib = database_index(spec.space, pair.d_prime)
+        row = spec.exact_pmf_row if exact else spec.pmf_row
         idx = list(A.indices)
-        if exact:
-            row_a, row_b = spec.exact_pmf_row(ia), spec.exact_pmf_row(ib)
-            pa, pb = sum(row_a[i] for i in idx), sum(row_b[i] for i in idx)
-        else:
-            pa = float(spec.pmf_row(ia)[idx].sum())
-            pb = float(spec.pmf_row(ib)[idx].sum())
-    if exact:
-        e_eps, delta = params.exact_pair()
-        margin = e_eps * pb + delta - pa
-        return SetCheckResult(margin >= 0, float(margin))
-    margin = math.exp(params.epsilon) * pb + params.delta - pa
-    return SetCheckResult(margin >= -TOLERANCE, margin)
+        pa, pb = (np.asarray(row(database_index(spec.space, d)))[idx].sum()
+                  for d in databases)
+    margin = e_eps * pb + delta - pa
+    return SetCheckResult(bool(passes(margin, exact=exact)), float(margin))
 
 
 def _box_probabilities(weights, mask: np.ndarray, databases,
@@ -566,15 +570,15 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
     product = spec.product
     k, n = spec.space.size, spec.n
     weights, released, above = _parent_gaps(product, exact)
+    e_eps, delta = budget(params, exact)
+    scale = None
     if exact:
-        e_eps, delta = params.exact_pair()
         e_num, e_den = e_eps.as_integer_ratio()
         terms = e_num * weights[None] - e_den * weights[:, None]
         scale = e_den * weights[0].sum()        # D: each row of M sums to 1
         worst = terms < 0               # E_d * N[u, c] > E_n * N[v, c]
     else:
-        terms = math.exp(params.epsilon) * weights[None] - weights[:, None]
-        delta, scale = params.delta, None
+        terms = e_eps * weights[None] - weights[:, None]
         worst = above(params.epsilon)
     margin, j = _worst_set([(terms.reshape(k * k, k),
                              worst.reshape(k * k, k))], delta, scale)
@@ -657,13 +661,11 @@ def _build_report(spec, params, result, method: str,
                   exact: bool) -> VerificationReport:
     """The report of a route's (margin, binding, checks); result None is
     the trivial regime delta = 1, private at an infinite margin after no
-    check.  An exact margin is a ``Fraction``, compared with no
-    tolerance."""
+    check; :func:`passes` decides the margin, a ``Fraction`` if exact."""
     margin, binding, checks = result or (math.inf, None, Count(0))
     pair, bset = binding or (None, None)
     return VerificationReport(
-        verdict=("private" if margin >= (0 if exact else -TOLERANCE)
-                 else "not-private"),
+        verdict="private" if passes(margin, exact=exact) else "not-private",
         method=method,
         epsilon=params.epsilon,
         delta=params.delta,
@@ -727,8 +729,7 @@ def verify_bruteforce(spec, params: PrivacyParams, *,
     _require_exact(spec, exact)
 
     size = spec.state_count
-    e_eps, delta = (params.exact_pair() if exact
-                    else (math.exp(params.epsilon), params.delta))
+    e_eps, delta = budget(params, exact)
     states = np.arange(size)
     pmf = (spec.exact_pmf_block(states) if exact
            else np.exp(spec.log_pmf_block(states)))
@@ -758,6 +759,8 @@ def exp_dp_condition(k: float, params: PrivacyParams, m: int, *,
                      exact: bool = False) -> ConditionResult:
     """Closed form for the hamming-utility mechanism: private iff
     e^k <= (e^eps + m*delta) / (1 - delta).  Necessary and sufficient.
+    Decided as the parent, p = 1/(e^k + m), by :func:`product_dp_condition`;
+    ``slack`` is the bound minus e^k (``e_k``, or exp(k) taken as exact).
     """
     if math.isnan(k) or k < 0:
         raise ParameterRangeError(f"k must be >= 0, got {k}")
@@ -765,24 +768,24 @@ def exp_dp_condition(k: float, params: PrivacyParams, m: int, *,
         raise ParameterRangeError("m must be >= 1")
     if params.trivial:
         return ConditionResult(True, math.inf, trivial=True)
-    if exact:
-        e_eps, delta = params.exact_pair()
-        if e_k is None:
-            if math.isinf(k):
-                return ConditionResult(False, -math.inf)
-            e_k = Fraction(math.exp(k))
-        bound = (e_eps + m * delta) / (1 - delta)
-        return ConditionResult(e_k <= bound, float(bound - e_k))
-    bound = (math.exp(params.epsilon) + m * params.delta) / (1 - params.delta)
-    slack = bound - math.exp(k)
-    return ConditionResult(slack >= 0, slack)
+    e_eps, delta = budget(params, exact)
+    if not exact or e_k is None:
+        e_k = math.exp(k)
+    if exact and e_k < math.inf:
+        e_k = Fraction(e_k)
+    p = 1 / (e_k + m)
+    parent = product_dp_condition(float(p), params, m, p_exact=p, exact=exact)
+    bound = (e_eps + m * delta) / (1 - delta)
+    return ConditionResult(parent.satisfied, float(bound - e_k))
 
 
 def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
                          p_exact: Fraction | None = None,
                          exact: bool = False) -> ConditionResult:
     """Closed form for the symmetric product mechanism: private iff
-    p >= (1 - delta) / (e^eps + m).  Necessary and sufficient.
+    p >= (1 - delta) / (e^eps + m).  Necessary and sufficient.  Decided by
+    the parent's margin min(delta, e^eps*p + delta - (1 - m*p)) in either
+    arithmetic; ``slack`` is p (``p_exact`` if exact) minus the threshold.
     """
     if m < 1:
         raise ParameterRangeError("m must be >= 1")
@@ -791,14 +794,12 @@ def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
             f"flip probability must lie in [0, 1/(m+1)], got {p}")
     if params.trivial:
         return ConditionResult(True, float(p), trivial=True)
+    e_eps, delta = budget(params, exact)
     if exact:
-        e_eps, delta = params.exact_pair()
-        p_q = Fraction(p) if p_exact is None else Fraction(p_exact)
-        threshold = (1 - delta) / (e_eps + m)
-        return ConditionResult(p_q >= threshold, float(p_q - threshold))
-    threshold = (1 - params.delta) / (math.exp(params.epsilon) + m)
-    slack = p - threshold
-    return ConditionResult(slack >= 0, slack)
+        p = Fraction(p if p_exact is None else p_exact)
+    margin = min(delta, e_eps * p + delta - (1 - m * p))
+    return ConditionResult(passes(margin, exact=exact),
+                           float(p - (1 - delta) / (e_eps + m)))
 
 
 def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,

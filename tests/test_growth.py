@@ -21,6 +21,9 @@ between two counts past the cap is a visible change here.
 The verifier's tie rule, ``TIE_BAND``, is read in one function, so a new
 route cannot bring a tie rule of its own, and it reads no
 ``COUNT_DIGIT_CAP``: ``Count`` alone decides when a count is an int.
+Likewise its verdict rule: ``TOLERANCE`` is read only by ``passes`` and
+by the report's printed ``tolerance``, and every function that turns a
+margin into a verdict calls ``passes`` (``VERDICTS``).
 Brute force's one limit, ``BRUTE_FORCE_STATES``, is read only by
 ``verify_bruteforce``.
 """
@@ -35,8 +38,10 @@ import tokenize
 from pathlib import Path
 
 import dpcat
+import dpcat.analysis
 import dpcat.cli
 import dpcat.kernels
+import dpcat.verifier
 
 PACKAGE = Path(dpcat.__file__).resolve().parent
 
@@ -45,7 +50,6 @@ ALLOWED = {
     "sufficient_set": "paper object: the sufficient set S of a neighbour pair",
     "dp_holds_on_set": "paper object: the privacy inequality on one set A",
     "exp_dp_condition": "perfbench import: the hamming closed form",
-    "product_dp_condition": "perfbench import: the symmetric closed form",
     "p_from_k": "paper object: the hamming k as the product's p",
     "enumerate_neighbor_pairs": "paper object: the neighbour relation",
     "sample_feasible_matrices": "perfbench import: criterion-6 draws",
@@ -289,3 +293,46 @@ def test_the_brute_force_limit_is_read_in_one_function():
 
 def test_the_verifier_reads_no_count_cap():
     assert _verifier_readers("COUNT_DIGIT_CAP") == ({}, 0)
+
+
+def _called_names(func: ast.FunctionDef) -> set[str]:
+    return {node.func.id for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_the_tolerance_is_read_by_the_verdict_rule_alone():
+    readers, total = _verifier_readers("TOLERANCE")
+    assert readers == {"passes": 1, "tolerance": 1} and total == 2
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("verifier.py", "__init__.py"):  # __init__ exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(
+            isinstance(node, ast.Name) and node.id == "TOLERANCE"
+            or isinstance(node, ast.Attribute) and node.attr == "TOLERANCE"
+            or isinstance(node, ast.alias) and node.name == "TOLERANCE"
+            for node in ast.walk(tree)), path.name
+
+
+#: The functions that turn a margin into a verdict, by module: each calls
+#: ``verifier.passes``, and no other function does.
+VERDICTS = {
+    "verifier": {"_build_report", "dp_holds_on_set", "product_dp_condition"},
+    "analysis": {"sample_feasible_matrices"},
+}
+
+
+def test_every_verdict_goes_through_the_rule():
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers = {func.name for func in ast.walk(ast.parse(
+                       path.read_text(encoding="utf-8")))
+                   if isinstance(func, ast.FunctionDef)
+                   and "passes" in _called_names(func)}
+        assert callers == VERDICTS.get(path.stem, set()), path.name
+    assert dpcat.analysis.passes is dpcat.verifier.passes
+    # the hamming closed form decides as its symmetric parent
+    tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
+    (exp_form,) = [func for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and func.name == "exp_dp_condition"]
+    assert "product_dp_condition" in _called_names(exp_form)

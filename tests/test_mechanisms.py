@@ -23,6 +23,7 @@ from dpcat import (
     database_index,
     enumerate_databases,
     hamming_distance,
+    load_spec_file,
     make_symmetric_product,
     sample,
     symmetric_matrix,
@@ -258,6 +259,27 @@ class TestParentMatrix:
         e_k = Fraction(math.exp(k))
         assert parent.fractions()[0][0] == e_k / (e_k + m)
         assert parent.fractions()[1][0] == 1 / (e_k + m)
+
+    @pytest.mark.parametrize("k", ["0.5", "inf"])
+    def test_hamming_load_builds_one_matrix(self, tmp_path, monkeypatch, k):
+        # one SolutionMatrix per hamming spec, whose exact rows wait for the
+        # first fractions() call
+        built = []
+        init = SolutionMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(SolutionMatrix, "__init__", counting)
+        (tmp_path / "cats.txt").write_text("a\nb\nc\n")
+        (tmp_path / "ham.spec").write_text(
+            f"type = exponential\nutility = hamming\nk = {k}\n"
+            "categories = cats.txt\nn = 4\n")
+        spec = load_spec_file(tmp_path / "ham.spec")
+        assert len(built) == 1 and built[0] is spec.product.matrix
+        assert spec.product.matrix._fractions is None
+        p = Fraction(0) if k == "inf" else 1 / (Fraction(math.exp(0.5)) + 2)
+        assert spec.product.matrix.fractions()[0] == (1 - 2 * p, p, p)
 
     def test_l1_parent_rows(self):
         parent = NegL1Utility().parent_matrix(2)

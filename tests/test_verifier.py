@@ -894,7 +894,64 @@ class TestBindingSetJson:
                 == verifier._render_set(plain))
 
 
+def knife_edge_grid():
+    """(m, params, k, p) with k and p on the privacy boundary,
+    e^k = (e^eps + m*delta)/(1 - delta) and p = (1 - delta)/(e^eps + m),
+    for m = 1-4, 40 values of eps in [0.05, 3] and four deltas."""
+    for m in range(1, 5):
+        for eps in np.linspace(0.05, 3, 40).tolist():
+            for delta in (0.0, 1e-6, 0.01, 0.1):
+                e_eps = math.exp(eps)
+                yield (m, PrivacyParams(eps, delta),
+                       math.log((e_eps + m * delta) / (1 - delta)),
+                       (1 - delta) / (e_eps + m))
+
+
 class TestClosedForms:
+    def test_the_verdict_rule(self):
+        tol = verifier.TOLERANCE
+        assert verifier.passes(-tol, exact=False)
+        assert not verifier.passes(-2 * tol, exact=False)
+        assert verifier.passes(Fraction(0), exact=True)
+        assert not verifier.passes(Fraction(-1, 10 ** 30), exact=True)
+        assert verifier.passes(np.array([-2 * tol, -tol, 0.0]),
+                               exact=False).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_hamming_knife_edge_agrees_with_verify(self, exact):
+        # deciding bound - e^k >= 0 in e^k's units, with no tolerance, calls
+        # 68 of these 640 points not private where verify says private,
+        # one of them at a verify margin of +1.4e-16
+        points = list(knife_edge_grid())
+        assert len(points) == 640
+        for m, params, k, _ in points:
+            spec = ExponentialSpec(make_space(m), 3, HammingUtility(k))
+            report = verify_reduced(spec, params, exact=exact)
+            closed = exp_dp_condition(k, params, m, exact=exact)
+            assert closed.satisfied == report.private, (m, params, k)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_product_knife_edge_agrees_with_verify(self, exact):
+        # exact p is the binary float p taken as exact: the parent of
+        # symmetric_matrix(m, Fraction(p)), whose rows sum to 1 exactly
+        for m, params, _, p in knife_edge_grid():
+            spec = make_symmetric_product(make_space(m), 3,
+                                          Fraction(p) if exact else p)
+            report = verify_reduced(spec, params, exact=exact)
+            closed = product_dp_condition(p, params, m, exact=exact)
+            assert closed.satisfied == report.private, (m, params, p)
+
+    def test_closed_forms_pass_where_verify_does(self):
+        # p a hair under the threshold: slack < 0 in p's units, yet the
+        # parent's margin is within the tolerance, so both say private;
+        # exactly, the same hair fails
+        m, params = 2, PrivacyParams(math.log(2), 0.0)
+        p = 0.25 - 1e-14
+        closed = product_dp_condition(p, params, m)
+        assert closed.satisfied and closed.slack < 0
+        assert verify_matrix(symmetric_matrix(m, p), params).private
+        assert not product_dp_condition(p, params, m, exact=True).satisfied
+
     def test_exp_condition_delta_zero(self):
         for k in (0.0, 0.5, 1.0):
             for eps in (0.0, 0.5, 1.0):
