@@ -22,6 +22,7 @@ from .mechanisms import (
     HammingUtility,
     ProductSpec,
     SolutionMatrix,
+    _check_flip,
     symmetric_matrix,
 )
 from .verifier import PrivacyParams, budget, passes
@@ -90,11 +91,7 @@ def p_from_k(k: float, m: int) -> float:
     """Flip probability of the product mechanism equivalent to the hamming
     mechanism with privacy weight k:  p = 1 / (e^k + m).
     """
-    if m < 1:
-        raise ParameterRangeError("m must be >= 1")
-    if math.isnan(k) or k < 0:
-        raise ParameterRangeError(f"k must be >= 0, got {k}")
-    return float(HammingUtility(k).parent_matrix(m).values[0, 1])
+    return HammingUtility(k).flip_probability(m, False)
 
 
 def k_from_p(p: float, m: int) -> float:
@@ -102,13 +99,7 @@ def k_from_p(p: float, m: int) -> float:
 
     p = 0 maps to the no-noise endpoint, reported as ``math.inf``.
     """
-    if m < 1:
-        raise ParameterRangeError("m must be >= 1")
-    upper = 1.0 / (m + 1)
-    if math.isnan(p) or not 0.0 <= p <= upper + 1e-12:
-        raise ParameterRangeError(
-            f"flip probability must lie in [0, 1/(m+1)] = [0, {upper}], "
-            f"got {p}")
+    _check_flip(m, p)
     if p == 0.0:
         return math.inf
     # p within rounding of 1/(m+1) can put e^k a few ulp below 1; clamp.
@@ -157,10 +148,11 @@ def product_to_exponential(spec: ProductSpec) -> ExponentialSpec:
 def matrix_expected_error(matrix: SolutionMatrix, n: int) -> float:
     """Worst-case expected error of the product mechanism a matrix defines.
 
-    Sums each row's off-diagonal entries rather than taking 1 - diagonal,
-    which cancels when the flip probabilities are tiny.
+    That is ``matrix.stochastic``, which ``verify`` decides.  Sums each
+    row's off-diagonal entries rather than taking 1 - diagonal, which
+    cancels when the flip probabilities are tiny.
     """
-    off = np.where(np.eye(matrix.size, dtype=bool), 0.0, matrix.values)
+    off = np.where(np.eye(matrix.size, dtype=bool), 0.0, matrix.stochastic)
     return n * float(off.sum(axis=1).max())
 
 

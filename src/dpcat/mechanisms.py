@@ -98,7 +98,7 @@ class HammingUtility:
             raise ParameterRangeError(
                 f"hamming utility needs k at most {LOG_FLOAT_MAX!r}, where "
                 f"e^k is still a finite float, or k = inf, got {k}")
-        if e_k is not None and e_k < 1:
+        if e_k is not None and not e_k >= 1:    # NaN fails every comparison
             raise ParameterRangeError("exact e^k must be >= 1")
         self.k = k
         self.e_k = e_k
@@ -127,21 +127,28 @@ class HammingUtility:
         np.fill_diagonal(u, 0.0)
         return u
 
+    def flip_probability(self, m: int, exact: bool):
+        """p = 1/(e^k + m) over m + 1 categories, 0 at k = inf: a float, or
+        exact from :meth:`exact_e_k`."""
+        if m < 1:
+            raise ParameterRangeError("m must be >= 1")
+        if not exact:
+            return 1.0 / (math.exp(self.k) + m)
+        e_k = self.exact_e_k()
+        return Fraction(0) if e_k is None else 1 / (Fraction(e_k) + m)
+
     def parent_matrix(self, m: int) -> "SolutionMatrix":
         """k-ary randomized response: keep a value with probability
         e^k/(e^k + m), release each other category with p = 1/(e^k + m).
 
         The float entries are exactly those of ``symmetric_matrix(m, p)``
         (p = 0 at k = inf, the identity); the exact entries come from
-        :meth:`exact_e_k` at the matrix's first ``fractions()`` call.
+        :meth:`flip_probability` at the matrix's first ``fractions()`` call.
         """
-        def exact_rows():
-            e_k = self.exact_e_k()
-            return _symmetric_entries(m, Fraction(0) if e_k is None
-                                      else 1 / (e_k + m))
-
-        p = 0.0 if math.isinf(self.k) else 1.0 / (math.exp(self.k) + m)
-        return SolutionMatrix(_symmetric_entries(m, p), fractions=exact_rows)
+        return SolutionMatrix(
+            _symmetric_entries(m, self.flip_probability(m, False)),
+            fractions=lambda: _symmetric_entries(
+                m, self.flip_probability(m, True)))
 
 
 class NegL1Utility:
@@ -314,7 +321,8 @@ class SolutionMatrix:
     below 0) may ride along, as rows or a function returning them; absent
     that, the binary float values themselves are taken as exact.  Either
     way the ``Fraction`` entries, each row divided by its exact sum, are
-    built at the first ``fractions()`` call.
+    built at the first ``fractions()`` call (a float p's symmetric parent
+    takes p itself as exact: see :func:`symmetric_matrix`).
     """
 
     def __init__(self, values, fractions=None):
@@ -339,6 +347,7 @@ class SolutionMatrix:
         self.values = values
         self.values.setflags(write=False)
         self._exact = fractions
+        self._supplied = fractions is not None
         self._fractions = None
 
     @property
@@ -347,8 +356,8 @@ class SolutionMatrix:
 
     def has_exact_entries(self) -> bool:
         """True when exact rational entries ride along, False when
-        ``fractions()`` takes the float values as exact."""
-        return self._exact is not None
+        ``fractions()`` takes floats (the values, or a float p) as exact."""
+        return self._supplied
 
     def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._fractions is None:
@@ -504,23 +513,32 @@ class ProductSpec(_Spec):
         return self.exact_pmf_block([index])[0].tolist()
 
 
+def _check_flip(m: int, p) -> None:
+    """m >= 1 and 0 <= p <= 1/(m+1), p as a float with no slack: a symmetric
+    parent returns the true value at least as often as any wrong one."""
+    if m < 1:
+        raise ParameterRangeError("m must be >= 1")
+    upper = 1.0 / (m + 1)
+    if not 0.0 <= float(p) <= upper:      # NaN fails every comparison
+        raise ParameterRangeError(
+            f"flip probability must lie in [0, 1/(m+1)] = [0, {upper}], "
+            f"got {float(p)}")
+
+
 def symmetric_matrix(m: int, p) -> SolutionMatrix:
     """The one-parameter matrix: diagonal 1 - m*p, off-diagonal p.
 
-    Requires 0 <= p <= 1/(m+1): the parent must be at least as likely to
-    return the true value as any single wrong one.  ``p`` may be a Fraction,
-    in which case exact entries are attached.
+    ``p``, a float or a Fraction in the range of :func:`_check_flip`,
+    gives the float entries; the exact ones, built at the first
+    ``fractions()`` call, are Fraction(p)'s and sum to 1.  Only a Fraction
+    p counts as exact entries riding along (``has_exact_entries``).
     """
-    p_num = float(p)
-    upper = 1.0 / (m + 1)
-    if not 0.0 <= p_num <= upper + 1e-12:
-        raise ParameterRangeError(
-            f"flip probability must lie in [0, 1/(m+1)] = [0, {upper}], "
-            f"got {p_num}")
-    if not isinstance(p, Fraction):
-        return SolutionMatrix(_symmetric_entries(m, p_num))
-    fracs = _symmetric_entries(m, p)
-    return SolutionMatrix(fracs.astype(float), fractions=fracs)
+    _check_flip(m, p)
+    matrix = SolutionMatrix(
+        _symmetric_entries(m, p).astype(float),
+        fractions=lambda: _symmetric_entries(m, Fraction(p)))
+    matrix._supplied = isinstance(p, Fraction)
+    return matrix
 
 
 def _symmetric_entries(m: int, p) -> np.ndarray:

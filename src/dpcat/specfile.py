@@ -72,13 +72,18 @@ def _require(kv: dict, key: str, origin) -> str:
 
 def _parse_number(value: str, key: str, origin, kind=float):
     """``kind(value)``, float by default (which reads ``inf`` itself); a
-    value it rejects is a DataFormatError naming the key."""
+    value it rejects, or a finite literal past the float range, is a
+    DataFormatError naming the key."""
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise DataFormatError(f"{origin}: {key} = {value!r} is not {what}"
                               ) from None
+    if kind is float and math.isinf(number) and "inf" not in value.lower():
+        raise DataFormatError(f"{origin}: {key} = {value!r} is past the "
+                              f"float range; write inf for infinity")
+    return number
 
 
 def load_table_csv(path, space, n: int) -> np.ndarray:

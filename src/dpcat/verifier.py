@@ -70,7 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
+from . import kernels, mechanisms
 from .core import (
     CategorySpace,
     Count,
@@ -172,7 +172,7 @@ class ConditionResult:
     """Outcome of a closed-form privacy condition."""
 
     satisfied: bool
-    slack: float
+    margin: float                      # canonical: <= delta; inf if trivial
     trivial: bool = False
 
 
@@ -759,47 +759,30 @@ def exp_dp_condition(k: float, params: PrivacyParams, m: int, *,
                      exact: bool = False) -> ConditionResult:
     """Closed form for the hamming-utility mechanism: private iff
     e^k <= (e^eps + m*delta) / (1 - delta).  Necessary and sufficient.
-    Decided as the parent, p = 1/(e^k + m), by :func:`product_dp_condition`;
-    ``slack`` is the bound minus e^k (``e_k``, or exp(k) taken as exact).
+    Checks k through ``HammingUtility(k, e_k)`` and decides as its parent,
+    p = 1/(e^k + m) (exactly: from e_k, or exp(k) taken as exact).
     """
-    if math.isnan(k) or k < 0:
-        raise ParameterRangeError(f"k must be >= 0, got {k}")
-    if m < 1:
-        raise ParameterRangeError("m must be >= 1")
-    if params.trivial:
-        return ConditionResult(True, math.inf, trivial=True)
-    e_eps, delta = budget(params, exact)
-    if not exact or e_k is None:
-        e_k = math.exp(k)
-    if exact and e_k < math.inf:
-        e_k = Fraction(e_k)
-    p = 1 / (e_k + m)
-    parent = product_dp_condition(float(p), params, m, p_exact=p, exact=exact)
-    bound = (e_eps + m * delta) / (1 - delta)
-    return ConditionResult(parent.satisfied, float(bound - e_k))
+    p = mechanisms.HammingUtility(k, e_k).flip_probability(m, exact)
+    return product_dp_condition(float(p), params, m, p_exact=p, exact=exact)
 
 
 def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
                          p_exact: Fraction | None = None,
                          exact: bool = False) -> ConditionResult:
     """Closed form for the symmetric product mechanism: private iff
-    p >= (1 - delta) / (e^eps + m).  Necessary and sufficient.  Decided by
-    the parent's margin min(delta, e^eps*p + delta - (1 - m*p)) in either
-    arithmetic; ``slack`` is p (``p_exact`` if exact) minus the threshold.
+    p >= (1 - delta) / (e^eps + m).  Necessary and sufficient.  ``margin``
+    is the parent's canonical margin min(delta, e^eps*p + delta - (1 - m*p)),
+    in floats or exactly (``p_exact``, or p taken as exact), and infinite
+    when delta = 1.
     """
-    if m < 1:
-        raise ParameterRangeError("m must be >= 1")
-    if math.isnan(p) or not 0 <= p <= 1 / (m + 1) + 1e-12:
-        raise ParameterRangeError(
-            f"flip probability must lie in [0, 1/(m+1)], got {p}")
+    mechanisms._check_flip(m, p)
     if params.trivial:
-        return ConditionResult(True, float(p), trivial=True)
+        return ConditionResult(True, math.inf, trivial=True)
     e_eps, delta = budget(params, exact)
     if exact:
         p = Fraction(p if p_exact is None else p_exact)
     margin = min(delta, e_eps * p + delta - (1 - m * p))
-    return ConditionResult(passes(margin, exact=exact),
-                           float(p - (1 - delta) / (e_eps + m)))
+    return ConditionResult(passes(margin, exact=exact), float(margin))
 
 
 def verify_matrix(matrix: SolutionMatrix, params: PrivacyParams, *,

@@ -392,3 +392,17 @@ def sample_feasible_dirichlet(m, e_eps, delta, count, rng, batch,
         if have >= count:
             return np.concatenate(out)[:count]
     raise RuntimeError(f"only {have} of {count} feasible matrices found")
+
+
+def knife_edge_grid():
+    """The one corpus of boundary points: (m, eps, delta, k, p) with k and
+    p on the privacy boundary, e^k = (e^eps + m*delta)/(1 - delta) and
+    p = (1 - delta)/(e^eps + m), for m = 1-4, 40 values of eps in
+    [0.05, 3] and delta in {0, 1e-6, 0.01, 0.1}: 640 points."""
+    for m in range(1, 5):
+        for eps in np.linspace(0.05, 3, 40).tolist():
+            for delta in (0.0, 1e-6, 0.01, 0.1):
+                e_eps = math.exp(eps)
+                yield (m, eps, delta,
+                       math.log((e_eps + m * delta) / (1 - delta)),
+                       (1 - delta) / (e_eps + m))

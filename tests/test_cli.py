@@ -11,6 +11,7 @@ import tempfile
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -792,10 +793,14 @@ class TestParameterRange:
         (workdir / "nan.spec").write_text(
             "type = product\nmatrix = nan.csv\ncategories = cats.txt\n"
             "n = 2\n")
-        for k in ("709", "800", "1e308"):
+        for k in ("709", "800", "1e308", "1e309", "inf"):
             (workdir / f"k{k}.spec").write_text(
                 f"type = exponential\nutility = hamming\nk = {k}\n"
                 f"categories = cats.txt\nn = 2\n")
+        for name, p in (("p_third", "0.3333333333333333"),
+                        ("p_ulp", "0.33333333333333337")):
+            (workdir / f"{name}.spec").write_text(
+                f"type = product\np = {p}\ncategories = cats.txt\nn = 2\n")
         (workdir / "t.csv").write_text("0\n")
         (workdir / "rows.spec").write_text(
             "type = exponential\nutility = table\ntable = t.csv\n"
@@ -822,6 +827,38 @@ class TestParameterRange:
         code, out, err = run(capsys, *self.argv(specs, command, "k709.spec"))
         assert code == (1 if command == "verify" else 0) and err == ""
         assert out
+
+    @pytest.mark.parametrize("command",
+                             ["verify", "sanitize", "analyze", "convert"])
+    def test_finite_k_past_the_float_range_exits_2(self, specs, capsys,
+                                                   command):
+        # float() reads 1e309 as inf; only the literal inf is the no-noise
+        # endpoint
+        code, out, err = run(capsys,
+                             *self.argv(specs, command, "k1e309.spec"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {specs / 'k1e309.spec'}: k = '1e309' is past "
+                       f"the float range; write inf for infinity\n")
+
+    def test_literal_inf_is_the_no_noise_endpoint(self, specs, capsys):
+        code, out, err = run(capsys, *self.argv(specs, "convert", "kinf.spec"))
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["k"], json.loads(out)["p"]) == ("inf", 0.0)
+        code, _, err = run(capsys, *self.argv(specs, "verify", "kinf.spec"))
+        assert (code, err) == (1, "")
+
+    @pytest.mark.parametrize("command",
+                             ["verify", "sanitize", "analyze", "convert"])
+    def test_flip_probability_past_its_bound_exits_2(self, specs, capsys,
+                                                     command):
+        # one ulp above 1/(m+1) = 1/3; the float 1/3 itself answers
+        code, out, err = run(capsys, *self.argv(specs, command, "p_ulp.spec"))
+        assert (code, out) == (2, "")
+        assert err == ("error: flip probability must lie in [0, 1/(m+1)] = "
+                       "[0, 0.3333333333333333], got 0.33333333333333337\n")
+        code, out, err = run(capsys,
+                             *self.argv(specs, command, "p_third.spec"))
+        assert code in (0, 1) and err == "" and out
 
 
 class TestNegativeEntries:
@@ -1145,6 +1182,25 @@ class TestAnalyze:
             2 / (1 + math.exp(0.5) / 2))
         assert payload["lower_bound"] <= payload["expected_error"]
         assert payload["upper_bound"] == pytest.approx(2 * 2 / 3)
+
+    def test_error_is_the_normalised_parent_s(self, workdir, capsys):
+        # rows that sum to 1 + 5e-10: the mechanism verified and sampled is
+        # each row over its sum, whose worst row releases another category
+        # with probability (0.2 + 0.3)/(1 + 5e-10); the raw rows read 0.5
+        (workdir / "off.csv").write_text("0.6000000005,0.3,0.1\n"
+                                         "0.2,0.5000000005,0.3\n"
+                                         "0.1,0.1,0.8000000005\n")
+        (workdir / "off.spec").write_text(
+            "type = product\nmatrix = off.csv\ncategories = cats.txt\n"
+            "n = 1000000\n")
+        code, out, _ = run(capsys, "analyze", "--spec", workdir / "off.spec",
+                           "--epsilon", "1")
+        assert code == 0
+        error = json.loads(out)["expected_error"]
+        # the float nearest the exact error of the float entries' parent
+        row = [Fraction(x) for x in (0.2, 0.5000000005, 0.3)]
+        assert error == float(10 ** 6 * (row[0] + row[2]) / sum(row)) \
+            == 499999.99974999996
 
 
 class TestConvert:

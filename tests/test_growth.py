@@ -25,7 +25,10 @@ Likewise its verdict rule: ``TOLERANCE`` is read only by ``passes`` and
 by the report's printed ``tolerance``, and every function that turns a
 margin into a verdict calls ``passes`` (``VERDICTS``).
 Brute force's one limit, ``BRUTE_FORCE_STATES``, is read only by
-``verify_bruteforce``.
+``verify_bruteforce``.  A symmetric parent's two ranges are each checked
+in one function (``RANGE_CHECKS``): the flip probability in
+``mechanisms._check_flip`` and the hamming k in ``HammingUtility``, and
+every reader of p or k calls that function.
 """
 
 import argparse
@@ -34,8 +37,11 @@ import contextlib
 import inspect
 import io
 import json
+import re
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import dpcat
 import dpcat.analysis
@@ -296,8 +302,9 @@ def test_the_verifier_reads_no_count_cap():
 
 
 def _called_names(func: ast.FunctionDef) -> set[str]:
-    return {node.func.id for node in ast.walk(func)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    """Names the function calls, bare or as a module's attribute."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(func) if isinstance(node, ast.Call)}
 
 
 def test_the_tolerance_is_read_by_the_verdict_rule_alone():
@@ -336,3 +343,54 @@ def test_every_verdict_goes_through_the_rule():
                    if isinstance(func, ast.FunctionDef)
                    and func.name == "exp_dp_condition"]
     assert "product_dp_condition" in _called_names(exp_form)
+
+
+def _package_functions():
+    """(module, qualified name, node) of every function in the package,
+    methods as ``Class.method``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods.update({id(func): f"{cls.name}.{func.name}"
+                                for func in cls.body
+                                if isinstance(func, ast.FunctionDef)})
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                yield path.stem, methods.get(id(func), func.name), func
+
+
+def _raised_text(func: ast.FunctionDef) -> str:
+    """The literal text of every ParameterRangeError the function raises."""
+    return " ".join(
+        part.value for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ParameterRangeError"
+        for part in ast.walk(node.exc)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str))
+
+
+#: Each range of a symmetric parent: a pattern its refusal's text matches,
+#: the one function that checks it, and the readers that call that one.
+RANGE_CHECKS = {
+    "flip probability": (r"flip probability|1/\(m\+1\)",
+                         ("mechanisms", "_check_flip"),
+                         {"symmetric_matrix", "k_from_p",
+                          "product_dp_condition"}),
+    "hamming k": (r"\bk (must|>=|at most)",
+                  ("mechanisms", "HammingUtility.__init__"),
+                  {"exp_dp_condition", "p_from_k"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_CHECKS))
+def test_each_parent_range_is_checked_in_one_function(name):
+    pattern, checker, readers = RANGE_CHECKS[name]
+    functions = list(_package_functions())
+    assert [(module, qualified) for module, qualified, func in functions
+            if re.search(pattern, _raised_text(func))] == [checker]
+    callee = checker[1].split(".")[0]
+    callers = {qualified for _, qualified, func in functions
+               if callee in _called_names(func)}
+    assert readers <= callers, readers - callers

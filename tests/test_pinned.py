@@ -375,7 +375,7 @@ VERIFY_DIGESTS = {
     ('symmetric', 'reduced'):
         '935a8a4a09d705a981ac4757efa5450132f6f42e921fb95094f185f6046eac50',
     ('symmetric', 'reduced-exact'):
-        '466c431c77820b54b967c1b43bf47609009427adcbbcc2414000c7269fb7bdbf',
+        'ddf9efa490d1767a6ced75ebb2f57be5923f29b12e0cd08f97affc34aba9f40b',
     ('symmetric', 'brute'):
         'fff936cc55e44c69f9896a5b5a60f1eebd042acf958777a2a97d104d24ff32a2',
     ('symmetric', 'auto'):

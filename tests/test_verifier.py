@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dpcat.analysis
 from dpcat import verifier
 from dpcat import (
     Database,
@@ -894,19 +895,6 @@ class TestBindingSetJson:
                 == verifier._render_set(plain))
 
 
-def knife_edge_grid():
-    """(m, params, k, p) with k and p on the privacy boundary,
-    e^k = (e^eps + m*delta)/(1 - delta) and p = (1 - delta)/(e^eps + m),
-    for m = 1-4, 40 values of eps in [0.05, 3] and four deltas."""
-    for m in range(1, 5):
-        for eps in np.linspace(0.05, 3, 40).tolist():
-            for delta in (0.0, 1e-6, 0.01, 0.1):
-                e_eps = math.exp(eps)
-                yield (m, PrivacyParams(eps, delta),
-                       math.log((e_eps + m * delta) / (1 - delta)),
-                       (1 - delta) / (e_eps + m))
-
-
 class TestClosedForms:
     def test_the_verdict_rule(self):
         tol = verifier.TOLERANCE
@@ -921,34 +909,43 @@ class TestClosedForms:
     def test_hamming_knife_edge_agrees_with_verify(self, exact):
         # deciding bound - e^k >= 0 in e^k's units, with no tolerance, calls
         # 68 of these 640 points not private where verify says private,
-        # one of them at a verify margin of +1.4e-16
-        points = list(knife_edge_grid())
+        # one of them at a verify margin of +1.4e-16; exact margins agree
+        # to the bit, float ones only to rounding (the log/exp round trip)
+        points = list(_oracles.knife_edge_grid())
         assert len(points) == 640
-        for m, params, k, _ in points:
+        for m, eps, delta, k, _ in points:
+            params = PrivacyParams(eps, delta)
             spec = ExponentialSpec(make_space(m), 3, HammingUtility(k))
             report = verify_reduced(spec, params, exact=exact)
             closed = exp_dp_condition(k, params, m, exact=exact)
             assert closed.satisfied == report.private, (m, params, k)
+            if exact:
+                assert closed.margin == report.margin, (m, params, k)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_product_knife_edge_agrees_with_verify(self, exact):
-        # exact p is the binary float p taken as exact: the parent of
-        # symmetric_matrix(m, Fraction(p)), whose rows sum to 1 exactly
-        for m, params, _, p in knife_edge_grid():
-            spec = make_symmetric_product(make_space(m), 3,
-                                          Fraction(p) if exact else p)
-            report = verify_reduced(spec, params, exact=exact)
+        # a spec built from a float p or from Fraction(p) has Fraction(p)'s
+        # exact parent, the one the exact closed form takes; a float-built
+        # spec whose exact rows were its float rows over their exact sums
+        # disagreed with the exact closed form at 77 of these points
+        for m, eps, delta, _, p in _oracles.knife_edge_grid():
+            params = PrivacyParams(eps, delta)
             closed = product_dp_condition(p, params, m, exact=exact)
-            assert closed.satisfied == report.private, (m, params, p)
+            for built in (p, Fraction(p)):
+                spec = make_symmetric_product(make_space(m), 3, built)
+                report = verify_reduced(spec, params, exact=exact)
+                assert closed.satisfied == report.private, (m, params, built)
+                if exact:
+                    assert closed.margin == report.margin, (m, params, p)
 
     def test_closed_forms_pass_where_verify_does(self):
-        # p a hair under the threshold: slack < 0 in p's units, yet the
-        # parent's margin is within the tolerance, so both say private;
-        # exactly, the same hair fails
+        # p a hair under the threshold: the margin 4p - 1 is below 0 but
+        # within the tolerance, so both say private; exactly, the same hair
+        # fails
         m, params = 2, PrivacyParams(math.log(2), 0.0)
         p = 0.25 - 1e-14
         closed = product_dp_condition(p, params, m)
-        assert closed.satisfied and closed.slack < 0
+        assert closed.satisfied and -verifier.TOLERANCE <= closed.margin < 0
         assert verify_matrix(symmetric_matrix(m, p), params).private
         assert not product_dp_condition(p, params, m, exact=True).satisfied
 
@@ -969,13 +966,19 @@ class TestClosedForms:
         params = PrivacyParams(math.log(2), 0.1)
         res = exp_dp_condition(0.9, params, 2)
         assert not res.satisfied
-        assert res.slack == pytest.approx(2.2 / 0.9 - math.exp(0.9))
+        # the parent's margin e^eps*p + delta - (1 - 2p) at p = 1/(e^0.9 + 2)
+        assert res.margin == pytest.approx(4 / (math.exp(0.9) + 2) - 0.9)
         spec = ExponentialSpec(space3, 2, HammingUtility(0.9))
-        assert not verify_bruteforce(spec, params).private
+        brute = verify_bruteforce(spec, params)
+        assert not brute.private
+        assert res.margin == pytest.approx(brute.margin, abs=1e-15)
 
     def test_exp_condition_trivial_delta(self):
+        # private at an infinite margin, as a trivial report is
         res = exp_dp_condition(5.0, PrivacyParams(0.0, 1.0), 2)
-        assert res.satisfied and res.trivial
+        assert res.satisfied and res.trivial and res.margin == math.inf
+        res = product_dp_condition(0.1, PrivacyParams(0.0, 1.0), 2)
+        assert res.satisfied and res.trivial and res.margin == math.inf
 
     def test_product_condition_uniform_endpoint(self):
         for m in (1, 2, 4):
@@ -990,15 +993,36 @@ class TestClosedForms:
         assert product_dp_condition(0.25, params, 2).satisfied
         res = product_dp_condition(0.2, params, 2)
         assert not res.satisfied
-        assert res.slack == pytest.approx(0.2 - 0.25)
+        assert res.margin == pytest.approx(2 * 0.2 - (1 - 2 * 0.2))
         spec = make_symmetric_product(make_space(2), 1, 0.2)
-        assert not verify_bruteforce(spec, params).private
+        brute = verify_bruteforce(spec, params)
+        assert not brute.private
+        assert res.margin == pytest.approx(brute.margin, abs=1e-15)
 
     def test_parameter_range_errors(self):
         with pytest.raises(ParameterRangeError):
             exp_dp_condition(-1.0, PrivacyParams(0.0, 0.0), 2)
         with pytest.raises(ParameterRangeError):
             product_dp_condition(0.6, PrivacyParams(0.0, 0.0), 2)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_k_past_the_float_range_is_a_range_error(self, exact):
+        # the hamming utility's own k check, naming the limit, not an
+        # OverflowError from exp(k)
+        with pytest.raises(ParameterRangeError, match="k at most"):
+            exp_dp_condition(710.0, PrivacyParams(1.0, 0.0), 2, exact=exact)
+        assert not exp_dp_condition(math.inf, PrivacyParams(1.0, 0.0), 2,
+                                    exact=exact).satisfied
+
+    def test_flip_probability_has_no_slack(self):
+        # one ulp above 1/(m+1) is out of range for every reader
+        p = math.nextafter(1 / 3, 1)
+        for read in (lambda: symmetric_matrix(2, p),
+                     lambda: product_dp_condition(p, PrivacyParams(0, 0), 2),
+                     lambda: dpcat.analysis.k_from_p(p, 2)):
+            with pytest.raises(ParameterRangeError, match="flip probability"):
+                read()
+        assert symmetric_matrix(2, 1 / 3).symmetric_p() == 1 / 3
 
 
 class TestVerifyMatrix:
