@@ -32,11 +32,11 @@ computes the same float expression for a batch of parents.
   i, P_d(x) / P_d'(x) depends on x_i alone, so the worst set is a cylinder
   {x : x_i in A1(d_i, d'_i)} over the parent and S is a box over
   S1(d_i, d'_i), which ``sufficient_set`` returns and ``dp_holds_on_set``
-  sums from the parent.  No pmf row or digit table is built.
-  ``verify_matrix`` decides a parent by the same route, as the one-row
-  spec it generates.
+  sums from the parent, in O(k^3) time and chunk-bounded memory for k
+  categories, building no pmf row or digit table.  ``verify_matrix``
+  decides a parent by the same route, as the one-row spec it generates.
 * Utility tables are decided in one array pass over all ordered neighbour
-  pairs of the table's log-pmf matrix.
+  pairs of the table's log-pmf matrix, under the same chunk bound.
 * The paper's check count is one check of S per pair for a symmetric
   parent; one per utility-gap level set of S for a table with a provably
   constant normaliser at delta = 0; every nonempty subset of S otherwise.
@@ -104,9 +104,9 @@ TIE_BAND = 1e-12
 #: scans: 2^24 - 2 per pair.
 BRUTE_FORCE_STATES = 24
 
-#: Half-table entries per brute-force chunk of pairs: the 2^20 floats
-#: ``kernels.MAX_WIDTH`` allows one pair.  Exact time goes to ``Fraction``
-#: arithmetic, not calls, so exact chunks hold 2^8: one pair at 16 states.
+#: Entries per chunk of pairs on every route, or one pair or parent row if
+#: larger: the 2^20 floats ``kernels.MAX_WIDTH`` allows one pair.  Exact
+#: time goes to ``Fraction`` arithmetic, not calls, so exact chunks hold 2^8.
 _SCAN_ENTRIES = 1 << 20
 _EXACT_SCAN_ENTRIES = 1 << 8
 
@@ -116,15 +116,13 @@ class PrivacyParams:
     """The privacy budget (0 <= epsilon <= log of the largest float,
     0 <= delta <= 1).
 
-    delta = 1 is the trivial regime: every mechanism qualifies.  For exact
-    verification the pair (e^epsilon, delta) may be pinned as rationals;
-    otherwise the exact binary values of the floats are used.
+    delta = 1 is the trivial regime: every mechanism qualifies.  Exact
+    verification takes the pair (e^epsilon, delta) at the exact binary
+    values of the floats (:meth:`exact_pair`).
     """
 
     epsilon: float
     delta: float
-    e_eps_exact: Fraction | None = None
-    delta_exact: Fraction | None = None
 
     def __post_init__(self):
         if math.isnan(self.epsilon) or self.epsilon < 0:
@@ -142,11 +140,7 @@ class PrivacyParams:
         return self.delta >= 1
 
     def exact_pair(self) -> tuple[Fraction, Fraction]:
-        e_eps = (self.e_eps_exact if self.e_eps_exact is not None
-                 else Fraction(math.exp(self.epsilon)))
-        delta = (self.delta_exact if self.delta_exact is not None
-                 else Fraction(self.delta))
-        return e_eps, delta
+        return Fraction(math.exp(self.epsilon)), Fraction(self.delta)
 
 
 def passes(margin, *, exact: bool):
@@ -352,16 +346,16 @@ def _parent_cells(spec, pair: NeighborPair, exact: bool):
     P_d(x) > P_d'(x) exactly when M[u, x_i] > M[v, x_i] and every other
     row's output is one that M[d_j] releases, so S is the box
     {x : x_i in S1, x_j in supp M[d_j] for every j != i} with
-    S1 = {c : M[u, c] > M[v, c]}, from :func:`_parent_gaps`.  No pmf row,
-    digit table or index is built; the box is a mask over d's rows.
+    S1 = {c : M[u, c] > M[v, c]} of rows u and v (:func:`_parent_rows`).
+    No pmf row, digit table or index is built; the box is a mask.
     """
     validate_database(spec.space, pair.d)
     validate_database(spec.space, pair.d_prime)
     product = spec.product
     i = pair.differing_row
     u, v = int(pair.d.array[i]), int(pair.d_prime.array[i])
-    _, released, above = _parent_gaps(product, exact)
-    s1 = np.flatnonzero(above()[u, v])
+    released, _, compare = _parent_rows(product, PrivacyParams(0, 0), exact)
+    s1 = np.flatnonzero(compare(u, v)[2])
     rows = released[pair.d.array]
 
     def make_box(cells):
@@ -501,48 +495,57 @@ def _worst_set(chunks, delta, scale: int | None = None):
     in canonical order: t_x = e^eps * P_d'(x) - P_d(x), and the mask of W.
     A pair's margin is delta + Σ_{x∈W} t_x, the row summed by NumPy; exact
     terms are integers over ``scale``, and their margin one ``Fraction``.
-    Returns (margin, j), j the first pair at the smallest sum, or
-    (delta, None), the empty set's, unless that margin is below delta.
+    Returns (margin, j, cells), j the first pair at the smallest sum and
+    cells its W, or the empty set's (delta, None, None) if not below delta.
     """
-    sums = np.concatenate([np.where(members, terms, 0).sum(axis=-1)
-                           for terms, members in chunks])
-    j = int(np.argmin(sums))
+    least, j, cells, lo = None, None, None, 0
+    for terms, members in chunks:
+        sums = np.where(members, terms, 0).sum(axis=-1)
+        i = int(np.argmin(sums))
+        if least is None or sums[i] < least:
+            least, j, cells = sums[i], lo + i, np.flatnonzero(members[i])
+        lo += sums.size
     if scale is None:
-        margin = float(delta + sums[j])
+        margin = float(delta + least)
     else:
         d_n, d_d = delta.as_integer_ratio()
-        margin = Fraction(d_n * scale + d_d * sums[j], d_d * scale)
-    return (margin, j) if margin < delta else (delta, None)
+        margin = Fraction(d_n * scale + d_d * least, d_d * scale)
+    return (margin, j, cells) if margin < delta else (delta, None, None)
 
 
-def _parent_gaps(product: ProductSpec, exact: bool):
-    """The parent M of a product spec in one arithmetic, as (weights,
-    released, above): M's entries and the mask M[a, c] > 0 as (k, k)
-    arrays, and the function that gives the (k, k, k) mask [u, v, c] of
-    M[u, c] > M[v, c], S1(u, v) at [u, v], and for floats that of
-    M[u, c] > e^eps * M[v, c] at eps.
+def _parent_rows(product: ProductSpec, params: PrivacyParams, exact: bool):
+    """The parent M of a product spec in one arithmetic, as (released,
+    scale, compare): the mask M > 0, the denominator of exact terms, and
+    compare(u, v), which for row indices u and v that broadcast (a pair, or
+    rows u against every v) gives the terms e^eps * M[v, c] - M[u, c] and
+    the masks of W, M[u, c] > e^eps * M[v, c], and S1, M[u, c] > M[v, c].
 
-    Floats compare the log weights by :func:`_above`; weights are their
-    exponentials.  Exact mode works in integers: weights are the
-    numerators N = D * M over the common denominator D, as Python ints in
-    an object array, compared strictly.
+    Floats compare log weights by :func:`_above`.  Exact mode compares
+    strictly, in integers: with N = D * M over the common denominator D
+    and e^eps = E_n / E_d, the terms are E_n * N[v, c] - E_d * N[u, c]
+    over E_d * D.
     """
+    e_eps, _ = budget(params, exact)
     if exact:
         fracs = product.matrix.fractions()
         scale = math.lcm(*(x.denominator for row in fracs for x in row))
         weights = np.array([[x.numerator * (scale // x.denominator)
                              for x in row] for row in fracs], dtype=object)
+        e_num, e_den = e_eps.as_integer_ratio()
 
-        def above():
-            return weights[:, None, :] > weights[None, :, :]
-        return weights, weights > 0, above
+        def compare(u, v):
+            terms = e_num * weights[v] - e_den * weights[u]
+            return terms, terms < 0, weights[u] > weights[v]
+        return weights > 0, e_den * scale, compare
     log_w = product.log_weights
-    with np.errstate(invalid="ignore"):
-        log_gap = log_w[:, None, :] - log_w[None, :, :]     # [u, v, c]
+    weights = np.exp(log_w)
 
-    def above(eps=0.0):
-        return _above(log_gap, eps)
-    return np.exp(log_w), np.isfinite(log_w), above
+    def compare(u, v):
+        with np.errstate(invalid="ignore"):
+            gap = log_w[u] - log_w[v]           # NaN where both are 0
+        return (e_eps * weights[v] - weights[u],
+                _above(gap, params.epsilon), _above(gap, 0.0))
+    return np.isfinite(log_w), None, compare
 
 
 def _parent_route(spec, params: PrivacyParams, exact: bool):
@@ -554,38 +557,35 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
     v = d'_i, the other rows contribute a factor of 1 to every cylinder
     over row i.  The worst output set is the cylinder
     {x : x_i in A1(u, v)}, A1 = {c : M[u, c] > e^eps * M[v, c]}, whose
-    terms e^eps * M[v, c] - M[u, c] are the same at every n: the k^2
-    parent pairs (u, v) are the rows :func:`_worst_set` sums.  Exact mode
-    sums E_n * N[v, c] - E_d * N[u, c] over D * E_d, with the numerators
-    N = D * M of :func:`_parent_gaps` and e^eps = E_n / E_d.  The checks
-    are counted from the sizes of S1 (see :func:`_parent_checks`) once the
-    margin is decided, and no count refuses, so the count never changes
-    the verdict.  The binding pair, the first canonical pair at the worst
-    margin, has every other row at category 0, and goes on the report as
-    two arrays with the cylinder (row, A1) as a mask, so the work is O(m^3)
-    in the parent plus O(n) array writes, whatever n is.  An n whose arrays
-    no array of this platform can hold is an EnumerationBudgetError naming
-    n, raised before they are allocated.
+    terms e^eps * M[v, c] - M[u, c] (:func:`_parent_rows`) are the same at
+    every n: the k^2 parent pairs (u, v) are the rows :func:`_worst_set`
+    sums, in blocks of rows u against every v under ``_SCAN_ENTRIES``, so
+    the parent costs O(k^3) time in memory bounded by the chunk.  The same
+    pass counts |S1|, and the checks are counted from those sizes (see
+    :func:`_parent_checks`) once the margin is decided, so the count never
+    changes the verdict.  The binding pair, the first canonical pair at the
+    worst margin, has every other row at category 0, and goes on the report
+    as two arrays with the cylinder (row, A1) as a mask, A1 as the pass
+    found it, so n costs O(n) array writes.  An n whose arrays no array of
+    this platform can hold is an EnumerationBudgetError naming n, raised
+    before they are allocated.
     """
-    product = spec.product
     k, n = spec.space.size, spec.n
-    weights, released, above = _parent_gaps(product, exact)
-    e_eps, delta = budget(params, exact)
-    scale = None
-    if exact:
-        e_num, e_den = e_eps.as_integer_ratio()
-        terms = e_num * weights[None] - e_den * weights[:, None]
-        scale = e_den * weights[0].sum()        # D: each row of M sums to 1
-        worst = terms < 0               # E_d * N[u, c] > E_n * N[v, c]
-    else:
-        terms = e_eps * weights[None] - weights[:, None]
-        worst = above(params.epsilon)
-    margin, j = _worst_set([(terms.reshape(k * k, k),
-                             worst.reshape(k * k, k))], delta, scale)
-    s1 = above().sum(axis=2).ravel()            # |S1| of each pair (u, v)
+    released, scale, compare = _parent_rows(spec.product, params, exact)
+    block = max(1, (_EXACT_SCAN_ENTRIES if exact else _SCAN_ENTRIES) // k // k)
+    s1 = np.empty((k, k), dtype=np.int64)       # |S1| of each pair (u, v)
+
+    def chunks():                   # fills s1 as _worst_set reads it
+        for lo in range(0, k, block):
+            rows = slice(lo, lo + block)
+            terms, worst, above = compare((rows, None), None)
+            s1[rows] = above.sum(axis=2)
+            yield terms.reshape(-1, k), worst.reshape(-1, k)
+
+    margin, j, cells = _worst_set(chunks(), budget(params, exact)[1], scale)
     checks = _parent_checks(Counter(s1[s1 > 0].tolist()),
                             released.sum(axis=1).tolist(), k, n,
-                            product.matrix.is_symmetric)
+                            spec.product.matrix.is_symmetric)
     if j is None:
         return margin, None, checks
     u, v = divmod(j, k)
@@ -603,9 +603,8 @@ def _parent_route(spec, params: PrivacyParams, exact: bool):
     d_prime[row] = v
     pair = NeighborPair(Database.from_array(d), Database.from_array(d_prime),
                         row)
-    cells = np.flatnonzero(worst[u, v]).tolist()
-    return margin, (pair, DatabaseSet.from_cylinder(spec.space, n, row,
-                                                    cells)), checks
+    return margin, (pair, DatabaseSet.from_cylinder(
+        spec.space, n, row, cells.tolist())), checks
 
 
 def _table_route(spec, params: PrivacyParams, partition: bool):
@@ -615,20 +614,20 @@ def _table_route(spec, params: PrivacyParams, partition: bool):
     The worst output set of a pair (d, d') is its hockey-stick set
     W = {x : log P_d(x) - log P_d'(x) > eps}, and :func:`_worst_set` sums
     the pairs' pmf rows over it; S = {x : P_d(x) > P_d'(x)} only counts the
-    checks.  Pairs are taken ``size`` at a time, so no temporary outgrows
-    the table.
+    checks.  Pairs are taken ``_SCAN_ENTRIES`` pmf entries at a time, so
+    no temporary outgrows the chunk or one row of the table.
     """
     log_pmf = spec.log_pmf_table()[0]
     pmf = np.exp(log_pmf)
     utility = spec.utility.values
     e_eps = math.exp(params.epsilon)
     ia, ib, rows = _neighbor_pairs(spec)
-    size = pmf.shape[0]
+    pairs = max(1, _SCAN_ENTRIES // pmf.shape[0])
     counts = np.empty(ia.size, dtype=np.int64)  # |S|, or its gap levels
 
     def chunks():                   # fills counts as _worst_set reads it
-        for lo in range(0, ia.size, size):
-            chunk = slice(lo, lo + size)
+        for lo in range(0, ia.size, pairs):
+            chunk = slice(lo, lo + pairs)
             a, b = ia[chunk], ib[chunk]
             gap = log_pmf[a] - log_pmf[b]
             support = _above(gap, 0.0)
@@ -642,7 +641,7 @@ def _table_route(spec, params: PrivacyParams, partition: bool):
                 counts[chunk] = support.sum(1)
             yield e_eps * pmf[b] - pmf[a], _above(gap, params.epsilon)
 
-    margin, j = _worst_set(chunks(), params.delta)
+    margin, j, cells = _worst_set(chunks(), params.delta)
     if partition:
         checks = Count(int(counts.sum()))
     else:
@@ -650,11 +649,9 @@ def _table_route(spec, params: PrivacyParams, partition: bool):
         checks = _subset_count(zip(sizes.tolist(), number.tolist()))
     if j is None:
         return margin, None, checks
-    a, b = int(ia[j]), int(ib[j])
-    worst = np.flatnonzero(_above(log_pmf[a] - log_pmf[b], params.epsilon))
-    return margin, (_index_pair(spec, a, b, rows[j]),
+    return margin, (_index_pair(spec, int(ia[j]), int(ib[j]), rows[j]),
                     DatabaseSet(spec.space, spec.n,
-                                tuple(worst.tolist()))), checks
+                                tuple(cells.tolist()))), checks
 
 
 def _build_report(spec, params, result, method: str,
@@ -771,9 +768,10 @@ def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
                          exact: bool = False) -> ConditionResult:
     """Closed form for the symmetric product mechanism: private iff
     p >= (1 - delta) / (e^eps + m).  Necessary and sufficient.  ``margin``
-    is the parent's canonical margin min(delta, e^eps*p + delta - (1 - m*p)),
-    in floats or exactly (``p_exact``, or p taken as exact), and infinite
-    when delta = 1.
+    is the parent's canonical margin min(delta, e^eps*p + delta - q,
+    e^eps*q + delta - p) at the diagonal q = 1 - m*p, which can lie below
+    p by rounding, in floats or exactly (``p_exact``, or p taken as exact),
+    and infinite when delta = 1.
     """
     mechanisms._check_flip(m, p)
     if params.trivial:
@@ -781,7 +779,8 @@ def product_dp_condition(p: float, params: PrivacyParams, m: int, *,
     e_eps, delta = budget(params, exact)
     if exact:
         p = Fraction(p if p_exact is None else p_exact)
-    margin = min(delta, e_eps * p + delta - (1 - m * p))
+    q = 1 - m * p
+    margin = min(delta, e_eps * p + delta - q, e_eps * q + delta - p)
     return ConditionResult(passes(margin, exact=exact), float(margin))
 
 

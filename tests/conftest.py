@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,10 +12,23 @@ def make_space(m: int) -> CategorySpace:
     return CategorySpace(tuple(str(i) for i in range(m + 1)))
 
 
+@dataclasses.dataclass(frozen=True)
+class _PinnedParams(PrivacyParams):
+    """Privacy parameters whose exact pair is two given rationals, not the
+    binary values of the floats: every exact route reads the budget
+    through ``exact_pair``."""
+
+    e_eps_exact: Fraction = Fraction(1)
+    delta_exact: Fraction = Fraction(0)
+
+    def exact_pair(self) -> tuple[Fraction, Fraction]:
+        return self.e_eps_exact, self.delta_exact
+
+
 def exact_params(e_eps, delta) -> PrivacyParams:
     """Privacy parameters pinned to the rationals e^eps and delta."""
     e_eps, delta = Fraction(e_eps), Fraction(delta)
-    return PrivacyParams(math.log(e_eps), float(delta), e_eps, delta)
+    return _PinnedParams(math.log(e_eps), float(delta), e_eps, delta)
 
 
 @pytest.fixture

@@ -187,8 +187,6 @@ def test_every_subcommand_answers_the_same_twice(tmp_path):
 LIBRARY_KEYWORDS = [
     "ConditionResult.__init__:trivial",
     "HammingUtility.__init__:e_k",
-    "PrivacyParams.__init__:e_eps_exact",
-    "PrivacyParams.__init__:delta_exact",
     "ProductSpec.__init__:row_utility",
     "SolutionMatrix.__init__:fractions",
     "SolutionMatrix.from_csv:exact",
@@ -254,7 +252,7 @@ def _library_keywords() -> list[str]:
 
 def test_library_keywords_are_pinned():
     assert _library_keywords() == LIBRARY_KEYWORDS
-    assert len(LIBRARY_KEYWORDS) == 27
+    assert len(LIBRARY_KEYWORDS) == 25
 
 
 def test_subset_scan_parameters_are_pinned():

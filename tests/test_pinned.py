@@ -412,3 +412,38 @@ VERIFY_DIGESTS = {
 def test_verify_output_is_pinned(verify_grid, kind, method):
     assert _verify_digest(verify_grid, kind, method) \
         == VERIFY_DIGESTS[kind, method]
+
+
+#: Digests of ``verify --method reduced`` on two Dirichlet parents whose
+#: pairs take more than one block, computed when the parent route held
+#: every pair at once: k = 128 in floats (two blocks) and k = 12 exactly
+#: (one parent row per block).
+CHUNKED_DIGESTS = {
+    (128, False):
+        "2d8c153dab311665363f01d03e51ba833f2ed747857534057257ac67efa51318",
+    (12, True):
+        "bd57f213a4d93086cc7a2b26d424aa2b482abd563d1ac991c2a2917e4b84c208",
+}
+
+
+@pytest.mark.parametrize("k, exact", list(CHUNKED_DIGESTS),
+                         ids=lambda x: str(x))
+def test_blocked_parent_output_is_pinned(tmp_path, k, exact):
+    rng = np.random.default_rng(k)
+    (tmp_path / "cats.txt").write_text("".join(f"c{i}\n" for i in range(k)))
+    _write_csv(tmp_path / "parent.csv",
+               [[repr(float(x)) for x in row]
+                for row in rng.dirichlet(np.ones(k), size=k)])
+    spec = tmp_path / "parent.spec"
+    spec.write_text("type = product\nmatrix = parent.csv\n"
+                    "categories = cats.txt\nn = 2\n")
+    h = hashlib.sha256()
+    for eps, delta in VERIFY_POINTS:
+        argv = ["verify", "--spec", str(spec), "--epsilon", eps,
+                "--delta", delta, "--method", "reduced"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--exact"] if exact else argv)
+        h.update(f"{eps} {delta} {code}\n".encode())
+        h.update(out.getvalue().encode())
+    assert h.hexdigest() == CHUNKED_DIGESTS[k, exact]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -362,6 +363,41 @@ class TestVerifyReduced:
         assert report.checks_performed == 924
         assert report.checks_naive == 18360
         assert report.method == "sufficient-set"
+
+    def test_chunked_routes_give_the_unchunked_report(self, monkeypatch):
+        # the parent route in blocks of one and of three parent rows, and
+        # the table route in chunks of one and of three pairs, against the
+        # default chunk (two blocks at k = 128, one below): the same margin,
+        # binding pair and set, and check count
+        rng = np.random.default_rng(32)
+        space = make_space(2)
+        specs = [
+            (ExponentialSpec(space, 2, HammingUtility(1.3)), (False, True)),
+            (ProductSpec(space, 2, random_stochastic(rng, 3)), (False, True)),
+            (ExponentialSpec(space, 2, TableUtility(
+                space, 2, rng.uniform(-3.0, 0.0, (9, 9)))), (False,)),
+            (ProductSpec(make_space(11), 2, rational_parent(rng, 12)),
+             (True,)),
+            (ProductSpec(make_space(127), 1, random_stochastic(rng, 128)),
+             (False,))]
+        bindings = 0
+        for spec, exact_modes in specs:
+            row = (spec.space.size ** 2 if spec.product is not None
+                   else spec.state_count)
+            for exact in exact_modes:
+                for params in (PrivacyParams(0.5, 0.0),
+                               PrivacyParams(1.0, 0.05)):
+                    reports = []
+                    for entries in (1 << 20, row, 3 * row):
+                        monkeypatch.setattr(verifier, "_SCAN_ENTRIES",
+                                            entries)
+                        monkeypatch.setattr(verifier, "_EXACT_SCAN_ENTRIES",
+                                            entries)
+                        reports.append(verify_reduced(spec, params,
+                                                      exact=exact))
+                    assert reports[0] == reports[1] == reports[2]
+                    bindings += reports[0].binding_pair is not None
+        assert bindings >= 8
 
     def test_l1_set_size_histogram(self, l1_spec, space3):
         sizes = Counter(len(sufficient_set(l1_spec, pair).members)
@@ -927,8 +963,11 @@ class TestClosedForms:
         # a spec built from a float p or from Fraction(p) has Fraction(p)'s
         # exact parent, the one the exact closed form takes; a float-built
         # spec whose exact rows were its float rows over their exact sums
-        # disagreed with the exact closed form at 77 of these points
-        for m, eps, delta, _, p in _oracles.knife_edge_grid():
+        # disagreed with the exact closed form at 77 of these points.  The
+        # last point, p = 0.2 = fl(1/5) at m = 4, has an exact diagonal
+        # 1 - 4p below p, so only its singleton {b} binds
+        points = [*_oracles.knife_edge_grid(), (4, 0.0, 0.0, None, 0.2)]
+        for m, eps, delta, _, p in points:
             params = PrivacyParams(eps, delta)
             closed = product_dp_condition(p, params, m, exact=exact)
             for built in (p, Fraction(p)):
@@ -1346,6 +1385,33 @@ class TestCount:
         assert count.value is None
         assert str(count) == "1*(2^5-1)+2*(2^13288-1)"
         assert int(count) == _oracles.subset_count({5: 1, 13288: 2})[0]
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParentMemory:
+    """The parent route holds one block of parent rows at a time, and a
+    sufficient set reads the pair's two rows."""
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # at k = 200 one (k, k, k) float array is 61 MiB and one mask
+        # 7.6 MiB, so a route that builds one fails its bound
+        k = 200
+        matrix = random_stochastic(np.random.default_rng(200), k)
+        spec = ProductSpec(make_space(k - 1), 1, matrix)
+        pair = pair_of((3,), (7,))
+        params = PrivacyParams(1.0, 0.1)
+        assert not verify_matrix(matrix, params).private
+        assert _traced_peak(lambda: verify_matrix(matrix, params)) < 48 << 20
+        assert _traced_peak(lambda: sufficient_set(spec, pair)) < 1 << 20
 
 
 class TestAnyRowCount:
